@@ -124,7 +124,6 @@ def discriminant(q: Quintic, h: float) -> float:
     Nonnegative D admits real (b, c); for parameter tuples it equals
     h^8 * (c - b*h)^2.
     """
-    _require_monic(q)
     if h <= 0.0:
         raise ValueError("h must be positive")
     lead = q.a0 - h**4 * q.a4
@@ -139,7 +138,6 @@ def choose_h(q: Quintic) -> float:
     built (the caller should deflate); otherwise D tends to the squared
     constant term as h -> 0, so the search succeeds.
     """
-    _require_monic(q)
     if q.a0 == 0.0:
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
     trials = [2.0**-i for i in range(41)] + [2.0**i for i in range(1, 21)]
@@ -156,7 +154,6 @@ def compute_bc(q: Quintic, h: float, branch: Branch = Branch.PLUS) -> tuple[floa
     c = (E - h^4*A -+ 3*sqrt(D)) / (4*h^4).  Tiny negative D from rounding
     is clamped to zero; a genuinely negative D raises.
     """
-    _require_monic(q)
     if h <= 0.0:
         raise ValueError("h must be positive")
     d = discriminant(q, h)
@@ -182,7 +179,6 @@ def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float,
     solve is used; closed forms serve only as cross-checks (see
     ``closed_form_kpq``).
     """
-    _require_monic(q)
     if h <= 0.0:
         raise ValueError("h must be positive")
     alpha, beta, gamma = q.a4, q.a3, q.a2
@@ -246,7 +242,6 @@ def build_config(
     then (k, p, q) by linear solve.  P on line l (p = k) is rejected with
     retry advice rather than perturbed silently.
     """
-    _require_monic(q)
     if q.a0 == 0.0:
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
     h = float(h_override) if h_override is not None else choose_h(q)
@@ -268,7 +263,6 @@ def nishimura_pipeline(q: Quintic, branch: Branch = Branch.PLUS) -> NishimuraRep
     Reports every intermediate so the direct construction and the
     depressed-form one can be compared side by side.
     """
-    _require_monic(q)
     depressed, shift = polynomial.depress(q)
     holds = polynomial.nishimura_precondition(depressed)
     factor = 1.0 if holds else polynomial.find_scale_for_precondition(depressed)
@@ -282,8 +276,3 @@ def nishimura_pipeline(q: Quintic, branch: Branch = Branch.PLUS) -> NishimuraRep
         precondition_holds=holds,
         config=config,
     )
-
-
-def _require_monic(q: Quintic) -> None:
-    if not q.is_monic:
-        raise ValueError("expected a monic quintic; call normalize_monic first")

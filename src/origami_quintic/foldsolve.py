@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from . import geometry
 from .errors import ConfigMismatch, ZeroB
 from .foldconfig import FoldConfig, config_quintic
 from .geometry import (
@@ -108,34 +108,14 @@ def chi_from_xi(cfg: FoldConfig, t: float) -> Line:
 def residual_g(cfg: FoldConfig, t: float) -> float:
     """Scalar incidence defect: x-offset of P's image under chi from line l.
 
-    Equals reflect_point(P, chi_from_xi(cfg, t)).x - k, inlined for speed;
-    zero exactly where every incidence of the two-fold operation holds.
+    Zero exactly where every incidence of the two-fold operation holds.
     """
-    h, b, c = cfg.h, cfg.b, cfg.c
-    # reflect two points of n: x + b*y = c across xi: t*x - h*y = t^2
-    n2 = 1.0 + b * b
-    fx, fy = c / n2, c * b / n2
-    inv = 1.0 / math.sqrt(n2)
-    dx, dy = -b * inv, inv
-    xi_n2 = t * t + h * h
-    ax, ay = fx + dx, fy + dy
-    d = (t * ax - h * ay - t * t) / xi_n2
-    ax, ay = ax - 2.0 * d * t, ay + 2.0 * d * h
-    bx, by = fx - dx, fy - dy
-    d = (t * bx - h * by - t * t) / xi_n2
-    bx, by = bx - 2.0 * d * t, by + 2.0 * d * h
-    # chi through (ax, ay) and (bx, by); reflect P across it
-    ca, cb = by - ay, ax - bx
-    cc = ca * ax + cb * ay
-    d = (ca * cfg.p + cb * cfg.q - cc) / (ca * ca + cb * cb)
-    return cfg.p - 2.0 * d * ca - cfg.k
+    return reflect_point(cfg.point_p, chi_from_xi(cfg, t)).x - cfg.k
 
 
 def is_parallel_case(cfg: FoldConfig, t: float) -> bool:
     """Whether xi at t shares n's normal direction (b*t + h = 0, scale aware)."""
-    return abs(cfg.b * t + cfg.h) <= geometry.PARALLEL_TOL * math.hypot(
-        t, cfg.h
-    ) * math.hypot(1.0, cfg.b)
+    return is_parallel(fold_xi(t, cfg.h), cfg.line_n)
 
 
 def parallel_case_check(cfg: FoldConfig, t: float, tol: float = 1e-9) -> bool:
@@ -159,20 +139,15 @@ def parallel_case_check(cfg: FoldConfig, t: float, tol: float = 1e-9) -> bool:
 
 
 def verify(
-    cfg: FoldConfig,
-    t: float,
-    tol: float = 1e-9,
-    xi: Line | None = None,
-    chi: Line | None = None,
+    cfg: FoldConfig, t: float, *, xi: Line | None = None, chi: Line | None = None
 ) -> IncidenceResiduals:
     """Measure every incidence residual for the candidate parameter t.
 
     xi and chi default to the reconstruction from (cfg, t); stored lines
     may be passed instead to re-check a serialized solution.  Outside the
     parallel case the xi-n intersection is recomputed and its distance to
-    chi reported.
+    chi reported.  Thresholding the residuals is the caller's call.
     """
-    del tol  # residuals communicate failure; thresholding is the caller's call
     if xi is None:
         xi = fold_xi(t, cfg.h)
     if chi is None:
@@ -203,33 +178,33 @@ def verify(
     )
 
 
+def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> None:
+    """Raise ConfigMismatch unless the configuration's quintic reproduces
+    the six coefficients within a coefficient gap of 1e-8."""
+    gap = coefficient_gap(config_quintic(cfg).coeffs, coeffs)
+    if not gap <= 1e-8:  # a NaN gap fails too
+        raise ConfigMismatch(
+            f"configuration reproduces the source within {gap:.3e} only (limit 1e-8)"
+        )
+
+
 def solve_all(
-    cfg: FoldConfig,
-    source: Quintic,
-    tol: float = 1e-9,
-    root_tol: float = 1e-12,
+    cfg: FoldConfig, source: Quintic, root_tol: float = 1e-12
 ) -> list[FoldSolution]:
     """One verified FoldSolution per distinct real root of the source quintic.
 
-    The configuration must reproduce the source coefficients (roundtrip
-    gap <= 1e-8), otherwise ConfigMismatch.  Solutions come back sorted
+    The configuration must pass ``check_roundtrip`` against the source
+    coefficients, otherwise ConfigMismatch.  Solutions come back sorted
     ascending in t; s is read off the image of P.  A chi that coincides
     with n, or an image of P too close to P itself, is flagged through
     the diagnostics field rather than dropped.
     """
-    if not source.is_monic:
-        raise ValueError("expected a monic source quintic")
-    produced = forward_of(cfg)
-    gap = coefficient_gap(produced, source.coeffs[1:])
-    if gap > 1e-8:
-        raise ConfigMismatch(
-            f"configuration reproduces the source within {gap:.3e} only (limit 1e-8)"
-        )
+    check_roundtrip(cfg, source.coeffs)
     solutions = []
     for root, mult in real_roots(source, root_tol):
         xi = fold_xi(root, cfg.h)
         chi = chi_from_xi(cfg, root)
-        residuals = verify(cfg, root, tol, xi=xi, chi=chi)
+        residuals = verify(cfg, root, xi=xi, chi=chi)
         p_image = reflect_point(cfg.point_p, chi)
         diagnostics = []
         if canonical_gap(chi, cfg.line_n) <= 1e-9:
@@ -246,14 +221,10 @@ def solve_all(
                 q_image=reflect_point(cfg.point_q, xi),
                 p_image=p_image,
                 residuals=residuals,
-                parallel_case=is_parallel_case(cfg, root),
+                parallel_case=is_parallel(xi, cfg.line_n),
                 multiplicity=mult,
                 diagnostics=tuple(diagnostics),
             )
         )
     return solutions
 
-
-def forward_of(cfg: FoldConfig) -> tuple[float, float, float, float, float]:
-    """Coefficients the configuration actually produces (roundtrip probe)."""
-    return config_quintic(cfg).coeffs[1:]

@@ -19,7 +19,10 @@ DEGREE = 5
 
 @dataclass(frozen=True)
 class Quintic:
-    """Degree-5 polynomial a5*t^5 + a4*t^4 + a3*t^3 + a2*t^2 + a1*t + a0."""
+    """Monic quintic t^5 + a4*t^4 + a3*t^3 + a2*t^2 + a1*t + a0 (a5 is 1.0).
+
+    Build one from arbitrary coefficients with ``normalize_monic``.
+    """
 
     a5: float
     a4: float
@@ -29,16 +32,12 @@ class Quintic:
     a0: float
 
     def __post_init__(self) -> None:
-        if self.a5 == 0.0:
-            raise DegenerateDegree("leading coefficient is zero; not a quintic")
+        if self.a5 != 1.0:
+            raise ValueError("expected a monic quintic; call normalize_monic first")
 
     @property
     def coeffs(self) -> tuple[float, float, float, float, float, float]:
         return (self.a5, self.a4, self.a3, self.a2, self.a1, self.a0)
-
-    @property
-    def is_monic(self) -> bool:
-        return self.a5 == 1.0
 
 
 def normalize_monic(coeffs: Sequence[float]) -> Quintic:
@@ -65,7 +64,6 @@ def depress(q: Quintic) -> tuple[Quintic, float]:
     input are the roots of the output minus the shift.  The quartic
     coefficient of the result is exactly zero.
     """
-    _require_monic(q)
     if q.a4 == 0.0:
         return q, 0.0
     # branch on a4, not shift: a subnormal a4 underflows shift to zero but
@@ -85,7 +83,6 @@ def scale(q: Quintic, c: float) -> Quintic:
     Substitutes t = c * t' and renormalizes: coefficient i (descending)
     becomes a_i / c**i.
     """
-    _require_monic(q)
     if c == 0.0:
         raise ZeroScale("scale factor must be nonzero")
     if c == 1.0:
@@ -102,7 +99,6 @@ def nishimura_precondition(q: Quintic) -> bool:
     This is the admissibility condition of the depressed-form analysis
     (equivalently: the configuration discriminant at h = 1 is nonnegative).
     """
-    _require_monic(q)
     if q.a4 != 0.0:
         raise NotDepressed("quartic coefficient must be zero")
     return q.a0 * q.a0 - 4.0 * (q.a3 + q.a1 + 1.0) >= 0.0
@@ -112,7 +108,6 @@ def find_scale_for_precondition(q: Quintic) -> float:
     """Search a fixed grid of scale factors until the depressed-form
     precondition holds: c = 1, 1/2, 1/3, ..., 1/64, then 2, 3, ..., 64.
     """
-    _require_monic(q)
     if q.a4 != 0.0:
         raise NotDepressed("quartic coefficient must be zero")
     candidates = [1.0]
@@ -126,7 +121,6 @@ def find_scale_for_precondition(q: Quintic) -> float:
 
 def cauchy_bound(q: Quintic) -> float:
     """Upper bound 1 + max |a_i| on the magnitude of every root (monic input)."""
-    _require_monic(q)
     return 1.0 + max(abs(c) for c in q.coeffs[1:])
 
 
@@ -145,7 +139,6 @@ def real_roots(
     A real quintic always has at least one real root, so the result is
     never empty.
     """
-    _require_monic(q)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     bound = cauchy_bound(q)
@@ -165,11 +158,6 @@ def real_roots(
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (coefficients descending)
-
-def _require_monic(q: Quintic) -> None:
-    if not q.is_monic:
-        raise ValueError("expected a monic quintic; call normalize_monic first")
-
 
 def _horner(coeffs: Sequence[float], t: float) -> float:
     acc = 0.0

@@ -78,7 +78,7 @@ def test_criterion_2_hendecagon_roots():
     cfg = build_config(q)
     solve_all(cfg, q)  # warm-up
     start = time.perf_counter()
-    sols = solve_all(cfg, q, tol=1e-9, root_tol=1e-12)
+    sols = solve_all(cfg, q, root_tol=1e-12)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     expected = sorted(2.0 * math.cos(2.0 * math.pi * i / 11.0) for i in range(1, 6))
     ok = len(sols) == 5
@@ -247,7 +247,7 @@ def test_criterion_6_parallel_case_coverage():
         quintic = Quintic(1.0, *forward_coefficients(b, c, k, p, q, h))
         target = -h / b
         assert parallel_case_check(cfg, target)
-        sols = solve_all(cfg, quintic, tol=1e-9)
+        sols = solve_all(cfg, quintic)
         nearest = min(sols, key=lambda s: abs(s.t - target))
         assert abs(nearest.t - target) <= 1e-9 * (1.0 + abs(target))
         all_parallel &= nearest.parallel_case

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import origami_quintic
 from origami_quintic.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -91,6 +94,14 @@ class TestSolve:
         capsys.readouterr()
         # an explicit flag wins over the environment
         assert main(["solve", *HENDECAGON_ARGS, "--tol", "1e-9"]) == EXIT_OK
+
+    def test_readme_quintic(self, capsys):
+        # the documented input whose worst residual (about 4.4e-10) is nearest tol
+        code, report = run_json(capsys, ["solve", "--coeffs", "1,0,-110,-55,2310,979"])
+        assert code == EXIT_OK
+        assert report["solutions"]
+        for sol in report["solutions"]:
+            assert max(sol["residuals"].values()) <= 1e-9
 
     def test_fraction_input(self, capsys):
         code, report = run_json(
@@ -190,6 +201,27 @@ class TestVerify:
         main(["solve", "--coeffs", "1,1,-4,-3,3,0", "--json", str(path)])
         assert main(["verify", "--json", str(path)]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "corrupt, code",
+        [
+            (lambda monic: [2.0 * c for c in monic], EXIT_VERIFY),
+            (lambda monic: monic[:5], EXIT_DATA),
+            (lambda monic: [0.0, *monic[1:]], EXIT_USAGE),
+            (lambda monic: "1,1,-4,-3,3,1", EXIT_DATA),
+            (lambda monic: [5.0, *monic[1:]], EXIT_VERIFY),
+            (lambda monic: [float("nan"), *monic[1:]], EXIT_VERIFY),
+        ],
+        ids=["doubled", "five_entries", "leading_zero", "string", "leading_five",
+             "leading_nan"],
+    )
+    def test_corrupted_monic(self, capsys, tmp_path, corrupt, code):
+        path = tmp_path / "report.json"
+        main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
+        data = json.loads(path.read_text())
+        data["quintic"]["monic"] = corrupt(data["quintic"]["monic"])
+        path.write_text(json.dumps(data))
+        assert main(["verify", "--json", str(path)]) == code
+
     def test_custom_tol(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
@@ -197,10 +229,13 @@ class TestVerify:
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child must import the package this process imported, installed or not
+    paths = [str(Path(origami_quintic.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     result = subprocess.run(
         [sys.executable, "-m", "origami_quintic.cli", "solve", *HENDECAGON_ARGS],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
     )
     assert result.returncode == 0
     assert len(json.loads(result.stdout)["solutions"]) == 5
