@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -20,7 +21,7 @@ from .errors import ConfigMismatch, DegenerateDegree, OrigamiQuinticError
 from .foldconfig import Branch, FoldConfig
 from .foldsolve import FoldSolution
 from .geometry import Line, canonical_gap, fold_xi
-from .polynomial import Quintic
+from .polynomial import Quintic, max_or_nan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,6 +31,7 @@ EXIT_DATA = 65
 
 DEFAULT_TOL = 1e-9
 DEFAULT_ROOT_TOL = 1e-12
+H_MIN, H_MAX = 2.0**-128, 2.0**128
 TOL_ENV_VAR = "ORIGAMI_QUINTIC_TOL"
 
 
@@ -133,14 +135,34 @@ def _dump(payload: dict, path: str | None) -> None:
 def _tol(args) -> float:
     """The verification tolerance: --tol, else the environment, else the default."""
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
+        source, tol = "--tol", args.tol
+    else:
+        env = os.environ.get(TOL_ENV_VAR)
+        if env is None:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            source, tol = TOL_ENV_VAR, float(env)
         except ValueError:
             raise UsageError(f"{TOL_ENV_VAR} is not a number: {env!r}") from None
-    return DEFAULT_TOL
+    if not 0.0 <= tol < math.inf:
+        raise UsageError(f"{source} must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
+def _check_options(args) -> None:
+    """Resolve --tol and reject numeric options the solver cannot use.
+
+    h is held to [2^-128, 2^128], where every power of h that the
+    construction forms (up to h^6) is a finite, nonzero float.
+    """
+    if hasattr(args, "tol"):
+        args.tol = _tol(args)
+    h = getattr(args, "h_override", None)
+    if h is not None and not H_MIN <= h <= H_MAX:
+        raise UsageError(f"--h must be from 2^-128 to 2^128, got {h!r}")
+    root_tol = getattr(args, "root_tol", None)
+    if root_tol is not None and not 0.0 < root_tol < math.inf:
+        raise UsageError(f"--root-tol must be a finite number > 0, got {root_tol!r}")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -211,7 +233,7 @@ def _solve_report(args, tol: float) -> RunReport:
 
 
 def cmd_solve(args) -> int:
-    tol = _tol(args)
+    tol = args.tol
     report = _solve_report(args, tol)
     _dump(report_to_dict(report), args.json)
     if args.svg and report.solutions:
@@ -278,7 +300,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tol(args)
+    tol = args.tol
     try:
         with open(args.json, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -296,7 +318,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     foldsolve.check_roundtrip(cfg, monic)
 
-    worst = 0.0
+    gaps = [0.0]
     for entry in stored:
         try:
             t = float(entry["t"])
@@ -308,9 +330,9 @@ def cmd_verify(args) -> int:
         residuals = foldsolve.verify(cfg, t)
         fresh_xi = fold_xi(t, cfg.h)
         fresh_chi = foldsolve.chi_from_xi(cfg, t)
-        worst = max(worst, residuals.worst,
-                    canonical_gap(xi, fresh_xi), canonical_gap(chi, fresh_chi))
-    if worst > tol:
+        gaps += (residuals.worst, canonical_gap(xi, fresh_xi), canonical_gap(chi, fresh_chi))
+    worst = max_or_nan(gaps)
+    if not worst <= tol:
         print(f"verification failed: worst residual {worst:.3e} > tol {tol:.3e}",
               file=sys.stderr)
         return EXIT_VERIFY
@@ -321,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_options(args)
         handlers = {
             "solve": cmd_solve,
             "config": cmd_config,

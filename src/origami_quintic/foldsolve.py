@@ -28,7 +28,7 @@ from .geometry import (
     reflect_line,
     reflect_point,
 )
-from .polynomial import Quintic, coefficient_gap, evaluate, real_roots
+from .polynomial import Quintic, coefficient_gap, evaluate, max_or_nan, real_roots
 
 # Diagnostics attached to a solution instead of rejecting it outright.
 CHI_EQUALS_N = "chi_equals_n"
@@ -54,15 +54,8 @@ class IncidenceResiduals:
 
     @property
     def worst(self) -> float:
-        return max(
-            self.q_on_m,
-            self.p_on_l,
-            self.align,
-            self.bisect,
-            self.quintic_value,
-            self.equidistant,
-            self.intersection_on_chi,
-        )
+        """The largest residual, NaN if any residual is NaN."""
+        return max_or_nan(self.as_dict().values())
 
     def passes(self, tol: float) -> bool:
         return self.worst <= tol

@@ -1,16 +1,18 @@
 """Quintic coefficient handling and real-root isolation.
 
 Coefficients are stored densely in descending degree order (a5 .. a0).
-The root finder isolates distinct real roots with a Sturm chain plus
-interval bisection and polishes each root with safeguarded Newton steps;
+The root finder isolates distinct real roots with an integer Sturm chain
+(the float coefficients scaled exactly to integers) plus interval
+bisection and polishes each root with safeguarded Newton steps;
 multiplicities are judged from derivative magnitudes at the root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateDegree, NoScaleFound, NotDepressed, ZeroScale
 
@@ -197,71 +199,74 @@ def _taylor_coefficients(coeffs: Sequence[float], x0: float) -> list[float]:
     return rems
 
 
-def _frac_trim(coeffs: list[Fraction]) -> list[Fraction]:
+def _trim(coeffs: list[int]) -> list[int]:
     out = list(coeffs)
     while len(out) > 1 and out[0] == 0:
         out.pop(0)
     return out
 
 
-def _frac_derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    n = len(coeffs) - 1
-    if n == 0:
-        return [Fraction(0)]
-    return [coeffs[i] * (n - i) for i in range(n)]
+def _primitive(coeffs: Sequence[int]) -> list[int]:
+    """Divide out the content; the gcd is positive, so the signs are kept."""
+    content = math.gcd(*coeffs)
+    return [c // content for c in coeffs]
 
 
-def _frac_rem(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
-    out = list(num)
+def _pseudo_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of |lc(den)|^(deg num - deg den + 1) * num by den.
+
+    The multiplier makes every quotient coefficient an integer, so the
+    floor divisions below are exact, and it is positive, so both results
+    are positive multiples of the rational quotient and remainder.
+    """
     dn = len(den) - 1
-    quot_len = len(out) - dn
-    for i in range(quot_len):
-        coef = out[i] / den[0]
-        for j in range(1, dn + 1):
-            out[i + j] -= coef * den[j]
-    rem = out[quot_len:]
-    return rem if rem else [Fraction(0)]
-
-
-def _frac_div_exact(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
-    out = list(num)
-    dn = len(den) - 1
+    steps = len(num) - dn
+    lead = den[0]
+    multiplier = abs(lead) ** steps
+    out = [c * multiplier for c in num]
     quot = []
-    for i in range(len(out) - dn):
-        coef = out[i] / den[0]
+    for i in range(steps):
+        coef = out[i] // lead
         quot.append(coef)
-        for j in range(1, dn + 1):
-            out[i + j] -= coef * den[j]
-    return quot
-
-
-def _to_floats(coeffs: Sequence[Fraction]) -> list[float]:
-    peak = max(abs(c) for c in coeffs)
-    if peak == 0:
-        return [0.0 for _ in coeffs]
-    return [float(c / peak) for c in coeffs]
+        if coef:
+            for j in range(1, dn + 1):
+                out[i + j] -= coef * den[j]
+    return quot, out[steps:]
 
 
 def _sturm_chain(coeffs: Sequence[float]) -> tuple[list[list[float]], list[float]]:
-    """Sturm chain and square-free part of p.
+    """Sturm chain and square-free part of a quintic with a nonzero lead.
 
-    The remainder sequence runs in exact rational arithmetic (float
-    coefficients are exact rationals and degree 5 keeps the bit growth
-    tame), so zero remainders, and with them repeated roots, are detected
-    exactly instead of through an epsilon.  Each chain element is then
-    max-norm normalized and converted to floats for fast sign-variation
-    counting.
+    Floats are dyadic rationals, so the coefficients scale exactly to
+    integers by a power of two.  The chain is an integer primitive-part
+    pseudo-remainder sequence: each negated remainder is formed with a
+    positive multiplier and divided by its content, so every element is a
+    positive multiple of the rational Sturm remainder, and zero
+    remainders, and with them repeated roots, are detected exactly
+    instead of through an epsilon.  Each element is then max-norm
+    normalized to floats for fast sign-variation counting; integer true
+    division rounds correctly, so the floats do not depend on which
+    positive multiple was kept.
     """
-    exact = _frac_trim([Fraction(c) for c in coeffs])
-    chain = [exact, _frac_trim(_frac_derivative(exact))]
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    denom = max(d for _, d in ratios)
+    exact = _primitive([n * (denom // d) for n, d in ratios])
+    degree = len(exact) - 1
+    chain = [exact, _primitive([c * (degree - i) for i, c in enumerate(exact[:-1])])]
+    square_free = exact
     while len(chain[-1]) > 1:
-        rem = _frac_trim([-c for c in _frac_rem(chain[-2], chain[-1])])
-        if all(c == 0 for c in rem):
+        rem = _trim([-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]])
+        if rem == [0]:
             # early termination: chain[-1] is gcd(p, p'), divide it out
-            square_free = _frac_div_exact(exact, chain[-1])
-            return [_to_floats(p) for p in chain], _to_floats(square_free)
-        chain.append(rem)
-    return [_to_floats(p) for p in chain], _to_floats(exact)
+            square_free = _primitive(_pseudo_divmod(exact, chain[-1])[0])
+            break
+        chain.append(_primitive(rem))
+    floats = [
+        [c / peak for c in poly]
+        for poly in (*chain, square_free)
+        for peak in (max(map(abs, poly)),)
+    ]
+    return floats[:-1], floats[-1]
 
 
 def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
@@ -328,6 +333,9 @@ def _newton_polish(
 ) -> float:
     best = x
     best_val = abs(_horner(poly, x))
+    # the step is a function of x alone, so once an iterate repeats only
+    # values already compared against best come back
+    seen = {x}
     for _ in range(40):
         d = _horner(dpoly, x)
         if d == 0.0:
@@ -336,6 +344,9 @@ def _newton_polish(
         x -= step
         if x < lo or x > hi:
             x = min(max(x, lo), hi)
+        if x in seen:
+            break
+        seen.add(x)
         val = abs(_horner(poly, x))
         if val < best_val:
             best, best_val = x, val
@@ -358,16 +369,30 @@ def _multiplicity(coeffs: Sequence[float], root: float, mult_tol: float) -> int:
     return mult
 
 
+def max_or_nan(values: Iterable[float]) -> float:
+    """The largest value, or NaN if any value is NaN.
+
+    ``max`` drops a NaN unless it comes first, and a gate ``worst <= tol``
+    must fail on a NaN defect, not pass it.
+    """
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def coefficient_gap(got: Sequence[float], want: Sequence[float]) -> float:
-    """Worst per-coefficient error |got - want| / max(1, |want|)."""
+    """Worst per-coefficient error |got - want| / max(1, |want|); NaN if any is NaN."""
     if len(got) != len(want):
         raise ValueError("coefficient sequences differ in length")
-    return max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
+    return max_or_nan(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
 
 
 def parse_coefficient(text: str) -> float:
     """Parse one coefficient: integer, decimal, or fraction 'p/q'."""
     try:
-        return float(Fraction(text.strip()))
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse coefficient {text!r}") from exc
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"coefficient {text!r} is outside the float range") from None

@@ -32,6 +32,8 @@ from origami_quintic import (
 )
 from origami_quintic.polynomial import Quintic, coefficient_gap
 
+from conftest import residual_grid
+
 HENDECAGON = [1.0, 1.0, -4.0, -3.0, 3.0, 1.0]
 
 
@@ -146,26 +148,6 @@ def test_criterion_4_roundtrip_property_suite():
     )
 
 
-def _residual_grid(cfg: FoldConfig, ts: np.ndarray) -> np.ndarray:
-    """Vectorized mirror of residual_g, written independently for the scan."""
-    h, b, c, k, p, q = cfg.h, cfg.b, cfg.c, cfg.k, cfg.p, cfg.q
-    n2 = 1.0 + b * b
-    fx, fy = c / n2, c * b / n2
-    inv = 1.0 / math.sqrt(n2)
-    dx, dy = -b * inv, inv
-    xi_n2 = ts * ts + h * h
-    ax, ay = fx + dx, fy + dy
-    d = (ts * ax - h * ay - ts * ts) / xi_n2
-    axr, ayr = ax - 2.0 * d * ts, ay + 2.0 * d * h
-    bx, by = fx - dx, fy - dy
-    d = (ts * bx - h * by - ts * ts) / xi_n2
-    bxr, byr = bx - 2.0 * d * ts, by + 2.0 * d * h
-    ca, cb = byr - ayr, axr - bxr
-    cc = ca * axr + cb * ayr
-    d = (ca * p + cb * q - cc) / (ca * ca + cb * cb)
-    return p - 2.0 * d * ca - k
-
-
 def test_criterion_5_geometric_algebraic_equivalence():
     rng = np.random.default_rng(11235)
     start = time.perf_counter()
@@ -197,7 +179,7 @@ def test_criterion_5_geometric_algebraic_equivalence():
         if len(gaps) and gaps.min() < 4.0 * step:
             rejected += 1
             continue
-        vals = _residual_grid(cfg, ts)
+        vals = residual_grid(cfg, ts)
         # the vectorized formula must agree with the library defect
         for idx in rng.integers(0, grid_points, size=5):
             lib = residual_g(cfg, float(ts[idx]))

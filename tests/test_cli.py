@@ -111,6 +111,35 @@ class TestSolve:
         assert len(report["solutions"]) == 5
 
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["solve", "--coeffs", "1,1,-4,-3,3,1e400"], "1e400"),
+            (["solve", *HENDECAGON_ARGS, "--h", "1e300"], "1e+300"),
+            (["solve", *HENDECAGON_ARGS, "--h", "nan"], "nan"),
+            (["solve", *HENDECAGON_ARGS, "--h", "0"], "0.0"),
+            (["config", *HENDECAGON_ARGS, "--h", "1e-300"], "1e-300"),
+            (["solve", *HENDECAGON_ARGS, "--tol", "nan"], "nan"),
+            (["solve", *HENDECAGON_ARGS, "--tol", "-1"], "-1.0"),
+            (["solve", *HENDECAGON_ARGS, "--root-tol", "0"], "0.0"),
+            (["solve", *HENDECAGON_ARGS, "--root-tol", "nan"], "nan"),
+            (["compare", *HENDECAGON_ARGS, "--root-tol", "inf"], "inf"),
+        ],
+        ids=["coeff_1e400", "h_1e300", "h_nan", "h_zero", "h_1e-300", "tol_nan", "tol_negative",
+             "root_tol_zero", "root_tol_nan", "root_tol_inf"],
+    )
+    def test_numeric_input_fault_is_usage_error(self, capsys, argv, named):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
+
+    def test_env_tol_nan_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORIGAMI_QUINTIC_TOL", "nan")
+        assert main(["solve", *HENDECAGON_ARGS]) == EXIT_USAGE
+        assert "ORIGAMI_QUINTIC_TOL" in capsys.readouterr().err
+
+
 class TestConfig:
     def test_hendecagon_values(self, capsys):
         code, out = run_json(capsys, ["config", *HENDECAGON_ARGS])
@@ -184,6 +213,15 @@ class TestVerify:
         main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
         data = json.loads(path.read_text())
         data["config"]["q"] = -2.0
+        path.write_text(json.dumps(data))
+        assert main(["verify", "--json", str(path)]) == EXIT_VERIFY
+
+    @pytest.mark.parametrize("field", ["q", "k", "b"])
+    def test_nan_config_fails(self, capsys, tmp_path, field):
+        path = tmp_path / "report.json"
+        main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
+        data = json.loads(path.read_text())
+        data["config"][field] = float("nan")
         path.write_text(json.dumps(data))
         assert main(["verify", "--json", str(path)]) == EXIT_VERIFY
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from origami_quintic.foldsolve import is_parallel_case
 from origami_quintic.geometry import canonical_gap, parallel_distance
 from origami_quintic.polynomial import Quintic
 
-from conftest import HENDECAGON_ROOTS, make_config
+from conftest import HENDECAGON_ROOTS, make_config, residual_grid
 
 
 def tuple_config(b, c, k, p, q, h):
@@ -90,6 +91,8 @@ class TestResidualG:
             assert left * right < 0.0
 
     def test_matches_reflection_composition(self):
+        # against the composition written out from the parameters, not
+        # through the library's geometry primitives
         rng = np.random.default_rng(32)
         for _ in range(200):
             h = rng.uniform(0.3, 3.0)
@@ -97,9 +100,9 @@ class TestResidualG:
             k = rng.uniform(-4, 4)
             p = k + rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 4.0)
             cfg = make_config(h=h, b=b, c=c, k=k, p=p, q=q)
-            t = rng.uniform(-6, 6)
-            composed = reflect_point(cfg.point_p, chi_from_xi(cfg, t)).x - cfg.k
-            assert residual_g(cfg, t) == pytest.approx(composed, abs=1e-12)
+            ts = rng.uniform(-6, 6, size=8)
+            for t, composed in zip(ts, residual_grid(cfg, ts)):
+                assert residual_g(cfg, float(t)) == pytest.approx(composed, abs=1e-12)
 
 
 class TestVerify:
@@ -110,6 +113,13 @@ class TestVerify:
     def test_non_root_rejected(self, hendecagon_config):
         residuals = verify(hendecagon_config, 1.0)
         assert residuals.quintic_value == pytest.approx(1.0, abs=1e-12)
+        assert not residuals.passes(1e-9)
+
+    @pytest.mark.parametrize("field", ["q_on_m", "bisect", "intersection_on_chi"])
+    def test_nan_residual_fails(self, hendecagon_config, field):
+        residuals = verify(hendecagon_config, -1.9189859472289947)
+        residuals = dataclasses.replace(residuals, **{field: math.nan})
+        assert math.isnan(residuals.worst)
         assert not residuals.passes(1e-9)
 
     def test_every_incidence_field(self, hendecagon_config):

@@ -19,7 +19,15 @@ from origami_quintic import (
     real_roots,
     scale,
 )
-from origami_quintic.polynomial import Quintic, cauchy_bound, coefficient_gap
+from origami_quintic.polynomial import (
+    Quintic,
+    _horner,
+    _newton_polish,
+    _poly_derivative,
+    _sturm_chain,
+    cauchy_bound,
+    coefficient_gap,
+)
 
 from conftest import HENDECAGON, HENDECAGON_ROOTS
 
@@ -292,6 +300,165 @@ class TestRealRoots:
                 assert a == pytest.approx(b, abs=1e-8)
 
 
+# The rational chain the integer one replaced, kept as its reference.
+def _frac_trim(coeffs):
+    out = list(coeffs)
+    while len(out) > 1 and out[0] == 0:
+        out.pop(0)
+    return out
+
+
+def _frac_rem(num, den):
+    out = list(num)
+    dn = len(den) - 1
+    quot_len = len(out) - dn
+    for i in range(quot_len):
+        coef = out[i] / den[0]
+        for j in range(1, dn + 1):
+            out[i + j] -= coef * den[j]
+    rem = out[quot_len:]
+    return rem if rem else [Fraction(0)]
+
+
+def _frac_div_exact(num, den):
+    out = list(num)
+    dn = len(den) - 1
+    quot = []
+    for i in range(len(out) - dn):
+        coef = out[i] / den[0]
+        quot.append(coef)
+        for j in range(1, dn + 1):
+            out[i + j] -= coef * den[j]
+    return quot
+
+
+def _frac_to_floats(coeffs):
+    peak = max(abs(c) for c in coeffs)
+    return [float(c / peak) for c in coeffs]
+
+
+def fraction_sturm_chain(coeffs):
+    """Sturm chain and square-free part by Fraction remainders, then floats."""
+    exact = _frac_trim([Fraction(c) for c in coeffs])
+    n = len(exact) - 1
+    chain = [exact, _frac_trim([exact[i] * (n - i) for i in range(n)])]
+    while len(chain[-1]) > 1:
+        rem = _frac_trim([-c for c in _frac_rem(chain[-2], chain[-1])])
+        if all(c == 0 for c in rem):
+            square_free = _frac_div_exact(exact, chain[-1])
+            return [_frac_to_floats(p) for p in chain], _frac_to_floats(square_free)
+        chain.append(rem)
+    return [_frac_to_floats(p) for p in chain], _frac_to_floats(exact)
+
+
+def reference_newton_polish(poly, dpoly, x, lo, hi):
+    """The 40-step polish without the repeated-iterate exit; also reports
+    whether the iterates ran into a cycle."""
+    best = x
+    best_val = abs(_horner(poly, x))
+    seen = {x}
+    cycled = False
+    for _ in range(40):
+        d = _horner(dpoly, x)
+        if d == 0.0:
+            break
+        step = _horner(poly, x) / d
+        x -= step
+        if x < lo or x > hi:
+            x = min(max(x, lo), hi)
+        cycled = cycled or x in seen
+        seen.add(x)
+        val = abs(_horner(poly, x))
+        if val < best_val:
+            best, best_val = x, val
+        if abs(step) <= 1e-17 * max(1.0, abs(x)):
+            break
+    return best, cycled
+
+
+# floats with binary exponents spanning about 1e-300 to 1e300, zero included
+wide_floats = st.builds(
+    math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-997, 996)
+)
+
+
+def dyadic_product(linear, pairs, shift):
+    """Exact coefficients of prod (t - n / 2^shift) times, for each (a, b) in
+    pairs, the factor with roots (a +- b i) / 2^shift; every one is a double."""
+    poly = [Fraction(1)]
+    factors = [[1, -Fraction(n, 2**shift)] for n in linear]
+    factors += [[1, -Fraction(2 * a, 2**shift), Fraction(a * a + b * b, 4**shift)]
+                for a, b in pairs]
+    for factor in factors:
+        out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+        for i, x in enumerate(poly):
+            for j, y in enumerate(factor):
+                out[i + j] += x * y
+        poly = out
+    assert all(float(c) == c for c in poly)
+    return tuple(float(c) for c in poly)
+
+
+class TestSturmChain:
+    """The integer chain equals the rational one bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rest=st.lists(wide_floats, min_size=5, max_size=5))
+    def test_wide_exponents(self, rest):
+        coeffs = (1.0, *rest)
+        assert _sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
+
+    # small ranges make repeated roots and repeated complex pairs common;
+    # with complex roots some chain elements lead negative, which exposes
+    # a sign error in the pseudo-remainders
+    @settings(max_examples=300, deadline=None)
+    @given(
+        linear=st.lists(st.integers(-24, 24), min_size=5, max_size=5),
+        pairs=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=2),
+        shift=st.integers(0, 6),
+    )
+    def test_dyadic_repeated_roots(self, linear, pairs, shift):
+        coeffs = dyadic_product(linear[: 5 - 2 * len(pairs)], pairs, shift)
+        assert _sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [HENDECAGON, (1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)])
+    def test_documented_quintics(self, coeffs):
+        assert _sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
+
+    def test_square_free_part_of_repeated_roots(self):
+        # (t - 1)^3 (t + 1/2)^2: the square-free part is (t - 1)(t + 1/2)
+        chain, square_free = _sturm_chain(dyadic_product([2, 2, 2, -1, -1], [], 1))
+        assert square_free == [1.0, -0.5, -0.5]
+        assert len(chain) == 3
+
+
+class TestNewtonPolish:
+    """The repeated-iterate exit returns what the full 40 steps return."""
+
+    def test_two_cycle(self):
+        # Newton on t^3 - 2t + 2 from 0 alternates 0, 1, 0, 1, ...
+        poly, dpoly = [1.0, 0.0, -2.0, 2.0], [3.0, 0.0, -2.0]
+        want, cycled = reference_newton_polish(poly, dpoly, 0.0, -10.0, 10.0)
+        assert cycled
+        assert _newton_polish(poly, dpoly, 0.0, -10.0, 10.0) == want == 1.0
+
+    def test_starts_next_to_roots(self):
+        rng = np.random.default_rng(41)
+        cycled_starts = 0
+        for _ in range(200):
+            q = Quintic(1.0, *rng.uniform(-5, 5, size=5))
+            _, poly = _sturm_chain(q.coeffs)
+            dpoly = _poly_derivative(poly)
+            for root, _ in real_roots(q):
+                lo, hi = root - 1e-12, root + 1e-12
+                for x in (root, math.nextafter(root, lo), math.nextafter(root, hi), lo, hi):
+                    want, cycled = reference_newton_polish(poly, dpoly, x, lo, hi)
+                    assert _newton_polish(poly, dpoly, x, lo, hi) == want
+                    cycled_starts += cycled
+        # the exit must actually be taken for the comparison to mean anything
+        assert cycled_starts >= 100
+
+
 def test_cauchy_bound_contains_roots():
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -304,5 +471,7 @@ def test_coefficient_gap():
     assert coefficient_gap((1.0, 2.0), (1.0, 2.0)) == 0.0
     assert coefficient_gap((1.0, 2.5), (1.0, 2.0)) == pytest.approx(0.25)
     assert coefficient_gap((0.5,), (0.0,)) == pytest.approx(0.5)
+    # a NaN anywhere fails a `gap <= limit` gate; max() would drop it
+    assert math.isnan(coefficient_gap((1.0, math.nan, 2.0), (1.0, 0.0, 2.0)))
     with pytest.raises(ValueError):
         coefficient_gap((1.0,), (1.0, 2.0))
