@@ -66,6 +66,22 @@ def parse_coeffs(text: str) -> list[float]:
         raise UsageError(str(exc)) from exc
 
 
+def read_quintic(text: str) -> tuple[list[float], Quintic]:
+    """The raw --coeffs values and their monic form.
+
+    Dividing by a tiny leading coefficient can overflow; a monic
+    coefficient that is not finite is a usage error naming it.
+    """
+    raw = parse_coeffs(text)
+    monic = polynomial.normalize_monic(raw)
+    for i, value in enumerate(monic.coeffs):
+        if not math.isfinite(value):
+            raise UsageError(
+                f"monic coefficient {i} is {value!r}: {raw[i]!r} / {raw[0]!r} overflows"
+            )
+    return raw, monic
+
+
 def _line_dict(line: Line) -> dict:
     return {"a": line.a, "b": line.b, "c": line.c}
 
@@ -204,8 +220,7 @@ def build_parser() -> _Parser:
 
 
 def _solve_report(args, tol: float) -> RunReport:
-    raw = parse_coeffs(args.coeffs)
-    monic = polynomial.normalize_monic(raw)
+    raw, monic = read_quintic(args.coeffs)
     warnings: list[str] = []
     start = time.perf_counter()
     if monic.a0 == 0.0:
@@ -245,18 +260,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_config(args) -> int:
-    raw = parse_coeffs(args.coeffs)
-    monic = polynomial.normalize_monic(raw)
+    raw, monic = read_quintic(args.coeffs)
     cfg = foldconfig.build_config(monic, h_override=args.h_override,
                                   branch=Branch(args.branch))
+    foldsolve.check_roundtrip(cfg, monic.coeffs)
     _dump({"quintic": {"raw": raw, "monic": list(monic.coeffs)},
            "config": _config_dict(cfg)}, args.json)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    raw = parse_coeffs(args.coeffs)
-    monic = polynomial.normalize_monic(raw)
+    raw, monic = read_quintic(args.coeffs)
     branch = Branch(args.branch)
 
     direct_cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=branch)

@@ -14,10 +14,9 @@ inverts it and is certified against it by roundtrip.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from . import polynomial
 from .errors import (
@@ -29,8 +28,6 @@ from .errors import (
 )
 from .geometry import Line, Point
 from .polynomial import Quintic
-
-_COND_LIMIT = 1e14
 
 
 class Branch(str, Enum):
@@ -158,7 +155,7 @@ def compute_bc(q: Quintic, h: float, branch: Branch = Branch.PLUS) -> tuple[floa
         raise ValueError("h must be positive")
     d = discriminant(q, h)
     lead = q.a0 - h**4 * q.a4
-    floor = 64.0 * np.finfo(float).eps * (
+    floor = 64.0 * sys.float_info.epsilon * (
         lead * lead + 4.0 * h**6 * (h**4 + abs(h * h * q.a3) + abs(q.a1)) + 1.0
     )
     if d < -floor:
@@ -175,33 +172,41 @@ def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float,
 
     The three equations are the quartic, cubic and quadratic rows of the
     coefficient system; the remaining two rows are linearly dependent on
-    them once (b, c) satisfy their compatibility relations.  A direct
-    solve is used; closed forms serve only as cross-checks (see
-    ``closed_form_kpq``).
+    them once (b, c) satisfy their compatibility relations.  They are
+    solved by Gaussian elimination with partial pivoting; closed forms
+    serve only as cross-checks (see ``closed_form_kpq``).
+
+    The determinant is h^3 (1 + b^2)^3 / 2, never zero for h > 0, so
+    SingularSystem reports numerical trouble only: a pivot that is zero or
+    not finite, or a solution that is not finite.  Whether the solution
+    reproduces the quintic is ``foldsolve.check_roundtrip``'s call.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    alpha, beta, gamma = q.a4, q.a3, q.a2
     b2 = b * b
-    matrix = np.array(
-        [
-            [-(1.0 + b2) / 4.0, (b2 - 1.0) / 4.0, b / 2.0],
-            [0.0, 2.0 * b * h, h * (1.0 - b2)],
-            [-h * h * (1.0 + b2) / 2.0, 3.0 * h * h * (1.0 - b2) / 2.0, -3.0 * b * h * h],
-        ]
-    )
-    rhs = np.array(
-        [
-            alpha + 3.0 * b * h + c / 2.0,
-            beta - b * c * h + h * h - 2.0 * b2 * h * h,
-            gamma - b * h**3,
-        ]
-    )
-    cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularSystem(f"(k, p, q) system condition estimate {cond:.3e}")
-    k, p, q_point = np.linalg.solve(matrix, rhs)
-    return float(k), float(p), float(q_point)
+    # augmented rows [matrix | right-hand side]
+    rows = [
+        [-(1.0 + b2) / 4.0, (b2 - 1.0) / 4.0, b / 2.0, q.a4 + 3.0 * b * h + c / 2.0],
+        [0.0, 2.0 * b * h, h * (1.0 - b2), q.a3 - b * c * h + h * h - 2.0 * b2 * h * h],
+        [-h * h * (1.0 + b2) / 2.0, 3.0 * h * h * (1.0 - b2) / 2.0, -3.0 * b * h * h,
+         q.a2 - b * h**3],
+    ]
+    for col in range(3):
+        top = max(range(col, 3), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[top] = rows[top], rows[col]
+        pivot = rows[col][col]
+        if pivot == 0.0 or not math.isfinite(pivot):
+            raise SingularSystem(f"(k, p, q) pivot {pivot!r} at b = {b:.6g}, h = {h:.6g}")
+        for row in rows[col + 1:]:
+            factor = row[col] / pivot
+            for j in range(col + 1, 4):
+                row[j] -= factor * rows[col][j]
+    x = [0.0, 0.0, 0.0]
+    for i in (2, 1, 0):
+        x[i] = (rows[i][3] - sum(rows[i][j] * x[j] for j in range(i + 1, 3))) / rows[i][i]
+    if not all(math.isfinite(v) for v in x):
+        raise SingularSystem(f"(k, p, q) = {tuple(x)} at b = {b:.6g}, h = {h:.6g}")
+    return x[0], x[1], x[2]
 
 
 def closed_form_kpq(

@@ -61,7 +61,7 @@ def spec_tuple(rng):
 
 def test_criterion_1_hendecagon_configuration():
     q = normalize_monic(HENDECAGON)
-    build_config(q, h_override=1.0)  # warm-up (numpy lazy setup)
+    build_config(q, h_override=1.0)  # warm-up
     start = time.perf_counter()
     cfg = build_config(q, h_override=1.0)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -280,8 +280,9 @@ def test_criterion_8_k_closed_form_adjudication():
     """The closed form for k carries the quadratic coefficient with a plus
     sign.  The minus-sign variant evaluates to -9/2 on the reference
     configuration (b=c=0, h=1, quartic 1, quadratic -3) while the linear
-    solve and the coefficient system itself agree on -3/2; the build must
-    side with the solve."""
+    solve, an independent numpy solve of the coefficient system's rows and
+    the coefficient system itself agree on -3/2; the build must side with
+    the solve."""
     alpha, gamma = 1.0, -3.0
     b, c, h = 0.0, 0.0, 1.0
     minus_variant = -(17 * b * h**3 + 3 * h * h * (c + 2 * alpha) - gamma) / (
@@ -290,6 +291,14 @@ def test_criterion_8_k_closed_form_adjudication():
     q = normalize_monic(HENDECAGON)
     solved_k = compute_kpq(q, h, b, c)[0]
     closed_k = closed_form_kpq(alpha, q.a3, gamma, h, b, c)[0]
+    # independent linear solve: the coefficient system is linear in
+    # (k, p, q), so its quartic, cubic and quadratic rows give the matrix
+    base = np.array(forward_coefficients(b, c, 0.0, 0.0, 0.0, h)[:3])
+    units = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    matrix = np.column_stack(
+        [np.array(forward_coefficients(b, c, *unit, h)[:3]) - base for unit in units]
+    )
+    oracle_k = float(np.linalg.solve(matrix, np.array([alpha, q.a3, gamma]) - base)[0])
 
     with_solved = forward_coefficients(b, c, solved_k, -2.5, -3.0, h)
     with_minus = forward_coefficients(b, c, minus_variant, -2.5, -3.0, h)
@@ -298,6 +307,7 @@ def test_criterion_8_k_closed_form_adjudication():
         minus_variant == -4.5
         and abs(solved_k - (-1.5)) <= 1e-12
         and abs(closed_k - (-1.5)) <= 1e-12
+        and abs(oracle_k - (-1.5)) <= 1e-12
         and coefficient_gap(with_solved, target) <= 1e-12
         and coefficient_gap(with_minus, target) > 0.1
     )
@@ -305,5 +315,5 @@ def test_criterion_8_k_closed_form_adjudication():
         8,
         "k closed-form sign adjudication: -9/2 variant rejected, -3/2 solve confirmed",
         ok,
-        f"minus variant {minus_variant}, solve {solved_k}",
+        f"minus variant {minus_variant}, solve {solved_k}, numpy oracle {oracle_k}",
     )

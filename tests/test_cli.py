@@ -19,6 +19,13 @@ from origami_quintic.cli import (
 
 HENDECAGON_ARGS = ["--coeffs", "1,1,-4,-3,3,1"]
 
+# case 5 of the seed-0 wide-scale benchmark corpus: its configuration
+# reproduces the quintic within 1.974e-07 only
+MISMATCH_COEFFS = (
+    "1.0,55.32330251765784,359.4130149774432,-18160.81588184551,"
+    "-139558.59420122806,1653312.8622649652"
+)
+
 
 def run_json(capsys, argv):
     code = main(argv)
@@ -134,6 +141,29 @@ class TestSolve:
         assert "Traceback" not in err
         assert named in err
 
+    @pytest.mark.parametrize("command", ["solve", "config", "compare"])
+    @pytest.mark.parametrize(
+        "coeffs, named",
+        [
+            ("1e-300,1e300,1,1,1,1", "monic coefficient 1 is inf"),
+            ("1e-320,1,1,1,1,1", "monic coefficient 1 is inf"),
+            ("-1e-300,1,1,1,1,1e300", "monic coefficient 5 is -inf"),
+        ],
+        ids=["a4_over_tiny_lead", "subnormal_lead", "a0_over_negative_lead"],
+    )
+    def test_overflowing_monic_is_usage_error(self, capsys, command, coeffs, named):
+        assert main([command, f"--coeffs={coeffs}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
+    def test_overflowing_system_fails_quietly(self, capfd):
+        # fd-level capture: a linear-algebra library writing to stdout shows here
+        assert main(["solve", "--coeffs", "1,0,0,0,0,1e300"]) == EXIT_CONFIG
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
     def test_env_tol_nan_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("ORIGAMI_QUINTIC_TOL", "nan")
         assert main(["solve", *HENDECAGON_ARGS]) == EXIT_USAGE
@@ -175,6 +205,12 @@ class TestConfig:
     def test_inadmissible_h_is_config_error(self, capsys):
         assert main(["config", *HENDECAGON_ARGS, "--h", "2"]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    def test_roundtrip_mismatch_is_verification_failure(self, capsys):
+        assert main(["config", "--coeffs", MISMATCH_COEFFS]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reproduces the source within 1.974e-07" in captured.err
 
 
 class TestCompare:
@@ -266,14 +302,29 @@ class TestVerify:
         assert main(["verify", "--json", str(path), "--tol", "1e-30"]) == EXIT_VERIFY
 
 
-def test_console_script_entry_point(tmp_path):
+def _child_env():
     # the child must import the package this process imported, installed or not
     paths = [str(Path(origami_quintic.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def test_console_script_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "origami_quintic.cli", "solve", *HENDECAGON_ARGS],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert len(json.loads(result.stdout)["solutions"]) == 5
+
+
+def test_cli_import_needs_no_numpy():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, origami_quintic.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert result.returncode == 0
+    assert result.stdout == "False\n"

@@ -7,6 +7,7 @@ from origami_quintic import (
     Branch,
     DegenerateP,
     NegativeDiscriminant,
+    SingularSystem,
     ZeroConstantTerm,
     build_config,
     choose_h,
@@ -37,6 +38,26 @@ def random_tuple(rng, h_range=(0.25, 4.0), b_max=3.0, box=5.0, min_pk=0.1):
 
 def quintic_of(b, c, k, p, q, h):
     return Quintic(1.0, *forward_coefficients(b, c, k, p, q, h))
+
+
+def kpq_system(quintic, h, b, c):
+    """The (k, p, q) matrix and right-hand side, as numpy arrays."""
+    b2 = b * b
+    matrix = np.array(
+        [
+            [-(1.0 + b2) / 4.0, (b2 - 1.0) / 4.0, b / 2.0],
+            [0.0, 2.0 * b * h, h * (1.0 - b2)],
+            [-h * h * (1.0 + b2) / 2.0, 3.0 * h * h * (1.0 - b2) / 2.0, -3.0 * b * h * h],
+        ]
+    )
+    rhs = np.array(
+        [
+            quintic.a4 + 3.0 * b * h + c / 2.0,
+            quintic.a3 - b * c * h + h * h - 2.0 * b2 * h * h,
+            quintic.a2 - b * h**3,
+        ]
+    )
+    return matrix, rhs
 
 
 class TestForwardCoefficients:
@@ -187,6 +208,26 @@ class TestComputeKPQ:
             closed = closed_form_kpq(quintic.a4, quintic.a3, quintic.a2, h, b, c)
             for s, cl in zip(solved, closed):
                 assert s == pytest.approx(cl, rel=1e-7, abs=1e-7)
+
+    def test_matches_numpy_solve(self):
+        rng = np.random.default_rng(29)
+        for _ in range(2000):
+            b, c, k, p, q, h = random_tuple(rng)
+            quintic = quintic_of(b, c, k, p, q, h)
+            want = np.linalg.solve(*kpq_system(quintic, h, b, c))
+            got = np.array(compute_kpq(quintic, h, b, c))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
+    def test_non_finite_b_is_singular(self, hendecagon, b):
+        with pytest.raises(SingularSystem, match="b = "):
+            compute_kpq(hendecagon, 1.0, b, 0.0)
+
+    @pytest.mark.parametrize("h", [1e-300, 1e-160])
+    def test_underflowing_h_is_singular(self, hendecagon, h):
+        # a zero pivot or an overflowing solution, never ZeroDivisionError
+        with pytest.raises(SingularSystem, match="h = "):
+            compute_kpq(hendecagon, h, 0.5, 0.0)
 
     def test_all_five_rows_hold(self):
         # the solution must satisfy the full coefficient system, not just
