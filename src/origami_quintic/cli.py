@@ -21,7 +21,7 @@ from .errors import ConfigMismatch, DegenerateDegree, OrigamiQuinticError
 from .foldconfig import Branch, FoldConfig
 from .foldsolve import FoldSolution
 from .geometry import Line, canonical_gap, fold_xi
-from .polynomial import Quintic, max_or_nan
+from .polynomial import Quintic, worst_item
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,6 +124,10 @@ def report_to_dict(report: RunReport) -> dict:
     if report.timing_ms is not None:
         out["timing_ms"] = report.timing_ms
     return out
+
+
+def _line_from_dict(data: dict) -> Line:
+    return Line(float(data["a"]), float(data["b"]), float(data["c"]))
 
 
 def config_from_dict(data: dict) -> FoldConfig:
@@ -238,8 +242,9 @@ def _solve_report(args, tol: float) -> RunReport:
         for diag in sol.diagnostics:
             warnings.append(f"diagnostic {diag} at t = {sol.t!r}")
         if not sol.residuals.passes(tol):
+            name, worst = sol.residuals.worst_field
             warnings.append(
-                f"residual {sol.residuals.worst:.3e} above tol {tol:.3e} at t = {sol.t!r}"
+                f"residual {worst:.3e} ({name}) above tol {tol:.3e} at t = {sol.t!r}"
             )
     elapsed = (time.perf_counter() - start) * 1000.0
     timing = elapsed if getattr(args, "timing", False) else None
@@ -323,6 +328,8 @@ def cmd_verify(args) -> int:
         polynomial.normalize_monic(monic)
         cfg = None if data["config"] is None else config_from_dict(data["config"])
         stored = data["solutions"]
+        if not isinstance(stored, list):
+            raise TypeError(f"solutions is {type(stored).__name__}, not a list")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"unreadable report: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -332,22 +339,23 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     foldsolve.check_roundtrip(cfg, monic)
 
-    gaps = [0.0]
+    gaps = [("", 0.0)]
     for entry in stored:
         try:
             t = float(entry["t"])
-            xi = Line(**entry["xi"])
-            chi = Line(**entry["chi"])
+            xi = _line_from_dict(entry["xi"])
+            chi = _line_from_dict(entry["chi"])
         except (ValueError, KeyError, TypeError) as exc:
             print(f"unreadable solution entry: {exc}", file=sys.stderr)
             return EXIT_DATA
-        residuals = foldsolve.verify(cfg, t)
-        fresh_xi = fold_xi(t, cfg.h)
-        fresh_chi = foldsolve.chi_from_xi(cfg, t)
-        gaps += (residuals.worst, canonical_gap(xi, fresh_xi), canonical_gap(chi, fresh_chi))
-    worst = max_or_nan(gaps)
+        name, worst = foldsolve.verify(cfg, t).worst_field
+        at = f" at t = {t!r}"
+        gaps += ((name + at, worst),
+                 ("xi gap" + at, canonical_gap(xi, fold_xi(t, cfg.h))),
+                 ("chi gap" + at, canonical_gap(chi, foldsolve.chi_from_xi(cfg, t))))
+    name, worst = worst_item(gaps)
     if not worst <= tol:
-        print(f"verification failed: worst residual {worst:.3e} > tol {tol:.3e}",
+        print(f"verification failed: worst residual {worst:.3e} ({name}) > tol {tol:.3e}",
               file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK

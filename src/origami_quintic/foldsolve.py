@@ -18,17 +18,21 @@ from .foldconfig import FoldConfig, config_quintic
 from .geometry import (
     Line,
     Point,
-    bisect_defect,
-    canonical_gap,
+    bisect_defect_abc,
+    canonical_abc,
+    crossing_abc,
+    distance_xy,
     fold_xi,
-    intersect,
     is_parallel,
-    parallel_distance,
-    point_line_distance,
+    parallel_abc,
+    parallel_distance_abc,
+    reflect_abc,
     reflect_line,
     reflect_point,
+    reflect_xy,
+    triple_gap,
 )
-from .polynomial import Quintic, coefficient_gap, evaluate, max_or_nan, real_roots
+from .polynomial import Quintic, coefficient_gap, evaluate, real_roots, worst_item
 
 # Diagnostics attached to a solution instead of rejecting it outright.
 CHI_EQUALS_N = "chi_equals_n"
@@ -53,9 +57,14 @@ class IncidenceResiduals:
     intersection_on_chi: float
 
     @property
+    def worst_field(self) -> tuple[str, float]:
+        """The largest residual and its field name; a NaN one comes first."""
+        return worst_item(self.as_dict().items())
+
+    @property
     def worst(self) -> float:
         """The largest residual, NaN if any residual is NaN."""
-        return max_or_nan(self.as_dict().values())
+        return self.worst_field[1]
 
     def passes(self, tol: float) -> bool:
         return self.worst <= tol
@@ -136,49 +145,99 @@ def verify(
 ) -> IncidenceResiduals:
     """Measure every incidence residual for the candidate parameter t.
 
-    xi and chi default to the reconstruction from (cfg, t); stored lines
-    may be passed instead to re-check a serialized solution.  Outside the
-    parallel case the xi-n intersection is recomputed and its distance to
-    chi reported.  Thresholding the residuals is the caller's call.
+    xi and chi each default to the reconstruction from (cfg, t); stored
+    lines may be passed instead to re-check a serialized solution.  Outside
+    the parallel case the xi-n intersection is recomputed and its distance
+    to chi reported; inside it, a chi off xi's direction (a NaN chi once
+    t*t overflows) gives a NaN equidistant residual.  Thresholding the
+    residuals is the caller's call.
     """
     if xi is None:
         xi = fold_xi(t, cfg.h)
-    if chi is None:
+    elif chi is None:
         chi = chi_from_xi(cfg, t)
-    q_image = reflect_point(cfg.point_q, xi)
-    p_image = reflect_point(cfg.point_p, chi)
-    chi_ref = reflect_line(cfg.line_n, xi)
+    return _reconstruct(cfg, t, xi, chi, None).residuals
 
-    parallel = is_parallel(xi, cfg.line_n)
+
+def _reconstruct(cfg: FoldConfig, t: float, xi: Line, chi: Line | None,
+                 quintic: Quintic | None, multiplicity: int = 1) -> FoldSolution:
+    """The per-root kernel of solve_all and verify: every fold and image at t
+    built once, every incidence measured on local floats.
+
+    chi None means the reflection of n across xi.  quintic is the
+    configuration's quintic, or None to build it here, after the folds.
+    """
+    h, b, c, k, p, q = cfg.h, cfg.b, cfg.c, cfg.k, cfg.p, cfg.q
+    na, nb, nc = 1.0, b, c  # line n
+    xa, xb, xc = xi.a, xi.b, xi.c
+    rebuilt = chi is None
+    if rebuilt:
+        chi = Line(*reflect_abc(na, nb, nc, xa, xb, xc))
+    ca, cb, cc = chi.a, chi.b, chi.c
+    qx, qy = reflect_xy(0.0, h, xa, xb, xc)
+    px, py = reflect_xy(p, q, ca, cb, cc)
+    ra, rb, rc = (ca, cb, cc) if rebuilt else reflect_abc(na, nb, nc, xa, xb, xc)
+    xn, nn, cn = math.hypot(xa, xb), math.hypot(na, nb), math.hypot(ca, cb)
+
+    parallel = parallel_abc(xa, xb, xn, na, nb, nn)
     if parallel:
-        equidistant = abs(
-            parallel_distance(xi, cfg.line_n) - parallel_distance(xi, chi)
-        )
+        if parallel_abc(xa, xb, xn, ca, cb, cn):
+            equidistant = abs(
+                parallel_distance_abc(xa, xb, xc, xn, na, nb, nc)
+                - parallel_distance_abc(xa, xb, xc, xn, ca, cb, cc)
+            )
+        else:  # the distance to a line off xi's direction is undefined
+            equidistant = math.nan
         on_chi = 0.0
     else:
         equidistant = 0.0
-        cross = intersect(xi, cfg.line_n)
-        on_chi = point_line_distance(cross, chi) if cross is not None else 0.0
+        on_chi = distance_xy(*crossing_abc(xa, xb, xc, na, nb, nc), ca, cb, cc, cn)
 
-    return IncidenceResiduals(
-        q_on_m=abs(q_image.y + cfg.h),
-        p_on_l=abs(p_image.x - cfg.k),
-        align=canonical_gap(chi_ref, chi),
-        bisect=bisect_defect(xi, cfg.line_n, chi),
-        quintic_value=abs(evaluate(config_quintic(cfg), t)),
+    chi_unit = canonical_abc(ca, cb, cc, cn)
+    ref_unit = chi_unit if rebuilt else canonical_abc(ra, rb, rc, math.hypot(ra, rb))
+    residuals = IncidenceResiduals(
+        q_on_m=abs(qy + h),
+        p_on_l=abs(px - k),
+        align=triple_gap(ref_unit, chi_unit),
+        bisect=bisect_defect_abc(xa, xb, xn, na, nb, nn, ca, cb, cn),
+        quintic_value=abs(evaluate(config_quintic(cfg) if quintic is None else quintic, t)),
         equidistant=equidistant,
         intersection_on_chi=on_chi,
     )
 
+    diagnostics = []
+    if triple_gap(chi_unit, canonical_abc(na, nb, nc, nn)) <= 1e-9:
+        diagnostics.append(CHI_EQUALS_N)
+    moved = math.hypot(px - p, py - q)
+    if moved <= 1e-9 * (1.0 + abs(p) + abs(q)):
+        diagnostics.append(LOW_CONFIDENCE)
+    return FoldSolution(
+        t=t,
+        s=py,
+        xi=xi,
+        chi=chi,
+        q_image=Point(qx, qy),
+        p_image=Point(px, py),
+        residuals=residuals,
+        parallel_case=parallel,
+        multiplicity=multiplicity,
+        diagnostics=tuple(diagnostics),
+    )
 
-def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> None:
-    """Raise ConfigMismatch unless the configuration's quintic reproduces
-    the six coefficients within a coefficient gap of 1e-8."""
-    gap = coefficient_gap(config_quintic(cfg).coeffs, coeffs)
+
+def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> Quintic:
+    """The configuration's quintic; ConfigMismatch unless it reproduces the
+    six coefficients within a coefficient gap of 1e-8."""
+    try:
+        quintic = config_quintic(cfg)
+    except OverflowError:  # a power of h beyond the float range
+        raise ConfigMismatch(f"the configuration's quintic overflows at h = {cfg.h!r}") from None
+    gap = coefficient_gap(quintic.coeffs, coeffs)
     if not gap <= 1e-8:  # a NaN gap fails too
         raise ConfigMismatch(
             f"configuration reproduces the source within {gap:.3e} only (limit 1e-8)"
         )
+    return quintic
 
 
 def solve_all(
@@ -192,32 +251,8 @@ def solve_all(
     with n, or an image of P too close to P itself, is flagged through
     the diagnostics field rather than dropped.
     """
-    check_roundtrip(cfg, source.coeffs)
-    solutions = []
-    for root, mult in real_roots(source, root_tol):
-        xi = fold_xi(root, cfg.h)
-        chi = chi_from_xi(cfg, root)
-        residuals = verify(cfg, root, xi=xi, chi=chi)
-        p_image = reflect_point(cfg.point_p, chi)
-        diagnostics = []
-        if canonical_gap(chi, cfg.line_n) <= 1e-9:
-            diagnostics.append(CHI_EQUALS_N)
-        moved = math.hypot(p_image.x - cfg.p, p_image.y - cfg.q)
-        if moved <= 1e-9 * (1.0 + abs(cfg.p) + abs(cfg.q)):
-            diagnostics.append(LOW_CONFIDENCE)
-        solutions.append(
-            FoldSolution(
-                t=root,
-                s=p_image.y,
-                xi=xi,
-                chi=chi,
-                q_image=reflect_point(cfg.point_q, xi),
-                p_image=p_image,
-                residuals=residuals,
-                parallel_case=is_parallel(xi, cfg.line_n),
-                multiplicity=mult,
-                diagnostics=tuple(diagnostics),
-            )
-        )
-    return solutions
-
+    quintic = check_roundtrip(cfg, source.coeffs)
+    return [
+        _reconstruct(cfg, root, fold_xi(root, cfg.h), None, quintic, mult)
+        for root, mult in real_roots(source, root_tol)
+    ]

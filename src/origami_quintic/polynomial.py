@@ -369,14 +369,20 @@ def _multiplicity(coeffs: Sequence[float], root: float, mult_tol: float) -> int:
     return mult
 
 
-def max_or_nan(values: Iterable[float]) -> float:
-    """The largest value, or NaN if any value is NaN.
+def worst_item(items: Iterable[tuple[str, float]]) -> tuple[str, float]:
+    """The first (name, value) pair whose value is NaN, else the first largest.
 
     ``max`` drops a NaN unless it comes first, and a gate ``worst <= tol``
     must fail on a NaN defect, not pass it.
     """
-    values = list(values)
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
+    items = list(items)
+    nan = next((item for item in items if math.isnan(item[1])), None)
+    return nan or max(items, key=lambda item: item[1])
+
+
+def max_or_nan(values: Iterable[float]) -> float:
+    """The largest value, or NaN if any value is NaN."""
+    return worst_item(("", v) for v in values)[1]
 
 
 def coefficient_gap(got: Sequence[float], want: Sequence[float]) -> float:

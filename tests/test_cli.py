@@ -110,6 +110,16 @@ class TestSolve:
         for sol in report["solutions"]:
             assert max(sol["residuals"].values()) <= 1e-9
 
+    def test_warning_names_the_residual(self, capsys):
+        code, report = run_json(capsys, ["solve", *HENDECAGON_ARGS, "--tol", "1e-300"])
+        assert code == EXIT_VERIFY
+        assert len(report["warnings"]) == len(report["solutions"]) == 5
+        for sol, warning in zip(report["solutions"], report["warnings"]):
+            name, worst = max(sol["residuals"].items(), key=lambda item: item[1])
+            assert warning == (
+                f"residual {worst:.3e} ({name}) above tol 1.000e-300 at t = {sol['t']!r}"
+            )
+
     def test_fraction_input(self, capsys):
         code, report = run_json(
             capsys, ["solve", "--coeffs", "2/2,1,-4,-3,3,1"]
@@ -300,6 +310,70 @@ class TestVerify:
         path = tmp_path / "report.json"
         main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
         assert main(["verify", "--json", str(path), "--tol", "1e-30"]) == EXIT_VERIFY
+
+    @pytest.mark.parametrize(
+        "tamper, named",
+        [
+            (lambda sol: sol.update(t=sol["t"] + 0.01), "(quintic_value at t = "),
+            (lambda sol: sol["chi"].update(a=sol["chi"]["a"] + 0.01), "(chi gap at t = "),
+            (lambda sol: sol["xi"].update(a=sol["xi"]["a"] + 0.01), "(xi gap at t = "),
+            (lambda sol: sol.update(t=1e200), "worst residual nan (q_on_m at t = 1e+200)"),
+        ],
+        ids=["root", "chi", "xi", "overflowing_t"],
+    )
+    def test_failure_names_the_quantity(self, capsys, tmp_path, tamper, named):
+        path = tmp_path / "report.json"
+        main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
+        data = json.loads(path.read_text())
+        tamper(data["solutions"][0])
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--json", str(path)]) == EXIT_VERIFY
+        assert named in capsys.readouterr().err
+
+
+def _tamper(data, path, value):
+    *keys, last = path
+    for key in keys:
+        data = data[key]
+    data[last] = value
+
+
+# each tampered report must fail cleanly: 65 unreadable, 3 verification failure
+TAMPERED = [
+    (("solutions",), None, EXIT_DATA),
+    (("solutions",), 5, EXIT_DATA),
+    (("solutions",), "1.68", EXIT_DATA),
+    (("solutions", 0, "t"), 1e200, EXIT_VERIFY),
+    (("solutions", 0, "t"), float("inf"), EXIT_VERIFY),
+    (("solutions", 0, "t"), float("nan"), EXIT_VERIFY),
+    (("solutions", 0, "xi", "a"), "x", EXIT_DATA),
+    (("solutions", 0, "chi"), [1.0, 0.0, 0.0], EXIT_DATA),
+    (("config", "h"), 1e150, EXIT_VERIFY),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, code", TAMPERED,
+    ids=["solutions_null", "solutions_number", "solutions_string", "t_1e200", "t_inf",
+         "t_nan", "xi_string", "chi_list", "h_overflows"],
+)
+def test_tampered_report_fails_without_traceback(capsys, tmp_path, path, value, code):
+    report = tmp_path / "report.json"
+    main(["solve", *HENDECAGON_ARGS, "--json", str(report)])
+    data = json.loads(report.read_text())
+    _tamper(data, path, value)
+    report.write_text(json.dumps(data))
+    result = subprocess.run(
+        [sys.executable, "-m", "origami_quintic.cli", "verify", "--json", str(report)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    if code == EXIT_DATA:
+        assert result.stderr.startswith("unreadable")
 
 
 def _child_env():

@@ -8,6 +8,11 @@ from origami_quintic import (
     CHI_EQUALS_N,
     Branch,
     ConfigMismatch,
+    IncidenceResiduals,
+    NotParallel,
+    OrigamiQuinticError,
+    build_config,
+    normalize_monic,
     FoldConfig,
     Line,
     Point,
@@ -23,11 +28,19 @@ from origami_quintic import (
     solve_all,
     verify,
 )
-from origami_quintic.foldsolve import is_parallel_case
+from origami_quintic.foldsolve import check_roundtrip, is_parallel_case
 from origami_quintic.geometry import canonical_gap, parallel_distance
 from origami_quintic.polynomial import Quintic
 
-from conftest import HENDECAGON_ROOTS, make_config, residual_grid
+from conftest import (
+    HENDECAGON,
+    HENDECAGON_ROOTS,
+    make_config,
+    outcome,
+    reference_solve_all,
+    reference_verify,
+    residual_grid,
+)
 
 
 def tuple_config(b, c, k, p, q, h):
@@ -142,6 +155,26 @@ class TestVerify:
         assert residuals.equidistant <= 1e-9
         assert residuals.intersection_on_chi == 0.0
         assert residuals.passes(1e-9)
+
+    @pytest.mark.parametrize("t", [1e155, 1e200, 1e300])
+    def test_overflowing_t_is_non_finite(self, hendecagon_config, t):
+        # t*t overflows, so chi is NaN; the parallel-case distance to it is
+        # undefined and comes back NaN instead of raising NotParallel
+        with pytest.raises(NotParallel):
+            reference_verify(hendecagon_config, t)
+        residuals = verify(hendecagon_config, t)
+        assert math.isnan(residuals.equidistant)
+        assert not residuals.passes(1e-9)
+
+    def test_worst_field_names_nan_first(self, hendecagon_config):
+        residuals = verify(hendecagon_config, 1.0)
+        name, worst = residuals.worst_field
+        assert getattr(residuals, name) == worst == max(residuals.as_dict().values()) > 0.1
+        residuals = dataclasses.replace(residuals, bisect=math.nan, quintic_value=5.0)
+        name, worst = residuals.worst_field
+        assert name == "bisect" and math.isnan(worst)
+        ties = IncidenceResiduals(0.0, 2.0, 2.0, 0.0, 1.0, 0.0, 0.0)
+        assert ties.worst_field == ("p_on_l", 2.0)
 
     def test_accepts_stored_lines(self, hendecagon_config):
         t = HENDECAGON_ROOTS[0]
@@ -283,6 +316,70 @@ class TestSolveAll:
     def test_requires_monic_source(self, hendecagon_config):
         with pytest.raises(ValueError):
             solve_all(hendecagon_config, Quintic(2, 2, -8, -6, 6, 2))
+
+
+def oracle_cases():
+    """(cfg, quintic) pairs: built configurations of the documented, random and
+    extreme quintics, and forward tuples, a third of them with a parallel root."""
+    rng = np.random.default_rng(40)
+    quintics = [HENDECAGON, (1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)]
+    quintics += [(1.0, 0.0, 0.0, 0.0, 0.0, e) for e in (1e-300, 1e300, -3e250)]
+    for _ in range(150):
+        real = rng.uniform(-4.0, 4.0, size=rng.choice([1, 3, 5]))
+        pairs = [complex(rng.uniform(-3, 3), rng.uniform(0.1, 3)) for _ in range((5 - len(real)) // 2)]
+        roots = [*real, *pairs, *(z.conjugate() for z in pairs)]
+        quintics.append(tuple(float(c.real) for c in np.poly(roots)))
+    cases = []
+    for coeffs in quintics:
+        quintic = normalize_monic(coeffs)
+        cases.append((lambda q=quintic: build_config(q), quintic))
+    for i in range(150):
+        if i % 3 == 0:
+            params = parallel_tuple(rng)
+        else:
+            params = (*rng.uniform(-3.0, 3.0, size=5), rng.uniform(0.3, 3.0))
+        cfg, quintic = tuple_config(*(float(v) for v in params))
+        cases.append((lambda cfg=cfg: cfg, quintic))
+    return cases
+
+
+class TestKernelOracle:
+    """solve_all and verify against the reference per-root reconstruction."""
+
+    def test_solve_all_matches_reference(self):
+        parallel = 0
+        for make_cfg, quintic in oracle_cases():
+            want = outcome(lambda: reference_solve_all(make_cfg(), quintic))
+            assert outcome(lambda: solve_all(make_cfg(), quintic)) == want
+            parallel += "parallel_case=True" in want
+        assert parallel >= 40
+
+    def test_verify_matches_reference(self):
+        rng = np.random.default_rng(41)
+        for make_cfg, quintic in oracle_cases():
+            try:
+                cfg = make_cfg()
+                sols = solve_all(cfg, quintic)
+            except (OrigamiQuinticError, ValueError):
+                continue
+            for sol in sols:
+                nudged = fold_xi(sol.t * (1.0 + 1e-7) + 1e-9, cfg.h)
+                stored = [{}, {"xi": sol.xi}, {"chi": sol.chi}, {"xi": nudged, "chi": sol.chi},
+                          {"xi": nudged}]
+                for t in (sol.t, sol.t + rng.normal()):
+                    for lines in stored:
+                        want = outcome(lambda: reference_verify(cfg, t, **lines))
+                        if want.startswith("NotParallel"):
+                            # xi along n, a chi off xi's direction: now a NaN distance
+                            assert math.isnan(verify(cfg, t, **lines).equidistant)
+                        else:
+                            assert outcome(lambda: verify(cfg, t, **lines)) == want
+
+
+def test_check_roundtrip_overflow_is_mismatch():
+    # h**3 overflows a float
+    with pytest.raises(ConfigMismatch, match="overflows at h = 1e[+]150"):
+        check_roundtrip(make_config(h=1e150, b=0.0, c=0.0, k=-1.5, p=-2.5, q=-3.0), HENDECAGON)
 
 
 class TestIsParallelCase:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from origami_quintic import (
@@ -28,7 +28,11 @@ from origami_quintic.geometry import (
     point_line_distance,
 )
 
+from conftest import outcome, reference_canonical_gap, reference_reflect_line
+
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+# every double, subnormals, zeros, infinities and NaN included
+anything = st.floats()
 normal_part = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
@@ -163,6 +167,17 @@ class TestReflectLine:
     def test_involution_canonical(self, target, mirror):
         twice = reflect_line(reflect_line(target, mirror), mirror)
         assert canonical_gap(twice, target) <= 1e-10
+
+    @given(target=st.tuples(anything, anything, anything),
+           mirror=st.tuples(anything, anything, anything))
+    def test_float_form_matches_point_formula(self, target, mirror):
+        # the float-level reflection against the one built on Point objects
+        assume(target[:2] != (0.0, 0.0) and mirror[:2] != (0.0, 0.0))
+        target, mirror = Line(*target), Line(*mirror)
+        assert outcome(lambda: reflect_line(target, mirror)) == outcome(
+            lambda: reference_reflect_line(target, mirror))
+        assert outcome(lambda: canonical_gap(target, mirror)) == outcome(
+            lambda: reference_canonical_gap(target, mirror))
 
     @given(target=line_strategy(), mirror=line_strategy(), pt=point_strategy())
     def test_consistent_with_point_reflection(self, target, mirror, pt):
