@@ -9,19 +9,16 @@ emitted as JSON reports or SVG diagrams.
 
 from .errors import (
     ConfigMismatch,
-    CoincidentLines,
-    CoincidentPoints,
     DegenerateDegree,
     DegenerateP,
     EmptySolutions,
     NegativeDiscriminant,
     NoScaleFound,
     NotDepressed,
-    NotParallel,
     NoValidH,
     OrigamiQuinticError,
     SingularSystem,
-    ZeroB,
+    SturmOverflow,
     ZeroConstantTerm,
     ZeroScale,
 )
@@ -31,7 +28,6 @@ from .foldconfig import (
     NishimuraReport,
     build_config,
     choose_h,
-    closed_form_kpq,
     compute_bc,
     compute_kpq,
     config_quintic,
@@ -45,20 +41,14 @@ from .foldsolve import (
     FoldSolution,
     IncidenceResiduals,
     chi_from_xi,
-    parallel_case_check,
-    residual_g,
     solve_all,
     verify,
 )
 from .geometry import (
     Line,
     Point,
-    bisects,
     canonical,
-    fold_chi,
     fold_xi,
-    intersect,
-    parallel_distance,
     reflect_line,
     reflect_point,
 )
@@ -72,15 +62,24 @@ from .polynomial import (
     real_roots,
     scale,
 )
-from .render import Viewport, render_gallery, render_solution
 
 __version__ = "0.1.0"
+
+# render is imported on first use: only drawing needs it
+_RENDER_NAMES = ("Viewport", "render_gallery", "render_solution")
+
+
+def __getattr__(name: str):
+    if name in _RENDER_NAMES:
+        from . import render
+
+        return getattr(render, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Branch",
     "CHI_EQUALS_N",
-    "CoincidentLines",
-    "CoincidentPoints",
     "ConfigMismatch",
     "DegenerateDegree",
     "DegenerateP",
@@ -94,22 +93,19 @@ __all__ = [
     "NishimuraReport",
     "NoScaleFound",
     "NotDepressed",
-    "NotParallel",
     "NoValidH",
     "OrigamiQuinticError",
     "Point",
     "Quintic",
     "SingularSystem",
+    "SturmOverflow",
     "Viewport",
-    "ZeroB",
     "ZeroConstantTerm",
     "ZeroScale",
-    "bisects",
     "build_config",
     "canonical",
     "chi_from_xi",
     "choose_h",
-    "closed_form_kpq",
     "compute_bc",
     "compute_kpq",
     "config_quintic",
@@ -117,21 +113,16 @@ __all__ = [
     "discriminant",
     "evaluate",
     "find_scale_for_precondition",
-    "fold_chi",
     "fold_xi",
     "forward_coefficients",
-    "intersect",
     "nishimura_pipeline",
     "nishimura_precondition",
     "normalize_monic",
-    "parallel_case_check",
-    "parallel_distance",
     "real_roots",
     "reflect_line",
     "reflect_point",
     "render_gallery",
     "render_solution",
-    "residual_g",
     "scale",
     "solve_all",
     "verify",

@@ -14,9 +14,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import foldconfig, foldsolve, polynomial, render
+from . import foldconfig, foldsolve, polynomial
 from .errors import ConfigMismatch, DegenerateDegree, OrigamiQuinticError
 from .foldconfig import Branch, FoldConfig
 from .foldsolve import FoldSolution
@@ -44,8 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """Everything one solve run produces, in JSON-ready form."""
 
     raw: list[float]
@@ -82,29 +81,16 @@ def read_quintic(text: str) -> tuple[list[float], Quintic]:
     return raw, monic
 
 
-def _line_dict(line: Line) -> dict:
-    return {"a": line.a, "b": line.b, "c": line.c}
-
-
 def _config_dict(cfg: FoldConfig) -> dict:
-    return {
-        "h": cfg.h,
-        "b": cfg.b,
-        "c": cfg.c,
-        "k": cfg.k,
-        "p": cfg.p,
-        "q": cfg.q,
-        "D": cfg.D,
-        "branch": cfg.branch.value,
-    }
+    return {**cfg._asdict(), "branch": cfg.branch.value}
 
 
 def _solution_dict(sol: FoldSolution) -> dict:
     return {
         "t": sol.t,
         "s": sol.s,
-        "xi": _line_dict(sol.xi),
-        "chi": _line_dict(sol.chi),
+        "xi": sol.xi._asdict(),
+        "chi": sol.chi._asdict(),
         "q_image": [sol.q_image.x, sol.q_image.y],
         "p_image": [sol.p_image.x, sol.p_image.y],
         "residuals": sol.residuals.as_dict(),
@@ -131,16 +117,8 @@ def _line_from_dict(data: dict) -> Line:
 
 
 def config_from_dict(data: dict) -> FoldConfig:
-    return FoldConfig(
-        h=float(data["h"]),
-        b=float(data["b"]),
-        c=float(data["c"]),
-        k=float(data["k"]),
-        p=float(data["p"]),
-        q=float(data["q"]),
-        branch=Branch(data["branch"]),
-        D=float(data["D"]),
-    )
+    return FoldConfig._make(Branch(data[name]) if name == "branch" else float(data[name])
+                            for name in FoldConfig._fields)
 
 
 def _dump(payload: dict, path: str | None) -> None:
@@ -257,6 +235,8 @@ def cmd_solve(args) -> int:
     report = _solve_report(args, tol)
     _dump(report_to_dict(report), args.json)
     if args.svg and report.solutions:
+        from . import render  # only --svg draws, so only --svg loads render
+
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render.render_gallery(report.config, report.solutions))
     if any(not s.residuals.passes(tol) for s in report.solutions):

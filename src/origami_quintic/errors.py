@@ -21,16 +21,8 @@ class NoScaleFound(OrigamiQuinticError):
     """The scale search grid was exhausted without meeting the predicate."""
 
 
-class CoincidentPoints(OrigamiQuinticError):
-    """A fold line through the midpoint of two points needs them distinct."""
-
-
-class CoincidentLines(OrigamiQuinticError):
-    """Two lines are canonically equal where a unique intersection is needed."""
-
-
-class NotParallel(OrigamiQuinticError):
-    """Distance between parallel lines requested for non-parallel lines."""
+class SturmOverflow(OrigamiQuinticError):
+    """A Sturm chain sign is NaN: the root bound is beyond the float range."""
 
 
 class ZeroConstantTerm(OrigamiQuinticError):
@@ -51,15 +43,11 @@ class SingularSystem(OrigamiQuinticError):
 
 
 class DegenerateP(OrigamiQuinticError):
-    """Computed P lies on line l (p = k); retry with a different h."""
+    """Computed P lies on line l (p = k) at the h given, or at every trial h."""
 
 
 class ConfigMismatch(OrigamiQuinticError):
     """A fold configuration does not reproduce the source quintic."""
-
-
-class ZeroB(OrigamiQuinticError):
-    """Parallel fold lines are impossible when line n is vertical (b = 0)."""
 
 
 class EmptySolutions(OrigamiQuinticError):

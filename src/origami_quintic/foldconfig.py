@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import polynomial
 from .errors import (
@@ -42,8 +42,7 @@ class Branch(str, Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class FoldConfig:
+class FoldConfig(NamedTuple):
     """Solved configuration parameters plus the derived points and lines."""
 
     h: float
@@ -80,8 +79,7 @@ class FoldConfig:
         return max(abs(v) for v in (self.h, self.b, self.c, self.k, self.p, self.q))
 
 
-@dataclass(frozen=True)
-class NishimuraReport:
+class NishimuraReport(NamedTuple):
     """Intermediates of the depressed-form route, for side-by-side comparison."""
 
     depressed: Quintic
@@ -114,6 +112,10 @@ def config_quintic(cfg: FoldConfig) -> Quintic:
     return Quintic(1.0, *forward_coefficients(cfg.b, cfg.c, cfg.k, cfg.p, cfg.q, cfg.h))
 
 
+# choose_h's trial sequence
+H_TRIALS = tuple([2.0**-i for i in range(41)] + [2.0**i for i in range(1, 21)])
+
+
 def discriminant(q: Quintic, h: float) -> float:
     """D = (E - h^4*A)^2 - 4*h^6*(h^4 + h^2*B + D1) for the monic quintic
     with quartic A, cubic B, linear D1 and constant E coefficients.
@@ -137,8 +139,7 @@ def choose_h(q: Quintic) -> float:
     """
     if q.a0 == 0.0:
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
-    trials = [2.0**-i for i in range(41)] + [2.0**i for i in range(1, 21)]
-    for h in trials:
+    for h in H_TRIALS:
         if discriminant(q, h) >= 0.0:
             return h
     raise NoValidH("discriminant negative for all h in 2^-40..2^20")
@@ -173,8 +174,8 @@ def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float,
     The three equations are the quartic, cubic and quadratic rows of the
     coefficient system; the remaining two rows are linearly dependent on
     them once (b, c) satisfy their compatibility relations.  They are
-    solved by Gaussian elimination with partial pivoting; closed forms
-    serve only as cross-checks (see ``closed_form_kpq``).
+    solved by Gaussian elimination with partial pivoting; the paper's closed
+    forms serve only as a cross-check in the tests.
 
     The determinant is h^3 (1 + b^2)^3 / 2, never zero for h > 0, so
     SingularSystem reports numerical trouble only: a pivot that is zero or
@@ -209,49 +210,33 @@ def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float,
     return x[0], x[1], x[2]
 
 
-def closed_form_kpq(
-    alpha: float, beta: float, gamma: float, h: float, b: float, c: float
-) -> tuple[float, float, float]:
-    """Closed-form (k, p, q), as an independent cross-check of the solve.
-
-    Note the signs: the quadratic-row coefficient enters k with a plus
-    sign, and the leading cubic term of p is -b*h^3*(b^2 + 3); variants
-    with the opposite signs fail the coefficient-system roundtrip (the
-    adjudication test pins this down numerically).
-    """
-    b2 = b * b
-    k = -(17.0 * b * h**3 + 3.0 * h * h * (c + 2.0 * alpha) + gamma) / (
-        2.0 * h * h * (b2 + 1.0)
-    )
-    p = (
-        -b * h**3 * (b2 + 3.0)
-        + h * h * ((2.0 * alpha - 3.0 * c) * b2 - c - 2.0 * alpha)
-        + 4.0 * b * h * beta
-        + (1.0 - b2) * gamma
-    ) / (2.0 * h * h * (b2 + 1.0) ** 2)
-    q = (
-        h**3 * (2.0 * b2 * b2 + 4.0 * b2 + 1.0)
-        + b * h * h * (b2 * c + 2.0 * alpha)
-        + beta * h * (1.0 - b2)
-        - b * gamma
-    ) / (h * h * (b2 + 1.0) ** 2)
-    return k, p, q
-
-
 def build_config(
     q: Quintic, h_override: float | None = None, branch: Branch = Branch.PLUS
 ) -> FoldConfig:
     """Full inverse construction for a monic quintic.
 
     Picks h (unless overridden), solves (b, c) on the requested branch,
-    then (k, p, q) by linear solve.  P on line l (p = k) is rejected with
-    retry advice rather than perturbed silently.
+    then (k, p, q) by linear solve.  P on line l (p = k) is never perturbed
+    silently: an h that build_config chose itself moves on to the next h of
+    the trial sequence with D >= 0, and an overriding h raises DegenerateP.
     """
     if q.a0 == 0.0:
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
-    h = float(h_override) if h_override is not None else choose_h(q)
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if h_override is not None:
+        return _config_at(q, float(h_override), branch)
+    h = choose_h(q)
+    later = (t for t in H_TRIALS[H_TRIALS.index(h) + 1:] if discriminant(q, t) >= 0.0)
+    while True:
+        try:
+            return _config_at(q, h, branch)
+        except DegenerateP:
+            h = next(later, None)
+            if h is None:
+                raise
+
+
+def _config_at(q: Quintic, h: float, branch: Branch) -> FoldConfig:
+    """The configuration at this h and branch; DegenerateP when P lies on l."""
     b, c = compute_bc(q, h, branch)
     d = max(discriminant(q, h), 0.0)
     k, p, q_point = compute_kpq(q, h, b, c)

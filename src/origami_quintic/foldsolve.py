@@ -10,10 +10,9 @@ parallel-case equidistance) are measured as numeric residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import ConfigMismatch, ZeroB
+from .errors import ConfigMismatch
 from .foldconfig import FoldConfig, config_quintic
 from .geometry import (
     Line,
@@ -23,12 +22,10 @@ from .geometry import (
     crossing_abc,
     distance_xy,
     fold_xi,
-    is_parallel,
     parallel_abc,
     parallel_distance_abc,
     reflect_abc,
     reflect_line,
-    reflect_point,
     reflect_xy,
     triple_gap,
 )
@@ -39,8 +36,7 @@ CHI_EQUALS_N = "chi_equals_n"
 LOW_CONFIDENCE = "low_confidence"
 
 
-@dataclass(frozen=True)
-class IncidenceResiduals:
+class IncidenceResiduals(NamedTuple):
     """Per-constraint defects certifying one fold solution.
 
     All fields are nonnegative; ``equidistant`` is meaningful only in the
@@ -59,7 +55,7 @@ class IncidenceResiduals:
     @property
     def worst_field(self) -> tuple[str, float]:
         """The largest residual and its field name; a NaN one comes first."""
-        return worst_item(self.as_dict().items())
+        return worst_item(zip(self._fields, self))
 
     @property
     def worst(self) -> float:
@@ -70,19 +66,10 @@ class IncidenceResiduals:
         return self.worst <= tol
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "q_on_m": self.q_on_m,
-            "p_on_l": self.p_on_l,
-            "align": self.align,
-            "bisect": self.bisect,
-            "quintic_value": self.quintic_value,
-            "equidistant": self.equidistant,
-            "intersection_on_chi": self.intersection_on_chi,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class FoldSolution:
+class FoldSolution(NamedTuple):
     """One real root t with its reconstructed folds and residuals."""
 
     t: float
@@ -105,39 +92,6 @@ def chi_from_xi(cfg: FoldConfig, t: float) -> Line:
     parallel-case chi.
     """
     return reflect_line(cfg.line_n, fold_xi(t, cfg.h))
-
-
-def residual_g(cfg: FoldConfig, t: float) -> float:
-    """Scalar incidence defect: x-offset of P's image under chi from line l.
-
-    Zero exactly where every incidence of the two-fold operation holds.
-    """
-    return reflect_point(cfg.point_p, chi_from_xi(cfg, t)).x - cfg.k
-
-
-def is_parallel_case(cfg: FoldConfig, t: float) -> bool:
-    """Whether xi at t shares n's normal direction (b*t + h = 0, scale aware)."""
-    return is_parallel(fold_xi(t, cfg.h), cfg.line_n)
-
-
-def parallel_case_check(cfg: FoldConfig, t: float, tol: float = 1e-9) -> bool:
-    """True iff t is the parallel direction and the closed parallel-fold
-    condition 4h + b(k+p) + 2b(bq+c) + b^3(k-p) = 0 holds within tol.
-
-    Both facts together are equivalent to t = -h/b being a root of the
-    configuration's quintic, so the parallel case needs no separate solve.
-    """
-    if cfg.b == 0.0:
-        raise ZeroB("n is vertical; xi can never be parallel to it")
-    if not is_parallel_case(cfg, t):
-        return False
-    value = (
-        4.0 * cfg.h
-        + cfg.b * (cfg.k + cfg.p)
-        + 2.0 * cfg.b * (cfg.b * cfg.q + cfg.c)
-        + cfg.b**3 * (cfg.k - cfg.p)
-    )
-    return abs(value) <= tol * (1.0 + abs(cfg.h) + cfg.max_abs_parameter)
 
 
 def verify(

@@ -13,9 +13,7 @@ functions unpack into them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .errors import CoincidentLines, CoincidentPoints, NotParallel
+from typing import NamedTuple
 
 # Normals count as linearly dependent when the 2x2 determinant is below
 # this factor times the product of their magnitudes (scale invariant).
@@ -25,23 +23,30 @@ XY = tuple[float, float]
 ABC = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: float
     y: float
 
 
-@dataclass(frozen=True)
-class Line:
-    """Oriented line a*x + b*y = c with normal (a, b)."""
-
+class _LineFields(NamedTuple):
     a: float
     b: float
     c: float
 
-    def __post_init__(self) -> None:
-        if self.a == 0.0 and self.b == 0.0:
+
+class Line(_LineFields):
+    """Oriented line a*x + b*y = c with normal (a, b), which must be nonzero."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float, c: float) -> Line:
+        if a == 0.0 and b == 0.0:
             raise ValueError("line normal must be nonzero")
+        return tuple.__new__(cls, (a, b, c))
+
+    @classmethod
+    def _make(cls, iterable) -> Line:  # so that _replace checks the normal too
+        return cls(*iterable)
 
     @property
     def norm(self) -> float:
@@ -55,11 +60,6 @@ def through_xy(x1: float, y1: float, x2: float, y2: float) -> ABC:
         raise ValueError("need two distinct points")
     a, b = dy, -dx
     return a, b, a * x1 + b * y1
-
-
-def line_through(p1: Point, p2: Point) -> Line:
-    """Line through two distinct points."""
-    return Line(*through_xy(p1.x, p1.y, p2.x, p2.y))
 
 
 def canonical_abc(a: float, b: float, c: float, norm: float) -> ABC:
@@ -88,10 +88,6 @@ def canonical_gap(l1: Line, l2: Line) -> float:
     return triple_gap(canonical(l1), canonical(l2))
 
 
-def lines_equal(l1: Line, l2: Line, tol: float = 1e-9) -> bool:
-    return canonical_gap(l1, l2) <= tol
-
-
 def fold_xi(t: float, h: float) -> Line:
     """Fold line placing Q(0, h) onto y = -h at Q'(2t, -h): t*x - h*y = t**2.
 
@@ -100,17 +96,6 @@ def fold_xi(t: float, h: float) -> Line:
     if h <= 0.0:
         raise ValueError("h must be positive")
     return Line(t, -h, t * t)
-
-
-def fold_chi(p: float, q: float, k: float, s: float) -> Line:
-    """Fold line placing P(p, q) onto x = k at P'(k, s).
-
-    Normal is P'P = (k - p, s - q); the line passes through the midpoint
-    of segment PP'.
-    """
-    if k == p and s == q:
-        raise CoincidentPoints("P equals P'; fold line undefined")
-    return Line(k - p, s - q, (s * s - q * q) / 2.0 + (k * k - p * p) / 2.0)
 
 
 def reflect_xy(x: float, y: float, a: float, b: float, c: float) -> XY:
@@ -145,13 +130,10 @@ def reflect_line(target: Line, mirror: Line) -> Line:
 
 
 def parallel_abc(a1: float, b1: float, norm1: float, a2: float, b2: float, norm2: float) -> bool:
-    """is_parallel() of the normals (a1, b1) and (a2, b2) with lengths norm1, norm2."""
+    """Whether the normals (a1, b1) and (a2, b2), of lengths norm1 and norm2, are
+    linearly dependent (see PARALLEL_TOL)."""
     det = a1 * b2 - a2 * b1
     return abs(det) <= PARALLEL_TOL * norm1 * norm2
-
-
-def is_parallel(l1: Line, l2: Line) -> bool:
-    return parallel_abc(l1.a, l1.b, l1.norm, l2.a, l2.b, l2.norm)
 
 
 def crossing_abc(a1: float, b1: float, c1: float, a2: float, b2: float, c2: float) -> XY:
@@ -160,37 +142,13 @@ def crossing_abc(a1: float, b1: float, c1: float, a2: float, b2: float, c2: floa
     return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
 
 
-def intersect(l1: Line, l2: Line) -> Point | None:
-    """Unique intersection point, or None when the normals are dependent.
-
-    Raises CoincidentLines when the lines are canonically equal (a
-    coincident pair has every point in common, not none).
-    """
-    if is_parallel(l1, l2):
-        scale = 1.0 + abs(canonical(l1)[2]) + abs(canonical(l2)[2])
-        if canonical_gap(l1, l2) <= PARALLEL_TOL * scale:
-            raise CoincidentLines("lines are canonically equal")
-        return None
-    return Point(*crossing_abc(l1.a, l1.b, l1.c, l2.a, l2.b, l2.c))
-
-
 def parallel_distance_abc(
     a1: float, b1: float, c1: float, norm1: float, a2: float, b2: float, c2: float
 ) -> float:
-    """parallel_distance() without its parallel check; norm1 is the first normal's length."""
+    """Distance between two parallel lines, the second rescaled so that its normal
+    matches the first's before |c1 - c2| / |n|; norm1 is the first normal's length."""
     s = (a1 * a2 + b1 * b2) / (a2 * a2 + b2 * b2)
     return abs(c1 - s * c2) / norm1
-
-
-def parallel_distance(l1: Line, l2: Line) -> float:
-    """Euclidean distance between parallel lines.
-
-    l2 is rescaled so its normal matches l1's before the |c1 - c2| / |n|
-    formula is applied.
-    """
-    if not is_parallel(l1, l2):
-        raise NotParallel("lines are not parallel")
-    return parallel_distance_abc(l1.a, l1.b, l1.c, l1.norm, l2.a, l2.b, l2.c)
 
 
 def distance_xy(x: float, y: float, a: float, b: float, c: float, norm: float) -> float:
@@ -198,25 +156,12 @@ def distance_xy(x: float, y: float, a: float, b: float, c: float, norm: float) -
     return abs(a * x + b * y - c) / norm
 
 
-def point_line_distance(pt: Point, line: Line) -> float:
-    return distance_xy(pt.x, pt.y, line.a, line.b, line.c, line.norm)
-
-
 def bisect_defect_abc(
     xa: float, xb: float, xn: float, na: float, nb: float, nn: float,
     ca: float, cb: float, cn: float,
 ) -> float:
-    """bisect_defect() of the normals of xi, n and chi with their lengths xn, nn, cn."""
+    """|cos(theta/2) mismatch| between the xi-n and xi-chi angle cosines, from the
+    normals of xi, n and chi and their lengths xn, nn, cn."""
     cos_chi = abs(xa * ca + xb * cb) / (xn * cn)
     cos_n = abs(xa * na + xb * nb) / (xn * nn)
     return abs(cos_chi - cos_n)
-
-
-def bisect_defect(xi: Line, n: Line, chi: Line) -> float:
-    """|cos(theta/2) mismatch| between the xi-n and xi-chi angle cosines."""
-    return bisect_defect_abc(xi.a, xi.b, xi.norm, n.a, n.b, n.norm, chi.a, chi.b, chi.norm)
-
-
-def bisects(xi: Line, n: Line, chi: Line, tol: float = 1e-9) -> bool:
-    """True when xi bisects the angle between n and chi (within tol)."""
-    return bisect_defect(xi, n, chi) <= tol

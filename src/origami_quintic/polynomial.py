@@ -10,22 +10,14 @@ multiplicities are judged from derivative magnitudes at the root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateDegree, NoScaleFound, NotDepressed, ZeroScale
+from .errors import DegenerateDegree, NoScaleFound, NotDepressed, SturmOverflow, ZeroScale
 
 DEGREE = 5
 
 
-@dataclass(frozen=True)
-class Quintic:
-    """Monic quintic t^5 + a4*t^4 + a3*t^3 + a2*t^2 + a1*t + a0 (a5 is 1.0).
-
-    Build one from arbitrary coefficients with ``normalize_monic``.
-    """
-
+class _QuinticFields(NamedTuple):
     a5: float
     a4: float
     a3: float
@@ -33,13 +25,28 @@ class Quintic:
     a1: float
     a0: float
 
-    def __post_init__(self) -> None:
-        if self.a5 != 1.0:
+
+class Quintic(_QuinticFields):
+    """Monic quintic t^5 + a4*t^4 + a3*t^3 + a2*t^2 + a1*t + a0 (a5 is 1.0).
+
+    Build one from arbitrary coefficients with ``normalize_monic``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a5: float, a4: float, a3: float, a2: float, a1: float,
+                a0: float) -> Quintic:
+        if a5 != 1.0:
             raise ValueError("expected a monic quintic; call normalize_monic first")
+        return tuple.__new__(cls, (a5, a4, a3, a2, a1, a0))
+
+    @classmethod
+    def _make(cls, iterable) -> Quintic:  # so that _replace checks the lead too
+        return cls(*iterable)
 
     @property
     def coeffs(self) -> tuple[float, float, float, float, float, float]:
-        return (self.a5, self.a4, self.a3, self.a2, self.a1, self.a0)
+        return tuple(self)
 
 
 def normalize_monic(coeffs: Sequence[float]) -> Quintic:
@@ -122,8 +129,15 @@ def find_scale_for_precondition(q: Quintic) -> float:
 
 
 def cauchy_bound(q: Quintic) -> float:
-    """Upper bound 1 + max |a_i| on the magnitude of every root (monic input)."""
-    return 1.0 + max(abs(c) for c in q.coeffs[1:])
+    """A float above the magnitude of every root: 1 + max |a_i| (monic input).
+
+    From max |a_i| = 2^53 on, 1 + max |a_i| rounds back onto max |a_i|, so
+    the next float above max |a_i| is taken instead.
+    """
+    peak = max(abs(c) for c in q.coeffs[1:])
+    if peak < 2.0**53:
+        return 1.0 + peak
+    return math.nextafter(peak, math.inf)
 
 
 def real_roots(
@@ -276,6 +290,8 @@ def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
         v = _horner(poly, x)
         if v == 0.0:
             continue
+        if v != v:  # only at an infinite x, such as a root bound that overflowed
+            raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
         if prev != 0.0 and (v > 0.0) != (prev > 0.0):
             count += 1
         prev = v
@@ -285,20 +301,28 @@ def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
 def _isolate(
     chain: Sequence[Sequence[float]], lo: float, hi: float, vlo: int, vhi: int
 ) -> list[tuple[float, float]]:
-    count = vlo - vhi
-    if count <= 0:
-        return []
-    min_width = 1e-13 * max(1.0, abs(lo), abs(hi))
-    if count == 1 or hi - lo <= min_width:
-        return [(lo, hi)]
-    mid = 0.5 * (lo + hi)
-    # never probe exactly at a root of p (would make variation counts ambiguous)
-    tries = 0
-    while _horner(chain[0], mid) == 0.0 and tries < 4:
-        mid += (hi - lo) * 1e-7
-        tries += 1
-    vm = _variations(chain, mid)
-    return _isolate(chain, lo, mid, vlo, vm) + _isolate(chain, mid, hi, vm, vhi)
+    """Brackets of the distinct roots in (lo, hi], left to right, by bisection
+    on the variation counts; a loop, since the depth grows with the scale."""
+    brackets = []
+    pending = [(lo, hi, vlo, vhi)]
+    while pending:
+        lo, hi, vlo, vhi = pending.pop()
+        count = vlo - vhi
+        if count <= 0:
+            continue
+        min_width = 1e-13 * max(1.0, abs(lo), abs(hi))
+        if count == 1 or hi - lo <= min_width:
+            brackets.append((lo, hi))
+            continue
+        mid = 0.5 * (lo + hi)
+        # never probe exactly at a root of p (would make variation counts ambiguous)
+        tries = 0
+        while _horner(chain[0], mid) == 0.0 and tries < 4:
+            mid += (hi - lo) * 1e-7
+            tries += 1
+        vm = _variations(chain, mid)
+        pending += ((mid, hi, vm, vhi), (lo, mid, vlo, vm))
+    return brackets
 
 
 def _refine_root(
@@ -392,13 +416,30 @@ def coefficient_gap(got: Sequence[float], want: Sequence[float]) -> float:
     return max_or_nan(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
 
 
+_DECIMAL_CHARS = frozenset("0123456789+-.eE")
+
+
 def parse_coefficient(text: str) -> float:
-    """Parse one coefficient: integer, decimal, or fraction 'p/q'."""
+    """Parse one coefficient: integer, decimal, or fraction 'p/q'.
+
+    Plain ASCII decimal text is read by ``float``, which rounds correctly as
+    the exact ``Fraction`` route does; ``Fraction`` reads all other text: p/q,
+    and the rarer forms that it accepts, such as underscores.
+    """
+    stripped = text.strip()
     try:
-        value = Fraction(text.strip())
+        if _DECIMAL_CHARS.issuperset(stripped):
+            value = float(stripped)
+        else:
+            from fractions import Fraction
+
+            value = float(Fraction(stripped))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse coefficient {text!r}") from exc
-    try:
-        return float(value)
     except OverflowError:
-        raise ValueError(f"coefficient {text!r} is outside the float range") from None
+        value = math.inf
+    if math.isinf(value):
+        raise ValueError(f"coefficient {text!r} is outside the float range")
+    if value == 0.0 and not stripped.lower().partition("e")[0].strip("+-.0"):
+        return 0.0  # an exact zero, which as a Fraction has no sign
+    return value

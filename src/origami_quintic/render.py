@@ -9,7 +9,7 @@ defined inline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptySolutions
 from .foldconfig import FoldConfig
@@ -29,8 +29,7 @@ _STYLE = (
 )
 
 
-@dataclass(frozen=True)
-class Viewport:
+class Viewport(NamedTuple):
     """World window plus the pixel canvas it maps onto.
 
     A window without positive extent (or non-positive pixel sizes) is not

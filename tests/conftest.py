@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,18 +12,27 @@ from origami_quintic import (
     FoldSolution,
     IncidenceResiduals,
     Line,
-    NotParallel,
+    OrigamiQuinticError,
     Point,
     Quintic,
     build_config,
+    chi_from_xi,
     config_quintic,
     evaluate,
     fold_xi,
     normalize_monic,
     real_roots,
+    reflect_point,
 )
 from origami_quintic.foldsolve import check_roundtrip
-from origami_quintic.geometry import PARALLEL_TOL
+from origami_quintic.geometry import (
+    PARALLEL_TOL,
+    bisect_defect_abc,
+    canonical,
+    canonical_gap,
+    crossing_abc,
+    through_xy,
+)
 
 HENDECAGON = (1.0, 1.0, -4.0, -3.0, 3.0, 1.0)
 
@@ -117,16 +127,9 @@ def reference_canonical_gap(l1: Line, l2: Line) -> float:
     return min(direct, flipped)
 
 
-def _reference_parallel(l1: Line, l2: Line) -> bool:
+def is_parallel(l1: Line, l2: Line) -> bool:
     det = l1.a * l2.b - l2.a * l1.b
     return abs(det) <= PARALLEL_TOL * l1.norm * l2.norm
-
-
-def _reference_parallel_distance(l1: Line, l2: Line) -> float:
-    if not _reference_parallel(l1, l2):
-        raise NotParallel("lines are not parallel")
-    s = (l1.a * l2.a + l1.b * l2.b) / (l2.a * l2.a + l2.b * l2.b)
-    return abs(l1.c - s * l2.c) / l1.norm
 
 
 def reference_verify(cfg: FoldConfig, t: float, xi: Line | None = None,
@@ -139,9 +142,9 @@ def reference_verify(cfg: FoldConfig, t: float, xi: Line | None = None,
     q_image = reference_reflect_point(cfg.point_q, xi)
     p_image = reference_reflect_point(cfg.point_p, chi)
     chi_ref = reference_reflect_line(n, xi)
-    if _reference_parallel(xi, n):
+    if is_parallel(xi, n):
         equidistant = abs(
-            _reference_parallel_distance(xi, n) - _reference_parallel_distance(xi, chi)
+            parallel_distance(xi, n) - parallel_distance(xi, chi)
         )
         on_chi = 0.0
     else:
@@ -185,9 +188,164 @@ def reference_solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
                 q_image=reference_reflect_point(cfg.point_q, xi),
                 p_image=p_image,
                 residuals=residuals,
-                parallel_case=_reference_parallel(xi, cfg.line_n),
+                parallel_case=is_parallel(xi, cfg.line_n),
                 multiplicity=mult,
                 diagnostics=tuple(diagnostics),
             )
         )
     return solutions
+
+
+# Helpers that only the tests use: measurements on Point and Line objects,
+# the scalar incidence defect, and the paper's closed form for (k, p, q).
+
+
+class CoincidentPoints(OrigamiQuinticError):
+    """A fold line through the midpoint of two points needs them distinct."""
+
+
+class CoincidentLines(OrigamiQuinticError):
+    """Two lines are canonically equal where a unique intersection is needed."""
+
+
+class NotParallel(OrigamiQuinticError):
+    """Distance between parallel lines requested for non-parallel lines."""
+
+
+class ZeroB(OrigamiQuinticError):
+    """Parallel fold lines are impossible when line n is vertical (b = 0)."""
+
+
+def line_through(p1: Point, p2: Point) -> Line:
+    """Line through two distinct points."""
+    return Line(*through_xy(p1.x, p1.y, p2.x, p2.y))
+
+
+def lines_equal(l1: Line, l2: Line, tol: float = 1e-9) -> bool:
+    return canonical_gap(l1, l2) <= tol
+
+
+def fold_chi(p: float, q: float, k: float, s: float) -> Line:
+    """Fold line placing P(p, q) onto x = k at P'(k, s).
+
+    Normal is P'P = (k - p, s - q); the line passes through the midpoint
+    of segment PP'.
+    """
+    if k == p and s == q:
+        raise CoincidentPoints("P equals P'; fold line undefined")
+    return Line(k - p, s - q, (s * s - q * q) / 2.0 + (k * k - p * p) / 2.0)
+
+
+def intersect(l1: Line, l2: Line) -> Point | None:
+    """Unique intersection point, or None when the normals are dependent.
+
+    Raises CoincidentLines when the lines are canonically equal (a
+    coincident pair has every point in common, not none).
+    """
+    if is_parallel(l1, l2):
+        scale = 1.0 + abs(canonical(l1)[2]) + abs(canonical(l2)[2])
+        if canonical_gap(l1, l2) <= PARALLEL_TOL * scale:
+            raise CoincidentLines("lines are canonically equal")
+        return None
+    return Point(*crossing_abc(l1.a, l1.b, l1.c, l2.a, l2.b, l2.c))
+
+
+def parallel_distance(l1: Line, l2: Line) -> float:
+    """Euclidean distance between parallel lines.
+
+    l2 is rescaled so its normal matches l1's before the |c1 - c2| / |n|
+    formula is applied.
+    """
+    if not is_parallel(l1, l2):
+        raise NotParallel("lines are not parallel")
+    s = (l1.a * l2.a + l1.b * l2.b) / (l2.a * l2.a + l2.b * l2.b)
+    return abs(l1.c - s * l2.c) / l1.norm
+
+
+def point_line_distance(pt: Point, line: Line) -> float:
+    return abs(line.a * pt.x + line.b * pt.y - line.c) / line.norm
+
+
+def bisect_defect(xi: Line, n: Line, chi: Line) -> float:
+    """|cos(theta/2) mismatch| between the xi-n and xi-chi angle cosines."""
+    return bisect_defect_abc(xi.a, xi.b, xi.norm, n.a, n.b, n.norm, chi.a, chi.b, chi.norm)
+
+
+def bisects(xi: Line, n: Line, chi: Line, tol: float = 1e-9) -> bool:
+    """True when xi bisects the angle between n and chi (within tol)."""
+    return bisect_defect(xi, n, chi) <= tol
+
+
+def residual_g(cfg: FoldConfig, t: float) -> float:
+    """Scalar incidence defect: x-offset of P's image under chi from line l.
+
+    Zero exactly where every incidence of the two-fold operation holds.
+    """
+    return reflect_point(cfg.point_p, chi_from_xi(cfg, t)).x - cfg.k
+
+
+def is_parallel_case(cfg: FoldConfig, t: float) -> bool:
+    """Whether xi at t shares n's normal direction (b*t + h = 0, scale aware)."""
+    return is_parallel(fold_xi(t, cfg.h), cfg.line_n)
+
+
+def parallel_case_check(cfg: FoldConfig, t: float, tol: float = 1e-9) -> bool:
+    """True iff t is the parallel direction and the closed parallel-fold
+    condition 4h + b(k+p) + 2b(bq+c) + b^3(k-p) = 0 holds within tol.
+
+    Both facts together are equivalent to t = -h/b being a root of the
+    configuration's quintic, so the parallel case needs no separate solve.
+    """
+    if cfg.b == 0.0:
+        raise ZeroB("n is vertical; xi can never be parallel to it")
+    if not is_parallel_case(cfg, t):
+        return False
+    value = (
+        4.0 * cfg.h
+        + cfg.b * (cfg.k + cfg.p)
+        + 2.0 * cfg.b * (cfg.b * cfg.q + cfg.c)
+        + cfg.b**3 * (cfg.k - cfg.p)
+    )
+    return abs(value) <= tol * (1.0 + abs(cfg.h) + cfg.max_abs_parameter)
+
+
+def closed_form_kpq(
+    alpha: float, beta: float, gamma: float, h: float, b: float, c: float
+) -> tuple[float, float, float]:
+    """Closed-form (k, p, q), as an independent cross-check of the solve.
+
+    Note the signs: the quadratic-row coefficient enters k with a plus
+    sign, and the leading cubic term of p is -b*h^3*(b^2 + 3); variants
+    with the opposite signs fail the coefficient-system roundtrip (the
+    adjudication test pins this down numerically).
+    """
+    b2 = b * b
+    k = -(17.0 * b * h**3 + 3.0 * h * h * (c + 2.0 * alpha) + gamma) / (
+        2.0 * h * h * (b2 + 1.0)
+    )
+    p = (
+        -b * h**3 * (b2 + 3.0)
+        + h * h * ((2.0 * alpha - 3.0 * c) * b2 - c - 2.0 * alpha)
+        + 4.0 * b * h * beta
+        + (1.0 - b2) * gamma
+    ) / (2.0 * h * h * (b2 + 1.0) ** 2)
+    q = (
+        h**3 * (2.0 * b2 * b2 + 4.0 * b2 + 1.0)
+        + b * h * h * (b2 * c + 2.0 * alpha)
+        + beta * h * (1.0 - b2)
+        - b * gamma
+    ) / (h * h * (b2 + 1.0) ** 2)
+    return k, p, q
+
+
+def reference_parse_coefficient(text: str) -> float:
+    """The coefficient parser as float(Fraction(text.strip())), with the
+    library's error messages: the reference for polynomial.parse_coefficient."""
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse coefficient {text!r}") from None
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"coefficient {text!r} is outside the float range") from None

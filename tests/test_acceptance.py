@@ -17,22 +17,19 @@ from origami_quintic import (
     Point,
     build_config,
     compute_kpq,
-    closed_form_kpq,
     depress,
     discriminant,
     forward_coefficients,
     normalize_monic,
-    parallel_case_check,
     real_roots,
     reflect_point,
-    residual_g,
     scale,
     solve_all,
     verify,
 )
 from origami_quintic.polynomial import Quintic, coefficient_gap
 
-from conftest import residual_grid
+from conftest import closed_form_kpq, parallel_case_check, residual_g, residual_grid
 
 HENDECAGON = [1.0, 1.0, -4.0, -3.0, 3.0, 1.0]
 

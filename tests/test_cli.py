@@ -402,3 +402,28 @@ def test_cli_import_needs_no_numpy():
     )
     assert result.returncode == 0
     assert result.stdout == "False\n"
+
+
+# modules that verify and compare on decimal input never need
+LAZY_MODULES = ("dataclasses", "inspect", "fractions", "decimal", "origami_quintic.render")
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("verify", []),
+    ("compare", []),
+    # the probe's positive control: drawing loads render
+    ("solve", ["origami_quintic.render"]),
+])
+def test_command_loads_only_what_it_runs(tmp_path, command, loaded):
+    report, out = str(tmp_path / "report.json"), str(tmp_path / "out.json")
+    assert main(["solve", *HENDECAGON_ARGS, "--json", report]) == EXIT_OK
+    argv = {
+        "verify": ["verify", "--json", report],
+        "compare": ["compare", "--coeffs", "1,1.0,-4.,-3e0,3,1", "--json", out],
+        "solve": ["solve", *HENDECAGON_ARGS, "--json", out, "--svg", str(tmp_path / "s.svg")],
+    }[command]
+    probe = ("import sys; from origami_quintic.cli import main; code = main(sys.argv[1:]); "
+             f"print(code, sorted(set(sys.modules) & set({LAZY_MODULES!r})))")
+    result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                            text=True, env=_child_env())
+    assert result.stdout == f"0 {loaded}\n", result.stderr

@@ -11,7 +11,6 @@ from origami_quintic import (
     ZeroConstantTerm,
     build_config,
     choose_h,
-    closed_form_kpq,
     compute_bc,
     compute_kpq,
     config_quintic,
@@ -20,8 +19,11 @@ from origami_quintic import (
     nishimura_pipeline,
     normalize_monic,
     real_roots,
+    solve_all,
 )
 from origami_quintic.polynomial import Quintic, coefficient_gap
+
+from conftest import closed_form_kpq
 
 SCALED_HENDECAGON = Quintic(1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)
 
@@ -269,6 +271,31 @@ class TestBuildConfig:
         quintic = quintic_of(0.0, 1.0, 2.0, 2.0, 1.0, 1.0)
         with pytest.raises(DegenerateP):
             build_config(quintic, h_override=1.0, branch=Branch.MINUS)
+
+    def test_degenerate_p_moves_to_the_next_h(self):
+        # h = 1 puts P on l, as above; an h build_config chose itself moves on
+        # to the next h of choose_h's sequence with D >= 0, on the same branch
+        quintic = quintic_of(0.0, 1.0, 2.0, 2.0, 1.0, 1.0)
+        assert choose_h(quintic) == 1.0
+        cfg = build_config(quintic, branch=Branch.MINUS)
+        assert (cfg.h, cfg.branch) == (0.5, Branch.MINUS)
+        assert all(s.residuals.passes(1e-9) for s in solve_all(cfg, quintic))
+
+    @pytest.mark.parametrize("coeffs, h", [
+        # the repeated-root cases of the seed-0 unit-batch benchmark corpus
+        ((1.0, 4.75, 8.0, 5.1875, 0.375, -0.5625), 0.25),
+        ((1.0, -0.25, -0.125, 0.03125, 0.00390625, -0.0009765625), 0.125),
+        ((1.0, -1.75, -4.6875, 9.859375, -1.2109375, -3.515625), 0.5),
+        ((1.0, 1.25, -0.3125, -0.390625, 0.15625, -0.015625), 0.25),
+        ((1.0, 6.25, -5.6875, -97.890625, -164.6484375, -35.15625), 0.5),
+    ])
+    def test_repeated_roots_build_after_a_degenerate_h(self, coeffs, h):
+        quintic = Quintic(*coeffs)
+        with pytest.raises(DegenerateP):
+            build_config(quintic, h_override=choose_h(quintic))
+        cfg = build_config(quintic)
+        assert cfg.h == h
+        assert all(s.residuals.passes(1e-9) for s in solve_all(cfg, quintic))
 
     def test_branch_coincidence_at_zero_discriminant(self, hendecagon):
         plus = build_config(hendecagon, branch=Branch.PLUS)

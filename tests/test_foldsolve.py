@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,36 +8,38 @@ from origami_quintic import (
     Branch,
     ConfigMismatch,
     IncidenceResiduals,
-    NotParallel,
     OrigamiQuinticError,
     build_config,
     normalize_monic,
     FoldConfig,
     Line,
     Point,
-    ZeroB,
     chi_from_xi,
     evaluate,
     fold_xi,
     forward_coefficients,
-    parallel_case_check,
     real_roots,
     reflect_point,
-    residual_g,
     solve_all,
     verify,
 )
-from origami_quintic.foldsolve import check_roundtrip, is_parallel_case
-from origami_quintic.geometry import canonical_gap, parallel_distance
+from origami_quintic.foldsolve import check_roundtrip
+from origami_quintic.geometry import canonical_gap
 from origami_quintic.polynomial import Quintic
 
 from conftest import (
     HENDECAGON,
     HENDECAGON_ROOTS,
+    NotParallel,
+    ZeroB,
+    is_parallel_case,
     make_config,
     outcome,
+    parallel_case_check,
+    parallel_distance,
     reference_solve_all,
     reference_verify,
+    residual_g,
     residual_grid,
 )
 
@@ -131,7 +132,7 @@ class TestVerify:
     @pytest.mark.parametrize("field", ["q_on_m", "bisect", "intersection_on_chi"])
     def test_nan_residual_fails(self, hendecagon_config, field):
         residuals = verify(hendecagon_config, -1.9189859472289947)
-        residuals = dataclasses.replace(residuals, **{field: math.nan})
+        residuals = residuals._replace(**{field: math.nan})
         assert math.isnan(residuals.worst)
         assert not residuals.passes(1e-9)
 
@@ -170,7 +171,7 @@ class TestVerify:
         residuals = verify(hendecagon_config, 1.0)
         name, worst = residuals.worst_field
         assert getattr(residuals, name) == worst == max(residuals.as_dict().values()) > 0.1
-        residuals = dataclasses.replace(residuals, bisect=math.nan, quintic_value=5.0)
+        residuals = residuals._replace(bisect=math.nan, quintic_value=5.0)
         name, worst = residuals.worst_field
         assert name == "bisect" and math.isnan(worst)
         ties = IncidenceResiduals(0.0, 2.0, 2.0, 0.0, 1.0, 0.0, 0.0)

@@ -5,30 +5,25 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from origami_quintic import (
+from origami_quintic import Line, Point, canonical, fold_xi, reflect_line, reflect_point
+from origami_quintic.geometry import canonical_gap
+
+from conftest import (
     CoincidentLines,
     CoincidentPoints,
-    Line,
     NotParallel,
-    Point,
-    bisects,
-    canonical,
-    fold_chi,
-    fold_xi,
-    intersect,
-    parallel_distance,
-    reflect_line,
-    reflect_point,
-)
-from origami_quintic.geometry import (
     bisect_defect,
-    canonical_gap,
+    bisects,
+    fold_chi,
+    intersect,
     line_through,
     lines_equal,
+    outcome,
+    parallel_distance,
     point_line_distance,
+    reference_canonical_gap,
+    reference_reflect_line,
 )
-
-from conftest import outcome, reference_canonical_gap, reference_reflect_line
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 # every double, subnormals, zeros, infinities and NaN included

@@ -1,15 +1,17 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origami_quintic import (
     DegenerateDegree,
     NoScaleFound,
     NotDepressed,
+    SturmOverflow,
     ZeroScale,
     depress,
     evaluate,
@@ -27,9 +29,10 @@ from origami_quintic.polynomial import (
     _sturm_chain,
     cauchy_bound,
     coefficient_gap,
+    parse_coefficient,
 )
 
-from conftest import HENDECAGON, HENDECAGON_ROOTS
+from conftest import HENDECAGON, HENDECAGON_ROOTS, outcome, reference_parse_coefficient
 
 DEPRESSED_HENDECAGON = tuple(
     float(x) for x in (1, 0, Fraction(-22, 5), Fraction(-11, 25), Fraction(462, 125), Fraction(979, 3125))
@@ -465,6 +468,67 @@ def test_cauchy_bound_contains_roots():
         q = Quintic(1.0, *rng.uniform(-5, 5, size=5))
         bound = cauchy_bound(q)
         assert all(abs(r) < bound for r, _ in real_roots(q))
+
+
+@pytest.mark.parametrize("a4", [2.0**53, 1e70, 1e300])
+def test_cauchy_bound_above_large_coefficients(a4):
+    # 1 + a4 rounds back onto a4 here, and the root lies just beyond -a4
+    q = Quintic(1.0, a4, 0.0, 0.0, 0.0, 1.0)
+    assert cauchy_bound(q) == math.nextafter(a4, math.inf)
+    roots = real_roots(q)
+    assert roots and roots[0][0] == pytest.approx(-a4, rel=1e-15)
+
+
+def test_cauchy_bound_unchanged_below_2_53():
+    q = Quintic(1.0, 2.0**53 - 1.0, 0.0, 0.0, 0.0, 1.0)
+    assert cauchy_bound(q) == 2.0**53
+
+
+def test_deep_isolation_is_not_recursive():
+    # roots near 1e300 and +-1e-75: the bisection from the bound down to the
+    # small pair is deeper than the interpreter's recursion limit
+    assert real_roots(Quintic(1.0, -1e300, 0.0, 0.0, 0.0, 1.0))
+
+
+def test_nan_chain_sign_at_the_bound_is_named():
+    # the next float above the largest coefficient is infinite
+    q = Quintic(1.0, 1.7976931348623157e308, 0.0, 0.0, 0.0, 1.0)
+    assert cauchy_bound(q) == math.inf
+    with pytest.raises(SturmOverflow, match="NaN"):
+        real_roots(q)
+
+
+# rounding boundaries, written out exactly: the midpoint between the largest
+# float and 2**1024, and half the smallest subnormal, with their neighbours
+FLOAT_EDGES = [f"{2**1024 - 2**970 + d}" for d in (-1, 0)] + [
+    f"{5**1075 + d}e-1075" for d in (-1, 0, 1)
+]
+# an exponent this long makes Fraction build a huge power of ten
+LONG_EXPONENT = re.compile(r"[eE][-+]?[\d_]{5,}")
+
+
+class TestParseCoefficient:
+    @given(st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789+-./_ \t\u0663\uff11", max_size=20),
+        st.from_regex(r"\A\s?[+-]?(\d{1,8}_)?\d{0,20}(\.\d{0,20})?([eE][+-]?\d{1,3})?"
+                      r"(/\d{1,3})?\s?\Z"),
+        st.floats().map(repr),
+        st.floats().map(lambda x: f"{x:.25e}"),
+    ))
+    def test_matches_fraction_reference(self, text):
+        assume(not LONG_EXPONENT.search(text))
+        assert outcome(lambda: parse_coefficient(text)) == outcome(
+            lambda: reference_parse_coefficient(text))
+
+    # where float() and Fraction differ, or a sign of zero could leak through
+    @pytest.mark.parametrize("text", [
+        "inf", "-nan", "1e400", "-1e400", "3/0", "\u0663", "\uff11\uff12", "1_000", " -22/5 ",
+        "-0", "-0.0e5", "-1e-400", "", ".", "1e", *FLOAT_EDGES,
+    ])
+    def test_known_differences(self, text):
+        assert outcome(lambda: parse_coefficient(text)) == outcome(
+            lambda: reference_parse_coefficient(text))
 
 
 def test_coefficient_gap():
