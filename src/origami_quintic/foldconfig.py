@@ -152,8 +152,6 @@ def compute_bc(q: Quintic, h: float, branch: Branch = Branch.PLUS) -> tuple[floa
     c = (E - h^4*A -+ 3*sqrt(D)) / (4*h^4).  Tiny negative D from rounding
     is clamped to zero; a genuinely negative D raises.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
     d = discriminant(q, h)
     lead = q.a0 - h**4 * q.a4
     floor = 64.0 * sys.float_info.epsilon * (

@@ -80,10 +80,7 @@ def depress(q: Quintic) -> tuple[Quintic, float]:
     shift = q.a4 / 5.0
     # Taylor expansion of q about -shift gives the coefficients of q(t' - shift).
     taylor = _taylor_coefficients(q.coeffs, -shift)
-    coeffs = list(reversed(taylor))
-    coeffs[0] = 1.0
-    coeffs[1] = 0.0
-    return Quintic(*coeffs), shift
+    return Quintic(1.0, 0.0, taylor[3], taylor[2], taylor[1], taylor[0]), shift
 
 
 def scale(q: Quintic, c: float) -> Quintic:
@@ -96,9 +93,7 @@ def scale(q: Quintic, c: float) -> Quintic:
         raise ZeroScale("scale factor must be nonzero")
     if c == 1.0:
         return q
-    out = [q.coeffs[i] / c**i for i in range(6)]
-    out[0] = 1.0
-    return Quintic(*out)
+    return Quintic(1.0, *(q.coeffs[i] / c**i for i in range(1, 6)))
 
 
 def nishimura_precondition(q: Quintic) -> bool:
@@ -159,14 +154,15 @@ def real_roots(
         raise ValueError("tol must be positive")
     bound = cauchy_bound(q)
     chain, square_free = _sturm_chain(q.coeffs)
+    chain = [_pad(poly) for poly in chain]
 
     lo, hi = -bound, bound
     brackets = _isolate(chain, lo, hi, _variations(chain, lo), _variations(chain, hi))
 
-    d_square_free = _poly_derivative(square_free)
+    poly, dpoly = _pad(square_free), _pad(_poly_derivative(square_free))
     roots: list[tuple[float, int]] = []
     for blo, bhi in brackets:
-        root = _refine_root(square_free, d_square_free, blo, bhi, tol)
+        root = _refine_root(poly, dpoly, blo, bhi, tol)
         roots.append((root, _multiplicity(q.coeffs, root, multiplicity_tol)))
     roots.sort(key=lambda pair: pair[0])
     return roots
@@ -182,18 +178,8 @@ def _horner(coeffs: Sequence[float], t: float) -> float:
     return acc
 
 
-def _horner_abs(coeffs: Sequence[float], t: float) -> float:
-    at = abs(t)
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * at + abs(c)
-    return acc
-
-
 def _poly_derivative(coeffs: Sequence[float]) -> list[float]:
     n = len(coeffs) - 1
-    if n == 0:
-        return [0.0]
     return [coeffs[i] * (n - i) for i in range(n)]
 
 
@@ -283,11 +269,18 @@ def _sturm_chain(coeffs: Sequence[float]) -> tuple[list[list[float]], list[float
     return floats[:-1], floats[-1]
 
 
+def _pad(coeffs: Sequence[float]) -> tuple[float, ...]:
+    """Six coefficients, leading zeros first, for the straight-line Horner below: at
+    a finite x it rounds as ``_horner`` on the unpadded list (0.0*x + c is c), and
+    at an infinite x a padded zero gives NaN, as ``_horner``'s start from 0.0 does."""
+    return (0.0,) * (6 - len(coeffs)) + tuple(coeffs)
+
+
 def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
     count = 0
     prev = 0.0
-    for poly in chain:
-        v = _horner(poly, x)
+    for a, b, c, d, e, f in chain:
+        v = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
         if v == 0.0:
             continue
         if v != v:  # only at an infinite x, such as a root bound that overflowed
@@ -303,6 +296,7 @@ def _isolate(
 ) -> list[tuple[float, float]]:
     """Brackets of the distinct roots in (lo, hi], left to right, by bisection
     on the variation counts; a loop, since the depth grows with the scale."""
+    a, b, c, d, e, f = chain[0]
     brackets = []
     pending = [(lo, hi, vlo, vhi)]
     while pending:
@@ -314,22 +308,23 @@ def _isolate(
         if count == 1 or hi - lo <= min_width:
             brackets.append((lo, hi))
             continue
-        mid = 0.5 * (lo + hi)
+        x = 0.5 * (lo + hi)
         # never probe exactly at a root of p (would make variation counts ambiguous)
         tries = 0
-        while _horner(chain[0], mid) == 0.0 and tries < 4:
-            mid += (hi - lo) * 1e-7
+        while ((((a * x + b) * x + c) * x + d) * x + e) * x + f == 0.0 and tries < 4:
+            x += (hi - lo) * 1e-7
             tries += 1
-        vm = _variations(chain, mid)
-        pending += ((mid, hi, vm, vhi), (lo, mid, vlo, vm))
+        vm = _variations(chain, x)
+        pending += ((x, hi, vm, vhi), (lo, x, vlo, vm))
     return brackets
 
 
 def _refine_root(
     poly: Sequence[float], dpoly: Sequence[float], lo: float, hi: float, tol: float
 ) -> float:
-    flo = _horner(poly, lo)
-    fhi = _horner(poly, hi)
+    a, b, c, d, e, f = poly
+    flo = ((((a * lo + b) * lo + c) * lo + d) * lo + e) * lo + f
+    fhi = ((((a * hi + b) * hi + c) * hi + d) * hi + e) * hi + f
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -337,41 +332,43 @@ def _refine_root(
     if (flo > 0.0) == (fhi > 0.0):
         # no sign change (endpoint noise); fall back to clipped Newton from the midpoint
         return _newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
-    width = tol
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    while hi - lo > tol:
+        x = 0.5 * (lo + hi)
+        if x <= lo or x >= hi:
             break
-        fmid = _horner(poly, mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+        fx = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
         else:
-            hi, fhi = mid, fmid
+            hi, fhi = x, fx
     return _newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
 
 
 def _newton_polish(
     poly: Sequence[float], dpoly: Sequence[float], x: float, lo: float, hi: float
 ) -> float:
-    best = x
-    best_val = abs(_horner(poly, x))
+    a, b, c, d, e, f = poly
+    _, db, dc, dd, de, df = dpoly  # a derivative: its padded lead 0.0 adds nothing
+    fx = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
+    best, best_val = x, abs(fx)
     # the step is a function of x alone, so once an iterate repeats only
     # values already compared against best come back
     seen = {x}
     for _ in range(40):
-        d = _horner(dpoly, x)
-        if d == 0.0:
+        dx = (((db * x + dc) * x + dd) * x + de) * x + df
+        if dx == 0.0:
             break
-        step = _horner(poly, x) / d
+        step = fx / dx
         x -= step
         if x < lo or x > hi:
             x = min(max(x, lo), hi)
         if x in seen:
             break
         seen.add(x)
-        val = abs(_horner(poly, x))
+        fx = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
+        val = abs(fx)
         if val < best_val:
             best, best_val = x, val
         if abs(step) <= 1e-17 * max(1.0, abs(x)):
@@ -385,7 +382,7 @@ def _multiplicity(coeffs: Sequence[float], root: float, mult_tol: float) -> int:
     for _ in range(DEGREE - 1):
         deriv = _poly_derivative(deriv)
         value = _horner(deriv, root)
-        scale_ = _horner_abs(deriv, root)
+        scale_ = _horner([abs(c) for c in deriv], abs(root))
         if abs(value) <= mult_tol * (1.0 + scale_):
             mult += 1
         else:
@@ -422,9 +419,8 @@ _DECIMAL_CHARS = frozenset("0123456789+-.eE")
 def parse_coefficient(text: str) -> float:
     """Parse one coefficient: integer, decimal, or fraction 'p/q'.
 
-    Plain ASCII decimal text is read by ``float``, which rounds correctly as
-    the exact ``Fraction`` route does; ``Fraction`` reads all other text: p/q,
-    and the rarer forms that it accepts, such as underscores.
+    The value is float(Fraction(text)), but only p/q is built as a Fraction:
+    ``float`` rounds any other text as correctly, and at once whatever its exponent.
     """
     stripped = text.strip()
     try:
@@ -433,13 +429,18 @@ def parse_coefficient(text: str) -> float:
         else:
             from fractions import Fraction
 
-            value = float(Fraction(stripped))
+            if "/" in stripped:
+                value = float(Fraction(stripped))
+            else:  # Fraction's grammar decides; with every digit 0 it costs no 10**exponent
+                Fraction("".join("0" if ch.isdecimal() else ch for ch in stripped))
+                value = float(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse coefficient {text!r}") from exc
     except OverflowError:
         value = math.inf
     if math.isinf(value):
         raise ValueError(f"coefficient {text!r} is outside the float range")
-    if value == 0.0 and not stripped.lower().partition("e")[0].strip("+-.0"):
+    mantissa = stripped.lower().partition("e")[0]
+    if value == 0.0 and not any(ch.isdecimal() and int(ch) for ch in mantissa):
         return 0.0  # an exact zero, which as a Fraction has no sign
     return value

@@ -24,7 +24,15 @@ from origami_quintic import (
     real_roots,
     reflect_point,
 )
+from origami_quintic.errors import SturmOverflow
 from origami_quintic.foldsolve import check_roundtrip
+from origami_quintic.polynomial import (
+    _horner,
+    _multiplicity,
+    _poly_derivative,
+    _sturm_chain,
+    cauchy_bound,
+)
 from origami_quintic.geometry import (
     PARALLEL_TOL,
     bisect_defect_abc,
@@ -349,3 +357,109 @@ def reference_parse_coefficient(text: str) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"coefficient {text!r} is outside the float range") from None
+
+
+# The root finder's loops as they were written on generic Horner over the
+# unpadded coefficient lists: the reference that the fixed-degree kernel
+# must match bit for bit.
+
+
+def reference_real_roots(q: Quintic, tol: float = 1e-12,
+                         multiplicity_tol: float = 1e-6) -> list[tuple[float, int]]:
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    bound = cauchy_bound(q)
+    chain, square_free = _sturm_chain(q.coeffs)
+    lo, hi = -bound, bound
+    brackets = _reference_isolate(
+        chain, lo, hi, _reference_variations(chain, lo), _reference_variations(chain, hi))
+    d_square_free = _poly_derivative(square_free)
+    roots = []
+    for blo, bhi in brackets:
+        root = _reference_refine_root(square_free, d_square_free, blo, bhi, tol)
+        roots.append((root, _multiplicity(q.coeffs, root, multiplicity_tol)))
+    roots.sort(key=lambda pair: pair[0])
+    return roots
+
+
+def _reference_variations(chain, x):
+    count = 0
+    prev = 0.0
+    for poly in chain:
+        v = _horner(poly, x)
+        if v == 0.0:
+            continue
+        if v != v:
+            raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
+        if prev != 0.0 and (v > 0.0) != (prev > 0.0):
+            count += 1
+        prev = v
+    return count
+
+
+def _reference_isolate(chain, lo, hi, vlo, vhi):
+    brackets = []
+    pending = [(lo, hi, vlo, vhi)]
+    while pending:
+        lo, hi, vlo, vhi = pending.pop()
+        count = vlo - vhi
+        if count <= 0:
+            continue
+        min_width = 1e-13 * max(1.0, abs(lo), abs(hi))
+        if count == 1 or hi - lo <= min_width:
+            brackets.append((lo, hi))
+            continue
+        mid = 0.5 * (lo + hi)
+        tries = 0
+        while _horner(chain[0], mid) == 0.0 and tries < 4:
+            mid += (hi - lo) * 1e-7
+            tries += 1
+        vm = _reference_variations(chain, mid)
+        pending += ((mid, hi, vm, vhi), (lo, mid, vlo, vm))
+    return brackets
+
+
+def _reference_refine_root(poly, dpoly, lo, hi, tol):
+    flo = _horner(poly, lo)
+    fhi = _horner(poly, hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        return _reference_newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fmid = _horner(poly, mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return _reference_newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
+
+
+def _reference_newton_polish(poly, dpoly, x, lo, hi):
+    best = x
+    best_val = abs(_horner(poly, x))
+    seen = {x}
+    for _ in range(40):
+        d = _horner(dpoly, x)
+        if d == 0.0:
+            break
+        step = _horner(poly, x) / d
+        x -= step
+        if x < lo or x > hi:
+            x = min(max(x, lo), hi)
+        if x in seen:
+            break
+        seen.add(x)
+        val = abs(_horner(poly, x))
+        if val < best_val:
+            best, best_val = x, val
+        if abs(step) <= 1e-17 * max(1.0, abs(x)):
+            break
+    return best

@@ -427,3 +427,18 @@ def test_command_loads_only_what_it_runs(tmp_path, command, loaded):
     result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                             text=True, env=_child_env())
     assert result.stdout == f"0 {loaded}\n", result.stderr
+
+
+# Fraction would build 10**9999999999 for these; a ten-digit exponent must
+# still be read at once
+@pytest.mark.parametrize("text", ["\u0661e9999999999", "1_0e9999999999"])
+def test_long_exponent_is_a_usage_error_at_once(text):
+    result = subprocess.run(
+        [sys.executable, "-m", "origami_quintic.cli", "solve", "--coeffs", f"1,0,0,0,0,{text}"],
+        capture_output=True,
+        env=dict(_child_env(), PYTHONIOENCODING="utf-8"),
+        timeout=30,
+    )
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr.decode("utf-8") == (
+        f"usage error: coefficient {text!r} is outside the float range\n")

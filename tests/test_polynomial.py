@@ -25,6 +25,7 @@ from origami_quintic.polynomial import (
     Quintic,
     _horner,
     _newton_polish,
+    _pad,
     _poly_derivative,
     _sturm_chain,
     cauchy_bound,
@@ -32,7 +33,13 @@ from origami_quintic.polynomial import (
     parse_coefficient,
 )
 
-from conftest import HENDECAGON, HENDECAGON_ROOTS, outcome, reference_parse_coefficient
+from conftest import (
+    HENDECAGON,
+    HENDECAGON_ROOTS,
+    outcome,
+    reference_parse_coefficient,
+    reference_real_roots,
+)
 
 DEPRESSED_HENDECAGON = tuple(
     float(x) for x in (1, 0, Fraction(-22, 5), Fraction(-11, 25), Fraction(462, 125), Fraction(979, 3125))
@@ -443,7 +450,7 @@ class TestNewtonPolish:
         poly, dpoly = [1.0, 0.0, -2.0, 2.0], [3.0, 0.0, -2.0]
         want, cycled = reference_newton_polish(poly, dpoly, 0.0, -10.0, 10.0)
         assert cycled
-        assert _newton_polish(poly, dpoly, 0.0, -10.0, 10.0) == want == 1.0
+        assert _newton_polish(_pad(poly), _pad(dpoly), 0.0, -10.0, 10.0) == want == 1.0
 
     def test_starts_next_to_roots(self):
         rng = np.random.default_rng(41)
@@ -456,10 +463,44 @@ class TestNewtonPolish:
                 lo, hi = root - 1e-12, root + 1e-12
                 for x in (root, math.nextafter(root, lo), math.nextafter(root, hi), lo, hi):
                     want, cycled = reference_newton_polish(poly, dpoly, x, lo, hi)
-                    assert _newton_polish(poly, dpoly, x, lo, hi) == want
+                    assert _newton_polish(_pad(poly), _pad(dpoly), x, lo, hi) == want
                     cycled_starts += cycled
         # the exit must actually be taken for the comparison to mean anything
         assert cycled_starts >= 100
+
+
+# zeros of both signs, subnormals, the normal edge and the largest floats
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+])
+TOLS = st.sampled_from([1e-15, 1e-12, 1e-6, 0.5])
+
+
+class TestRealRootsOracle:
+    """The fixed-degree kernel returns what generic Horner loops return."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rest=st.lists(st.one_of(wide_floats, EDGE_FLOATS), min_size=5, max_size=5),
+           tol=TOLS)
+    def test_wide_and_edge_coefficients(self, rest, tol):
+        q = Quintic(1.0, *rest)
+        assert outcome(lambda: real_roots(q, tol)) == outcome(
+            lambda: reference_real_roots(q, tol))
+
+    # repeated roots end the chain early and leave a square-free part of
+    # lower degree, which the kernel pads with more zeros
+    @settings(max_examples=300, deadline=None)
+    @given(
+        linear=st.lists(st.integers(-24, 24), min_size=5, max_size=5),
+        pairs=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=2),
+        shift=st.integers(0, 6),
+        tol=TOLS,
+    )
+    def test_dyadic_repeated_roots(self, linear, pairs, shift, tol):
+        q = Quintic(*dyadic_product(linear[: 5 - 2 * len(pairs)], pairs, shift))
+        assert outcome(lambda: real_roots(q, tol)) == outcome(
+            lambda: reference_real_roots(q, tol))
 
 
 def test_cauchy_bound_contains_roots():
@@ -524,7 +565,8 @@ class TestParseCoefficient:
     # where float() and Fraction differ, or a sign of zero could leak through
     @pytest.mark.parametrize("text", [
         "inf", "-nan", "1e400", "-1e400", "3/0", "\u0663", "\uff11\uff12", "1_000", " -22/5 ",
-        "-0", "-0.0e5", "-1e-400", "", ".", "1e", *FLOAT_EDGES,
+        "-0", "-0.0e5", "-1e-400", "-\u0660", "-0_0E5", "-0E5", "-\u0661e-400", "", ".", "1e",
+        *FLOAT_EDGES,
     ])
     def test_known_differences(self, text):
         assert outcome(lambda: parse_coefficient(text)) == outcome(
