@@ -3,7 +3,11 @@
 Exit codes: 0 success, 2 configuration error, 3 verification failure,
 64 usage error, 65 unreadable report file.  JSON goes to stdout unless
 --json PATH is given; reports are byte-stable across runs unless --timing
-is requested.
+is requested.  verify reruns solve's report builder on a stored report's
+raw coefficients, h and branch and compares the two reports in one walk:
+floats within --tol relative to max(1, |rebuilt|), everything else exactly
+in type and value.  A differing shape exits 65, any other difference 3,
+naming the field's JSON path; warnings and timing_ms are not compared.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from . import foldconfig, foldsolve, polynomial
 from .errors import ConfigMismatch, DegenerateDegree, OrigamiQuinticError
 from .foldconfig import Branch, FoldConfig
 from .foldsolve import FoldSolution
-from .geometry import Line, canonical_gap, fold_xi
 from .polynomial import Quintic, worst_item
 
 EXIT_OK = 0
@@ -40,6 +43,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # subparsers are _Parsers too; --h must not mean --help
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit 2; we need 64
         raise UsageError(message)
 
@@ -65,20 +71,19 @@ def parse_coeffs(text: str) -> list[float]:
         raise UsageError(str(exc)) from exc
 
 
-def read_quintic(text: str) -> tuple[list[float], Quintic]:
-    """The raw --coeffs values and their monic form.
+def monic_of(raw: list[float]) -> Quintic:
+    """The monic form of six raw coefficients.
 
     Dividing by a tiny leading coefficient can overflow; a monic
     coefficient that is not finite is a usage error naming it.
     """
-    raw = parse_coeffs(text)
     monic = polynomial.normalize_monic(raw)
     for i, value in enumerate(monic.coeffs):
         if not math.isfinite(value):
             raise UsageError(
                 f"monic coefficient {i} is {value!r}: {raw[i]!r} / {raw[0]!r} overflows"
             )
-    return raw, monic
+    return monic
 
 
 def _config_dict(cfg: FoldConfig) -> dict:
@@ -110,15 +115,6 @@ def report_to_dict(report: RunReport) -> dict:
     if report.timing_ms is not None:
         out["timing_ms"] = report.timing_ms
     return out
-
-
-def _line_from_dict(data: dict) -> Line:
-    return Line(float(data["a"]), float(data["b"]), float(data["c"]))
-
-
-def config_from_dict(data: dict) -> FoldConfig:
-    return FoldConfig._make(Branch(data[name]) if name == "branch" else float(data[name])
-                            for name in FoldConfig._fields)
 
 
 def _dump(payload: dict, path: str | None) -> None:
@@ -201,18 +197,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _solve_report(args, tol: float) -> RunReport:
-    raw, monic = read_quintic(args.coeffs)
+def _solve_report(args, raw: list[float]) -> RunReport:
+    """The report of solving raw with args' h_override, branch, root_tol and
+    tol (which only the warnings read): solve writes it, verify rebuilds it."""
+    monic, tol = monic_of(raw), args.tol
     warnings: list[str] = []
     start = time.perf_counter()
     if monic.a0 == 0.0:
-        quartic = monic.coeffs[:5]
-        warnings.append(
-            "constant term is zero: t = 0 is an exact root; the remaining factor "
-            f"is the quartic {list(quartic)}, outside the two-fold construction"
-        )
-        return RunReport(raw=raw, monic=monic, config=None, solutions=[],
-                         warnings=warnings)
+        warnings.append("constant term is zero: t = 0 is an exact root; the remaining factor "
+                        f"is the quartic {list(monic.coeffs[:5])}, outside the two-fold "
+                        "construction")
+        return RunReport(raw=raw, monic=monic, config=None, solutions=[], warnings=warnings)
     cfg = foldconfig.build_config(monic, h_override=args.h_override,
                                   branch=Branch(args.branch))
     solutions = foldsolve.solve_all(cfg, monic, root_tol=args.root_tol)
@@ -221,9 +216,7 @@ def _solve_report(args, tol: float) -> RunReport:
             warnings.append(f"diagnostic {diag} at t = {sol.t!r}")
         if not sol.residuals.passes(tol):
             name, worst = sol.residuals.worst_field
-            warnings.append(
-                f"residual {worst:.3e} ({name}) above tol {tol:.3e} at t = {sol.t!r}"
-            )
+            warnings.append(f"residual {worst:.3e} ({name}) above tol {tol:.3e} at t = {sol.t!r}")
     elapsed = (time.perf_counter() - start) * 1000.0
     timing = elapsed if getattr(args, "timing", False) else None
     return RunReport(raw=raw, monic=monic, config=cfg, solutions=solutions,
@@ -231,21 +224,21 @@ def _solve_report(args, tol: float) -> RunReport:
 
 
 def cmd_solve(args) -> int:
-    tol = args.tol
-    report = _solve_report(args, tol)
+    report = _solve_report(args, parse_coeffs(args.coeffs))
     _dump(report_to_dict(report), args.json)
     if args.svg and report.solutions:
         from . import render  # only --svg draws, so only --svg loads render
 
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render.render_gallery(report.config, report.solutions))
-    if any(not s.residuals.passes(tol) for s in report.solutions):
+    if any(not s.residuals.passes(args.tol) for s in report.solutions):
         return EXIT_VERIFY
     return EXIT_OK
 
 
 def cmd_config(args) -> int:
-    raw, monic = read_quintic(args.coeffs)
+    raw = parse_coeffs(args.coeffs)
+    monic = monic_of(raw)
     cfg = foldconfig.build_config(monic, h_override=args.h_override,
                                   branch=Branch(args.branch))
     foldsolve.check_roundtrip(cfg, monic.coeffs)
@@ -255,8 +248,8 @@ def cmd_config(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    raw, monic = read_quintic(args.coeffs)
-    branch = Branch(args.branch)
+    raw = parse_coeffs(args.coeffs)
+    monic, branch = monic_of(raw), Branch(args.branch)
 
     direct_cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=branch)
     direct_sols = foldsolve.solve_all(direct_cfg, monic, root_tol=args.root_tol)
@@ -267,10 +260,8 @@ def cmd_compare(args) -> int:
                                       root_tol=args.root_tol)
     scaled_roots = [s.t for s in scaled_sols]
     mapped = sorted(t * pipeline.scale - pipeline.shift for t in scaled_roots)
-    if len(mapped) == len(direct_roots):
-        gaps = [abs(a - b) for a, b in zip(mapped, direct_roots)]
-    else:
-        gaps = []
+    same_count = len(mapped) == len(direct_roots)
+    gaps = [abs(a - b) for a, b in zip(mapped, direct_roots)] if same_count else []
 
     _dump(
         {
@@ -298,42 +289,58 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _difference(stored, rebuilt, tol: float, path: str = "") -> tuple[int, str] | None:
+    """The first field, in walk order, where a stored report departs from its
+    rebuild: an exit code and a message naming the field's JSON path, such as
+    solutions.0.chi.a.  None when they agree."""
+    if type(stored) is not type(rebuilt):  # so true is not 1, nor null 0.0
+        return EXIT_DATA, f"{path} is {type(stored).__name__}, not {type(rebuilt).__name__}"
+    if isinstance(rebuilt, list):  # walked as a dict keyed by index
+        stored, rebuilt = dict(enumerate(stored)), dict(enumerate(rebuilt))
+    if isinstance(rebuilt, dict):
+        if stored.keys() != rebuilt.keys():  # a root more or less fails the check
+            code = EXIT_VERIFY if path == "solutions" else EXIT_DATA
+            return code, (f"{path or 'report'} has {len(stored)} entries {sorted(stored)}, "
+                          f"rebuilt {sorted(rebuilt)}")
+        faults = (_difference(stored[key], rebuilt[key], tol, f"{path}.{key}".lstrip("."))
+                  for key in rebuilt)
+        return next(filter(None, faults), None)
+    if isinstance(rebuilt, float):  # the roundtrip gate's relative gap; NaN fails
+        same = polynomial.coefficient_gap([stored], [rebuilt]) <= tol
+    else:
+        same = stored == rebuilt
+    return None if same else (EXIT_VERIFY, f"{path} is {stored!r}, rebuilt {rebuilt!r}")
+
+
 def cmd_verify(args) -> int:
     tol = args.tol
     try:
         with open(args.json, encoding="utf-8") as handle:
-            data = json.load(handle)
-        # a tampered monic need not be monic; only its length and lead are checked
-        monic = [float(c) for c in data["quintic"]["monic"]]
-        polynomial.normalize_monic(monic)
-        cfg = None if data["config"] is None else config_from_dict(data["config"])
-        stored = data["solutions"]
-        if not isinstance(stored, list):
-            raise TypeError(f"solutions is {type(stored).__name__}, not a list")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+            stored = json.load(handle)
+        raw, cfg = [float(v) for v in stored["quintic"]["raw"]], stored["config"]
+        h, branch = (None, "plus") if cfg is None else (float(cfg["h"]), cfg["branch"])
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         print(f"unreadable report: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-    if cfg is None:
-        # no configuration was built (t = 0 short circuit); nothing to re-check
-        return EXIT_OK
-    foldsolve.check_roundtrip(cfg, monic)
-
-    gaps = [("", 0.0)]
-    for entry in stored:
-        try:
-            t = float(entry["t"])
-            xi = _line_from_dict(entry["xi"])
-            chi = _line_from_dict(entry["chi"])
-        except (ValueError, KeyError, TypeError) as exc:
-            print(f"unreadable solution entry: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        name, worst = foldsolve.verify(cfg, t).worst_field
-        at = f" at t = {t!r}"
-        gaps += ((name + at, worst),
-                 ("xi gap" + at, canonical_gap(xi, fold_xi(t, cfg.h))),
-                 ("chi gap" + at, canonical_gap(chi, foldsolve.chi_from_xi(cfg, t))))
-    name, worst = worst_item(gaps)
+    options = argparse.Namespace(h_override=h, branch=branch, root_tol=DEFAULT_ROOT_TOL, tol=tol)
+    try:
+        report = _solve_report(options, raw)
+    except (OrigamiQuinticError, UsageError, ValueError, OverflowError) as exc:
+        print(f"verification failed: no rebuild: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    # warnings and timing_ms follow solve's --tol and the clock, so they are not compared
+    stored = {key: value for key, value in stored.items() if key not in ("warnings", "timing_ms")}
+    rebuilt = report_to_dict(report)
+    del rebuilt["warnings"]
+    fault = _difference(stored, rebuilt, tol)
+    if fault is not None:
+        code, message = fault
+        print(f"{'unreadable report' if code == EXIT_DATA else 'verification failed'}: {message}",
+              file=sys.stderr)
+        return code
+    name, worst = worst_item([("", 0.0)] + [(f"{field} at t = {sol.t!r}", value)
+                                            for sol in report.solutions
+                                            for field, value in [sol.residuals.worst_field]])
     if not worst <= tol:
         print(f"verification failed: worst residual {worst:.3e} ({name}) > tol {tol:.3e}",
               file=sys.stderr)
@@ -346,14 +353,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_options(args)
-        handlers = {
-            "solve": cmd_solve,
-            "config": cmd_config,
-            "compare": cmd_compare,
-            "verify": cmd_verify,
-        }
+        handlers = {"solve": cmd_solve, "config": cmd_config, "compare": cmd_compare,
+                    "verify": cmd_verify}
         return handlers[args.command](args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateDegree as exc:

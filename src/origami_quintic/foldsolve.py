@@ -94,43 +94,34 @@ def chi_from_xi(cfg: FoldConfig, t: float) -> Line:
     return reflect_line(cfg.line_n, fold_xi(t, cfg.h))
 
 
-def verify(
-    cfg: FoldConfig, t: float, *, xi: Line | None = None, chi: Line | None = None
-) -> IncidenceResiduals:
+def verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:
     """Measure every incidence residual for the candidate parameter t.
 
-    xi and chi each default to the reconstruction from (cfg, t); stored
-    lines may be passed instead to re-check a serialized solution.  Outside
-    the parallel case the xi-n intersection is recomputed and its distance
-    to chi reported; inside it, a chi off xi's direction (a NaN chi once
-    t*t overflows) gives a NaN equidistant residual.  Thresholding the
+    Outside the parallel case the xi-n intersection is recomputed and its
+    distance to chi reported; inside it, a chi off xi's direction (a NaN chi
+    once t*t overflows) gives a NaN equidistant residual.  Thresholding the
     residuals is the caller's call.
     """
-    if xi is None:
-        xi = fold_xi(t, cfg.h)
-    elif chi is None:
-        chi = chi_from_xi(cfg, t)
-    return _reconstruct(cfg, t, xi, chi, None).residuals
+    return _reconstruct(cfg, t, None).residuals
 
 
-def _reconstruct(cfg: FoldConfig, t: float, xi: Line, chi: Line | None,
-                 quintic: Quintic | None, multiplicity: int = 1) -> FoldSolution:
-    """The per-root kernel of solve_all and verify: every fold and image at t
-    built once, every incidence measured on local floats.
+def _reconstruct(cfg: FoldConfig, t: float, quintic: Quintic | None,
+                 multiplicity: int = 1) -> FoldSolution:
+    """The per-root kernel of solve_all and verify: xi from (t, h), chi the
+    reflection of n across xi, every fold and image at t built once and every
+    incidence measured on local floats.
 
-    chi None means the reflection of n across xi.  quintic is the
-    configuration's quintic, or None to build it here, after the folds.
+    quintic is the configuration's quintic, or None to build it here, after
+    the folds.
     """
     h, b, c, k, p, q = cfg.h, cfg.b, cfg.c, cfg.k, cfg.p, cfg.q
     na, nb, nc = 1.0, b, c  # line n
+    xi = fold_xi(t, h)
     xa, xb, xc = xi.a, xi.b, xi.c
-    rebuilt = chi is None
-    if rebuilt:
-        chi = Line(*reflect_abc(na, nb, nc, xa, xb, xc))
+    chi = Line(*reflect_abc(na, nb, nc, xa, xb, xc))
     ca, cb, cc = chi.a, chi.b, chi.c
     qx, qy = reflect_xy(0.0, h, xa, xb, xc)
     px, py = reflect_xy(p, q, ca, cb, cc)
-    ra, rb, rc = (ca, cb, cc) if rebuilt else reflect_abc(na, nb, nc, xa, xb, xc)
     xn, nn, cn = math.hypot(xa, xb), math.hypot(na, nb), math.hypot(ca, cb)
 
     parallel = parallel_abc(xa, xb, xn, na, nb, nn)
@@ -148,11 +139,10 @@ def _reconstruct(cfg: FoldConfig, t: float, xi: Line, chi: Line | None,
         on_chi = distance_xy(*crossing_abc(xa, xb, xc, na, nb, nc), ca, cb, cc, cn)
 
     chi_unit = canonical_abc(ca, cb, cc, cn)
-    ref_unit = chi_unit if rebuilt else canonical_abc(ra, rb, rc, math.hypot(ra, rb))
     residuals = IncidenceResiduals(
         q_on_m=abs(qy + h),
         p_on_l=abs(px - k),
-        align=triple_gap(ref_unit, chi_unit),
+        align=triple_gap(chi_unit, chi_unit),  # zero by construction, NaN when chi is
         bisect=bisect_defect_abc(xa, xb, xn, na, nb, nn, ca, cb, cn),
         quintic_value=abs(evaluate(config_quintic(cfg) if quintic is None else quintic, t)),
         equidistant=equidistant,
@@ -207,6 +197,6 @@ def solve_all(
     """
     quintic = check_roundtrip(cfg, source.coeffs)
     return [
-        _reconstruct(cfg, root, fold_xi(root, cfg.h), None, quintic, mult)
+        _reconstruct(cfg, root, quintic, mult)
         for root, mult in real_roots(source, root_tol)
     ]

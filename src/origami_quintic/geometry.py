@@ -83,11 +83,6 @@ def triple_gap(u: ABC, v: ABC) -> float:
     return min(direct, flipped)
 
 
-def canonical_gap(l1: Line, l2: Line) -> float:
-    """Max-abs gap between canonical forms, insensitive to the sign tie at a ~ 0."""
-    return triple_gap(canonical(l1), canonical(l2))
-
-
 def fold_xi(t: float, h: float) -> Line:
     """Fold line placing Q(0, h) onto y = -h at Q'(2t, -h): t*x - h*y = t**2.
 

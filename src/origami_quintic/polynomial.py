@@ -15,6 +15,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import DegenerateDegree, NoScaleFound, NotDepressed, SturmOverflow, ZeroScale
 
 DEGREE = 5
+# a derivative at a root counts as zero below this share of its evaluation scale
+MULTIPLICITY_TOL = 1e-6
 
 
 class _QuinticFields(NamedTuple):
@@ -135,17 +137,15 @@ def cauchy_bound(q: Quintic) -> float:
     return math.nextafter(peak, math.inf)
 
 
-def real_roots(
-    q: Quintic, tol: float = 1e-12, multiplicity_tol: float = 1e-6
-) -> list[tuple[float, int]]:
+def real_roots(q: Quintic, tol: float = 1e-12) -> list[tuple[float, int]]:
     """All real roots of a monic quintic, ascending, with multiplicities.
 
     Distinct roots are isolated by Sturm sign-variation counts on a
     bisected interval [-B, B] (B the Cauchy bound), refined by bisection
     to bracket width <= tol on the square-free part and polished with
     Newton steps.  A root is declared m-fold when its first m-1
-    derivatives are numerically zero relative to the evaluation scale,
-    with multiplicity_tol quantifying the judgment.
+    derivatives are numerically zero relative to the evaluation scale
+    (MULTIPLICITY_TOL).
 
     A real quintic always has at least one real root, so the result is
     never empty.
@@ -163,7 +163,7 @@ def real_roots(
     roots: list[tuple[float, int]] = []
     for blo, bhi in brackets:
         root = _refine_root(poly, dpoly, blo, bhi, tol)
-        roots.append((root, _multiplicity(q.coeffs, root, multiplicity_tol)))
+        roots.append((root, _multiplicity(q.coeffs, root)))
     roots.sort(key=lambda pair: pair[0])
     return roots
 
@@ -376,14 +376,14 @@ def _newton_polish(
     return best
 
 
-def _multiplicity(coeffs: Sequence[float], root: float, mult_tol: float) -> int:
+def _multiplicity(coeffs: Sequence[float], root: float) -> int:
     mult = 1
     deriv = list(coeffs)
     for _ in range(DEGREE - 1):
         deriv = _poly_derivative(deriv)
         value = _horner(deriv, root)
         scale_ = _horner([abs(c) for c in deriv], abs(root))
-        if abs(value) <= mult_tol * (1.0 + scale_):
+        if abs(value) <= MULTIPLICITY_TOL * (1.0 + scale_):
             mult += 1
         else:
             break
@@ -401,16 +401,11 @@ def worst_item(items: Iterable[tuple[str, float]]) -> tuple[str, float]:
     return nan or max(items, key=lambda item: item[1])
 
 
-def max_or_nan(values: Iterable[float]) -> float:
-    """The largest value, or NaN if any value is NaN."""
-    return worst_item(("", v) for v in values)[1]
-
-
 def coefficient_gap(got: Sequence[float], want: Sequence[float]) -> float:
     """Worst per-coefficient error |got - want| / max(1, |want|); NaN if any is NaN."""
     if len(got) != len(want):
         raise ValueError("coefficient sequences differ in length")
-    return max_or_nan(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
+    return worst_item(("", abs(g - w) / max(1.0, abs(w))) for g, w in zip(got, want))[1]
 
 
 _DECIMAL_CHARS = frozenset("0123456789+-.eE")

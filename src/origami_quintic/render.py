@@ -87,10 +87,6 @@ def _fmt(v: float) -> str:
     return "0.00" if out == "-0.00" else out
 
 
-def _sig4(v: float) -> str:
-    return f"{v:.4g}"
-
-
 def auto_viewport(points: list[Point], width_px: int = 640, height_px: int = 480) -> Viewport:
     """Bounding box of the marked points padded 20 percent on each side."""
     xs = [p.x for p in points]
@@ -191,14 +187,11 @@ def _solution_body(cfg: FoldConfig, sol: FoldSolution, m: _Mapper) -> list[str]:
     for pt, name in ((q, "Q"), (q_img, "Q′"), (p, "P"), (p_img, "P′")):
         parts.append(_dot(m, pt, "marker"))
         parts.append(_text(m, pt, name))
-    for mid in (
-        Point(0.5 * (q.x + q_img.x), 0.5 * (q.y + q_img.y)),
-        Point(0.5 * (p.x + p_img.x), 0.5 * (p.y + p_img.y)),
-    ):
+    for mid in marked_points(cfg, sol)[4:6]:  # the crease midpoints
         parts.append(_dot(m, mid, "midmarker", r=2.2))
     t_mark = Point(sol.t, 0.0)
     parts.append(_dot(m, t_mark, "marker"))
-    parts.append(_text(m, t_mark, f"t = {_sig4(sol.t)}", dy=16.0))
+    parts.append(_text(m, t_mark, f"t = {sol.t:.4g}", dy=16.0))
     return parts
 
 

@@ -28,7 +28,6 @@ from origami_quintic.errors import SturmOverflow
 from origami_quintic.foldsolve import check_roundtrip
 from origami_quintic.polynomial import (
     _horner,
-    _multiplicity,
     _poly_derivative,
     _sturm_chain,
     cauchy_bound,
@@ -37,9 +36,9 @@ from origami_quintic.geometry import (
     PARALLEL_TOL,
     bisect_defect_abc,
     canonical,
-    canonical_gap,
     crossing_abc,
     through_xy,
+    triple_gap,
 )
 
 HENDECAGON = (1.0, 1.0, -4.0, -3.0, 3.0, 1.0)
@@ -224,6 +223,11 @@ class ZeroB(OrigamiQuinticError):
     """Parallel fold lines are impossible when line n is vertical (b = 0)."""
 
 
+def canonical_gap(l1: Line, l2: Line) -> float:
+    """Max-abs gap between canonical forms, insensitive to the sign tie at a ~ 0."""
+    return triple_gap(canonical(l1), canonical(l2))
+
+
 def line_through(p1: Point, p2: Point) -> Line:
     """Line through two distinct points."""
     return Line(*through_xy(p1.x, p1.y, p2.x, p2.y))
@@ -377,9 +381,23 @@ def reference_real_roots(q: Quintic, tol: float = 1e-12,
     roots = []
     for blo, bhi in brackets:
         root = _reference_refine_root(square_free, d_square_free, blo, bhi, tol)
-        roots.append((root, _multiplicity(q.coeffs, root, multiplicity_tol)))
+        roots.append((root, _reference_multiplicity(q.coeffs, root, multiplicity_tol)))
     roots.sort(key=lambda pair: pair[0])
     return roots
+
+
+def _reference_multiplicity(coeffs, root, mult_tol):
+    mult = 1
+    deriv = list(coeffs)
+    for _ in range(4):
+        deriv = _poly_derivative(deriv)
+        value = _horner(deriv, root)
+        scale_ = _horner([abs(c) for c in deriv], abs(root))
+        if abs(value) <= mult_tol * (1.0 + scale_):
+            mult += 1
+        else:
+            break
+    return mult
 
 
 def _reference_variations(chain, x):

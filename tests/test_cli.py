@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import origami_quintic
 from origami_quintic.cli import (
@@ -290,7 +293,7 @@ class TestVerify:
         [
             (lambda monic: [2.0 * c for c in monic], EXIT_VERIFY),
             (lambda monic: monic[:5], EXIT_DATA),
-            (lambda monic: [0.0, *monic[1:]], EXIT_USAGE),
+            (lambda monic: [0.0, *monic[1:]], EXIT_VERIFY),
             (lambda monic: "1,1,-4,-3,3,1", EXIT_DATA),
             (lambda monic: [5.0, *monic[1:]], EXIT_VERIFY),
             (lambda monic: [float("nan"), *monic[1:]], EXIT_VERIFY),
@@ -314,10 +317,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "tamper, named",
         [
-            (lambda sol: sol.update(t=sol["t"] + 0.01), "(quintic_value at t = "),
-            (lambda sol: sol["chi"].update(a=sol["chi"]["a"] + 0.01), "(chi gap at t = "),
-            (lambda sol: sol["xi"].update(a=sol["xi"]["a"] + 0.01), "(xi gap at t = "),
-            (lambda sol: sol.update(t=1e200), "worst residual nan (q_on_m at t = 1e+200)"),
+            (lambda sol: sol.update(t=sol["t"] + 0.01), "failed: solutions.0.t is "),
+            (lambda sol: sol["chi"].update(a=sol["chi"]["a"] + 0.01), "failed: solutions.0.chi.a is "),
+            (lambda sol: sol["xi"].update(a=sol["xi"]["a"] + 0.01), "failed: solutions.0.xi.a is "),
+            (lambda sol: sol.update(t=1e200),
+             "failed: solutions.0.t is 1e+200, rebuilt -1.9189859472289947\n"),
         ],
         ids=["root", "chi", "xi", "overflowing_t"],
     )
@@ -374,6 +378,200 @@ def test_tampered_report_fails_without_traceback(capsys, tmp_path, path, value, 
     assert "Traceback" not in result.stderr
     if code == EXIT_DATA:
         assert result.stderr.startswith("unreadable")
+
+
+README_ARGS = ["--coeffs", "1,0,-110,-55,2310,979"]
+
+# each replaces one leaf of a stored report
+TAMPER_VALUES = (1e9, -1.5, "x", None, True, [], -5.0)
+
+
+def _solved(tmp_path, args):
+    """A report written by solve, as loaded JSON."""
+    path = tmp_path / "solved.json"
+    assert main(["solve", *args, "--json", str(path)]) == EXIT_OK
+    return json.loads(path.read_text())
+
+
+def _leaf_paths(node, path=()):
+    """The path of every number, string, bool and null in a JSON tree."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items for leaf in _leaf_paths(value, (*path, key))]
+    return [path]
+
+
+def _is_tampering(old, new):
+    """Another JSON type or value; two floats must differ by more than the
+    default tol relative to max(1, |old|), since verify forgives less."""
+    if type(old) is not type(new):
+        return True
+    if isinstance(old, float):
+        return not abs(new - old) <= 1e-9 * max(1.0, abs(old))
+    return old != new
+
+
+def _verify(tmp_path, capsys, data):
+    """verify's exit code and stderr on this report, which must hold no traceback."""
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["verify", "--json", str(path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+class TestVerifyRebuildsTheReport:
+    """verify reruns solve's report builder and compares every stored field."""
+
+    @pytest.mark.parametrize("args", [HENDECAGON_ARGS, README_ARGS], ids=["hendecagon", "readme"])
+    def test_any_one_field_tampered_fails(self, tmp_path, capsys, args):
+        stored = _solved(tmp_path, args)
+
+        @settings(max_examples=250, deadline=None)
+        @given(path=st.sampled_from(_leaf_paths(stored)), value=st.sampled_from(TAMPER_VALUES))
+        def check(path, value):
+            data = copy.deepcopy(stored)
+            old = data
+            for key in path:
+                old = old[key]
+            assume(_is_tampering(old, value))
+            _tamper(data, path, value)
+            assert _verify(tmp_path, capsys, data)[0] in (EXIT_VERIFY, EXIT_DATA)
+
+        check()
+
+    @pytest.mark.parametrize("args", [HENDECAGON_ARGS, README_ARGS], ids=["hendecagon", "readme"])
+    def test_solutions_dropped_duplicated_or_reordered_fail(self, tmp_path, capsys, args):
+        stored = _solved(tmp_path, args)
+        count = len(stored["solutions"])
+
+        @settings(max_examples=60, deadline=None)
+        @given(edit=st.sampled_from(["drop", "duplicate", "reorder"]),
+               index=st.integers(0, count - 1), order=st.permutations(range(count)))
+        def check(edit, index, order):
+            data = copy.deepcopy(stored)
+            sols = data["solutions"]
+            if edit == "drop":
+                del sols[index]
+            elif edit == "duplicate":
+                sols.insert(index, copy.deepcopy(sols[index]))
+            else:
+                assume(order != list(range(count)))
+                data["solutions"] = [sols[i] for i in order]
+            assert _verify(tmp_path, capsys, data)[0] == EXIT_VERIFY
+
+        check()
+
+    @pytest.mark.parametrize("args", [HENDECAGON_ARGS, README_ARGS], ids=["hendecagon", "readme"])
+    def test_changed_raw_fails(self, tmp_path, capsys, args):
+        stored = _solved(tmp_path, args)
+        monic = stored["quintic"]["monic"]
+
+        @settings(max_examples=60, deadline=None)
+        @given(raw=st.lists(st.integers(-9, 9).map(float), min_size=6, max_size=6))
+        def check(raw):
+            # a multiple of the stored raw has the same monic: another input, same report
+            assume(raw[0] != 0.0)
+            assume(any(_is_tampering(m, r / raw[0]) for m, r in zip(monic, raw)))
+            data = copy.deepcopy(stored)
+            data["quintic"]["raw"] = raw
+            assert _verify(tmp_path, capsys, data)[0] in (EXIT_VERIFY, EXIT_DATA)
+
+        check()
+
+    def test_one_solution_removed_names_the_count(self, tmp_path, capsys):
+        data = _solved(tmp_path, HENDECAGON_ARGS)
+        del data["solutions"][0]
+        code, err = _verify(tmp_path, capsys, data)
+        assert code == EXIT_VERIFY
+        assert err.startswith("verification failed: solutions has 4 entries")
+
+    @pytest.mark.parametrize("args", [
+        [*HENDECAGON_ARGS, "--timing"],
+        ["--coeffs", "2,2,-8,-6,6,2", "--h", "0.5", "--branch", "minus", "--root-tol", "1e-4"],
+    ], ids=["timing", "h_branch_root_tol"])
+    def test_untampered_report_passes(self, tmp_path, capsys, args):
+        # timing_ms is not compared; roots refined to another root tol agree within tol
+        assert _verify(tmp_path, capsys, _solved(tmp_path, args)) == (EXIT_OK, "")
+
+    def test_bool_is_not_int(self, tmp_path, capsys):
+        data = _solved(tmp_path, HENDECAGON_ARGS)
+        data["solutions"][0]["multiplicity"] = True
+        assert _verify(tmp_path, capsys, data) == (
+            EXIT_DATA, "unreadable report: solutions.0.multiplicity is bool, not int\n")
+
+    def test_rebuild_failure_is_verification_failure(self, tmp_path, capsys):
+        # h = 2 makes the hendecagon's discriminant negative: solve would exit 2
+        data = _solved(tmp_path, HENDECAGON_ARGS)
+        data["config"]["h"] = 2.0
+        code, err = _verify(tmp_path, capsys, data)
+        assert code == EXIT_VERIFY
+        assert err.startswith("verification failed: no rebuild: NegativeDiscriminant: ")
+
+
+def test_deeply_nested_report_is_unreadable(capsys, tmp_path):
+    # json gives up on nesting this deep with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"quintic": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["verify", "--json", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("unreadable report: maximum recursion depth")
+
+
+def test_abbreviated_help_flag_is_usage_error(capsys, tmp_path):
+    # --h once expanded to verify's --help and exited 0 without checking anything
+    data = _solved(tmp_path, HENDECAGON_ARGS)
+    data["solutions"][0]["s"] = 1e9
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--json", str(path)]) == EXIT_VERIFY
+    assert main(["verify", "--json", str(path), "--h", "2"]) == EXIT_USAGE
+    assert main(["--he"]) == EXIT_USAGE
+    assert main(["solve", "--co", "1,1,-4,-3,3,1"]) == EXIT_USAGE
+    assert "unrecognized arguments: --h 2" in capsys.readouterr().err
+
+
+# argument lists for every subcommand, with values the solver must refuse cleanly
+COMMAND_TOKENS = ["solve", "config", "compare", "verify"]
+FLAG_TOKENS = ["--coeffs", "--h", "--branch", "--json", "--svg", "--timing", "--tol", "--root-tol",
+               "-h", "--help", "--he", "--co", "--js", "--ti", "--"]
+HOSTILE_VALUES = ["nan", "1e400", "1/0", "5e-324,1,1,1,1,1", "1,-1e300,0,0,0,1", "1,1,-4,-3,3,1",
+                  "1,0,-110,-55,2310,979", "plus", "minus", "x", "", "0", "-1", "2", "1e-300",
+                  "missing/report.json", "a_directory", "report.json", "out.json"]
+
+
+@st.composite
+def argument_lists(draw):
+    argv = [] if draw(st.integers(0, 9)) == 0 else [draw(st.sampled_from(COMMAND_TOKENS))]
+    if draw(st.integers(0, 9)) < 7:
+        argv += ["--coeffs", draw(st.sampled_from(HOSTILE_VALUES[:7]))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 4)) < 4:
+            argv += [draw(st.sampled_from(FLAG_TOKENS)), draw(st.sampled_from(HOSTILE_VALUES))]
+        else:
+            argv.append(draw(st.sampled_from(COMMAND_TOKENS + FLAG_TOKENS + HOSTILE_VALUES)))
+    return argv
+
+
+def test_any_argument_list_exits_cleanly(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths land here
+    (tmp_path / "a_directory").mkdir()
+    assert main(["solve", *HENDECAGON_ARGS, "--json", "report.json"]) == EXIT_OK
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argument_lists())
+    def check(argv):
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's help, and only on an exact help flag
+            assert exc.code == 0 and {"-h", "--help"} & set(argv)
+            return
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_USAGE, EXIT_DATA)
+        assert "Traceback" not in capsys.readouterr().err
+
+    check()
 
 
 def _child_env():

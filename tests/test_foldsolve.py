@@ -24,7 +24,6 @@ from origami_quintic import (
     verify,
 )
 from origami_quintic.foldsolve import check_roundtrip
-from origami_quintic.geometry import canonical_gap
 from origami_quintic.polynomial import Quintic
 
 from conftest import (
@@ -32,6 +31,7 @@ from conftest import (
     HENDECAGON_ROOTS,
     NotParallel,
     ZeroB,
+    canonical_gap,
     is_parallel_case,
     make_config,
     outcome,
@@ -176,16 +176,6 @@ class TestVerify:
         assert name == "bisect" and math.isnan(worst)
         ties = IncidenceResiduals(0.0, 2.0, 2.0, 0.0, 1.0, 0.0, 0.0)
         assert ties.worst_field == ("p_on_l", 2.0)
-
-    def test_accepts_stored_lines(self, hendecagon_config):
-        t = HENDECAGON_ROOTS[0]
-        xi = fold_xi(t, hendecagon_config.h)
-        chi = chi_from_xi(hendecagon_config, t)
-        residuals = verify(hendecagon_config, t, xi=xi, chi=chi)
-        assert residuals.passes(1e-9)
-        # a perturbed chi is caught through the alignment residual
-        crooked = Line(chi.a * 1.01, chi.b, chi.c)
-        assert verify(hendecagon_config, t, xi=xi, chi=crooked).align > 1e-4
 
 
 class TestParallelCaseCheck:
@@ -364,17 +354,9 @@ class TestKernelOracle:
             except (OrigamiQuinticError, ValueError):
                 continue
             for sol in sols:
-                nudged = fold_xi(sol.t * (1.0 + 1e-7) + 1e-9, cfg.h)
-                stored = [{}, {"xi": sol.xi}, {"chi": sol.chi}, {"xi": nudged, "chi": sol.chi},
-                          {"xi": nudged}]
                 for t in (sol.t, sol.t + rng.normal()):
-                    for lines in stored:
-                        want = outcome(lambda: reference_verify(cfg, t, **lines))
-                        if want.startswith("NotParallel"):
-                            # xi along n, a chi off xi's direction: now a NaN distance
-                            assert math.isnan(verify(cfg, t, **lines).equidistant)
-                        else:
-                            assert outcome(lambda: verify(cfg, t, **lines)) == want
+                    want = outcome(lambda: reference_verify(cfg, t))
+                    assert outcome(lambda: verify(cfg, t)) == want
 
 
 def test_check_roundtrip_overflow_is_mismatch():

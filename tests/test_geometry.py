@@ -6,14 +6,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from origami_quintic import Line, Point, canonical, fold_xi, reflect_line, reflect_point
-from origami_quintic.geometry import canonical_gap
-
 from conftest import (
     CoincidentLines,
     CoincidentPoints,
     NotParallel,
     bisect_defect,
     bisects,
+    canonical_gap,
     fold_chi,
     intersect,
     line_through,
