@@ -22,7 +22,8 @@ class NoScaleFound(OrigamiQuinticError):
 
 
 class SturmOverflow(OrigamiQuinticError):
-    """A Sturm chain sign is NaN: the root bound is beyond the float range."""
+    """A Sturm chain sign at the root bound is NaN, or the counts there find
+    no real root: the bound is beyond the float range or Horner overflowed."""
 
 
 class ZeroConstantTerm(OrigamiQuinticError):

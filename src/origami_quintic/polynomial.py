@@ -3,8 +3,11 @@
 Coefficients are stored densely in descending degree order (a5 .. a0).
 The root finder isolates distinct real roots with an integer Sturm chain
 (the float coefficients scaled exactly to integers) plus interval
-bisection and polishes each root with safeguarded Newton steps;
-multiplicities are judged from derivative magnitudes at the root.
+bisection and polishes each root with safeguarded Newton steps.  A
+root's multiplicity is counted exactly on the integer Sturm chains of the
+successive gcds g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...: the chain of g_j
+counts the distinct roots of p repeated more than j times (the square-free
+decomposition of Yun, SYMSAC 1976).
 """
 
 from __future__ import annotations
@@ -13,10 +16,6 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateDegree, NoScaleFound, NotDepressed, SturmOverflow, ZeroScale
-
-DEGREE = 5
-# a derivative at a root counts as zero below this share of its evaluation scale
-MULTIPLICITY_TOL = 1e-6
 
 
 class _QuinticFields(NamedTuple):
@@ -143,27 +142,39 @@ def real_roots(q: Quintic, tol: float = 1e-12) -> list[tuple[float, int]]:
     Distinct roots are isolated by Sturm sign-variation counts on a
     bisected interval [-B, B] (B the Cauchy bound), refined by bisection
     to bracket width <= tol on the square-free part and polished with
-    Newton steps.  A root is declared m-fold when its first m-1
-    derivatives are numerically zero relative to the evaluation scale
-    (MULTIPLICITY_TOL).
+    Newton steps.  A root's multiplicity is its bracket's count plus, for
+    each gcd chain g1, g2, ..., the chain's count of roots in the bracket;
+    a bracket left at the width floor with several roots in it reports
+    their total.
 
     A real quintic always has at least one real root, so the result is
-    never empty.
+    never empty: a count of none at the bound raises ``SturmOverflow``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     bound = cauchy_bound(q)
-    chain, square_free = _sturm_chain(q.coeffs)
-    chain = [_pad(poly) for poly in chain]
+    exact = _integer_coefficients(q.coeffs)
+    chain, gcd = _sturm_chain(exact)
+    square_free = _normalized(exact if gcd == [1] else _primitive(_pseudo_divmod(exact, gcd)[0]))
+    poly, dpoly = _pad(square_free), _pad(_poly_derivative(square_free))
+    chains = [chain]
+    while gcd != [1]:
+        chain, gcd = _sturm_chain(gcd)
+        if gcd != [1]:  # over its own gcd, g_j's chain has no multiple root to blur its signs
+            chain = [_primitive(_pseudo_divmod(f, gcd)[0]) for f in chain]
+        chains.append(chain)
+    chain, *deeper = [[_pad(_normalized(f)) for f in c] for c in chains]
 
     lo, hi = -bound, bound
-    brackets = _isolate(chain, lo, hi, _variations(chain, lo), _variations(chain, hi))
-
-    poly, dpoly = _pad(square_free), _pad(_poly_derivative(square_free))
+    vlo, vhi = _variations(chain, lo), _variations(chain, hi)
+    if vlo <= vhi:
+        raise SturmOverflow(
+            f"Sturm chain counts no real root in [-B, B] for B = {bound!r}: "
+            f"V(-B) = {vlo}, V(B) = {vhi}")
     roots: list[tuple[float, int]] = []
-    for blo, bhi in brackets:
-        root = _refine_root(poly, dpoly, blo, bhi, tol)
-        roots.append((root, _multiplicity(q.coeffs, root)))
+    for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi):
+        mult = count + sum(_variations(c, blo) - _variations(c, bhi) for c in deeper)
+        roots.append((_refine_root(poly, dpoly, blo, bhi, tol), mult))
     roots.sort(key=lambda pair: pair[0])
     return roots
 
@@ -199,13 +210,6 @@ def _taylor_coefficients(coeffs: Sequence[float], x0: float) -> list[float]:
     return rems
 
 
-def _trim(coeffs: list[int]) -> list[int]:
-    out = list(coeffs)
-    while len(out) > 1 and out[0] == 0:
-        out.pop(0)
-    return out
-
-
 def _primitive(coeffs: Sequence[int]) -> list[int]:
     """Divide out the content; the gcd is positive, so the signs are kept."""
     content = math.gcd(*coeffs)
@@ -234,39 +238,43 @@ def _pseudo_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], l
     return quot, out[steps:]
 
 
-def _sturm_chain(coeffs: Sequence[float]) -> tuple[list[list[float]], list[float]]:
-    """Sturm chain and square-free part of a quintic with a nonzero lead.
-
-    Floats are dyadic rationals, so the coefficients scale exactly to
-    integers by a power of two.  The chain is an integer primitive-part
-    pseudo-remainder sequence: each negated remainder is formed with a
-    positive multiplier and divided by its content, so every element is a
-    positive multiple of the rational Sturm remainder, and zero
-    remainders, and with them repeated roots, are detected exactly
-    instead of through an epsilon.  Each element is then max-norm
-    normalized to floats for fast sign-variation counting; integer true
-    division rounds correctly, so the floats do not depend on which
-    positive multiple was kept.
-    """
+def _integer_coefficients(coeffs: Sequence[float]) -> list[int]:
+    """Floats are dyadic rationals, so the coefficients scale exactly to
+    integers by a power of two; their primitive part."""
     ratios = [c.as_integer_ratio() for c in coeffs]
     denom = max(d for _, d in ratios)
-    exact = _primitive([n * (denom // d) for n, d in ratios])
+    return _primitive([n * (denom // d) for n, d in ratios])
+
+
+def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """Sturm chain of a primitive integer polynomial of positive degree,
+    and its gcd with its derivative ([1] when it is square-free).
+
+    The chain is an integer primitive-part pseudo-remainder sequence: each
+    negated remainder is formed with a positive multiplier and divided by
+    its content, so every element is a positive multiple of the rational
+    Sturm remainder, and a zero remainder, and with it a repeated root, is
+    detected exactly instead of through an epsilon.  The chain then stops
+    on the gcd.
+    """
     degree = len(exact) - 1
-    chain = [exact, _primitive([c * (degree - i) for i, c in enumerate(exact[:-1])])]
-    square_free = exact
+    chain = [list(exact), _primitive([c * (degree - i) for i, c in enumerate(exact[:-1])])]
     while len(chain[-1]) > 1:
-        rem = _trim([-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]])
-        if rem == [0]:
-            # early termination: chain[-1] is gcd(p, p'), divide it out
-            square_free = _primitive(_pseudo_divmod(exact, chain[-1])[0])
-            break
+        rem = [-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]]
+        while rem and not rem[0]:
+            del rem[0]
+        if not rem:
+            return chain, chain[-1]
         chain.append(_primitive(rem))
-    floats = [
-        [c / peak for c in poly]
-        for poly in (*chain, square_free)
-        for peak in (max(map(abs, poly)),)
-    ]
-    return floats[:-1], floats[-1]
+    return chain, [1]
+
+
+def _normalized(poly: Sequence[int]) -> list[float]:
+    """Max-norm normalized floats for fast sign counting; integer true
+    division rounds correctly, so they do not depend on which positive
+    multiple of a polynomial was kept."""
+    peak = max(map(abs, poly))
+    return [c / peak for c in poly]
 
 
 def _pad(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -293,8 +301,9 @@ def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
 
 def _isolate(
     chain: Sequence[Sequence[float]], lo: float, hi: float, vlo: int, vhi: int
-) -> list[tuple[float, float]]:
-    """Brackets of the distinct roots in (lo, hi], left to right, by bisection
+) -> list[tuple[float, float, int]]:
+    """Brackets of the distinct roots in (lo, hi], left to right, with the
+    count of roots in each (above 1 only at the width floor), by bisection
     on the variation counts; a loop, since the depth grows with the scale."""
     a, b, c, d, e, f = chain[0]
     brackets = []
@@ -306,7 +315,7 @@ def _isolate(
             continue
         min_width = 1e-13 * max(1.0, abs(lo), abs(hi))
         if count == 1 or hi - lo <= min_width:
-            brackets.append((lo, hi))
+            brackets.append((lo, hi, count))
             continue
         x = 0.5 * (lo + hi)
         # never probe exactly at a root of p (would make variation counts ambiguous)
@@ -374,20 +383,6 @@ def _newton_polish(
         if abs(step) <= 1e-17 * max(1.0, abs(x)):
             break
     return best
-
-
-def _multiplicity(coeffs: Sequence[float], root: float) -> int:
-    mult = 1
-    deriv = list(coeffs)
-    for _ in range(DEGREE - 1):
-        deriv = _poly_derivative(deriv)
-        value = _horner(deriv, root)
-        scale_ = _horner([abs(c) for c in deriv], abs(root))
-        if abs(value) <= MULTIPLICITY_TOL * (1.0 + scale_):
-            mult += 1
-        else:
-            break
-    return mult
 
 
 def worst_item(items: Iterable[tuple[str, float]]) -> tuple[str, float]:

@@ -29,7 +29,6 @@ from origami_quintic.foldsolve import check_roundtrip
 from origami_quintic.polynomial import (
     _horner,
     _poly_derivative,
-    _sturm_chain,
     cauchy_bound,
 )
 from origami_quintic.geometry import (
@@ -363,41 +362,101 @@ def reference_parse_coefficient(text: str) -> float:
         raise ValueError(f"coefficient {text!r} is outside the float range") from None
 
 
+# The rational Sturm chains that the integer ones replaced, kept as their
+# reference: Fraction remainders, then max-norm normalized floats.
+
+
+def _frac_trim(coeffs):
+    out = list(coeffs)
+    while len(out) > 1 and out[0] == 0:
+        out.pop(0)
+    return out
+
+
+def _frac_rem(num, den):
+    out = list(num)
+    dn = len(den) - 1
+    quot_len = len(out) - dn
+    for i in range(quot_len):
+        coef = out[i] / den[0]
+        for j in range(1, dn + 1):
+            out[i + j] -= coef * den[j]
+    rem = out[quot_len:]
+    return rem if rem else [Fraction(0)]
+
+
+def _frac_div_exact(num, den):
+    out = list(num)
+    dn = len(den) - 1
+    quot = []
+    for i in range(len(out) - dn):
+        coef = out[i] / den[0]
+        quot.append(coef)
+        for j in range(1, dn + 1):
+            out[i + j] -= coef * den[j]
+    return quot
+
+
+def _frac_to_floats(coeffs):
+    peak = max(abs(c) for c in coeffs)
+    return [float(c / peak) for c in coeffs]
+
+
+def _frac_chain(exact):
+    """Sturm chain of a Fraction polynomial and its gcd with its derivative
+    (None when it is square-free)."""
+    n = len(exact) - 1
+    chain = [exact, _frac_trim([exact[i] * (n - i) for i in range(n)])]
+    while len(chain[-1]) > 1:
+        rem = _frac_trim([-c for c in _frac_rem(chain[-2], chain[-1])])
+        if all(c == 0 for c in rem):
+            return chain, chain[-1]
+        chain.append(rem)
+    return chain, None
+
+
+def fraction_sturm_chain(coeffs):
+    """The Sturm chains of p, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to
+    a square-free g_j, each after p's divided by its own gcd, and the
+    square-free part p / g1, all as floats."""
+    exact = _frac_trim([Fraction(c) for c in coeffs])
+    chain, gcd = _frac_chain(exact)
+    square_free = exact if gcd is None else _frac_div_exact(exact, gcd)
+    chains = [chain]
+    while gcd is not None:
+        chain, gcd = _frac_chain(gcd)
+        chains.append(chain if gcd is None else [_frac_div_exact(f, gcd) for f in chain])
+    return [[_frac_to_floats(p) for p in c] for c in chains], _frac_to_floats(square_free)
+
+
 # The root finder's loops as they were written on generic Horner over the
-# unpadded coefficient lists: the reference that the fixed-degree kernel
-# must match bit for bit.
+# unpadded coefficient lists, on the rational chains: the reference that the
+# fixed-degree kernel must match bit for bit.  A root's multiplicity is its
+# bracket's count plus each gcd chain's count at the bracket ends.
 
 
-def reference_real_roots(q: Quintic, tol: float = 1e-12,
-                         multiplicity_tol: float = 1e-6) -> list[tuple[float, int]]:
+def reference_real_roots(q: Quintic, tol: float = 1e-12) -> list[tuple[float, int]]:
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     bound = cauchy_bound(q)
-    chain, square_free = _sturm_chain(q.coeffs)
+    (chain, *deeper), square_free = fraction_sturm_chain(q.coeffs)
     lo, hi = -bound, bound
-    brackets = _reference_isolate(
-        chain, lo, hi, _reference_variations(chain, lo), _reference_variations(chain, hi))
+    vlo, vhi = _reference_variations(chain, lo), _reference_variations(chain, hi)
+    if vlo <= vhi:
+        raise SturmOverflow(
+            f"Sturm chain counts no real root in [-B, B] for B = {bound!r}: "
+            f"V(-B) = {vlo}, V(B) = {vhi}")
+    brackets = _reference_isolate(chain, lo, hi, vlo, vhi)
     d_square_free = _poly_derivative(square_free)
     roots = []
-    for blo, bhi in brackets:
+    for blo, bhi, count in brackets:
         root = _reference_refine_root(square_free, d_square_free, blo, bhi, tol)
-        roots.append((root, _reference_multiplicity(q.coeffs, root, multiplicity_tol)))
+        for gcd_chain in deeper:
+            count += (_reference_variations(gcd_chain, blo)
+                      - _reference_variations(gcd_chain, bhi))
+        roots.append((root, count))
     roots.sort(key=lambda pair: pair[0])
     return roots
-
-
-def _reference_multiplicity(coeffs, root, mult_tol):
-    mult = 1
-    deriv = list(coeffs)
-    for _ in range(4):
-        deriv = _poly_derivative(deriv)
-        value = _horner(deriv, root)
-        scale_ = _horner([abs(c) for c in deriv], abs(root))
-        if abs(value) <= mult_tol * (1.0 + scale_):
-            mult += 1
-        else:
-            break
-    return mult
 
 
 def _reference_variations(chain, x):
@@ -425,7 +484,7 @@ def _reference_isolate(chain, lo, hi, vlo, vhi):
             continue
         min_width = 1e-13 * max(1.0, abs(lo), abs(hi))
         if count == 1 or hi - lo <= min_width:
-            brackets.append((lo, hi))
+            brackets.append((lo, hi, count))
             continue
         mid = 0.5 * (lo + hi)
         tries = 0

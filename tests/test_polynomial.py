@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,10 +25,16 @@ from origami_quintic import (
 from origami_quintic.polynomial import (
     Quintic,
     _horner,
+    _integer_coefficients,
+    _isolate,
     _newton_polish,
+    _normalized,
     _pad,
     _poly_derivative,
+    _primitive,
+    _pseudo_divmod,
     _sturm_chain,
+    _variations,
     cauchy_bound,
     coefficient_gap,
     parse_coefficient,
@@ -36,6 +43,7 @@ from origami_quintic.polynomial import (
 from conftest import (
     HENDECAGON,
     HENDECAGON_ROOTS,
+    fraction_sturm_chain,
     outcome,
     reference_parse_coefficient,
     reference_real_roots,
@@ -310,55 +318,18 @@ class TestRealRoots:
                 assert a == pytest.approx(b, abs=1e-8)
 
 
-# The rational chain the integer one replaced, kept as its reference.
-def _frac_trim(coeffs):
-    out = list(coeffs)
-    while len(out) > 1 and out[0] == 0:
-        out.pop(0)
-    return out
-
-
-def _frac_rem(num, den):
-    out = list(num)
-    dn = len(den) - 1
-    quot_len = len(out) - dn
-    for i in range(quot_len):
-        coef = out[i] / den[0]
-        for j in range(1, dn + 1):
-            out[i + j] -= coef * den[j]
-    rem = out[quot_len:]
-    return rem if rem else [Fraction(0)]
-
-
-def _frac_div_exact(num, den):
-    out = list(num)
-    dn = len(den) - 1
-    quot = []
-    for i in range(len(out) - dn):
-        coef = out[i] / den[0]
-        quot.append(coef)
-        for j in range(1, dn + 1):
-            out[i + j] -= coef * den[j]
-    return quot
-
-
-def _frac_to_floats(coeffs):
-    peak = max(abs(c) for c in coeffs)
-    return [float(c / peak) for c in coeffs]
-
-
-def fraction_sturm_chain(coeffs):
-    """Sturm chain and square-free part by Fraction remainders, then floats."""
-    exact = _frac_trim([Fraction(c) for c in coeffs])
-    n = len(exact) - 1
-    chain = [exact, _frac_trim([exact[i] * (n - i) for i in range(n)])]
-    while len(chain[-1]) > 1:
-        rem = _frac_trim([-c for c in _frac_rem(chain[-2], chain[-1])])
-        if all(c == 0 for c in rem):
-            square_free = _frac_div_exact(exact, chain[-1])
-            return [_frac_to_floats(p) for p in chain], _frac_to_floats(square_free)
-        chain.append(rem)
-    return [_frac_to_floats(p) for p in chain], _frac_to_floats(exact)
+def integer_sturm_chain(coeffs):
+    """The integer chains of p, g1, g2, ... (each after p's over its own gcd)
+    and p / g1, normalized as real_roots normalizes them: the counterpart of
+    fraction_sturm_chain."""
+    exact = _integer_coefficients(coeffs)
+    chain, gcd = _sturm_chain(exact)
+    square_free = _primitive(_pseudo_divmod(exact, gcd)[0])
+    chains = [chain]
+    while gcd != [1]:
+        chain, gcd = _sturm_chain(gcd)
+        chains.append([_primitive(_pseudo_divmod(f, gcd)[0]) for f in chain])
+    return [[_normalized(p) for p in c] for c in chains], _normalized(square_free)
 
 
 def reference_newton_polish(poly, dpoly, x, lo, hi):
@@ -409,14 +380,24 @@ def dyadic_product(linear, pairs, shift):
     return tuple(float(c) for c in poly)
 
 
+def brackets_hold_roots(q, roots):
+    """Whether real_roots' isolation gives one bracket (lo, hi] per given
+    exact root, holding it, in order."""
+    chain = [_pad(poly) for poly in integer_sturm_chain(q.coeffs)[0][0]]
+    bound = cauchy_bound(q)
+    brackets = _isolate(chain, -bound, bound, _variations(chain, -bound), _variations(chain, bound))
+    return len(brackets) == len(roots) and all(
+        count == 1 and blo < root <= bhi for (blo, bhi, count), root in zip(brackets, roots))
+
+
 class TestSturmChain:
-    """The integer chain equals the rational one bit for bit."""
+    """The integer chains equal the rational ones bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(rest=st.lists(wide_floats, min_size=5, max_size=5))
     def test_wide_exponents(self, rest):
         coeffs = (1.0, *rest)
-        assert _sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
+        assert integer_sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
 
     # small ranges make repeated roots and repeated complex pairs common;
     # with complex roots some chain elements lead negative, which exposes
@@ -429,17 +410,20 @@ class TestSturmChain:
     )
     def test_dyadic_repeated_roots(self, linear, pairs, shift):
         coeffs = dyadic_product(linear[: 5 - 2 * len(pairs)], pairs, shift)
-        assert _sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
+        assert integer_sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
 
     @pytest.mark.parametrize("coeffs", [HENDECAGON, (1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)])
     def test_documented_quintics(self, coeffs):
-        assert _sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
+        assert integer_sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
 
     def test_square_free_part_of_repeated_roots(self):
-        # (t - 1)^3 (t + 1/2)^2: the square-free part is (t - 1)(t + 1/2)
-        chain, square_free = _sturm_chain(dyadic_product([2, 2, 2, -1, -1], [], 1))
+        # (t - 1)^3 (t + 1/2)^2: the square-free part is (t - 1)(t + 1/2); the
+        # chain of g1 = (t - 1)^2 (t + 1/2) ends on g2 = t - 1 and is divided by it
+        chains, square_free = integer_sturm_chain(dyadic_product([2, 2, 2, -1, -1], [], 1))
         assert square_free == [1.0, -0.5, -0.5]
-        assert len(chain) == 3
+        assert [len(chain) for chain in chains] == [3, 3, 2]
+        assert chains[1][0] == [1.0, -0.5, -0.5] and chains[1][-1] == [1.0]
+        assert chains[2] == [[1.0, -1.0], [1.0]]
 
 
 class TestNewtonPolish:
@@ -457,7 +441,7 @@ class TestNewtonPolish:
         cycled_starts = 0
         for _ in range(200):
             q = Quintic(1.0, *rng.uniform(-5, 5, size=5))
-            _, poly = _sturm_chain(q.coeffs)
+            _, poly = integer_sturm_chain(q.coeffs)
             dpoly = _poly_derivative(poly)
             for root, _ in real_roots(q):
                 lo, hi = root - 1e-12, root + 1e-12
@@ -537,6 +521,58 @@ def test_nan_chain_sign_at_the_bound_is_named():
     assert cauchy_bound(q) == math.inf
     with pytest.raises(SturmOverflow, match="NaN"):
         real_roots(q)
+
+
+def test_zero_count_at_the_bound_is_named():
+    # Horner overflows at the bound and both ends count two sign variations;
+    # a quintic has a real root, so an empty result would be wrong
+    q = Quintic(1.0, 7.95088381429319e+223, 9.677853493331734e-286, 0.0,
+                -2.155796641012135e-109, 1.445915818892557e-103)
+    with pytest.raises(SturmOverflow, match=r"B = 7\.950883814293191e\+223: V\(-B\) = 2, V\(B\) = 2"):
+        real_roots(q)
+
+
+class TestMultiplicity:
+    """Multiplicities are counted on the exact gcd chains, not judged at the root."""
+
+    def test_close_simple_roots_stay_simple(self):
+        # 1 and 1 + 1e-7 are distinct roots of the float polynomial; a
+        # derivative test called each of them double
+        q = normalize_monic(np.poly([1, 1 + 1e-7, -2, 0.5, 3]))
+        assert [m for _, m in real_roots(q)] == [1, 1, 1, 1, 1]
+
+    def test_fivefold_root(self):
+        assert real_roots(Quintic(1, 0, 0, 0, 0, 0)) == [(0.0, 5)]
+
+    def test_fourfold_root_next_to_a_simple_one(self):
+        # (t - 3/8)^4 (t - 1/2): the bracket ends lie close to 3/8, where the
+        # float chains of g1 and g2 lose their signs unless divided by their gcd
+        q = Quintic(*dyadic_product([3, 3, 3, 3, 4], [], 3))
+        assert [m for _, m in real_roots(q)] == [4, 1]
+
+    # a multiplicity is only as right as its bracket, and the float chain of p
+    # can misplace a bracket next to a multiple root (see the test below), so
+    # the multiplicities are compared where every bracket holds its root
+    @settings(max_examples=300, deadline=None)
+    @given(
+        linear=st.lists(st.integers(-24, 24), min_size=5, max_size=5),
+        pairs=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=2),
+        shift=st.integers(0, 6),
+    )
+    def test_dyadic_products(self, linear, pairs, shift):
+        linear = linear[: 5 - 2 * len(pairs)]
+        q = Quintic(*dyadic_product(linear, pairs, shift))
+        stated = Counter(Fraction(n, 2**shift) for n in linear)
+        assume(brackets_hold_roots(q, sorted(stated)))
+        assert sorted(m for _, m in real_roots(q)) == sorted(stated.values())
+
+    @pytest.mark.xfail(strict=True, reason="float chain signs near the triple root "
+                       "misplace its bracket; needs exact isolation")
+    def test_triple_root_bracket(self):
+        # returns [(-0.9999994, 1), (0.0, 2)]: p's float chain counts a root in
+        # (-0.9999994, -0.4999993], which holds none, and none at -1
+        assert real_roots(Quintic(*dyadic_product([-1, -1, -1, 0, 0], [], 0))) == [
+            (-1.0, 3), (0.0, 2)]
 
 
 # rounding boundaries, written out exactly: the midpoint between the largest
