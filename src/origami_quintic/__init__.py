@@ -32,8 +32,10 @@ from .foldconfig import (
     compute_kpq,
     config_quintic,
     discriminant,
+    find_scale_for_precondition,
     forward_coefficients,
     nishimura_pipeline,
+    nishimura_precondition,
 )
 from .foldsolve import (
     CHI_EQUALS_N,
@@ -56,8 +58,6 @@ from .polynomial import (
     Quintic,
     depress,
     evaluate,
-    find_scale_for_precondition,
-    nishimura_precondition,
     normalize_monic,
     real_roots,
     scale,

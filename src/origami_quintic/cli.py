@@ -86,6 +86,10 @@ def monic_of(raw: list[float]) -> Quintic:
     return monic
 
 
+def _quintic_dict(raw: list[float], monic: Quintic) -> dict:
+    return {"raw": raw, "monic": list(monic.coeffs)}
+
+
 def _config_dict(cfg: FoldConfig) -> dict:
     return {**cfg._asdict(), "branch": cfg.branch.value}
 
@@ -107,7 +111,7 @@ def _solution_dict(sol: FoldSolution) -> dict:
 
 def report_to_dict(report: RunReport) -> dict:
     out = {
-        "quintic": {"raw": report.raw, "monic": list(report.monic.coeffs)},
+        "quintic": _quintic_dict(report.raw, report.monic),
         "config": None if report.config is None else _config_dict(report.config),
         "solutions": [_solution_dict(s) for s in report.solutions],
         "warnings": report.warnings,
@@ -197,10 +201,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _solve_report(args, raw: list[float]) -> RunReport:
-    """The report of solving raw with args' h_override, branch, root_tol and
-    tol (which only the warnings read): solve writes it, verify rebuilds it."""
-    monic, tol = monic_of(raw), args.tol
+def _solve_report(raw: list[float], h: float | None, branch: str, root_tol: float, tol: float,
+                  timing: bool) -> RunReport:
+    """The report of solving raw at h (None: chosen) on branch, with timing_ms
+    when timing is set; tol is read only by the warnings.  solve writes it,
+    verify rebuilds it."""
+    monic = monic_of(raw)
     warnings: list[str] = []
     start = time.perf_counter()
     if monic.a0 == 0.0:
@@ -208,9 +214,8 @@ def _solve_report(args, raw: list[float]) -> RunReport:
                         f"is the quartic {list(monic.coeffs[:5])}, outside the two-fold "
                         "construction")
         return RunReport(raw=raw, monic=monic, config=None, solutions=[], warnings=warnings)
-    cfg = foldconfig.build_config(monic, h_override=args.h_override,
-                                  branch=Branch(args.branch))
-    solutions = foldsolve.solve_all(cfg, monic, root_tol=args.root_tol)
+    cfg = foldconfig.build_config(monic, h_override=h, branch=Branch(branch))
+    solutions = foldsolve.solve_all(cfg, monic, root_tol=root_tol)
     for sol in solutions:
         for diag in sol.diagnostics:
             warnings.append(f"diagnostic {diag} at t = {sol.t!r}")
@@ -218,13 +223,13 @@ def _solve_report(args, raw: list[float]) -> RunReport:
             name, worst = sol.residuals.worst_field
             warnings.append(f"residual {worst:.3e} ({name}) above tol {tol:.3e} at t = {sol.t!r}")
     elapsed = (time.perf_counter() - start) * 1000.0
-    timing = elapsed if getattr(args, "timing", False) else None
     return RunReport(raw=raw, monic=monic, config=cfg, solutions=solutions,
-                     warnings=warnings, timing_ms=timing)
+                     warnings=warnings, timing_ms=elapsed if timing else None)
 
 
 def cmd_solve(args) -> int:
-    report = _solve_report(args, parse_coeffs(args.coeffs))
+    report = _solve_report(parse_coeffs(args.coeffs), args.h_override, args.branch,
+                           args.root_tol, args.tol, args.timing)
     _dump(report_to_dict(report), args.json)
     if args.svg and report.solutions:
         from . import render  # only --svg draws, so only --svg loads render
@@ -242,8 +247,7 @@ def cmd_config(args) -> int:
     cfg = foldconfig.build_config(monic, h_override=args.h_override,
                                   branch=Branch(args.branch))
     foldsolve.check_roundtrip(cfg, monic.coeffs)
-    _dump({"quintic": {"raw": raw, "monic": list(monic.coeffs)},
-           "config": _config_dict(cfg)}, args.json)
+    _dump({"quintic": _quintic_dict(raw, monic), "config": _config_dict(cfg)}, args.json)
     return EXIT_OK
 
 
@@ -265,7 +269,7 @@ def cmd_compare(args) -> int:
 
     _dump(
         {
-            "quintic": {"raw": raw, "monic": list(monic.coeffs)},
+            "quintic": _quintic_dict(raw, monic),
             "direct": {
                 "config": _config_dict(direct_cfg),
                 "max_abs_parameter": direct_cfg.max_abs_parameter,
@@ -322,9 +326,8 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         print(f"unreadable report: {exc}", file=sys.stderr)
         return EXIT_DATA
-    options = argparse.Namespace(h_override=h, branch=branch, root_tol=DEFAULT_ROOT_TOL, tol=tol)
     try:
-        report = _solve_report(options, raw)
+        report = _solve_report(raw, h, branch, DEFAULT_ROOT_TOL, tol, timing=False)
     except (OrigamiQuinticError, UsageError, ValueError, OverflowError) as exc:
         print(f"verification failed: no rebuild: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -22,6 +22,8 @@ from . import polynomial
 from .errors import (
     DegenerateP,
     NegativeDiscriminant,
+    NoScaleFound,
+    NotDepressed,
     NoValidH,
     SingularSystem,
     ZeroConstantTerm,
@@ -245,6 +247,29 @@ def _config_at(q: Quintic, h: float, branch: Branch) -> FoldConfig:
     return FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q_point, branch=branch, D=d)
 
 
+def nishimura_precondition(q: Quintic) -> bool:
+    """Whether a depressed monic quintic is admissible for the depressed-form
+    analysis: its configuration discriminant at h = 1, e^2 - 4*(1 + b3 + b1)
+    for cubic, linear and constant coefficients b3, b1, e, is nonnegative.
+    """
+    if q.a4 != 0.0:
+        raise NotDepressed("quartic coefficient must be zero")
+    return discriminant(q, 1.0) >= 0.0
+
+
+def find_scale_for_precondition(q: Quintic) -> float:
+    """Search a fixed grid of scale factors until the depressed-form
+    precondition holds: c = 1, 1/2, 1/3, ..., 1/64, then 2, 3, ..., 64.
+    """
+    candidates = [1.0]
+    candidates += [1.0 / n for n in range(2, 65)]
+    candidates += [float(n) for n in range(2, 65)]
+    for c in candidates:
+        if nishimura_precondition(polynomial.scale(q, c)):
+            return c
+    raise NoScaleFound("no admissible scale in 1, 1/2..1/64, 2..64")
+
+
 def nishimura_pipeline(q: Quintic, branch: Branch = Branch.PLUS) -> NishimuraReport:
     """Depressed-form route: depress, scale until admissible, build at h = 1.
 
@@ -252,8 +277,7 @@ def nishimura_pipeline(q: Quintic, branch: Branch = Branch.PLUS) -> NishimuraRep
     depressed-form one can be compared side by side.
     """
     depressed, shift = polynomial.depress(q)
-    holds = polynomial.nishimura_precondition(depressed)
-    factor = 1.0 if holds else polynomial.find_scale_for_precondition(depressed)
+    factor = find_scale_for_precondition(depressed)
     scaled = polynomial.scale(depressed, factor)
     config = build_config(scaled, h_override=1.0, branch=branch)
     return NishimuraReport(
@@ -261,6 +285,6 @@ def nishimura_pipeline(q: Quintic, branch: Branch = Branch.PLUS) -> NishimuraRep
         shift=shift,
         scale=factor,
         scaled=scaled,
-        precondition_holds=holds,
+        precondition_holds=factor == 1.0,
         config=config,
     )

@@ -103,6 +103,14 @@ def reflect_point(pt: Point, mirror: Line) -> Point:
     return Point(*reflect_xy(pt.x, pt.y, mirror.a, mirror.b, mirror.c))
 
 
+def foot_and_direction_abc(a: float, b: float, c: float) -> tuple[float, float, float, float]:
+    """The foot point (fx, fy) of a*x + b*y = c, its point nearest the origin,
+    and its unit direction (dx, dy), the normal turned a quarter left."""
+    n2 = a * a + b * b
+    inv = 1.0 / math.sqrt(n2)
+    return c * a / n2, c * b / n2, -b * inv, a * inv
+
+
 def reflect_abc(ta: float, tb: float, tc: float, ma: float, mb: float, mc: float) -> ABC:
     """(a, b, c) of the line ta*x + tb*y = tc reflected across ma*x + mb*y = mc.
 
@@ -110,10 +118,7 @@ def reflect_abc(ta: float, tb: float, tc: float, ma: float, mb: float, mc: float
     its foot point; this covers intersecting and parallel mirrors alike
     (a parallel mirror yields the equidistant line on the far side).
     """
-    n2 = ta * ta + tb * tb
-    fx, fy = tc * ta / n2, tc * tb / n2
-    inv = 1.0 / math.sqrt(n2)
-    dx, dy = -tb * inv, ta * inv
+    fx, fy, dx, dy = foot_and_direction_abc(ta, tb, tc)
     x1, y1 = reflect_xy(fx + dx, fy + dy, ma, mb, mc)
     x2, y2 = reflect_xy(fx - dx, fy - dy, ma, mb, mc)
     return through_xy(x1, y1, x2, y2)

@@ -1,12 +1,14 @@
-"""Quintic coefficient handling and real-root isolation.
+"""Quintic coefficient handling, transforms and real-root isolation.
 
 Coefficients are stored densely in descending degree order (a5 .. a0).
-The root finder isolates distinct real roots with an integer Sturm chain
-(the float coefficients scaled exactly to integers) plus interval
-bisection and polishes each root with safeguarded Newton steps.  A
-root's multiplicity is counted exactly on the integer Sturm chains of the
-successive gcds g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...: the chain of g_j
-counts the distinct roots of p repeated more than j times (the square-free
+The root finder builds one kind of chain for p (the float coefficients
+scaled exactly to integers) and for each of the successive gcds
+g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...: the integer Sturm chain of the
+polynomial divided by its own gcd.  p's chain, headed by the square-free
+part p / g1, isolates the distinct real roots by interval bisection; each
+root is refined on that head and polished with safeguarded Newton steps.
+The chain of g_j counts the distinct roots of p repeated more than j
+times, which gives each root's multiplicity exactly (the square-free
 decomposition of Yun, SYMSAC 1976).
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateDegree, NoScaleFound, NotDepressed, SturmOverflow, ZeroScale
+from .errors import DegenerateDegree, SturmOverflow, ZeroScale
 
 
 class _QuinticFields(NamedTuple):
@@ -57,8 +59,6 @@ def normalize_monic(coeffs: Sequence[float]) -> Quintic:
     lead = float(coeffs[0])
     if lead == 0.0:
         raise DegenerateDegree("leading coefficient is zero; not a quintic")
-    if lead == 1.0:
-        return Quintic(*(float(c) for c in coeffs))
     return Quintic(1.0, *(float(c) / lead for c in coeffs[1:]))
 
 
@@ -92,36 +92,7 @@ def scale(q: Quintic, c: float) -> Quintic:
     """
     if c == 0.0:
         raise ZeroScale("scale factor must be nonzero")
-    if c == 1.0:
-        return q
     return Quintic(1.0, *(q.coeffs[i] / c**i for i in range(1, 6)))
-
-
-def nishimura_precondition(q: Quintic) -> bool:
-    """Test e^2 - 4*(b3 + b1 + 1) >= 0 on a depressed monic quintic,
-    where b3, b1, e are the cubic, linear and constant coefficients.
-
-    This is the admissibility condition of the depressed-form analysis
-    (equivalently: the configuration discriminant at h = 1 is nonnegative).
-    """
-    if q.a4 != 0.0:
-        raise NotDepressed("quartic coefficient must be zero")
-    return q.a0 * q.a0 - 4.0 * (q.a3 + q.a1 + 1.0) >= 0.0
-
-
-def find_scale_for_precondition(q: Quintic) -> float:
-    """Search a fixed grid of scale factors until the depressed-form
-    precondition holds: c = 1, 1/2, 1/3, ..., 1/64, then 2, 3, ..., 64.
-    """
-    if q.a4 != 0.0:
-        raise NotDepressed("quartic coefficient must be zero")
-    candidates = [1.0]
-    candidates += [1.0 / n for n in range(2, 65)]
-    candidates += [float(n) for n in range(2, 65)]
-    for c in candidates:
-        if nishimura_precondition(scale(q, c)):
-            return c
-    raise NoScaleFound("no admissible scale in 1, 1/2..1/64, 2..64")
 
 
 def cauchy_bound(q: Quintic) -> float:
@@ -139,13 +110,14 @@ def cauchy_bound(q: Quintic) -> float:
 def real_roots(q: Quintic, tol: float = 1e-12) -> list[tuple[float, int]]:
     """All real roots of a monic quintic, ascending, with multiplicities.
 
-    Distinct roots are isolated by Sturm sign-variation counts on a
-    bisected interval [-B, B] (B the Cauchy bound), refined by bisection
-    to bracket width <= tol on the square-free part and polished with
-    Newton steps.  A root's multiplicity is its bracket's count plus, for
-    each gcd chain g1, g2, ..., the chain's count of roots in the bracket;
-    a bracket left at the width floor with several roots in it reports
-    their total.
+    Every chain, p's and those of g1, g2, ..., is built the same way, over
+    its own gcd.  Distinct roots are isolated by sign-variation counts of
+    p's chain on a bisected interval [-B, B] (B the Cauchy bound), refined
+    by bisection to bracket width <= tol on its head, the square-free part
+    p / g1, and polished with Newton steps.  A root's multiplicity is its
+    bracket's count plus, for each gcd chain, the chain's count of roots in
+    the bracket; a bracket left at the width floor with several roots in it
+    reports their total.
 
     A real quintic always has at least one real root, so the result is
     never empty: a count of none at the bound raises ``SturmOverflow``.
@@ -153,17 +125,14 @@ def real_roots(q: Quintic, tol: float = 1e-12) -> list[tuple[float, int]]:
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     bound = cauchy_bound(q)
-    exact = _integer_coefficients(q.coeffs)
-    chain, gcd = _sturm_chain(exact)
-    square_free = _normalized(exact if gcd == [1] else _primitive(_pseudo_divmod(exact, gcd)[0]))
-    poly, dpoly = _pad(square_free), _pad(_poly_derivative(square_free))
-    chains = [chain]
-    while gcd != [1]:
-        chain, gcd = _sturm_chain(gcd)
-        if gcd != [1]:  # over its own gcd, g_j's chain has no multiple root to blur its signs
-            chain = [_primitive(_pseudo_divmod(f, gcd)[0]) for f in chain]
-        chains.append(chain)
-    chain, *deeper = [[_pad(_normalized(f)) for f in c] for c in chains]
+    # the chains of p, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to a square-free g_j
+    chains, f = [], _integer_coefficients(q.coeffs)
+    while f != [1]:
+        chain, f = _sturm_chain(f)
+        chains.append([_pad(_normalized(g)) for g in chain])
+    chain, *deeper = chains
+    poly = chain[0]  # p / g1, the square-free part
+    dpoly = _pad(_poly_derivative(poly))
 
     lo, hi = -bound, bound
     vlo, vhi = _variations(chain, lo), _variations(chain, hi)
@@ -247,15 +216,18 @@ def _integer_coefficients(coeffs: Sequence[float]) -> list[int]:
 
 
 def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    """Sturm chain of a primitive integer polynomial of positive degree,
-    and its gcd with its derivative ([1] when it is square-free).
+    """Sturm chain of a primitive integer polynomial f of positive degree,
+    divided by g = gcd(f, f'), and g itself ([1] when f is square-free).
 
     The chain is an integer primitive-part pseudo-remainder sequence: each
     negated remainder is formed with a positive multiplier and divided by
     its content, so every element is a positive multiple of the rational
     Sturm remainder, and a zero remainder, and with it a repeated root, is
     detected exactly instead of through an epsilon.  The chain then stops
-    on the gcd.
+    on g and is divided by it exactly.  The divided chain, headed by the
+    square-free part f / g, counts the distinct real roots of f as the
+    undivided one does; undivided, every element has f's repeated roots as
+    multiple factors, and its float signs next to them are noise.
     """
     degree = len(exact) - 1
     chain = [list(exact), _primitive([c * (degree - i) for i, c in enumerate(exact[:-1])])]
@@ -264,7 +236,8 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
         while rem and not rem[0]:
             del rem[0]
         if not rem:
-            return chain, chain[-1]
+            gcd = chain[-1]
+            return [_primitive(_pseudo_divmod(f, gcd)[0]) for f in chain], gcd
         chain.append(_primitive(rem))
     return chain, [1]
 
@@ -334,11 +307,11 @@ def _refine_root(
     a, b, c, d, e, f = poly
     flo = ((((a * lo + b) * lo + c) * lo + d) * lo + e) * lo + f
     fhi = ((((a * hi + b) * hi + c) * hi + d) * hi + e) * hi + f
-    if flo == 0.0:
-        return lo
     if fhi == 0.0:
         return hi
-    if (flo > 0.0) == (fhi > 0.0):
+    if flo == 0.0:  # the bracket is (lo, hi]: that zero is the left neighbour's root
+        flo = -fhi
+    elif (flo > 0.0) == (fhi > 0.0):
         # no sign change (endpoint noise); fall back to clipped Newton from the midpoint
         return _newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
     while hi - lo > tol:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .errors import EmptySolutions
 from .foldconfig import FoldConfig
 from .foldsolve import FoldSolution
-from .geometry import Line, Point
+from .geometry import Line, Point, foot_and_direction_abc
 
 _STYLE = (
     ".axis{stroke:#999999;stroke-width:1;fill:none}"
@@ -109,10 +109,7 @@ def auto_viewport(points: list[Point], width_px: int = 640, height_px: int = 480
 def _clip(line: Line, window: tuple[float, float, float, float]) -> tuple[Point, Point] | None:
     """Segment of an infinite line inside a world rectangle, or None."""
     xmin, xmax, ymin, ymax = window
-    n2 = line.a * line.a + line.b * line.b
-    fx, fy = line.c * line.a / n2, line.c * line.b / n2
-    inv = 1.0 / math.sqrt(n2)
-    dx, dy = -line.b * inv, line.a * inv
+    fx, fy, dx, dy = foot_and_direction_abc(line.a, line.b, line.c)
     lo, hi = -math.inf, math.inf
     for pos, vel, bound_lo, bound_hi in ((fx, dx, xmin, xmax), (fy, dy, ymin, ymax)):
         if vel == 0.0:
@@ -214,16 +211,7 @@ def render_solution(cfg: FoldConfig, sol: FoldSolution, vp: Viewport | None = No
     if vp is None or not vp.usable:
         vp = auto_viewport(marked_points(cfg, sol))
     m = _Mapper(vp)
-    body = "\n".join(_solution_body(cfg, sol, m))
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{vp.width_px}" height="{vp.height_px}" '
-        f'viewBox="0 0 {vp.width_px} {vp.height_px}">\n'
-        f"<style>{_STYLE}</style>\n"
-        f"{body}\n"
-        "</svg>\n"
-    )
+    return _document(vp.width_px, vp.height_px, "\n".join(_solution_body(cfg, sol, m)))
 
 
 def render_gallery(cfg: FoldConfig, sols: list[FoldSolution]) -> str:
@@ -253,12 +241,16 @@ def render_gallery(cfg: FoldConfig, sols: list[FoldSolution]) -> str:
             f'<text class="panel" x="10" y="20">{tag})</text>\n'
             "</svg>"
         )
-    body = "\n".join(panels)
+    return _document(total_w, total_h, "\n".join(panels))
+
+
+def _document(width: int, height: int, body: str) -> str:
+    """A standalone SVG document of the given pixel size around body."""
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{total_w}" height="{total_h}" '
-        f'viewBox="0 0 {total_w} {total_h}">\n'
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
         f"<style>{_STYLE}</style>\n"
         f"{body}\n"
         "</svg>\n"

@@ -403,30 +403,28 @@ def _frac_to_floats(coeffs):
 
 
 def _frac_chain(exact):
-    """Sturm chain of a Fraction polynomial and its gcd with its derivative
-    (None when it is square-free)."""
+    """Sturm chain of a Fraction polynomial over its gcd with its derivative,
+    and that gcd (None when the polynomial is square-free)."""
     n = len(exact) - 1
     chain = [exact, _frac_trim([exact[i] * (n - i) for i in range(n)])]
     while len(chain[-1]) > 1:
         rem = _frac_trim([-c for c in _frac_rem(chain[-2], chain[-1])])
         if all(c == 0 for c in rem):
-            return chain, chain[-1]
+            gcd = chain[-1]
+            return [_frac_div_exact(f, gcd) for f in chain], gcd
         chain.append(rem)
     return chain, None
 
 
 def fraction_sturm_chain(coeffs):
     """The Sturm chains of p, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to
-    a square-free g_j, each after p's divided by its own gcd, and the
-    square-free part p / g1, all as floats."""
-    exact = _frac_trim([Fraction(c) for c in coeffs])
-    chain, gcd = _frac_chain(exact)
-    square_free = exact if gcd is None else _frac_div_exact(exact, gcd)
-    chains = [chain]
+    a square-free g_j, each over its own gcd, as floats; the first is headed
+    by the square-free part p / g1."""
+    chains, gcd = [], _frac_trim([Fraction(c) for c in coeffs])
     while gcd is not None:
         chain, gcd = _frac_chain(gcd)
-        chains.append(chain if gcd is None else [_frac_div_exact(f, gcd) for f in chain])
-    return [[_frac_to_floats(p) for p in c] for c in chains], _frac_to_floats(square_free)
+        chains.append([_frac_to_floats(f) for f in chain])
+    return chains
 
 
 # The root finder's loops as they were written on generic Horner over the
@@ -439,7 +437,8 @@ def reference_real_roots(q: Quintic, tol: float = 1e-12) -> list[tuple[float, in
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     bound = cauchy_bound(q)
-    (chain, *deeper), square_free = fraction_sturm_chain(q.coeffs)
+    chain, *deeper = fraction_sturm_chain(q.coeffs)
+    square_free = chain[0]
     lo, hi = -bound, bound
     vlo, vhi = _reference_variations(chain, lo), _reference_variations(chain, hi)
     if vlo <= vhi:
@@ -499,11 +498,11 @@ def _reference_isolate(chain, lo, hi, vlo, vhi):
 def _reference_refine_root(poly, dpoly, lo, hi, tol):
     flo = _horner(poly, lo)
     fhi = _horner(poly, hi)
-    if flo == 0.0:
-        return lo
     if fhi == 0.0:
         return hi
-    if (flo > 0.0) == (fhi > 0.0):
+    if flo == 0.0:
+        flo = -fhi
+    elif (flo > 0.0) == (fhi > 0.0):
         return _reference_newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -31,8 +31,7 @@ from origami_quintic.polynomial import (
     _normalized,
     _pad,
     _poly_derivative,
-    _primitive,
-    _pseudo_divmod,
+    _refine_root,
     _sturm_chain,
     _variations,
     cauchy_bound,
@@ -319,17 +318,13 @@ class TestRealRoots:
 
 
 def integer_sturm_chain(coeffs):
-    """The integer chains of p, g1, g2, ... (each after p's over its own gcd)
-    and p / g1, normalized as real_roots normalizes them: the counterpart of
-    fraction_sturm_chain."""
-    exact = _integer_coefficients(coeffs)
-    chain, gcd = _sturm_chain(exact)
-    square_free = _primitive(_pseudo_divmod(exact, gcd)[0])
-    chains = [chain]
-    while gcd != [1]:
-        chain, gcd = _sturm_chain(gcd)
-        chains.append([_primitive(_pseudo_divmod(f, gcd)[0]) for f in chain])
-    return [[_normalized(p) for p in c] for c in chains], _normalized(square_free)
+    """The integer chains of p, g1, g2, ..., each over its own gcd, normalized
+    as real_roots normalizes them: the counterpart of fraction_sturm_chain."""
+    chains, f = [], _integer_coefficients(coeffs)
+    while f != [1]:
+        chain, f = _sturm_chain(f)
+        chains.append([_normalized(g) for g in chain])
+    return chains
 
 
 def reference_newton_polish(poly, dpoly, x, lo, hi):
@@ -383,7 +378,7 @@ def dyadic_product(linear, pairs, shift):
 def brackets_hold_roots(q, roots):
     """Whether real_roots' isolation gives one bracket (lo, hi] per given
     exact root, holding it, in order."""
-    chain = [_pad(poly) for poly in integer_sturm_chain(q.coeffs)[0][0]]
+    chain = [_pad(poly) for poly in integer_sturm_chain(q.coeffs)[0]]
     bound = cauchy_bound(q)
     brackets = _isolate(chain, -bound, bound, _variations(chain, -bound), _variations(chain, bound))
     return len(brackets) == len(roots) and all(
@@ -417,11 +412,12 @@ class TestSturmChain:
         assert integer_sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
 
     def test_square_free_part_of_repeated_roots(self):
-        # (t - 1)^3 (t + 1/2)^2: the square-free part is (t - 1)(t + 1/2); the
-        # chain of g1 = (t - 1)^2 (t + 1/2) ends on g2 = t - 1 and is divided by it
-        chains, square_free = integer_sturm_chain(dyadic_product([2, 2, 2, -1, -1], [], 1))
-        assert square_free == [1.0, -0.5, -0.5]
+        # (t - 1)^3 (t + 1/2)^2: p's chain ends on g1 = (t - 1)^2 (t + 1/2), and
+        # divided by it is headed by the square-free part (t - 1)(t + 1/2); the
+        # chain of g1 ends on g2 = t - 1 and is divided by it
+        chains = integer_sturm_chain(dyadic_product([2, 2, 2, -1, -1], [], 1))
         assert [len(chain) for chain in chains] == [3, 3, 2]
+        assert chains[0][0] == [1.0, -0.5, -0.5] and chains[0][-1] == [1.0]
         assert chains[1][0] == [1.0, -0.5, -0.5] and chains[1][-1] == [1.0]
         assert chains[2] == [[1.0, -1.0], [1.0]]
 
@@ -441,7 +437,7 @@ class TestNewtonPolish:
         cycled_starts = 0
         for _ in range(200):
             q = Quintic(1.0, *rng.uniform(-5, 5, size=5))
-            _, poly = integer_sturm_chain(q.coeffs)
+            poly = integer_sturm_chain(q.coeffs)[0][0]
             dpoly = _poly_derivative(poly)
             for root, _ in real_roots(q):
                 lo, hi = root - 1e-12, root + 1e-12
@@ -550,9 +546,36 @@ class TestMultiplicity:
         q = Quintic(*dyadic_product([3, 3, 3, 3, 4], [], 3))
         assert [m for _, m in real_roots(q)] == [4, 1]
 
-    # a multiplicity is only as right as its bracket, and the float chain of p
-    # can misplace a bracket next to a multiple root (see the test below), so
-    # the multiplicities are compared where every bracket holds its root
+    def test_triple_root_bracket(self):
+        # (t + 1)^3 t^2: p's undivided chain, whose float signs are noise next
+        # to the triple root, counted a root in (-0.9999994, -0.4999993],
+        # which holds none, and none at -1
+        assert real_roots(Quintic(*dyadic_product([-1, -1, -1, 0, 0], [], 0))) == [
+            (-1.0, 3), (0.0, 2)]
+
+    def test_triple_root_next_to_two_simple_ones(self):
+        # (t + 1/4)(t - 1/4)(t - 1)^3: the undivided chain returned 1.0 twice
+        # and missed 1/4
+        q = Quintic(*dyadic_product([-1, 1, 4, 4, 4], [], 2))
+        assert real_roots(q) == [(-0.25, 1), (0.25, 1), (1.0, 3)]
+
+    def test_simple_root_between_double_ones(self):
+        # (t + 2)^2 (t + 1)(t - 1)^2: refinement returned the bracket's lower
+        # end -2, a root of the square-free part, in place of -1
+        q = Quintic(*dyadic_product([-2, -2, -1, 1, 1], [], 0))
+        assert real_roots(q) == [(-2.0, 2), (-1.0, 1), (1.0, 2)]
+
+    def test_fourfold_root_next_to_a_simple_one_from_the_corpus(self):
+        # (t + 3/4)(t + 1/2)^4, a seed-2 unit-batch case; returned
+        # [(-0.5, 4), (-0.5, 1)] from p's undivided chain
+        roots = real_roots(Quintic(1, 2.75, 3, 1.625, 0.4375, 0.046875))
+        assert [m for _, m in roots] == [1, 4]
+        assert [r for r, _ in roots] == pytest.approx([-0.75, -0.5], abs=1e-12)
+
+    # a multiplicity is only as right as its bracket, and a bisection probe
+    # that lands on a multiple root, where the float signs of p's chain are
+    # noise even over its gcd, can still misplace one, so the multiplicities
+    # are compared where every bracket holds its root
     @settings(max_examples=300, deadline=None)
     @given(
         linear=st.lists(st.integers(-24, 24), min_size=5, max_size=5),
@@ -566,13 +589,12 @@ class TestMultiplicity:
         assume(brackets_hold_roots(q, sorted(stated)))
         assert sorted(m for _, m in real_roots(q)) == sorted(stated.values())
 
-    @pytest.mark.xfail(strict=True, reason="float chain signs near the triple root "
-                       "misplace its bracket; needs exact isolation")
-    def test_triple_root_bracket(self):
-        # returns [(-0.9999994, 1), (0.0, 2)]: p's float chain counts a root in
-        # (-0.9999994, -0.4999993], which holds none, and none at -1
-        assert real_roots(Quintic(*dyadic_product([-1, -1, -1, 0, 0], [], 0))) == [
-            (-1.0, 3), (0.0, 2)]
+
+def test_zero_at_the_lower_end_belongs_to_the_left_bracket():
+    # (t + 2)(t + 1)(t - 1) on (-2, 0]: -2 is outside the bracket, -1 inside
+    poly = _pad(_normalized([1, 2, -1, -2]))
+    dpoly = _pad(_poly_derivative(poly))
+    assert _refine_root(poly, dpoly, -2.0, 0.0, 1e-12) == pytest.approx(-1.0, abs=1e-12)
 
 
 # rounding boundaries, written out exactly: the midpoint between the largest
