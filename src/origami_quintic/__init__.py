@@ -13,29 +13,22 @@ from .errors import (
     DegenerateP,
     EmptySolutions,
     NegativeDiscriminant,
-    NoScaleFound,
-    NotDepressed,
     NoValidH,
     OrigamiQuinticError,
     SingularSystem,
     SturmOverflow,
     ZeroConstantTerm,
-    ZeroScale,
 )
 from .foldconfig import (
     Branch,
     FoldConfig,
-    NishimuraReport,
     build_config,
     choose_h,
     compute_bc,
     compute_kpq,
     config_quintic,
     discriminant,
-    find_scale_for_precondition,
     forward_coefficients,
-    nishimura_pipeline,
-    nishimura_precondition,
 )
 from .foldsolve import (
     CHI_EQUALS_N,
@@ -60,7 +53,6 @@ from .polynomial import (
     evaluate,
     normalize_monic,
     real_roots,
-    scale,
 )
 
 __version__ = "0.1.0"
@@ -90,9 +82,6 @@ __all__ = [
     "LOW_CONFIDENCE",
     "Line",
     "NegativeDiscriminant",
-    "NishimuraReport",
-    "NoScaleFound",
-    "NotDepressed",
     "NoValidH",
     "OrigamiQuinticError",
     "Point",
@@ -101,7 +90,6 @@ __all__ = [
     "SturmOverflow",
     "Viewport",
     "ZeroConstantTerm",
-    "ZeroScale",
     "build_config",
     "canonical",
     "chi_from_xi",
@@ -112,18 +100,14 @@ __all__ = [
     "depress",
     "discriminant",
     "evaluate",
-    "find_scale_for_precondition",
     "fold_xi",
     "forward_coefficients",
-    "nishimura_pipeline",
-    "nishimura_precondition",
     "normalize_monic",
     "real_roots",
     "reflect_line",
     "reflect_point",
     "render_gallery",
     "render_solution",
-    "scale",
     "solve_all",
     "verify",
 ]

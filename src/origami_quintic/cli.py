@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 2 configuration error, 3 verification failure,
 64 usage error, 65 unreadable report file.  JSON goes to stdout unless
---json PATH is given; reports are byte-stable across runs unless --timing
-is requested.  verify reruns solve's report builder on a stored report's
-raw coefficients, h and branch and compares the two reports in one walk:
-floats within --tol relative to max(1, |rebuilt|), everything else exactly
-in type and value.  A differing shape exits 65, any other difference 3,
-naming the field's JSON path; warnings and timing_ms are not compared.
+--json PATH is given; reports carry their schema number (none means
+schema 1) and are byte-stable across runs unless --timing is requested.
+verify exits 65 on another schema, else reruns solve's report builder on
+the stored raw coefficients, h and branch and compares the two reports in
+one walk: floats within --tol relative to max(1, |rebuilt|), everything
+else exactly in type and value.  A differing shape exits 65, any other
+difference 3, naming the field's JSON path; warnings and timing_ms are not
+compared.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import time
 from typing import NamedTuple
 
 from . import foldconfig, foldsolve, polynomial
-from .errors import ConfigMismatch, DegenerateDegree, OrigamiQuinticError
+from .errors import ConfigMismatch, DegenerateDegree, OrigamiQuinticError, ZeroConstantTerm
 from .foldconfig import Branch, FoldConfig
 from .foldsolve import FoldSolution
 from .polynomial import Quintic, worst_item
@@ -31,6 +33,7 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+SCHEMA = 2
 
 DEFAULT_TOL = 1e-9
 DEFAULT_ROOT_TOL = 1e-12
@@ -111,6 +114,7 @@ def _solution_dict(sol: FoldSolution) -> dict:
 
 def report_to_dict(report: RunReport) -> dict:
     out = {
+        "schema": SCHEMA,
         "quintic": _quintic_dict(report.raw, report.monic),
         "config": None if report.config is None else _config_dict(report.config),
         "solutions": [_solution_dict(s) for s in report.solutions],
@@ -247,8 +251,23 @@ def cmd_config(args) -> int:
     cfg = foldconfig.build_config(monic, h_override=args.h_override,
                                   branch=Branch(args.branch))
     foldsolve.check_roundtrip(cfg, monic.coeffs)
-    _dump({"quintic": _quintic_dict(raw, monic), "config": _config_dict(cfg)}, args.json)
+    _dump({"schema": SCHEMA, "quintic": _quintic_dict(raw, monic), "config": _config_dict(cfg)},
+          args.json)
     return EXIT_OK
+
+
+def _match_roots(one: list, other: list) -> tuple[float | None, int]:
+    """Pair each root of the shorter of two (root, multiplicity) lists, repeated
+    by its multiplicity, with the nearest unpaired root of the other: the
+    largest gap of a pair (None without a pair) and how many are left unpaired."""
+    one, other = sorted(([t for t, m in roots for _ in range(m)] for roots in (one, other)),
+                        key=len)
+    gaps = []
+    for t in one:
+        nearest = min(other, key=lambda r: abs(r - t))
+        other.remove(nearest)
+        gaps.append(abs(nearest - t))
+    return max(gaps, default=None), len(other)
 
 
 def cmd_compare(args) -> int:
@@ -256,37 +275,39 @@ def cmd_compare(args) -> int:
     monic, branch = monic_of(raw), Branch(args.branch)
 
     direct_cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=branch)
-    direct_sols = foldsolve.solve_all(direct_cfg, monic, root_tol=args.root_tol)
-    direct_roots = [s.t for s in direct_sols]
-
-    pipeline = foldconfig.nishimura_pipeline(monic, branch=branch)
-    scaled_sols = foldsolve.solve_all(pipeline.config, pipeline.scaled,
-                                      root_tol=args.root_tol)
-    scaled_roots = [s.t for s in scaled_sols]
-    mapped = sorted(t * pipeline.scale - pipeline.shift for t in scaled_roots)
-    same_count = len(mapped) == len(direct_roots)
-    gaps = [abs(a - b) for a, b in zip(mapped, direct_roots)] if same_count else []
+    direct = [(s.t, s.multiplicity)
+              for s in foldsolve.solve_all(direct_cfg, monic, root_tol=args.root_tol)]
+    # the depressed-form route: choose_h picks its scale h; its errors name it
+    depressed, shift = polynomial.depress(monic)
+    if depressed.a0 == 0.0:
+        raise ZeroConstantTerm("depressed-form route: the depressed quintic's constant term "
+                               f"is zero; t = -a4/5 = {-shift!r} is a root")
+    try:
+        dep_cfg = foldconfig.build_config(depressed, branch=branch)
+        dep_sols = foldsolve.solve_all(dep_cfg, depressed, root_tol=args.root_tol)
+    except OrigamiQuinticError as exc:  # the same class, so the same exit code
+        raise type(exc)(f"depressed-form route: {exc}") from None
+    mapped = [(s.t - shift, s.multiplicity) for s in dep_sols]  # roots of the input
+    gap, unmatched = _match_roots(direct, mapped)
 
     _dump(
         {
+            "schema": SCHEMA,
             "quintic": _quintic_dict(raw, monic),
             "direct": {
                 "config": _config_dict(direct_cfg),
                 "max_abs_parameter": direct_cfg.max_abs_parameter,
-                "roots": direct_roots,
+                "roots": [t for t, _ in direct],
             },
-            "nishimura": {
-                "depressed": list(pipeline.depressed.coeffs),
-                "shift": pipeline.shift,
-                "scale": pipeline.scale,
-                "scaled": list(pipeline.scaled.coeffs),
-                "precondition_holds": pipeline.precondition_holds,
-                "config": _config_dict(pipeline.config),
-                "max_abs_parameter": pipeline.config.max_abs_parameter,
-                "roots_scaled": scaled_roots,
-                "roots_mapped_back": mapped,
+            "depressed": {
+                "quintic": list(depressed.coeffs),
+                "shift": shift,
+                "config": _config_dict(dep_cfg),
+                "max_abs_parameter": dep_cfg.max_abs_parameter,
+                "roots": [t for t, _ in mapped],
             },
-            "max_root_gap": max(gaps) if gaps else None,
+            "max_root_gap": gap,
+            "unmatched_roots": unmatched,
         },
         args.json,
     )
@@ -321,9 +342,15 @@ def cmd_verify(args) -> int:
     try:
         with open(args.json, encoding="utf-8") as handle:
             stored = json.load(handle)
+        schema = stored.get("schema", 1)
+        if schema != SCHEMA:
+            print(f"unreadable report: schema {schema!r}, but verify reads schema {SCHEMA}; "
+                  "re-run solve", file=sys.stderr)
+            return EXIT_DATA
         raw, cfg = [float(v) for v in stored["quintic"]["raw"]], stored["config"]
         h, branch = (None, "plus") if cfg is None else (float(cfg["h"]), cfg["branch"])
-    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
         print(f"unreadable report: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:

@@ -9,18 +9,6 @@ class DegenerateDegree(OrigamiQuinticError):
     """Leading coefficient is zero; the input is not a quintic."""
 
 
-class ZeroScale(OrigamiQuinticError):
-    """A scale change with factor 0 was requested."""
-
-
-class NotDepressed(OrigamiQuinticError):
-    """Operation requires a quintic with zero quartic coefficient."""
-
-
-class NoScaleFound(OrigamiQuinticError):
-    """The scale search grid was exhausted without meeting the predicate."""
-
-
 class SturmOverflow(OrigamiQuinticError):
     """A Sturm chain sign at the root bound is NaN, or the counts there find
     no real root: the bound is beyond the float range or Horner overflowed."""

@@ -18,12 +18,9 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-from . import polynomial
 from .errors import (
     DegenerateP,
     NegativeDiscriminant,
-    NoScaleFound,
-    NotDepressed,
     NoValidH,
     SingularSystem,
     ZeroConstantTerm,
@@ -79,17 +76,6 @@ class FoldConfig(NamedTuple):
     @property
     def max_abs_parameter(self) -> float:
         return max(abs(v) for v in (self.h, self.b, self.c, self.k, self.p, self.q))
-
-
-class NishimuraReport(NamedTuple):
-    """Intermediates of the depressed-form route, for side-by-side comparison."""
-
-    depressed: Quintic
-    shift: float
-    scale: float
-    scaled: Quintic
-    precondition_holds: bool
-    config: FoldConfig
 
 
 def forward_coefficients(
@@ -245,46 +231,3 @@ def _config_at(q: Quintic, h: float, branch: Branch) -> FoldConfig:
             f"P lies on line l (p = k = {k:.6g}) at h = {h:.6g}; retry with a different h"
         )
     return FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q_point, branch=branch, D=d)
-
-
-def nishimura_precondition(q: Quintic) -> bool:
-    """Whether a depressed monic quintic is admissible for the depressed-form
-    analysis: its configuration discriminant at h = 1, e^2 - 4*(1 + b3 + b1)
-    for cubic, linear and constant coefficients b3, b1, e, is nonnegative.
-    """
-    if q.a4 != 0.0:
-        raise NotDepressed("quartic coefficient must be zero")
-    return discriminant(q, 1.0) >= 0.0
-
-
-def find_scale_for_precondition(q: Quintic) -> float:
-    """Search a fixed grid of scale factors until the depressed-form
-    precondition holds: c = 1, 1/2, 1/3, ..., 1/64, then 2, 3, ..., 64.
-    """
-    candidates = [1.0]
-    candidates += [1.0 / n for n in range(2, 65)]
-    candidates += [float(n) for n in range(2, 65)]
-    for c in candidates:
-        if nishimura_precondition(polynomial.scale(q, c)):
-            return c
-    raise NoScaleFound("no admissible scale in 1, 1/2..1/64, 2..64")
-
-
-def nishimura_pipeline(q: Quintic, branch: Branch = Branch.PLUS) -> NishimuraReport:
-    """Depressed-form route: depress, scale until admissible, build at h = 1.
-
-    Reports every intermediate so the direct construction and the
-    depressed-form one can be compared side by side.
-    """
-    depressed, shift = polynomial.depress(q)
-    factor = find_scale_for_precondition(depressed)
-    scaled = polynomial.scale(depressed, factor)
-    config = build_config(scaled, h_override=1.0, branch=branch)
-    return NishimuraReport(
-        depressed=depressed,
-        shift=shift,
-        scale=factor,
-        scaled=scaled,
-        precondition_holds=factor == 1.0,
-        config=config,
-    )

@@ -2,9 +2,9 @@
 
 For a configuration and a candidate parameter t, the fold xi is fixed by
 (t, h) and chi is constructed as the reflection of line n across xi, so
-the alignment incidence holds by construction and never branches; the
-remaining incidences (Q' on m, P' on l, the bisector relation, the
-parallel-case equidistance) are measured as numeric residuals.
+the alignment incidence holds by construction, without a branch, and is
+not measured; the remaining incidences (Q' on m, P' on l, the bisector
+relation, the parallel-case equidistance) are measured as numeric residuals.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class IncidenceResiduals(NamedTuple):
 
     q_on_m: float
     p_on_l: float
-    align: float
     bisect: float
     quintic_value: float
     equidistant: float
@@ -138,11 +137,9 @@ def _reconstruct(cfg: FoldConfig, t: float, quintic: Quintic | None,
         equidistant = 0.0
         on_chi = distance_xy(*crossing_abc(xa, xb, xc, na, nb, nc), ca, cb, cc, cn)
 
-    chi_unit = canonical_abc(ca, cb, cc, cn)
     residuals = IncidenceResiduals(
         q_on_m=abs(qy + h),
         p_on_l=abs(px - k),
-        align=triple_gap(chi_unit, chi_unit),  # zero by construction, NaN when chi is
         bisect=bisect_defect_abc(xa, xb, xn, na, nb, nn, ca, cb, cn),
         quintic_value=abs(evaluate(config_quintic(cfg) if quintic is None else quintic, t)),
         equidistant=equidistant,
@@ -150,7 +147,7 @@ def _reconstruct(cfg: FoldConfig, t: float, quintic: Quintic | None,
     )
 
     diagnostics = []
-    if triple_gap(chi_unit, canonical_abc(na, nb, nc, nn)) <= 1e-9:
+    if triple_gap(canonical_abc(ca, cb, cc, cn), canonical_abc(na, nb, nc, nn)) <= 1e-9:
         diagnostics.append(CHI_EQUALS_N)
     moved = math.hypot(px - p, py - q)
     if moved <= 1e-9 * (1.0 + abs(p) + abs(q)):

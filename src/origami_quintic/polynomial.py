@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateDegree, SturmOverflow, ZeroScale
+from .errors import DegenerateDegree, SturmOverflow
 
 
 class _QuinticFields(NamedTuple):
@@ -82,17 +82,6 @@ def depress(q: Quintic) -> tuple[Quintic, float]:
     # Taylor expansion of q about -shift gives the coefficients of q(t' - shift).
     taylor = _taylor_coefficients(q.coeffs, -shift)
     return Quintic(1.0, 0.0, taylor[3], taylor[2], taylor[1], taylor[0]), shift
-
-
-def scale(q: Quintic, c: float) -> Quintic:
-    """Monic quintic whose roots are the input's roots divided by c.
-
-    Substitutes t = c * t' and renormalizes: coefficient i (descending)
-    becomes a_i / c**i.
-    """
-    if c == 0.0:
-        raise ZeroScale("scale factor must be nonzero")
-    return Quintic(1.0, *(q.coeffs[i] / c**i for i in range(1, 6)))
 
 
 def cauchy_bound(q: Quintic) -> float:

@@ -147,7 +147,6 @@ def reference_verify(cfg: FoldConfig, t: float, xi: Line | None = None,
     n = cfg.line_n
     q_image = reference_reflect_point(cfg.point_q, xi)
     p_image = reference_reflect_point(cfg.point_p, chi)
-    chi_ref = reference_reflect_line(n, xi)
     if is_parallel(xi, n):
         equidistant = abs(
             parallel_distance(xi, n) - parallel_distance(xi, chi)
@@ -163,7 +162,6 @@ def reference_verify(cfg: FoldConfig, t: float, xi: Line | None = None,
     return IncidenceResiduals(
         q_on_m=abs(q_image.y + cfg.h),
         p_on_l=abs(p_image.x - cfg.k),
-        align=reference_canonical_gap(chi_ref, chi),
         bisect=abs(cos_chi - cos_n),
         quintic_value=abs(evaluate(config_quintic(cfg), t)),
         equidistant=equidistant,

@@ -230,17 +230,46 @@ class TestCompare:
     def test_hendecagon(self, capsys):
         code, out = run_json(capsys, ["compare", *HENDECAGON_ARGS])
         assert code == EXIT_OK
+        assert out["schema"] == 2
         assert out["direct"]["max_abs_parameter"] == pytest.approx(3.0, abs=1e-9)
-        assert out["nishimura"]["max_abs_parameter"] > out["direct"]["max_abs_parameter"]
-        assert out["nishimura"]["precondition_holds"] is False
-        assert out["nishimura"]["shift"] == pytest.approx(0.2)
+        assert out["depressed"]["max_abs_parameter"] > out["direct"]["max_abs_parameter"]
+        # D < 0 at h = 1 on the depressed quintic, so choose_h picks a smaller h
+        assert out["depressed"]["config"]["h"] == 0.25
+        assert out["depressed"]["shift"] == pytest.approx(0.2)
+        assert out["depressed"]["quintic"][:2] == [1.0, 0.0]
         assert out["max_root_gap"] <= 1e-6
+        assert out["unmatched_roots"] == 0
 
     def test_already_admissible_reports_unit_scale(self, capsys):
         code, out = run_json(capsys, ["compare", "--coeffs", "1,0,-110,-55,2310,979"])
         assert code == EXIT_OK
-        assert out["nishimura"]["scale"] == 1.0
-        assert out["nishimura"]["shift"] == 0.0
+        assert out["depressed"]["config"]["h"] == 1.0
+        assert out["depressed"]["shift"] == 0.0
+        assert out["depressed"]["quintic"] == out["quintic"]["monic"]
+
+    @pytest.mark.parametrize("coeffs, gap, unmatched", [
+        # (t + 3/4)^2 (t - 13/4) (t^2 + ...), case 259 of the seed-0 unit-batch
+        # corpus: rounding the depressed quintic splits -3/4 into two real roots
+        ("1.0,-4.75,12.1875,-8.578125,-43.03125,-20.56640625", 1e-8, 0),
+        # (t - 1)^2 (t - 15/4)^3, case 3 of the same corpus: the depressed
+        # route finds one real root near 15/4, where the direct route finds a triple root
+        ("1.0,-13.25,65.6875,-148.359375,147.65625,-52.734375", 1e-4, 2),
+    ], ids=["split_double_root", "lost_triple_root"])
+    def test_roots_are_matched_with_multiplicities(self, capsys, coeffs, gap, unmatched):
+        code, out = run_json(capsys, ["compare", "--coeffs", coeffs])
+        assert code == EXIT_OK
+        assert len(out["direct"]["roots"]) == 2
+        assert out["max_root_gap"] <= gap
+        assert out["unmatched_roots"] == unmatched
+
+    def test_depressed_route_errors_name_the_route(self, capsys):
+        # (t + 2)^5 - (t + 2): the direct route builds, but the depressed
+        # quintic u^5 - u has a zero constant term, the root t = -2
+        assert main(["compare", "--coeffs", "1,10,40,80,79,30"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: depressed-form route: the depressed quintic's constant "
+            "term is zero; t = -a4/5 = -2.0 is a root\n"
+        )
 
 
 class TestVerify:
@@ -273,6 +302,29 @@ class TestVerify:
         data["config"][field] = float("nan")
         path.write_text(json.dumps(data))
         assert main(["verify", "--json", str(path)]) == EXIT_VERIFY
+
+    @pytest.mark.parametrize("schema, named", [(None, "schema 1"), (3, "schema 3")],
+                             ids=["missing", "newer"])
+    def test_other_schema_is_unreadable(self, capsys, tmp_path, schema, named):
+        path = tmp_path / "report.json"
+        main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
+        data = json.loads(path.read_text())
+        assert data.pop("schema") == 2
+        if schema is not None:
+            data["schema"] = schema
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--json", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"unreadable report: {named}, but verify reads schema 2; re-run solve\n"
+        )
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"report"'])
+    def test_report_that_is_not_an_object_is_unreadable(self, capsys, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert main(["verify", "--json", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("unreadable report: ")
 
     def test_truncated_json(self, capsys, tmp_path):
         path = tmp_path / "report.json"

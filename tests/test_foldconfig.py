@@ -7,6 +7,7 @@ from origami_quintic import (
     Branch,
     DegenerateP,
     NegativeDiscriminant,
+    OrigamiQuinticError,
     SingularSystem,
     ZeroConstantTerm,
     build_config,
@@ -14,11 +15,10 @@ from origami_quintic import (
     compute_bc,
     compute_kpq,
     config_quintic,
+    depress,
     discriminant,
     forward_coefficients,
-    nishimura_pipeline,
     normalize_monic,
-    real_roots,
     solve_all,
 )
 from origami_quintic.polynomial import Quintic, coefficient_gap
@@ -313,6 +313,30 @@ class TestBuildConfig:
                 gap = coefficient_gap(config_quintic(cfg).coeffs, quintic.coeffs)
                 assert gap <= 1e-8
 
+    def test_h_is_the_scale_of_the_depressed_form_route(self):
+        # the classical route scales the depressed quintic d by c and builds at
+        # h = 1; for a power of two c, that is the configuration at h = c on d
+        # with every length divided by c, so compare needs no scale of its own
+        rng = np.random.default_rng(31)
+        built = 0
+        for _ in range(60):
+            d, _ = depress(Quintic(1.0, *rng.uniform(-5.0, 5.0, size=5)))
+            for c in (2.0**e for e in range(-3, 4)):
+                scaled = Quintic(1.0, *(d.coeffs[i] / c**i for i in range(1, 6)))
+                try:
+                    cfg = build_config(d, h_override=c)
+                except OrigamiQuinticError as exc:
+                    with pytest.raises(type(exc)):
+                        build_config(scaled, h_override=1.0)
+                    continue
+                unit = build_config(scaled, h_override=1.0)
+                assert (cfg.h, cfg.b, cfg.c, cfg.D) == (c, unit.b, unit.c * c, unit.D * c**10)
+                lengths = (unit.k * c, unit.p * c, unit.q * c)
+                gap = max(abs(got - want) for got, want in zip((cfg.k, cfg.p, cfg.q), lengths))
+                assert gap <= 1e-12 * cfg.max_abs_parameter
+                built += 1
+        assert built >= 200
+
     def test_derived_geometry(self, hendecagon_config):
         cfg = hendecagon_config
         assert (cfg.point_q.x, cfg.point_q.y) == (0.0, 1.0)
@@ -320,41 +344,6 @@ class TestBuildConfig:
         assert (cfg.point_p.x, cfg.point_p.y) == (-2.5, -3.0)
         assert (cfg.line_l.a, cfg.line_l.b, cfg.line_l.c) == (1.0, 0.0, -1.5)
         assert (cfg.line_n.a, cfg.line_n.b, cfg.line_n.c) == (1.0, 0.0, 0.0)
-
-
-class TestNishimuraPipeline:
-    def test_hendecagon_intermediates(self, hendecagon):
-        report = nishimura_pipeline(hendecagon)
-        assert report.shift == pytest.approx(0.2, abs=0.0)
-        assert report.precondition_holds is False
-        assert report.scale != 1.0
-        assert report.scaled.a4 == 0.0
-        # the chosen scale must make the precondition true, and the
-        # depressed-form route always runs at h = 1
-        assert discriminant(report.scaled, 1.0) >= 0.0
-        assert report.config.h == 1.0
-
-    def test_already_admissible_input(self):
-        report = nishimura_pipeline(SCALED_HENDECAGON)
-        assert report.shift == 0.0
-        assert report.scale == 1.0
-        assert report.precondition_holds is True
-        assert report.depressed == SCALED_HENDECAGON
-
-    def test_root_correspondence(self, hendecagon):
-        report = nishimura_pipeline(hendecagon)
-        original = [r for r, _ in real_roots(hendecagon)]
-        mapped = sorted(
-            r * report.scale - report.shift for r, _ in real_roots(report.scaled)
-        )
-        assert len(mapped) == len(original)
-        for got, want in zip(mapped, original):
-            assert got == pytest.approx(want, abs=1e-8)
-
-    def test_pipeline_config_reproduces_scaled(self, hendecagon):
-        report = nishimura_pipeline(hendecagon)
-        gap = coefficient_gap(config_quintic(report.config).coeffs, report.scaled.coeffs)
-        assert gap <= 1e-8
 
 
 def test_requires_monic():

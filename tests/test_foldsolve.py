@@ -23,7 +23,7 @@ from origami_quintic import (
     solve_all,
     verify,
 )
-from origami_quintic.foldsolve import check_roundtrip
+from origami_quintic.foldsolve import _reconstruct, check_roundtrip
 from origami_quintic.polynomial import Quintic
 
 from conftest import (
@@ -141,7 +141,6 @@ class TestVerify:
             r = verify(hendecagon_config, t)
             assert r.q_on_m <= 1e-9
             assert r.p_on_l <= 1e-9
-            assert r.align <= 1e-9
             assert r.bisect <= 1e-9
             assert r.quintic_value <= 1e-9
             assert r.intersection_on_chi <= 1e-9
@@ -167,6 +166,19 @@ class TestVerify:
         assert math.isnan(residuals.equidistant)
         assert not residuals.passes(1e-9)
 
+    def test_nan_chi_fails_the_residuals_read_off_it(self, hendecagon_config):
+        # chi is built to align with n, so no residual measures the alignment;
+        # a NaN chi, its one failure, must still fail: n this far out
+        # reflects to a NaN chi across the finite xi of a hendecagon root
+        cfg = hendecagon_config._replace(c=1e308)
+        sol = _reconstruct(cfg, HENDECAGON_ROOTS[0], Quintic(*HENDECAGON))
+        assert all(math.isnan(v) for v in sol.chi)
+        assert sol.residuals.q_on_m <= 1e-9 and sol.residuals.quintic_value <= 1e-9
+        for field in ("p_on_l", "bisect", "intersection_on_chi"):
+            assert math.isnan(getattr(sol.residuals, field))
+        assert not sol.residuals.passes(1e-9)
+        assert not verify(cfg, HENDECAGON_ROOTS[0]).passes(1e-9)
+
     def test_worst_field_names_nan_first(self, hendecagon_config):
         residuals = verify(hendecagon_config, 1.0)
         name, worst = residuals.worst_field
@@ -174,7 +186,7 @@ class TestVerify:
         residuals = residuals._replace(bisect=math.nan, quintic_value=5.0)
         name, worst = residuals.worst_field
         assert name == "bisect" and math.isnan(worst)
-        ties = IncidenceResiduals(0.0, 2.0, 2.0, 0.0, 1.0, 0.0, 0.0)
+        ties = IncidenceResiduals(0.0, 2.0, 2.0, 1.0, 0.0, 0.0)
         assert ties.worst_field == ("p_on_l", 2.0)
 
 

@@ -10,17 +10,11 @@ from hypothesis import strategies as st
 
 from origami_quintic import (
     DegenerateDegree,
-    NoScaleFound,
-    NotDepressed,
     SturmOverflow,
-    ZeroScale,
     depress,
     evaluate,
-    find_scale_for_precondition,
-    nishimura_precondition,
     normalize_monic,
     real_roots,
-    scale,
 )
 from origami_quintic.polynomial import (
     Quintic,
@@ -133,70 +127,6 @@ class TestDepress:
             depress(Quintic(2, 0, 0, 0, 0, 1))
 
 
-class TestScale:
-    def test_hendecagon_fifth(self, hendecagon):
-        dep, _ = depress(hendecagon)
-        scaled = scale(dep, 0.2)
-        for got, want in zip(scaled.coeffs, (1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)):
-            assert got == pytest.approx(want, abs=1e-12)
-
-    def test_identity(self, hendecagon):
-        assert scale(hendecagon, 1.0) == hendecagon
-
-    def test_fifth_roots(self):
-        scaled = scale(Quintic(1, 0, 0, 0, 0, -32), 2.0)
-        assert scaled.coeffs == (1.0, 0.0, 0.0, 0.0, 0.0, -1.0)
-
-    def test_zero_rejected(self, hendecagon):
-        with pytest.raises(ZeroScale):
-            scale(hendecagon, 0.0)
-
-    @given(
-        rest=st.lists(coeff_strategy(), min_size=5, max_size=5),
-        factor=st.floats(min_value=0.2, max_value=5.0),
-    )
-    def test_functional_identity(self, rest, factor):
-        q = Quintic(1.0, *rest)
-        scaled = scale(q, factor)
-        for t in (-1.1, 0.7, 2.3):
-            assert evaluate(scaled, t) == pytest.approx(
-                evaluate(q, factor * t) / factor**5, abs=1e-9
-            )
-
-
-class TestNishimuraPrecondition:
-    def test_depressed_hendecagon_fails(self, hendecagon):
-        dep, _ = depress(hendecagon)
-        assert nishimura_precondition(dep) is False
-
-    def test_scaled_hendecagon_passes(self):
-        assert nishimura_precondition(Quintic(1, 0, -110, -55, 2310, 979)) is True
-
-    def test_boundary_zero(self):
-        assert nishimura_precondition(Quintic(1, 0, -1, 0, 0, 0)) is True
-
-    def test_not_depressed(self, hendecagon):
-        with pytest.raises(NotDepressed):
-            nishimura_precondition(hendecagon)
-
-
-class TestFindScale:
-    def test_hendecagon_answer_passes_predicate(self, hendecagon):
-        dep, _ = depress(hendecagon)
-        c = find_scale_for_precondition(dep)
-        assert nishimura_precondition(scale(dep, c))
-
-    def test_identity_when_already_passing(self):
-        q = Quintic(1, 0, -110, -55, 2310, 979)
-        assert find_scale_for_precondition(q) == 1.0
-
-    def test_unfixable(self):
-        # t^5: every scale leaves all lower coefficients zero, so the
-        # predicate value stays at -4 over the whole grid
-        with pytest.raises(NoScaleFound):
-            find_scale_for_precondition(Quintic(1, 0, 0, 0, 0, 0))
-
-
 def brute_force_roots(coeffs, step=1e-4):
     """Independent oracle: sign-change scan on a dense grid, then plain
     bisection inside each bracket (no Newton, no Sturm)."""
@@ -303,17 +233,6 @@ class TestRealRoots:
             moved = [r - shift for r, _ in real_roots(dep)]
             assert len(orig) == len(moved)
             for a, b in zip(orig, moved):
-                assert a == pytest.approx(b, abs=1e-8)
-
-    def test_scale_root_correspondence(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            q = Quintic(1.0, *rng.uniform(-4, 4, size=5))
-            factor = rng.uniform(0.3, 3.0)
-            orig = [r for r, _ in real_roots(q)]
-            divided = [r * factor for r, _ in real_roots(scale(q, factor))]
-            assert len(orig) == len(divided)
-            for a, b in zip(orig, divided):
                 assert a == pytest.approx(b, abs=1e-8)
 
 

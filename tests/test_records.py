@@ -9,7 +9,6 @@ from origami_quintic import (
     Quintic,
     Viewport,
     build_config,
-    nishimura_pipeline,
     solve_all,
 )
 from origami_quintic.cli import RunReport
@@ -31,13 +30,10 @@ def test_reprs(hendecagon):
         "chi=Line(a=-1.1457567615150666, b=-1.6392807701679746, c=6.036663018748005), "
         "q_image=Point(x=-3.8379718944579895, y=-1.0), "
         "p_image=Point(x=-1.4999999999999998, y=-1.5692593530931405), "
-        "residuals=IncidenceResiduals(q_on_m=0.0, p_on_l=2.220446049250313e-16, align=0.0, "
+        "residuals=IncidenceResiduals(q_on_m=0.0, p_on_l=2.220446049250313e-16, "
         "bisect=1.1102230246251565e-16, quintic_value=9.992007221626409e-16, "
         "equidistant=0.0, intersection_on_chi=0.0), "
         "parallel_case=False, multiplicity=1, diagnostics=())"
-    )
-    assert repr(nishimura_pipeline(hendecagon)).startswith(
-        "NishimuraReport(depressed=Quintic(a5=1.0, a4=0.0, a3=-4.4, "
     )
     assert repr(Viewport(0.0, 1.0, 0.0, 2.0)) == (
         "Viewport(xmin=0.0, xmax=1.0, ymin=0.0, ymax=2.0, width_px=640, height_px=480, "
@@ -58,7 +54,6 @@ def test_records_are_immutable(hendecagon):
         (Line(1.0, 2.0, 3.0), "c"),
         (hendecagon, "a0"),
         (cfg, "h"),
-        (nishimura_pipeline(hendecagon), "scale"),
         (sol.residuals, "bisect"),
         (sol, "t"),
         (Viewport(0.0, 1.0, 0.0, 2.0), "xmin"),
