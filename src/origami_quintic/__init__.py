@@ -58,7 +58,7 @@ from .polynomial import (
 __version__ = "0.1.0"
 
 # render is imported on first use: only drawing needs it
-_RENDER_NAMES = ("Viewport", "render_gallery", "render_solution")
+_RENDER_NAMES = ("render_gallery", "render_solution")
 
 
 def __getattr__(name: str):
@@ -88,7 +88,6 @@ __all__ = [
     "Quintic",
     "SingularSystem",
     "SturmOverflow",
-    "Viewport",
     "ZeroConstantTerm",
     "build_config",
     "canonical",

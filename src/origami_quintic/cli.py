@@ -4,6 +4,8 @@ Exit codes: 0 success, 2 configuration error, 3 verification failure,
 64 usage error, 65 unreadable report file.  JSON goes to stdout unless
 --json PATH is given; reports carry their schema number (none means
 schema 1) and are byte-stable across runs unless --timing is requested.
+A report depends on no setting but the raw coefficients, h and branch,
+which it stores, and --tol, which decides only the exit code and warnings.
 verify exits 65 on another schema, else reruns solve's report builder on
 the stored raw coefficients, h and branch and compares the two reports in
 one walk: floats within --tol relative to max(1, |rebuilt|), everything
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from typing import NamedTuple
@@ -36,9 +37,7 @@ EXIT_DATA = 65
 SCHEMA = 2
 
 DEFAULT_TOL = 1e-9
-DEFAULT_ROOT_TOL = 1e-12
 H_MIN, H_MAX = 2.0**-128, 2.0**128
-TOL_ENV_VAR = "ORIGAMI_QUINTIC_TOL"
 
 
 class UsageError(Exception):
@@ -134,37 +133,18 @@ def _dump(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _tol(args) -> float:
-    """The verification tolerance: --tol, else the environment, else the default."""
-    if args.tol is not None:
-        source, tol = "--tol", args.tol
-    else:
-        env = os.environ.get(TOL_ENV_VAR)
-        if env is None:
-            return DEFAULT_TOL
-        try:
-            source, tol = TOL_ENV_VAR, float(env)
-        except ValueError:
-            raise UsageError(f"{TOL_ENV_VAR} is not a number: {env!r}") from None
-    if not 0.0 <= tol < math.inf:
-        raise UsageError(f"{source} must be a finite number >= 0, got {tol!r}")
-    return tol
-
-
 def _check_options(args) -> None:
-    """Resolve --tol and reject numeric options the solver cannot use.
+    """Reject numeric options the solver cannot use.
 
     h is held to [2^-128, 2^128], where every power of h that the
     construction forms (up to h^6) is a finite, nonzero float.
     """
-    if hasattr(args, "tol"):
-        args.tol = _tol(args)
+    tol = getattr(args, "tol", DEFAULT_TOL)
+    if not 0.0 <= tol < math.inf:
+        raise UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
     h = getattr(args, "h_override", None)
     if h is not None and not H_MIN <= h <= H_MAX:
         raise UsageError(f"--h must be from 2^-128 to 2^128, got {h!r}")
-    root_tol = getattr(args, "root_tol", None)
-    if root_tol is not None and not 0.0 < root_tol < math.inf:
-        raise UsageError(f"--root-tol must be a finite number > 0, got {root_tol!r}")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -198,14 +178,12 @@ def build_parser() -> _Parser:
     verify = subs.add_parser("verify", help="re-check a stored solve report")
     verify.add_argument("--json", required=True, metavar="PATH")
     for sub in (solve, verify):
-        sub.add_argument("--tol", type=float, default=None,
-                         help=f"verification tolerance (default {DEFAULT_TOL}, env {TOL_ENV_VAR})")
-    for sub in (solve, compare):
-        sub.add_argument("--root-tol", type=float, default=DEFAULT_ROOT_TOL)
+        sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                         help=f"verification tolerance (default {DEFAULT_TOL})")
     return parser
 
 
-def _solve_report(raw: list[float], h: float | None, branch: str, root_tol: float, tol: float,
+def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
                   timing: bool) -> RunReport:
     """The report of solving raw at h (None: chosen) on branch, with timing_ms
     when timing is set; tol is read only by the warnings.  solve writes it,
@@ -219,7 +197,7 @@ def _solve_report(raw: list[float], h: float | None, branch: str, root_tol: floa
                         "construction")
         return RunReport(raw=raw, monic=monic, config=None, solutions=[], warnings=warnings)
     cfg = foldconfig.build_config(monic, h_override=h, branch=Branch(branch))
-    solutions = foldsolve.solve_all(cfg, monic, root_tol=root_tol)
+    solutions = foldsolve.solve_all(cfg, monic)
     for sol in solutions:
         for diag in sol.diagnostics:
             warnings.append(f"diagnostic {diag} at t = {sol.t!r}")
@@ -232,8 +210,8 @@ def _solve_report(raw: list[float], h: float | None, branch: str, root_tol: floa
 
 
 def cmd_solve(args) -> int:
-    report = _solve_report(parse_coeffs(args.coeffs), args.h_override, args.branch,
-                           args.root_tol, args.tol, args.timing)
+    report = _solve_report(parse_coeffs(args.coeffs), args.h_override, args.branch, args.tol,
+                           args.timing)
     _dump(report_to_dict(report), args.json)
     if args.svg and report.solutions:
         from . import render  # only --svg draws, so only --svg loads render
@@ -275,8 +253,7 @@ def cmd_compare(args) -> int:
     monic, branch = monic_of(raw), Branch(args.branch)
 
     direct_cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=branch)
-    direct = [(s.t, s.multiplicity)
-              for s in foldsolve.solve_all(direct_cfg, monic, root_tol=args.root_tol)]
+    direct = [(s.t, s.multiplicity) for s in foldsolve.solve_all(direct_cfg, monic)]
     # the depressed-form route: choose_h picks its scale h; its errors name it
     depressed, shift = polynomial.depress(monic)
     if depressed.a0 == 0.0:
@@ -284,7 +261,7 @@ def cmd_compare(args) -> int:
                                f"is zero; t = -a4/5 = {-shift!r} is a root")
     try:
         dep_cfg = foldconfig.build_config(depressed, branch=branch)
-        dep_sols = foldsolve.solve_all(dep_cfg, depressed, root_tol=args.root_tol)
+        dep_sols = foldsolve.solve_all(dep_cfg, depressed)
     except OrigamiQuinticError as exc:  # the same class, so the same exit code
         raise type(exc)(f"depressed-form route: {exc}") from None
     mapped = [(s.t - shift, s.multiplicity) for s in dep_sols]  # roots of the input
@@ -354,7 +331,7 @@ def cmd_verify(args) -> int:
         print(f"unreadable report: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
-        report = _solve_report(raw, h, branch, DEFAULT_ROOT_TOL, tol, timing=False)
+        report = _solve_report(raw, h, branch, tol, timing=False)
     except (OrigamiQuinticError, UsageError, ValueError, OverflowError) as exc:
         print(f"verification failed: no rebuild: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -101,18 +101,14 @@ def verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:
     once t*t overflows) gives a NaN equidistant residual.  Thresholding the
     residuals is the caller's call.
     """
-    return _reconstruct(cfg, t, None).residuals
+    return _reconstruct(cfg, t, config_quintic(cfg)).residuals
 
 
-def _reconstruct(cfg: FoldConfig, t: float, quintic: Quintic | None,
+def _reconstruct(cfg: FoldConfig, t: float, quintic: Quintic,
                  multiplicity: int = 1) -> FoldSolution:
     """The per-root kernel of solve_all and verify: xi from (t, h), chi the
     reflection of n across xi, every fold and image at t built once and every
-    incidence measured on local floats.
-
-    quintic is the configuration's quintic, or None to build it here, after
-    the folds.
-    """
+    incidence measured on local floats; quintic is the configuration's."""
     h, b, c, k, p, q = cfg.h, cfg.b, cfg.c, cfg.k, cfg.p, cfg.q
     na, nb, nc = 1.0, b, c  # line n
     xi = fold_xi(t, h)
@@ -141,7 +137,7 @@ def _reconstruct(cfg: FoldConfig, t: float, quintic: Quintic | None,
         q_on_m=abs(qy + h),
         p_on_l=abs(px - k),
         bisect=bisect_defect_abc(xa, xb, xn, na, nb, nn, ca, cb, cn),
-        quintic_value=abs(evaluate(config_quintic(cfg) if quintic is None else quintic, t)),
+        quintic_value=abs(evaluate(quintic, t)),
         equidistant=equidistant,
         intersection_on_chi=on_chi,
     )
@@ -181,19 +177,16 @@ def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> Quintic:
     return quintic
 
 
-def solve_all(
-    cfg: FoldConfig, source: Quintic, root_tol: float = 1e-12
-) -> list[FoldSolution]:
+def solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
     """One verified FoldSolution per distinct real root of the source quintic.
 
     The configuration must pass ``check_roundtrip`` against the source
-    coefficients, otherwise ConfigMismatch.  Solutions come back sorted
-    ascending in t; s is read off the image of P.  A chi that coincides
-    with n, or an image of P too close to P itself, is flagged through
-    the diagnostics field rather than dropped.
+    coefficients, otherwise ConfigMismatch.  The roots are those of
+    ``real_roots``, at its one refinement width, so a stored solve rebuilds
+    bit for bit.  Solutions come back sorted ascending in t; s is read off
+    the image of P.  A chi that coincides with n, or an image of P too
+    close to P itself, is flagged through the diagnostics field rather
+    than dropped.
     """
     quintic = check_roundtrip(cfg, source.coeffs)
-    return [
-        _reconstruct(cfg, root, quintic, mult)
-        for root, mult in real_roots(source, root_tol)
-    ]
+    return [_reconstruct(cfg, root, quintic, mult) for root, mult in real_roots(source)]

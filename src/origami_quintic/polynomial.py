@@ -19,6 +19,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateDegree, SturmOverflow
 
+ROOT_TOL = 1e-12  # the bracket width at which refinement hands over to Newton
+
 
 class _QuinticFields(NamedTuple):
     a5: float
@@ -96,23 +98,21 @@ def cauchy_bound(q: Quintic) -> float:
     return math.nextafter(peak, math.inf)
 
 
-def real_roots(q: Quintic, tol: float = 1e-12) -> list[tuple[float, int]]:
+def real_roots(q: Quintic) -> list[tuple[float, int]]:
     """All real roots of a monic quintic, ascending, with multiplicities.
 
     Every chain, p's and those of g1, g2, ..., is built the same way, over
     its own gcd.  Distinct roots are isolated by sign-variation counts of
     p's chain on a bisected interval [-B, B] (B the Cauchy bound), refined
-    by bisection to bracket width <= tol on its head, the square-free part
-    p / g1, and polished with Newton steps.  A root's multiplicity is its
-    bracket's count plus, for each gcd chain, the chain's count of roots in
-    the bracket; a bracket left at the width floor with several roots in it
-    reports their total.
+    by bisection to the fixed bracket width ROOT_TOL on its head, the
+    square-free part p / g1, and polished with Newton steps.  A root's
+    multiplicity is its bracket's count plus, for each gcd chain, the
+    chain's count of roots in the bracket; a bracket left at the width
+    floor with several roots in it reports their total.
 
     A real quintic always has at least one real root, so the result is
     never empty: a count of none at the bound raises ``SturmOverflow``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     bound = cauchy_bound(q)
     # the chains of p, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to a square-free g_j
     chains, f = [], _integer_coefficients(q.coeffs)
@@ -132,7 +132,7 @@ def real_roots(q: Quintic, tol: float = 1e-12) -> list[tuple[float, int]]:
     roots: list[tuple[float, int]] = []
     for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi):
         mult = count + sum(_variations(c, blo) - _variations(c, bhi) for c in deeper)
-        roots.append((_refine_root(poly, dpoly, blo, bhi, tol), mult))
+        roots.append((_refine_root(poly, dpoly, blo, bhi), mult))
     roots.sort(key=lambda pair: pair[0])
     return roots
 
@@ -290,9 +290,7 @@ def _isolate(
     return brackets
 
 
-def _refine_root(
-    poly: Sequence[float], dpoly: Sequence[float], lo: float, hi: float, tol: float
-) -> float:
+def _refine_root(poly: Sequence[float], dpoly: Sequence[float], lo: float, hi: float) -> float:
     a, b, c, d, e, f = poly
     flo = ((((a * lo + b) * lo + c) * lo + d) * lo + e) * lo + f
     fhi = ((((a * hi + b) * hi + c) * hi + d) * hi + e) * hi + f
@@ -303,7 +301,7 @@ def _refine_root(
     elif (flo > 0.0) == (fhi > 0.0):
         # no sign change (endpoint noise); fall back to clipped Newton from the midpoint
         return _newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         x = 0.5 * (lo + hi)
         if x <= lo or x >= hi:
             break

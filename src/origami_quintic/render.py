@@ -30,12 +30,7 @@ _STYLE = (
 
 
 class Viewport(NamedTuple):
-    """World window plus the pixel canvas it maps onto.
-
-    A window without positive extent (or non-positive pixel sizes) is not
-    usable directly; the renderers fall back to the auto viewport instead
-    of failing.
-    """
+    """World window plus the pixel canvas it maps onto."""
 
     xmin: float
     xmax: float
@@ -44,16 +39,6 @@ class Viewport(NamedTuple):
     width_px: int = 640
     height_px: int = 480
     margin_px: int = 28
-
-    @property
-    def usable(self) -> bool:
-        return (
-            self.xmax > self.xmin
-            and self.ymax > self.ymin
-            and self.width_px > 2 * self.margin_px
-            and self.height_px > 2 * self.margin_px
-            and self.margin_px >= 0
-        )
 
 
 class _Mapper:
@@ -71,9 +56,6 @@ class _Mapper:
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:
         return (self.px + (x - self.cx) * self.scale, self.py - (y - self.cy) * self.scale)
-
-    def to_world(self, u: float, v: float) -> tuple[float, float]:
-        return ((u - self.px) / self.scale + self.cx, (self.py - v) / self.scale + self.cy)
 
     def window(self) -> tuple[float, float, float, float]:
         """World rectangle actually visible after uniform-scale centering."""
@@ -206,12 +188,10 @@ def marked_points(cfg: FoldConfig, sol: FoldSolution) -> list[Point]:
     ]
 
 
-def render_solution(cfg: FoldConfig, sol: FoldSolution, vp: Viewport | None = None) -> str:
+def render_solution(cfg: FoldConfig, sol: FoldSolution) -> str:
     """Standalone SVG document for one fold solution."""
-    if vp is None or not vp.usable:
-        vp = auto_viewport(marked_points(cfg, sol))
-    m = _Mapper(vp)
-    return _document(vp.width_px, vp.height_px, "\n".join(_solution_body(cfg, sol, m)))
+    vp = auto_viewport(marked_points(cfg, sol))
+    return _document(vp.width_px, vp.height_px, "\n".join(_solution_body(cfg, sol, _Mapper(vp))))
 
 
 def render_gallery(cfg: FoldConfig, sols: list[FoldSolution]) -> str:

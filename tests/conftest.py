@@ -427,13 +427,12 @@ def fraction_sturm_chain(coeffs):
 
 # The root finder's loops as they were written on generic Horner over the
 # unpadded coefficient lists, on the rational chains: the reference that the
-# fixed-degree kernel must match bit for bit.  A root's multiplicity is its
-# bracket's count plus each gcd chain's count at the bracket ends.
+# fixed-degree kernel must match bit for bit, at the same refinement width of
+# 1e-12.  A root's multiplicity is its bracket's count plus each gcd chain's
+# count at the bracket ends.
 
 
-def reference_real_roots(q: Quintic, tol: float = 1e-12) -> list[tuple[float, int]]:
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+def reference_real_roots(q: Quintic) -> list[tuple[float, int]]:
     bound = cauchy_bound(q)
     chain, *deeper = fraction_sturm_chain(q.coeffs)
     square_free = chain[0]
@@ -447,7 +446,7 @@ def reference_real_roots(q: Quintic, tol: float = 1e-12) -> list[tuple[float, in
     d_square_free = _poly_derivative(square_free)
     roots = []
     for blo, bhi, count in brackets:
-        root = _reference_refine_root(square_free, d_square_free, blo, bhi, tol)
+        root = _reference_refine_root(square_free, d_square_free, blo, bhi)
         for gcd_chain in deeper:
             count += (_reference_variations(gcd_chain, blo)
                       - _reference_variations(gcd_chain, bhi))
@@ -493,7 +492,7 @@ def _reference_isolate(chain, lo, hi, vlo, vhi):
     return brackets
 
 
-def _reference_refine_root(poly, dpoly, lo, hi, tol):
+def _reference_refine_root(poly, dpoly, lo, hi):
     flo = _horner(poly, lo)
     fhi = _horner(poly, hi)
     if fhi == 0.0:
@@ -502,7 +501,7 @@ def _reference_refine_root(poly, dpoly, lo, hi, tol):
         flo = -fhi
     elif (flo > 0.0) == (fhi > 0.0):
         return _reference_newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break

@@ -76,7 +76,7 @@ def test_criterion_2_hendecagon_roots():
     cfg = build_config(q)
     solve_all(cfg, q)  # warm-up
     start = time.perf_counter()
-    sols = solve_all(cfg, q, root_tol=1e-12)
+    sols = solve_all(cfg, q)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     expected = sorted(2.0 * math.cos(2.0 * math.pi * i / 11.0) for i in range(1, 6))
     ok = len(sols) == 5
@@ -165,7 +165,7 @@ def test_criterion_5_geometric_algebraic_equivalence():
             rejected += 1
             continue
         cfg = FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q, branch=Branch.PLUS, D=0.0)
-        expected = [r for r, _ in real_roots(quintic, tol=1e-12)]
+        expected = [r for r, _ in real_roots(quintic)]
         bound = 1.0 + max(abs(x) for x in coeffs)
         ts = np.linspace(-bound - 0.5, bound + 0.5, grid_points)
         step = ts[1] - ts[0]

@@ -146,6 +146,11 @@ class TestVerify:
             assert r.intersection_on_chi <= 1e-9
             assert r.equidistant == 0.0
 
+    def test_overflowing_quintic_raises(self, hendecagon_config):
+        # h**3 overflows while the configuration's quintic is built
+        with pytest.raises(OverflowError):
+            verify(hendecagon_config._replace(h=1e150), 1.0)
+
     def test_parallel_case_residuals(self):
         rng = np.random.default_rng(33)
         b, c, k, p, q, h = parallel_tuple(rng)
@@ -242,7 +247,7 @@ class TestSolveAll:
 
     def test_intercepts_equal_root_oracle(self, hendecagon, hendecagon_config):
         sols = solve_all(hendecagon_config, hendecagon)
-        roots = [r for r, _ in real_roots(hendecagon, tol=1e-12)]
+        roots = [r for r, _ in real_roots(hendecagon)]
         for sol, root in zip(sols, roots):
             assert sol.t == root
             # xi crosses the x axis at t

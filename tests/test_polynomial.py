@@ -89,7 +89,7 @@ class TestEvaluate:
         assert evaluate(hendecagon, 1.0) == -1.0
 
     def test_small_at_computed_roots(self, hendecagon):
-        for root, _ in real_roots(hendecagon, tol=1e-12):
+        for root, _ in real_roots(hendecagon):
             assert abs(evaluate(hendecagon, root)) <= 1e-9
 
 
@@ -156,7 +156,7 @@ def brute_force_roots(coeffs, step=1e-4):
 
 class TestRealRoots:
     def test_hendecagon_against_cosine_formula(self, hendecagon):
-        found = real_roots(hendecagon, tol=1e-12)
+        found = real_roots(hendecagon)
         assert len(found) == 5
         for (root, mult), want in zip(found, HENDECAGON_ROOTS):
             assert mult == 1
@@ -191,17 +191,13 @@ class TestRealRoots:
             assert total >= 1
             assert total % 2 == 1
 
-    def test_tol_must_be_positive(self, hendecagon):
-        with pytest.raises(ValueError):
-            real_roots(hendecagon, tol=0.0)
-
     def test_against_brute_force_scan(self):
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             coeffs = (1.0, *rng.uniform(-5, 5, size=5))
             q = Quintic(*coeffs)
             expected = brute_force_roots(coeffs)
-            found = [r for r, m in real_roots(q, tol=1e-12) if m % 2 == 1]
+            found = [r for r, m in real_roots(q) if m % 2 == 1]
             assert len(found) == len(expected)
             for got, want in zip(found, expected):
                 assert got == pytest.approx(want, abs=1e-6)
@@ -218,11 +214,10 @@ class TestRealRoots:
 
     def test_residual_bound(self):
         rng = np.random.default_rng(5)
-        tol = 1e-12
         for _ in range(200):
             q = Quintic(1.0, *rng.uniform(-5, 5, size=5))
-            for root, _ in real_roots(q, tol=tol):
-                assert abs(evaluate(q, root)) <= 10 * tol
+            for root, _ in real_roots(q):  # ten times the refinement width of 1e-12
+                assert abs(evaluate(q, root)) <= 1e-11
 
     def test_depress_root_correspondence(self):
         rng = np.random.default_rng(11)
@@ -373,19 +368,16 @@ EDGE_FLOATS = st.sampled_from([
     0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
     1.7976931348623157e308, -1.7976931348623157e308,
 ])
-TOLS = st.sampled_from([1e-15, 1e-12, 1e-6, 0.5])
 
 
 class TestRealRootsOracle:
     """The fixed-degree kernel returns what generic Horner loops return."""
 
     @settings(max_examples=300, deadline=None)
-    @given(rest=st.lists(st.one_of(wide_floats, EDGE_FLOATS), min_size=5, max_size=5),
-           tol=TOLS)
-    def test_wide_and_edge_coefficients(self, rest, tol):
+    @given(rest=st.lists(st.one_of(wide_floats, EDGE_FLOATS), min_size=5, max_size=5))
+    def test_wide_and_edge_coefficients(self, rest):
         q = Quintic(1.0, *rest)
-        assert outcome(lambda: real_roots(q, tol)) == outcome(
-            lambda: reference_real_roots(q, tol))
+        assert outcome(lambda: real_roots(q)) == outcome(lambda: reference_real_roots(q))
 
     # repeated roots end the chain early and leave a square-free part of
     # lower degree, which the kernel pads with more zeros
@@ -394,12 +386,10 @@ class TestRealRootsOracle:
         linear=st.lists(st.integers(-24, 24), min_size=5, max_size=5),
         pairs=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=2),
         shift=st.integers(0, 6),
-        tol=TOLS,
     )
-    def test_dyadic_repeated_roots(self, linear, pairs, shift, tol):
+    def test_dyadic_repeated_roots(self, linear, pairs, shift):
         q = Quintic(*dyadic_product(linear[: 5 - 2 * len(pairs)], pairs, shift))
-        assert outcome(lambda: real_roots(q, tol)) == outcome(
-            lambda: reference_real_roots(q, tol))
+        assert outcome(lambda: real_roots(q)) == outcome(lambda: reference_real_roots(q))
 
 
 def test_cauchy_bound_contains_roots():
@@ -513,7 +503,7 @@ def test_zero_at_the_lower_end_belongs_to_the_left_bracket():
     # (t + 2)(t + 1)(t - 1) on (-2, 0]: -2 is outside the bracket, -1 inside
     poly = _pad(_normalized([1, 2, -1, -2]))
     dpoly = _pad(_poly_derivative(poly))
-    assert _refine_root(poly, dpoly, -2.0, 0.0, 1e-12) == pytest.approx(-1.0, abs=1e-12)
+    assert _refine_root(poly, dpoly, -2.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 # rounding boundaries, written out exactly: the midpoint between the largest

@@ -7,11 +7,11 @@ from origami_quintic import (
     Line,
     Point,
     Quintic,
-    Viewport,
     build_config,
     solve_all,
 )
 from origami_quintic.cli import RunReport
+from origami_quintic.render import Viewport
 
 MONIC_MESSAGE = "expected a monic quintic; call normalize_monic first"
 NORMAL_MESSAGE = "line normal must be nonzero"

@@ -6,14 +6,13 @@ import pytest
 
 from origami_quintic import (
     EmptySolutions,
-    Viewport,
     build_config,
     render_gallery,
     render_solution,
     solve_all,
 )
 from origami_quintic.polynomial import Quintic
-from origami_quintic.render import _Mapper, auto_viewport, marked_points
+from origami_quintic.render import auto_viewport, marked_points
 
 
 @pytest.fixture
@@ -67,24 +66,6 @@ def test_largest_root_panel_annotations(hendecagon_config, hendecagon_solutions)
     ]
     gap = min(abs(x - want_x) + abs(y - want_y) for x, y in circles)
     assert gap <= 0.5
-
-
-def test_affine_roundtrip_below_half_pixel(hendecagon_config, hendecagon_solutions):
-    for sol in hendecagon_solutions:
-        vp = auto_viewport(marked_points(hendecagon_config, sol))
-        mapper = _Mapper(vp)
-        for pt in marked_points(hendecagon_config, sol):
-            u, v = mapper.to_px(pt.x, pt.y)
-            x, y = mapper.to_world(u, v)
-            assert abs(x - pt.x) * mapper.scale <= 0.5
-            assert abs(y - pt.y) * mapper.scale <= 0.5
-
-
-def test_degenerate_viewport_falls_back(hendecagon_config, hendecagon_solutions):
-    flat = Viewport(xmin=1.0, xmax=1.0, ymin=0.0, ymax=2.0)
-    doc = render_solution(hendecagon_config, hendecagon_solutions[0], flat)
-    auto = render_solution(hendecagon_config, hendecagon_solutions[0])
-    assert doc == auto
 
 
 def test_gallery_panel_count(hendecagon_config, hendecagon_solutions):
