@@ -171,29 +171,37 @@ def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float,
     if h <= 0.0:
         raise ValueError("h must be positive")
     b2 = b * b
-    # augmented rows [matrix | right-hand side]
-    rows = [
-        [-(1.0 + b2) / 4.0, (b2 - 1.0) / 4.0, b / 2.0, q.a4 + 3.0 * b * h + c / 2.0],
-        [0.0, 2.0 * b * h, h * (1.0 - b2), q.a3 - b * c * h + h * h - 2.0 * b2 * h * h],
-        [-h * h * (1.0 + b2) / 2.0, 3.0 * h * h * (1.0 - b2) / 2.0, -3.0 * b * h * h,
-         q.a2 - b * h**3],
-    ]
-    for col in range(3):
-        top = max(range(col, 3), key=lambda r: abs(rows[r][col]))
-        rows[col], rows[top] = rows[top], rows[col]
-        pivot = rows[col][col]
-        if pivot == 0.0 or not math.isfinite(pivot):
-            raise SingularSystem(f"(k, p, q) pivot {pivot!r} at b = {b:.6g}, h = {h:.6g}")
-        for row in rows[col + 1:]:
-            factor = row[col] / pivot
-            for j in range(col + 1, 4):
-                row[j] -= factor * rows[col][j]
-    x = [0.0, 0.0, 0.0]
-    for i in (2, 1, 0):
-        x[i] = (rows[i][3] - sum(rows[i][j] * x[j] for j in range(i + 1, 3))) / rows[i][i]
-    if not all(math.isfinite(v) for v in x):
-        raise SingularSystem(f"(k, p, q) = {tuple(x)} at b = {b:.6g}, h = {h:.6g}")
-    return x[0], x[1], x[2]
+    # augmented rows (matrix | right-hand side); each column's pivot is the first
+    # row of largest abs, swapped to the top, and v, which starts 0.0, never leads
+    u = (-(1.0 + b2) / 4.0, (b2 - 1.0) / 4.0, b / 2.0, q.a4 + 3.0 * b * h + c / 2.0)
+    v = (0.0, 2.0 * b * h, h * (1.0 - b2), q.a3 - b * c * h + h * h - 2.0 * b2 * h * h)
+    w = (-h * h * (1.0 + b2) / 2.0, 3.0 * h * h * (1.0 - b2) / 2.0, -3.0 * b * h * h,
+         q.a2 - b * h**3)
+    if abs(w[0]) > abs(u[0]):
+        u, w = w, u
+    pivot, u1, u2, u3 = u
+    if pivot == 0.0 or not math.isfinite(pivot):
+        raise SingularSystem(f"(k, p, q) pivot {pivot!r} at b = {b:.6g}, h = {h:.6g}")
+    f = v[0] / pivot
+    v = (v[1] - f * u1, v[2] - f * u2, v[3] - f * u3)
+    f = w[0] / pivot
+    w = (w[1] - f * u1, w[2] - f * u2, w[3] - f * u3)
+    if abs(w[0]) > abs(v[0]):
+        v, w = w, v
+    pivot, v2, v3 = v
+    if pivot == 0.0 or not math.isfinite(pivot):
+        raise SingularSystem(f"(k, p, q) pivot {pivot!r} at b = {b:.6g}, h = {h:.6g}")
+    f = w[0] / pivot
+    pivot, w3 = w[1] - f * v2, w[2] - f * v3
+    if pivot == 0.0 or not math.isfinite(pivot):
+        raise SingularSystem(f"(k, p, q) pivot {pivot!r} at b = {b:.6g}, h = {h:.6g}")
+    # back-substitution; each 0.0 + is sum()'s start, which turns a -0.0 into 0.0
+    z = w3 / pivot
+    y = (v3 - (0.0 + v2 * z)) / v[0]
+    x = (u3 - (0.0 + u1 * y + u2 * z)) / u[0]
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise SingularSystem(f"(k, p, q) = {(x, y, z)} at b = {b:.6g}, h = {h:.6g}")
+    return x, y, z
 
 
 def build_config(

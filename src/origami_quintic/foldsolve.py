@@ -15,15 +15,11 @@ from typing import NamedTuple, Sequence
 from .errors import ConfigMismatch
 from .foldconfig import FoldConfig, config_quintic
 from .geometry import (
+    PARALLEL_TOL,
     Line,
     Point,
-    bisect_defect_abc,
     canonical_abc,
-    crossing_abc,
-    distance_xy,
     fold_xi,
-    parallel_abc,
-    parallel_distance_abc,
     reflect_abc,
     reflect_line,
     reflect_xy,
@@ -101,65 +97,55 @@ def verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:
     once t*t overflows) gives a NaN equidistant residual.  Thresholding the
     residuals is the caller's call.
     """
-    return _reconstruct(cfg, t, config_quintic(cfg)).residuals
+    return _reconstruct(cfg, t, _config_values(cfg, config_quintic(cfg))).residuals
 
 
-def _reconstruct(cfg: FoldConfig, t: float, quintic: Quintic,
-                 multiplicity: int = 1) -> FoldSolution:
+def _config_values(cfg: FoldConfig, quintic: Quintic) -> tuple:
+    """What _reconstruct needs that is fixed for the configuration: |n|, n's
+    canonical triple, the low-confidence threshold and the quintic itself."""
+    nn = math.hypot(1.0, cfg.b)
+    return nn, canonical_abc(1.0, cfg.b, cfg.c, nn), 1e-9 * (1.0 + abs(cfg.p) + abs(cfg.q)), quintic
+
+
+def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1) -> FoldSolution:
     """The per-root kernel of solve_all and verify: xi from (t, h), chi the
-    reflection of n across xi, every fold and image at t built once and every
-    incidence measured on local floats; quintic is the configuration's."""
-    h, b, c, k, p, q = cfg.h, cfg.b, cfg.c, cfg.k, cfg.p, cfg.q
-    na, nb, nc = 1.0, b, c  # line n
-    xi = fold_xi(t, h)
-    xa, xb, xc = xi.a, xi.b, xi.c
-    chi = Line(*reflect_abc(na, nb, nc, xa, xb, xc))
-    ca, cb, cc = chi.a, chi.b, chi.c
+    reflection of n across xi, and every incidence measured on local floats;
+    fixed is ``_config_values`` of the configuration and its quintic."""
+    h, b, c, k, p, q, _, _ = cfg
+    nn, n_canonical, still, quintic = fixed
+    xa, xb, xc = xi = fold_xi(t, h)
+    ca, cb, cc = chi = Line(*reflect_abc(1.0, b, c, xa, xb, xc))
     qx, qy = reflect_xy(0.0, h, xa, xb, xc)
     px, py = reflect_xy(p, q, ca, cb, cc)
-    xn, nn, cn = math.hypot(xa, xb), math.hypot(na, nb), math.hypot(ca, cb)
-
-    parallel = parallel_abc(xa, xb, xn, na, nb, nn)
+    xn, cn = math.hypot(xa, xb), math.hypot(ca, cb)
+    # n's normal is (1.0, b), and 1.0 * v is v: the dot products of xi's normal
+    # with n's and chi's, and the determinant of xi's and n's
+    xi_n, xi_chi, det = xa + xb * b, xa * ca + xb * cb, xa * b - xb
+    parallel = abs(det) <= PARALLEL_TOL * xn * nn
     if parallel:
-        if parallel_abc(xa, xb, xn, ca, cb, cn):
-            equidistant = abs(
-                parallel_distance_abc(xa, xb, xc, xn, na, nb, nc)
-                - parallel_distance_abc(xa, xb, xc, xn, ca, cb, cc)
-            )
+        if abs(xa * cb - ca * xb) <= PARALLEL_TOL * xn * cn:
+            # the distances from xi to n and to chi, each line first rescaled
+            # so that its normal matches xi's
+            equidistant = abs(abs(xc - xi_n / (1.0 + b * b) * c) / xn
+                              - abs(xc - xi_chi / (ca * ca + cb * cb) * cc) / xn)
         else:  # the distance to a line off xi's direction is undefined
             equidistant = math.nan
         on_chi = 0.0
-    else:
-        equidistant = 0.0
-        on_chi = distance_xy(*crossing_abc(xa, xb, xc, na, nb, nc), ca, cb, cc, cn)
+    else:  # the distance of the crossing of xi and n from chi
+        x, y = (xc * b - c * xb) / det, (xa * c - xc) / det
+        equidistant, on_chi = 0.0, abs(ca * x + cb * y - cc) / cn
 
+    # bisect: |cos| of the xi-chi angle against |cos| of the xi-n angle
     residuals = IncidenceResiduals(
-        q_on_m=abs(qy + h),
-        p_on_l=abs(px - k),
-        bisect=bisect_defect_abc(xa, xb, xn, na, nb, nn, ca, cb, cn),
-        quintic_value=abs(evaluate(quintic, t)),
-        equidistant=equidistant,
-        intersection_on_chi=on_chi,
-    )
-
-    diagnostics = []
-    if triple_gap(canonical_abc(ca, cb, cc, cn), canonical_abc(na, nb, nc, nn)) <= 1e-9:
-        diagnostics.append(CHI_EQUALS_N)
-    moved = math.hypot(px - p, py - q)
-    if moved <= 1e-9 * (1.0 + abs(p) + abs(q)):
-        diagnostics.append(LOW_CONFIDENCE)
-    return FoldSolution(
-        t=t,
-        s=py,
-        xi=xi,
-        chi=chi,
-        q_image=Point(qx, qy),
-        p_image=Point(px, py),
-        residuals=residuals,
-        parallel_case=parallel,
-        multiplicity=multiplicity,
-        diagnostics=tuple(diagnostics),
-    )
+        abs(qy + h), abs(px - k), abs(abs(xi_chi) / (xn * cn) - abs(xi_n) / (xn * nn)),
+        abs(evaluate(quintic, t)), equidistant, on_chi)
+    diagnostics = ()
+    if triple_gap(canonical_abc(ca, cb, cc, cn), n_canonical) <= 1e-9:
+        diagnostics = (CHI_EQUALS_N,)
+    if math.hypot(px - p, py - q) <= still:
+        diagnostics += (LOW_CONFIDENCE,)
+    return FoldSolution(t, py, xi, chi, Point(qx, qy), Point(px, py), residuals, parallel,
+                        multiplicity, diagnostics)
 
 
 def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> Quintic:
@@ -169,7 +155,7 @@ def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> Quintic:
         quintic = config_quintic(cfg)
     except OverflowError:  # a power of h beyond the float range
         raise ConfigMismatch(f"the configuration's quintic overflows at h = {cfg.h!r}") from None
-    gap = coefficient_gap(quintic.coeffs, coeffs)
+    gap = coefficient_gap(quintic, coeffs)
     if not gap <= 1e-8:  # a NaN gap fails too
         raise ConfigMismatch(
             f"configuration reproduces the source within {gap:.3e} only (limit 1e-8)"
@@ -186,7 +172,8 @@ def solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
     bit for bit.  Solutions come back sorted ascending in t; s is read off
     the image of P.  A chi that coincides with n, or an image of P too
     close to P itself, is flagged through the diagnostics field rather
-    than dropped.
+    than dropped.  What every root shares, |n|, n's canonical triple, the
+    low-confidence threshold and the quintic's coefficients, is computed once.
     """
-    quintic = check_roundtrip(cfg, source.coeffs)
-    return [_reconstruct(cfg, root, quintic, mult) for root, mult in real_roots(source)]
+    fixed = _config_values(cfg, check_roundtrip(cfg, source))
+    return [_reconstruct(cfg, root, fixed, mult) for root, mult in real_roots(source)]

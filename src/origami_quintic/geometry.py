@@ -4,10 +4,10 @@ Lines are stored as a*x + b*y = c with the raw coefficients retained;
 a canonical unit-normal form is used only for equality tests and
 reporting, never for arithmetic, to avoid drift.
 
-Each measurement is written once, on bare floats (the ``*_xy`` and
-``*_abc`` functions, which take a normal's length where they need it, so a
-caller measuring one line many times computes it once); the Point and Line
-functions unpack into them.
+Each construction is written once, on bare floats (the ``*_xy`` and
+``*_abc`` functions); the Point and Line functions unpack into them.  The
+incidence measurements are written in the one kernel that takes them,
+``foldsolve._reconstruct``.
 """
 
 from __future__ import annotations
@@ -127,41 +127,3 @@ def reflect_abc(ta: float, tb: float, tc: float, ma: float, mb: float, mc: float
 def reflect_line(target: Line, mirror: Line) -> Line:
     """Image of a whole line under reflection across the mirror."""
     return Line(*reflect_abc(target.a, target.b, target.c, mirror.a, mirror.b, mirror.c))
-
-
-def parallel_abc(a1: float, b1: float, norm1: float, a2: float, b2: float, norm2: float) -> bool:
-    """Whether the normals (a1, b1) and (a2, b2), of lengths norm1 and norm2, are
-    linearly dependent (see PARALLEL_TOL)."""
-    det = a1 * b2 - a2 * b1
-    return abs(det) <= PARALLEL_TOL * norm1 * norm2
-
-
-def crossing_abc(a1: float, b1: float, c1: float, a2: float, b2: float, c2: float) -> XY:
-    """The crossing of two lines whose normals are independent."""
-    det = a1 * b2 - a2 * b1
-    return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
-
-
-def parallel_distance_abc(
-    a1: float, b1: float, c1: float, norm1: float, a2: float, b2: float, c2: float
-) -> float:
-    """Distance between two parallel lines, the second rescaled so that its normal
-    matches the first's before |c1 - c2| / |n|; norm1 is the first normal's length."""
-    s = (a1 * a2 + b1 * b2) / (a2 * a2 + b2 * b2)
-    return abs(c1 - s * c2) / norm1
-
-
-def distance_xy(x: float, y: float, a: float, b: float, c: float, norm: float) -> float:
-    """Distance of (x, y) from a*x + b*y = c, whose normal has length norm."""
-    return abs(a * x + b * y - c) / norm
-
-
-def bisect_defect_abc(
-    xa: float, xb: float, xn: float, na: float, nb: float, nn: float,
-    ca: float, cb: float, cn: float,
-) -> float:
-    """|cos(theta/2) mismatch| between the xi-n and xi-chi angle cosines, from the
-    normals of xi, n and chi and their lengths xn, nn, cn."""
-    cos_chi = abs(xa * ca + xb * cb) / (xn * cn)
-    cos_n = abs(xa * na + xb * nb) / (xn * nn)
-    return abs(cos_chi - cos_n)

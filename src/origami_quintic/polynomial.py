@@ -66,7 +66,7 @@ def normalize_monic(coeffs: Sequence[float]) -> Quintic:
 
 def evaluate(q: Quintic, t: float) -> float:
     """Horner evaluation of q at t."""
-    return _horner(q.coeffs, t)
+    return _horner(q, t)
 
 
 def depress(q: Quintic) -> tuple[Quintic, float]:
@@ -108,7 +108,9 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     square-free part p / g1, and polished with Newton steps.  A root's
     multiplicity is its bracket's count plus, for each gcd chain, the
     chain's count of roots in the bracket; a bracket left at the width
-    floor with several roots in it reports their total.
+    floor with several roots in it reports their total.  The chains are
+    exact integers until ``_normalized``; from there every evaluation is
+    straight-line Horner on six floats, rounding as the generic loop does.
 
     A real quintic always has at least one real root, so the result is
     never empty: a count of none at the bound raises ``SturmOverflow``.
@@ -118,10 +120,9 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     chains, f = [], _integer_coefficients(q.coeffs)
     while f != [1]:
         chain, f = _sturm_chain(f)
-        chains.append([_pad(_normalized(g)) for g in chain])
+        chains.append([_normalized(g) for g in chain])
     chain, *deeper = chains
     poly = chain[0]  # p / g1, the square-free part
-    dpoly = _pad(_poly_derivative(poly))
 
     lo, hi = -bound, bound
     vlo, vhi = _variations(chain, lo), _variations(chain, hi)
@@ -132,7 +133,7 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     roots: list[tuple[float, int]] = []
     for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi):
         mult = count + sum(_variations(c, blo) - _variations(c, bhi) for c in deeper)
-        roots.append((_refine_root(poly, dpoly, blo, bhi), mult))
+        roots.append((_refine_root(poly, blo, bhi), mult))
     roots.sort(key=lambda pair: pair[0])
     return roots
 
@@ -145,11 +146,6 @@ def _horner(coeffs: Sequence[float], t: float) -> float:
     for c in coeffs:
         acc = acc * t + c
     return acc
-
-
-def _poly_derivative(coeffs: Sequence[float]) -> list[float]:
-    n = len(coeffs) - 1
-    return [coeffs[i] * (n - i) for i in range(n)]
 
 
 def _taylor_coefficients(coeffs: Sequence[float], x0: float) -> list[float]:
@@ -231,19 +227,13 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     return chain, [1]
 
 
-def _normalized(poly: Sequence[int]) -> list[float]:
-    """Max-norm normalized floats for fast sign counting; integer true
-    division rounds correctly, so they do not depend on which positive
-    multiple of a polynomial was kept."""
+def _normalized(poly: Sequence[int]) -> tuple[float, ...]:
+    """Max-norm normalized floats for fast sign counting, which integer true
+    division rounds correctly whatever positive multiple of poly was kept; padded
+    to six with leading zeros for the straight-line Horner below, which then rounds
+    as ``_horner`` on the unpadded list (0.0*x + c is c, and NaN at an infinite x)."""
     peak = max(map(abs, poly))
-    return [c / peak for c in poly]
-
-
-def _pad(coeffs: Sequence[float]) -> tuple[float, ...]:
-    """Six coefficients, leading zeros first, for the straight-line Horner below: at
-    a finite x it rounds as ``_horner`` on the unpadded list (0.0*x + c is c), and
-    at an infinite x a padded zero gives NaN, as ``_horner``'s start from 0.0 does."""
-    return (0.0,) * (6 - len(coeffs)) + tuple(coeffs)
+    return (0.0,) * (6 - len(poly)) + tuple([c / peak for c in poly])
 
 
 def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
@@ -290,7 +280,7 @@ def _isolate(
     return brackets
 
 
-def _refine_root(poly: Sequence[float], dpoly: Sequence[float], lo: float, hi: float) -> float:
+def _refine_root(poly: Sequence[float], lo: float, hi: float) -> float:
     a, b, c, d, e, f = poly
     flo = ((((a * lo + b) * lo + c) * lo + d) * lo + e) * lo + f
     fhi = ((((a * hi + b) * hi + c) * hi + d) * hi + e) * hi + f
@@ -300,7 +290,8 @@ def _refine_root(poly: Sequence[float], dpoly: Sequence[float], lo: float, hi: f
         flo = -fhi
     elif (flo > 0.0) == (fhi > 0.0):
         # no sign change (endpoint noise); fall back to clipped Newton from the midpoint
-        return _newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
+        return _newton_polish(poly, 0.5 * (lo + hi), lo, hi)
+    positive = flo > 0.0  # p's sign at lo, which lo keeps: it moves only onto that sign
     while hi - lo > ROOT_TOL:
         x = 0.5 * (lo + hi)
         if x <= lo or x >= hi:
@@ -308,18 +299,16 @@ def _refine_root(poly: Sequence[float], dpoly: Sequence[float], lo: float, hi: f
         fx = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
         if fx == 0.0:
             return x
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
+        if (fx > 0.0) == positive:
+            lo = x
         else:
-            hi, fhi = x, fx
-    return _newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
+            hi = x
+    return _newton_polish(poly, 0.5 * (lo + hi), lo, hi)
 
 
-def _newton_polish(
-    poly: Sequence[float], dpoly: Sequence[float], x: float, lo: float, hi: float
-) -> float:
+def _newton_polish(poly: Sequence[float], x: float, lo: float, hi: float) -> float:
     a, b, c, d, e, f = poly
-    _, db, dc, dd, de, df = dpoly  # a derivative: its padded lead 0.0 adds nothing
+    db, dc, dd, de, df = 5.0 * a, 4.0 * b, 3.0 * c, 2.0 * d, e  # the derivative
     fx = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
     best, best_val = x, abs(fx)
     # the step is a function of x alone, so once an iterate repeats only

@@ -24,21 +24,10 @@ from origami_quintic import (
     real_roots,
     reflect_point,
 )
-from origami_quintic.errors import SturmOverflow
+from origami_quintic.errors import SingularSystem, SturmOverflow
 from origami_quintic.foldsolve import check_roundtrip
-from origami_quintic.polynomial import (
-    _horner,
-    _poly_derivative,
-    cauchy_bound,
-)
-from origami_quintic.geometry import (
-    PARALLEL_TOL,
-    bisect_defect_abc,
-    canonical,
-    crossing_abc,
-    through_xy,
-    triple_gap,
-)
+from origami_quintic.polynomial import _horner, cauchy_bound
+from origami_quintic.geometry import PARALLEL_TOL, canonical, through_xy, triple_gap
 
 HENDECAGON = (1.0, 1.0, -4.0, -3.0, 3.0, 1.0)
 
@@ -256,7 +245,8 @@ def intersect(l1: Line, l2: Line) -> Point | None:
         if canonical_gap(l1, l2) <= PARALLEL_TOL * scale:
             raise CoincidentLines("lines are canonically equal")
         return None
-    return Point(*crossing_abc(l1.a, l1.b, l1.c, l2.a, l2.b, l2.c))
+    det = l1.a * l2.b - l2.a * l1.b
+    return Point((l1.c * l2.b - l2.c * l1.b) / det, (l1.a * l2.c - l2.a * l1.c) / det)
 
 
 def parallel_distance(l1: Line, l2: Line) -> float:
@@ -277,7 +267,9 @@ def point_line_distance(pt: Point, line: Line) -> float:
 
 def bisect_defect(xi: Line, n: Line, chi: Line) -> float:
     """|cos(theta/2) mismatch| between the xi-n and xi-chi angle cosines."""
-    return bisect_defect_abc(xi.a, xi.b, xi.norm, n.a, n.b, n.norm, chi.a, chi.b, chi.norm)
+    cos_chi = abs(xi.a * chi.a + xi.b * chi.b) / (xi.norm * chi.norm)
+    cos_n = abs(xi.a * n.a + xi.b * n.b) / (xi.norm * n.norm)
+    return abs(cos_chi - cos_n)
 
 
 def bisects(xi: Line, n: Line, chi: Line, tol: float = 1e-9) -> bool:
@@ -345,6 +337,37 @@ def closed_form_kpq(
         - b * gamma
     ) / (h * h * (b2 + 1.0) ** 2)
     return k, p, q
+
+
+def reference_compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float, float]:
+    """The (k, p, q) elimination as it was written on lists, with max() picking
+    each pivot and sum() in the back-substitution: the reference that the
+    straight-line compute_kpq must match bit for bit, messages included."""
+    if h <= 0.0:
+        raise ValueError("h must be positive")
+    b2 = b * b
+    rows = [
+        [-(1.0 + b2) / 4.0, (b2 - 1.0) / 4.0, b / 2.0, q.a4 + 3.0 * b * h + c / 2.0],
+        [0.0, 2.0 * b * h, h * (1.0 - b2), q.a3 - b * c * h + h * h - 2.0 * b2 * h * h],
+        [-h * h * (1.0 + b2) / 2.0, 3.0 * h * h * (1.0 - b2) / 2.0, -3.0 * b * h * h,
+         q.a2 - b * h**3],
+    ]
+    for col in range(3):
+        top = max(range(col, 3), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[top] = rows[top], rows[col]
+        pivot = rows[col][col]
+        if pivot == 0.0 or not math.isfinite(pivot):
+            raise SingularSystem(f"(k, p, q) pivot {pivot!r} at b = {b:.6g}, h = {h:.6g}")
+        for row in rows[col + 1:]:
+            factor = row[col] / pivot
+            for j in range(col + 1, 4):
+                row[j] -= factor * rows[col][j]
+    x = [0.0, 0.0, 0.0]
+    for i in (2, 1, 0):
+        x[i] = (rows[i][3] - sum(rows[i][j] * x[j] for j in range(i + 1, 3))) / rows[i][i]
+    if not all(math.isfinite(v) for v in x):
+        raise SingularSystem(f"(k, p, q) = {tuple(x)} at b = {b:.6g}, h = {h:.6g}")
+    return x[0], x[1], x[2]
 
 
 def reference_parse_coefficient(text: str) -> float:
@@ -425,6 +448,16 @@ def fraction_sturm_chain(coeffs):
     return chains
 
 
+def poly_derivative(coeffs):
+    n = len(coeffs) - 1
+    return [coeffs[i] * (n - i) for i in range(n)]
+
+
+def pad(coeffs):
+    """Six coefficients, leading zeros first, as the root finder's kernels take them."""
+    return (0.0,) * (6 - len(coeffs)) + tuple(coeffs)
+
+
 # The root finder's loops as they were written on generic Horner over the
 # unpadded coefficient lists, on the rational chains: the reference that the
 # fixed-degree kernel must match bit for bit, at the same refinement width of
@@ -443,7 +476,7 @@ def reference_real_roots(q: Quintic) -> list[tuple[float, int]]:
             f"Sturm chain counts no real root in [-B, B] for B = {bound!r}: "
             f"V(-B) = {vlo}, V(B) = {vhi}")
     brackets = _reference_isolate(chain, lo, hi, vlo, vhi)
-    d_square_free = _poly_derivative(square_free)
+    d_square_free = poly_derivative(square_free)
     roots = []
     for blo, bhi, count in brackets:
         root = _reference_refine_root(square_free, d_square_free, blo, bhi)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origami_quintic import (
     Branch,
@@ -23,7 +25,7 @@ from origami_quintic import (
 )
 from origami_quintic.polynomial import Quintic, coefficient_gap
 
-from conftest import closed_form_kpq
+from conftest import closed_form_kpq, outcome, reference_compute_kpq
 
 SCALED_HENDECAGON = Quintic(1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)
 
@@ -241,6 +243,68 @@ class TestComputeKPQ:
             got_k, got_p, got_q = compute_kpq(quintic, h, b, c)
             produced = forward_coefficients(b, c, got_k, got_p, got_q, h)
             assert coefficient_gap(produced, quintic.coeffs[1:]) <= 1e-9
+
+
+# zeros of both signs, underflowing and overflowing powers of h, infinities and
+# NaN, dyadic values among which pivots tie, and any float at all
+KPQ_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-300, 1e-160, 1e160, 1e200, 1e308, math.inf,
+                     -math.inf, math.nan]),
+    st.builds(lambda n: n / 8.0, st.integers(-32, 32)),
+    st.floats(),
+)
+
+
+class TestComputeKPQReference:
+    """The straight-line elimination against the list-based one, bit for bit:
+    the same pivots, the same solution, the same exception and message."""
+
+    # after the first elimination the two remaining rows lead with x and +-x,
+    # and the first of them must stay the pivot
+    @pytest.mark.parametrize("h, b", [(0.375, 3.0), (0.375, -3.0), (0.75, 0.5), (0.75, -2.0),
+                                      (1.875, -4.0)])
+    @pytest.mark.parametrize("c", [0.0, 1.0, -2.5])
+    def test_second_pivots_of_equal_magnitude(self, hendecagon, h, b, c):
+        want = outcome(lambda: reference_compute_kpq(hendecagon, h, b, c))
+        assert want.startswith("(")
+        assert outcome(lambda: compute_kpq(hendecagon, h, b, c)) == want
+
+    @pytest.mark.parametrize("h, b, c, message", [
+        (1e-300, 0.0, 0.0, "SingularSystem: (k, p, q) pivot 0.0 "),
+        (1e-300, -0.0, 0.0, "SingularSystem: (k, p, q) pivot -0.0 "),
+        (1.0, math.nan, 0.0, "SingularSystem: (k, p, q) pivot nan "),
+        (math.inf, 0.0, 0.0, "SingularSystem: (k, p, q) pivot -inf "),
+        # both first-column candidates are -inf: the tie keeps the first row
+        (1.0, math.inf, 0.0, "SingularSystem: (k, p, q) pivot -inf "),
+        (1e-160, 3.0, 0.0, "SingularSystem: (k, p, q) = (inf, inf, inf) "),
+        (0.375, -0.0, math.nan, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
+        (1e160, 0.5, 0.0, "OverflowError: "),
+        (0.0, 1.0, 0.0, "ValueError: h must be positive"),
+        (-0.0, 1.0, 0.0, "ValueError: h must be positive"),
+        (-1.0, 1.0, 0.0, "ValueError: h must be positive"),
+    ])
+    def test_failures_match(self, hendecagon, h, b, c, message):
+        got = outcome(lambda: compute_kpq(hendecagon, h, b, c))
+        assert got.startswith(message)
+        assert got == outcome(lambda: reference_compute_kpq(hendecagon, h, b, c))
+
+    # a quintic of zeros: the back-substitution sums are -0.0, and sum()'s start
+    # of 0 turns them into 0.0, which decides the sign of a zero p or k
+    @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zero_solutions(self, h, zero):
+        quintic = Quintic(1.0, 0.0, 0.0, -0.0, 0.0, 1.0)
+        want = outcome(lambda: reference_compute_kpq(quintic, h, 0.0, zero))
+        assert want.startswith("(") and "-0.0" in want
+        assert outcome(lambda: compute_kpq(quintic, h, 0.0, zero)) == want
+
+    @settings(max_examples=600, deadline=None)
+    @given(a4=KPQ_FLOATS, a3=KPQ_FLOATS, a2=KPQ_FLOATS, h=KPQ_FLOATS, b=KPQ_FLOATS,
+           c=KPQ_FLOATS)
+    def test_matches_reference(self, a4, a3, a2, h, b, c):
+        quintic = Quintic(1.0, a4, a3, a2, 0.0, 1.0)
+        assert outcome(lambda: compute_kpq(quintic, h, b, c)) == outcome(
+            lambda: reference_compute_kpq(quintic, h, b, c))
 
 
 class TestBuildConfig:

@@ -5,6 +5,7 @@ import pytest
 
 from origami_quintic import (
     CHI_EQUALS_N,
+    LOW_CONFIDENCE,
     Branch,
     ConfigMismatch,
     IncidenceResiduals,
@@ -23,7 +24,7 @@ from origami_quintic import (
     solve_all,
     verify,
 )
-from origami_quintic.foldsolve import _reconstruct, check_roundtrip
+from origami_quintic.foldsolve import _config_values, _reconstruct, check_roundtrip
 from origami_quintic.polynomial import Quintic
 
 from conftest import (
@@ -48,6 +49,27 @@ def tuple_config(b, c, k, p, q, h):
     cfg = make_config(h=h, b=b, c=c, k=k, p=p, q=q)
     quintic = Quintic(1.0, *forward_coefficients(b, c, k, p, q, h))
     return cfg, quintic
+
+
+def chi_equals_n_tuple():
+    """t = b h maps n to itself (fold perpendicular to n); engineered so that
+    value is a root: reflect(P, n) must land on l."""
+    h, b, c = 1.0, 1.0, 0.5
+    p_pt = Point(1.0, 2.0)
+    k = reflect_point(p_pt, Line(1.0, b, c)).x
+    return tuple_config(b, c, k, p_pt.x, p_pt.y, h)
+
+
+def low_confidence_tuple(offset=0.0):
+    """P the foot point of chi at t = 2, moved offset along chi's unit normal,
+    and l through its image P', so that t = 2 is a root at which P moves by
+    2 * offset.  At offset 0, P = P' lies on l (p = k)."""
+    h, b, c = 1.0, 1.0, 0.5
+    chi = chi_from_xi(make_config(h=h, b=b, c=c, k=0.0, p=0.0, q=0.0), 2.0)
+    n2 = chi.a * chi.a + chi.b * chi.b
+    p = chi.c * chi.a / n2 + offset * chi.a / math.sqrt(n2)
+    q = chi.c * chi.b / n2 + offset * chi.b / math.sqrt(n2)
+    return tuple_config(b, c, reflect_point(Point(p, q), chi).x, p, q, h)
 
 
 def parallel_tuple(rng):
@@ -176,7 +198,7 @@ class TestVerify:
         # a NaN chi, its one failure, must still fail: n this far out
         # reflects to a NaN chi across the finite xi of a hendecagon root
         cfg = hendecagon_config._replace(c=1e308)
-        sol = _reconstruct(cfg, HENDECAGON_ROOTS[0], Quintic(*HENDECAGON))
+        sol = _reconstruct(cfg, HENDECAGON_ROOTS[0], _config_values(cfg, Quintic(*HENDECAGON)))
         assert all(math.isnan(v) for v in sol.chi)
         assert sol.residuals.q_on_m <= 1e-9 and sol.residuals.quintic_value <= 1e-9
         for field in ("p_on_l", "bisect", "intersection_on_chi"):
@@ -291,12 +313,8 @@ class TestSolveAll:
         assert nearest.residuals.passes(1e-9)
 
     def test_chi_equals_n_diagnostic(self):
-        # t = b h maps n to itself (fold perpendicular to n); engineered so
-        # that value is a root: reflect(P, n) must land on l
-        h, b, c = 1.0, 1.0, 0.5
-        p_pt = Point(1.0, 2.0)
-        k = reflect_point(p_pt, Line(1.0, b, c)).x
-        cfg, quintic = tuple_config(b, c, k, p_pt.x, p_pt.y, h)
+        cfg, quintic = chi_equals_n_tuple()
+        h, b = cfg.h, cfg.b
         assert abs(evaluate(quintic, b * h)) <= 1e-12
         sols = solve_all(cfg, quintic)
         flagged = [s for s in sols if s.diagnostics]
@@ -304,6 +322,17 @@ class TestSolveAll:
         assert flagged[0].t == pytest.approx(b * h, abs=1e-9)
         assert CHI_EQUALS_N in flagged[0].diagnostics
         assert flagged[0].residuals.passes(1e-9)
+
+    def test_low_confidence_diagnostic(self):
+        cfg, quintic = low_confidence_tuple()
+        assert abs(evaluate(quintic, 2.0)) <= 1e-12
+        sols = solve_all(cfg, quintic)
+        at_two = min(sols, key=lambda s: abs(s.t - 2.0))
+        assert at_two.t == pytest.approx(2.0, abs=1e-9)
+        assert LOW_CONFIDENCE in at_two.diagnostics
+        assert CHI_EQUALS_N not in at_two.diagnostics
+        assert math.dist(at_two.p_image, cfg.point_p) <= 1e-12
+        assert at_two.residuals.passes(1e-9)
 
     def test_double_root_still_verifies(self):
         from origami_quintic import build_config
@@ -328,7 +357,8 @@ class TestSolveAll:
 
 def oracle_cases():
     """(cfg, quintic) pairs: built configurations of the documented, random and
-    extreme quintics, and forward tuples, a third of them with a parallel root."""
+    extreme quintics, forward tuples, a third of them with a parallel root, and
+    the tuples that raise the chi_equals_n and low_confidence diagnostics."""
     rng = np.random.default_rng(40)
     quintics = [HENDECAGON, (1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)]
     quintics += [(1.0, 0.0, 0.0, 0.0, 0.0, e) for e in (1e-300, 1e300, -3e250)]
@@ -348,6 +378,11 @@ def oracle_cases():
             params = (*rng.uniform(-3.0, 3.0, size=5), rng.uniform(0.3, 3.0))
         cfg, quintic = tuple_config(*(float(v) for v in params))
         cases.append((lambda cfg=cfg: cfg, quintic))
+    # at offset 7.5e-10, P moves by 1.5e-9, between 1e-9 (1 + |p|) = 1.1e-9 and
+    # the low-confidence threshold 1e-9 (1 + |p| + |q|) = 1.9e-9
+    for cfg, quintic in (chi_equals_n_tuple(), low_confidence_tuple(),
+                         low_confidence_tuple(7.5e-10)):
+        cases.append((lambda cfg=cfg: cfg, quintic))
     return cases
 
 
@@ -355,12 +390,15 @@ class TestKernelOracle:
     """solve_all and verify against the reference per-root reconstruction."""
 
     def test_solve_all_matches_reference(self):
-        parallel = 0
+        parallel, flagged = 0, set()
         for make_cfg, quintic in oracle_cases():
             want = outcome(lambda: reference_solve_all(make_cfg(), quintic))
             assert outcome(lambda: solve_all(make_cfg(), quintic)) == want
             parallel += "parallel_case=True" in want
+            flagged.update(d for d in (CHI_EQUALS_N, LOW_CONFIDENCE) if repr(d) in want)
         assert parallel >= 40
+        # the per-configuration threshold and canonical n are read by these two
+        assert flagged == {CHI_EQUALS_N, LOW_CONFIDENCE}
 
     def test_verify_matches_reference(self):
         rng = np.random.default_rng(41)

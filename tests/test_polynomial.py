@@ -23,8 +23,6 @@ from origami_quintic.polynomial import (
     _isolate,
     _newton_polish,
     _normalized,
-    _pad,
-    _poly_derivative,
     _refine_root,
     _sturm_chain,
     _variations,
@@ -38,6 +36,8 @@ from conftest import (
     HENDECAGON_ROOTS,
     fraction_sturm_chain,
     outcome,
+    pad,
+    poly_derivative,
     reference_parse_coefficient,
     reference_real_roots,
 )
@@ -233,11 +233,12 @@ class TestRealRoots:
 
 def integer_sturm_chain(coeffs):
     """The integer chains of p, g1, g2, ..., each over its own gcd, normalized
-    as real_roots normalizes them: the counterpart of fraction_sturm_chain."""
+    as real_roots normalizes them, without the padding: the counterpart of
+    fraction_sturm_chain."""
     chains, f = [], _integer_coefficients(coeffs)
     while f != [1]:
         chain, f = _sturm_chain(f)
-        chains.append([_normalized(g) for g in chain])
+        chains.append([list(_normalized(g)[6 - len(g):]) for g in chain])
     return chains
 
 
@@ -292,7 +293,7 @@ def dyadic_product(linear, pairs, shift):
 def brackets_hold_roots(q, roots):
     """Whether real_roots' isolation gives one bracket (lo, hi] per given
     exact root, holding it, in order."""
-    chain = [_pad(poly) for poly in integer_sturm_chain(q.coeffs)[0]]
+    chain = [pad(poly) for poly in integer_sturm_chain(q.coeffs)[0]]
     bound = cauchy_bound(q)
     brackets = _isolate(chain, -bound, bound, _variations(chain, -bound), _variations(chain, bound))
     return len(brackets) == len(roots) and all(
@@ -325,6 +326,23 @@ class TestSturmChain:
     def test_documented_quintics(self, coeffs):
         assert integer_sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
 
+    # sparse quintics, whose remainders drop more than one degree: the next
+    # division then spans deg num - deg den = delta > 1 and takes delta + 1
+    # passes, delta = 3 for t^5 - 2t and t^5 + t, 2 for t^5 + 3t^2 - 1; in
+    # t^5 + 1 the drop lands on a constant, which ends the chain, and the chain
+    # of t^5 - t^3, a triple root at 0, ends on the gcd t^2; in t^5 + t^2 + t + 1
+    # p' is divided by -(3t^2 + 4t + 5), whose quotient needs all of |lc|^3
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, 0.0, 0.0, 0.0, -2.0, 0.0),
+        (1.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+        (1.0, 0.0, 0.0, 3.0, 0.0, -1.0),
+        (1.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+        (1.0, 0.0, -1.0, 0.0, 0.0, 0.0),
+        (1.0, 0.0, 0.0, 1.0, 1.0, 1.0),
+    ])
+    def test_remainders_dropping_several_degrees(self, coeffs):
+        assert integer_sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
+
     def test_square_free_part_of_repeated_roots(self):
         # (t - 1)^3 (t + 1/2)^2: p's chain ends on g1 = (t - 1)^2 (t + 1/2), and
         # divided by it is headed by the square-free part (t - 1)(t + 1/2); the
@@ -344,7 +362,7 @@ class TestNewtonPolish:
         poly, dpoly = [1.0, 0.0, -2.0, 2.0], [3.0, 0.0, -2.0]
         want, cycled = reference_newton_polish(poly, dpoly, 0.0, -10.0, 10.0)
         assert cycled
-        assert _newton_polish(_pad(poly), _pad(dpoly), 0.0, -10.0, 10.0) == want == 1.0
+        assert _newton_polish(pad(poly), 0.0, -10.0, 10.0) == want == 1.0
 
     def test_starts_next_to_roots(self):
         rng = np.random.default_rng(41)
@@ -352,12 +370,12 @@ class TestNewtonPolish:
         for _ in range(200):
             q = Quintic(1.0, *rng.uniform(-5, 5, size=5))
             poly = integer_sturm_chain(q.coeffs)[0][0]
-            dpoly = _poly_derivative(poly)
+            dpoly = poly_derivative(poly)
             for root, _ in real_roots(q):
                 lo, hi = root - 1e-12, root + 1e-12
                 for x in (root, math.nextafter(root, lo), math.nextafter(root, hi), lo, hi):
                     want, cycled = reference_newton_polish(poly, dpoly, x, lo, hi)
-                    assert _newton_polish(_pad(poly), _pad(dpoly), x, lo, hi) == want
+                    assert _newton_polish(pad(poly), x, lo, hi) == want
                     cycled_starts += cycled
         # the exit must actually be taken for the comparison to mean anything
         assert cycled_starts >= 100
@@ -501,9 +519,8 @@ class TestMultiplicity:
 
 def test_zero_at_the_lower_end_belongs_to_the_left_bracket():
     # (t + 2)(t + 1)(t - 1) on (-2, 0]: -2 is outside the bracket, -1 inside
-    poly = _pad(_normalized([1, 2, -1, -2]))
-    dpoly = _pad(_poly_derivative(poly))
-    assert _refine_root(poly, dpoly, -2.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+    poly = _normalized([1, 2, -1, -2])
+    assert _refine_root(poly, -2.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 # rounding boundaries, written out exactly: the midpoint between the largest
@@ -544,7 +561,16 @@ def test_coefficient_gap():
     assert coefficient_gap((1.0, 2.0), (1.0, 2.0)) == 0.0
     assert coefficient_gap((1.0, 2.5), (1.0, 2.0)) == pytest.approx(0.25)
     assert coefficient_gap((0.5,), (0.0,)) == pytest.approx(0.5)
-    # a NaN anywhere fails a `gap <= limit` gate; max() would drop it
+    # a NaN anywhere fails a `gap <= limit` gate, first or last; max() would drop it
     assert math.isnan(coefficient_gap((1.0, math.nan, 2.0), (1.0, 0.0, 2.0)))
+    assert math.isnan(coefficient_gap((math.nan, 5.0, 1.0), (0.0, 0.0, 0.0)))
+    assert math.isnan(coefficient_gap((1.0, 5.0, math.nan), (0.0, 0.0, 0.0)))
+    assert math.isnan(coefficient_gap((1.0, 2.0, 3.0), (math.nan, 2.0, math.inf)))
+    assert coefficient_gap((3.0, 1.0, 3.0), (0.0, 0.0, 0.0)) == 3.0  # a tie
+    assert repr(coefficient_gap((-0.0, 0.0, -0.0), (0.0, -0.0, -0.0))) == "0.0"
+    assert coefficient_gap((1e308, -1e308), (-1e308, 1e308)) == math.inf  # |g - w| overflows
+    assert coefficient_gap((2.0, 4.0, 0.5), (2.0, 4.5, 0.0)) == 0.5
     with pytest.raises(ValueError):
         coefficient_gap((1.0,), (1.0, 2.0))
+    with pytest.raises(ValueError):  # no coefficients, no worst error
+        coefficient_gap((), ())
