@@ -35,7 +35,6 @@ from .foldsolve import (
     LOW_CONFIDENCE,
     FoldSolution,
     IncidenceResiduals,
-    chi_from_xi,
     solve_all,
     verify,
 )
@@ -57,12 +56,10 @@ from .polynomial import (
 
 __version__ = "0.1.0"
 
+
 # render is imported on first use: only drawing needs it
-_RENDER_NAMES = ("render_gallery", "render_solution")
-
-
 def __getattr__(name: str):
-    if name in _RENDER_NAMES:
+    if name == "render_gallery":
         from . import render
 
         return getattr(render, name)
@@ -91,7 +88,6 @@ __all__ = [
     "ZeroConstantTerm",
     "build_config",
     "canonical",
-    "chi_from_xi",
     "choose_h",
     "compute_bc",
     "compute_kpq",
@@ -106,7 +102,6 @@ __all__ = [
     "reflect_line",
     "reflect_point",
     "render_gallery",
-    "render_solution",
     "solve_all",
     "verify",
 ]

@@ -80,7 +80,7 @@ def monic_of(raw: list[float]) -> Quintic:
     coefficient that is not finite is a usage error naming it.
     """
     monic = polynomial.normalize_monic(raw)
-    for i, value in enumerate(monic.coeffs):
+    for i, value in enumerate(monic):
         if not math.isfinite(value):
             raise UsageError(
                 f"monic coefficient {i} is {value!r}: {raw[i]!r} / {raw[0]!r} overflows"
@@ -89,7 +89,7 @@ def monic_of(raw: list[float]) -> Quintic:
 
 
 def _quintic_dict(raw: list[float], monic: Quintic) -> dict:
-    return {"raw": raw, "monic": list(monic.coeffs)}
+    return {"raw": raw, "monic": list(monic)}
 
 
 def _config_dict(cfg: FoldConfig) -> dict:
@@ -104,7 +104,7 @@ def _solution_dict(sol: FoldSolution) -> dict:
         "chi": sol.chi._asdict(),
         "q_image": [sol.q_image.x, sol.q_image.y],
         "p_image": [sol.p_image.x, sol.p_image.y],
-        "residuals": sol.residuals.as_dict(),
+        "residuals": sol.residuals._asdict(),
         "parallel_case": sol.parallel_case,
         "multiplicity": sol.multiplicity,
         "diagnostics": list(sol.diagnostics),
@@ -193,7 +193,7 @@ def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
     start = time.perf_counter()
     if monic.a0 == 0.0:
         warnings.append("constant term is zero: t = 0 is an exact root; the remaining factor "
-                        f"is the quartic {list(monic.coeffs[:5])}, outside the two-fold "
+                        f"is the quartic {list(monic[:5])}, outside the two-fold "
                         "construction")
         return RunReport(raw=raw, monic=monic, config=None, solutions=[], warnings=warnings)
     cfg = foldconfig.build_config(monic, h_override=h, branch=Branch(branch))
@@ -228,7 +228,7 @@ def cmd_config(args) -> int:
     monic = monic_of(raw)
     cfg = foldconfig.build_config(monic, h_override=args.h_override,
                                   branch=Branch(args.branch))
-    foldsolve.check_roundtrip(cfg, monic.coeffs)
+    foldsolve.check_roundtrip(cfg, monic)
     _dump({"schema": SCHEMA, "quintic": _quintic_dict(raw, monic), "config": _config_dict(cfg)},
           args.json)
     return EXIT_OK
@@ -277,7 +277,7 @@ def cmd_compare(args) -> int:
                 "roots": [t for t, _ in direct],
             },
             "depressed": {
-                "quintic": list(depressed.coeffs),
+                "quintic": list(depressed),
                 "shift": shift,
                 "config": _config_dict(dep_cfg),
                 "max_abs_parameter": dep_cfg.max_abs_parameter,

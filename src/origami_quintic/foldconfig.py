@@ -133,8 +133,10 @@ def choose_h(q: Quintic) -> float:
     raise NoValidH("discriminant negative for all h in 2^-40..2^20")
 
 
-def compute_bc(q: Quintic, h: float, branch: Branch = Branch.PLUS) -> tuple[float, float]:
-    """Solve the coupled pair (b, c) at the given h and sign branch.
+def compute_bc(q: Quintic, h: float,
+               branch: Branch = Branch.PLUS) -> tuple[float, float, float]:
+    """Solve the coupled pair (b, c) at the given h and sign branch; returns
+    (b, c, D) with D clamped.
 
     b = (E - h^4*A +- sqrt(D)) / (4*h^5) with the opposite triple sign in
     c = (E - h^4*A -+ 3*sqrt(D)) / (4*h^4).  Tiny negative D from rounding
@@ -147,11 +149,12 @@ def compute_bc(q: Quintic, h: float, branch: Branch = Branch.PLUS) -> tuple[floa
     )
     if d < -floor:
         raise NegativeDiscriminant(f"D = {d:.6g} < 0 at h = {h:.6g}")
-    root = math.sqrt(max(d, 0.0))
+    d = max(d, 0.0)
+    root = math.sqrt(d)
     sign = 1.0 if branch is Branch.PLUS else -1.0
     b = (lead + sign * root) / (4.0 * h**5)
     c = (lead - 3.0 * sign * root) / (4.0 * h**4)
-    return b, c
+    return b, c, d
 
 
 def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float, float]:
@@ -231,8 +234,7 @@ def build_config(
 
 def _config_at(q: Quintic, h: float, branch: Branch) -> FoldConfig:
     """The configuration at this h and branch; DegenerateP when P lies on l."""
-    b, c = compute_bc(q, h, branch)
-    d = max(discriminant(q, h), 0.0)
+    b, c, d = compute_bc(q, h, branch)
     k, p, q_point = compute_kpq(q, h, b, c)
     if abs(p - k) <= 1e-12 * max(1.0, abs(k), abs(p)):
         raise DegenerateP(

@@ -21,7 +21,6 @@ from .geometry import (
     canonical_abc,
     fold_xi,
     reflect_abc,
-    reflect_line,
     reflect_xy,
     triple_gap,
 )
@@ -60,9 +59,6 @@ class IncidenceResiduals(NamedTuple):
     def passes(self, tol: float) -> bool:
         return self.worst <= tol
 
-    def as_dict(self) -> dict[str, float]:
-        return self._asdict()
-
 
 class FoldSolution(NamedTuple):
     """One real root t with its reconstructed folds and residuals."""
@@ -77,16 +73,6 @@ class FoldSolution(NamedTuple):
     parallel_case: bool
     multiplicity: int = 1
     diagnostics: tuple[str, ...] = ()
-
-
-def chi_from_xi(cfg: FoldConfig, t: float) -> Line:
-    """The fold chi as the image of line n under the fold xi.
-
-    Total in t: when xi is parallel to n (b*t + h = 0) the reflection
-    yields the equidistant parallel line, which is exactly the
-    parallel-case chi.
-    """
-    return reflect_line(cfg.line_n, fold_xi(t, cfg.h))
 
 
 def verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:

@@ -49,10 +49,6 @@ class Quintic(_QuinticFields):
     def _make(cls, iterable) -> Quintic:  # so that _replace checks the lead too
         return cls(*iterable)
 
-    @property
-    def coeffs(self) -> tuple[float, float, float, float, float, float]:
-        return tuple(self)
-
 
 def normalize_monic(coeffs: Sequence[float]) -> Quintic:
     """Scale the six coefficients by the leading one; roots are unchanged."""
@@ -64,9 +60,13 @@ def normalize_monic(coeffs: Sequence[float]) -> Quintic:
     return Quintic(1.0, *(float(c) / lead for c in coeffs[1:]))
 
 
-def evaluate(q: Quintic, t: float) -> float:
-    """Horner evaluation of q at t."""
-    return _horner(q, t)
+def evaluate(coeffs: Sequence[float], t: float) -> float:
+    """Horner evaluation at t of the polynomial with these coefficients,
+    highest degree first (a Quintic is its six coefficients)."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * t + c
+    return acc
 
 
 def depress(q: Quintic) -> tuple[Quintic, float]:
@@ -82,7 +82,7 @@ def depress(q: Quintic) -> tuple[Quintic, float]:
     # must still produce an exactly depressed result
     shift = q.a4 / 5.0
     # Taylor expansion of q about -shift gives the coefficients of q(t' - shift).
-    taylor = _taylor_coefficients(q.coeffs, -shift)
+    taylor = _taylor_coefficients(q, -shift)
     return Quintic(1.0, 0.0, taylor[3], taylor[2], taylor[1], taylor[0]), shift
 
 
@@ -92,7 +92,7 @@ def cauchy_bound(q: Quintic) -> float:
     From max |a_i| = 2^53 on, 1 + max |a_i| rounds back onto max |a_i|, so
     the next float above max |a_i| is taken instead.
     """
-    peak = max(abs(c) for c in q.coeffs[1:])
+    peak = max(abs(c) for c in q[1:])
     if peak < 2.0**53:
         return 1.0 + peak
     return math.nextafter(peak, math.inf)
@@ -117,7 +117,7 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     """
     bound = cauchy_bound(q)
     # the chains of p, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to a square-free g_j
-    chains, f = [], _integer_coefficients(q.coeffs)
+    chains, f = [], _integer_coefficients(q)
     while f != [1]:
         chain, f = _sturm_chain(f)
         chains.append([_normalized(g) for g in chain])
@@ -140,13 +140,6 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (coefficients descending)
-
-def _horner(coeffs: Sequence[float], t: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * t + c
-    return acc
-
 
 def _taylor_coefficients(coeffs: Sequence[float], x0: float) -> list[float]:
     """Ascending Taylor coefficients b_k of p about x0: p(x) = sum b_k (x-x0)^k."""
@@ -231,7 +224,7 @@ def _normalized(poly: Sequence[int]) -> tuple[float, ...]:
     """Max-norm normalized floats for fast sign counting, which integer true
     division rounds correctly whatever positive multiple of poly was kept; padded
     to six with leading zeros for the straight-line Horner below, which then rounds
-    as ``_horner`` on the unpadded list (0.0*x + c is c, and NaN at an infinite x)."""
+    as ``evaluate`` on the unpadded list (0.0*x + c is c, and NaN at an infinite x)."""
     peak = max(map(abs, poly))
     return (0.0,) * (6 - len(poly)) + tuple([c / peak for c in poly])
 

@@ -9,7 +9,6 @@ defined inline.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import EmptySolutions
 from .foldconfig import FoldConfig
@@ -29,63 +28,42 @@ _STYLE = (
 )
 
 
-class Viewport(NamedTuple):
-    """World window plus the pixel canvas it maps onto."""
-
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
-    width_px: int = 640
-    height_px: int = 480
-    margin_px: int = 28
+_MARGIN_PX = 28  # the least gap between the padded box and a panel's edge
 
 
 class _Mapper:
-    """Uniform-scale affine world-to-pixel map (y up in world space)."""
+    """Uniform-scale affine world-to-pixel map (y up in world space) of one
+    panel: the bounding box of the marked points, padded 20 percent on each
+    side, fitted inside the margin and centred."""
 
-    def __init__(self, vp: Viewport):
-        inner_w = vp.width_px - 2 * vp.margin_px
-        inner_h = vp.height_px - 2 * vp.margin_px
-        self.scale = min(inner_w / (vp.xmax - vp.xmin), inner_h / (vp.ymax - vp.ymin))
-        self.cx = 0.5 * (vp.xmin + vp.xmax)
-        self.cy = 0.5 * (vp.ymin + vp.ymax)
-        self.px = vp.width_px / 2.0
-        self.py = vp.height_px / 2.0
-        self.vp = vp
+    def __init__(self, points: list[Point], width_px: int, height_px: int):
+        xs = [p.x for p in points]
+        ys = [p.y for p in points]
+        xmin, xmax = min(xs), max(xs)
+        ymin, ymax = min(ys), max(ys)
+        spread = max(xmax - xmin, ymax - ymin, 1.0)
+        pad_x = 0.2 * max(xmax - xmin, 0.25 * spread)
+        pad_y = 0.2 * max(ymax - ymin, 0.25 * spread)
+        xmin, xmax, ymin, ymax = xmin - pad_x, xmax + pad_x, ymin - pad_y, ymax + pad_y
+        inner_w = width_px - 2 * _MARGIN_PX
+        inner_h = height_px - 2 * _MARGIN_PX
+        self.scale = min(inner_w / (xmax - xmin), inner_h / (ymax - ymin))
+        self.cx = 0.5 * (xmin + xmax)
+        self.cy = 0.5 * (ymin + ymax)
+        self.width_px, self.height_px = width_px, height_px
+        self.px = width_px / 2.0
+        self.py = height_px / 2.0
+        # the world rectangle actually visible after uniform-scale centring
+        half_w, half_h = self.px / self.scale, self.py / self.scale
+        self.window = (self.cx - half_w, self.cx + half_w, self.cy - half_h, self.cy + half_h)
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:
         return (self.px + (x - self.cx) * self.scale, self.py - (y - self.cy) * self.scale)
-
-    def window(self) -> tuple[float, float, float, float]:
-        """World rectangle actually visible after uniform-scale centering."""
-        half_w = (self.vp.width_px / 2.0) / self.scale
-        half_h = (self.vp.height_px / 2.0) / self.scale
-        return (self.cx - half_w, self.cx + half_w, self.cy - half_h, self.cy + half_h)
 
 
 def _fmt(v: float) -> str:
     out = f"{v:.2f}"
     return "0.00" if out == "-0.00" else out
-
-
-def auto_viewport(points: list[Point], width_px: int = 640, height_px: int = 480) -> Viewport:
-    """Bounding box of the marked points padded 20 percent on each side."""
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    spread = max(xmax - xmin, ymax - ymin, 1.0)
-    pad_x = 0.2 * max(xmax - xmin, 0.25 * spread)
-    pad_y = 0.2 * max(ymax - ymin, 0.25 * spread)
-    return Viewport(
-        xmin=xmin - pad_x,
-        xmax=xmax + pad_x,
-        ymin=ymin - pad_y,
-        ymax=ymax + pad_y,
-        width_px=width_px,
-        height_px=height_px,
-    )
 
 
 def _clip(line: Line, window: tuple[float, float, float, float]) -> tuple[Point, Point] | None:
@@ -118,7 +96,7 @@ def _segment(m: _Mapper, p1: Point, p2: Point, cls: str) -> str:
 
 
 def _infinite_line(m: _Mapper, line: Line, cls: str, label: str, label_cls: str) -> list[str]:
-    seg = _clip(line, m.window())
+    seg = _clip(line, m.window)
     if seg is None:
         return []
     out = [_segment(m, seg[0], seg[1], cls)]
@@ -127,8 +105,8 @@ def _infinite_line(m: _Mapper, line: Line, cls: str, label: str, label_cls: str)
     ox, oy = m.to_px(seg[0].x, seg[0].y)
     if oy < ly:
         lx, ly = ox, oy
-    lx = min(max(lx + 6.0, 12.0), m.vp.width_px - 16.0)
-    ly = min(max(ly + 14.0, 16.0), m.vp.height_px - 6.0)
+    lx = min(max(lx + 6.0, 12.0), m.width_px - 16.0)
+    ly = min(max(ly + 14.0, 16.0), m.height_px - 6.0)
     out.append(f'<text class="{label_cls}" x="{_fmt(lx)}" y="{_fmt(ly)}">{label}</text>')
     return out
 
@@ -138,14 +116,13 @@ def _dot(m: _Mapper, p: Point, cls: str, r: float = 3.0) -> str:
     return f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r:g}"/>'
 
 
-def _text(m: _Mapper, p: Point, label: str, dx: float = 6.0, dy: float = -6.0,
-          cls: str = "label") -> str:
+def _text(m: _Mapper, p: Point, label: str, dy: float = -6.0) -> str:
     x, y = m.to_px(p.x, p.y)
-    return f'<text class="{cls}" x="{_fmt(x + dx)}" y="{_fmt(y + dy)}">{label}</text>'
+    return f'<text class="label" x="{_fmt(x + 6.0)}" y="{_fmt(y + dy)}">{label}</text>'
 
 
 def _solution_body(cfg: FoldConfig, sol: FoldSolution, m: _Mapper) -> list[str]:
-    window = m.window()
+    window = m.window
     parts: list[str] = []
     # axes
     if window[2] < 0.0 < window[3]:
@@ -188,12 +165,6 @@ def marked_points(cfg: FoldConfig, sol: FoldSolution) -> list[Point]:
     ]
 
 
-def render_solution(cfg: FoldConfig, sol: FoldSolution) -> str:
-    """Standalone SVG document for one fold solution."""
-    vp = auto_viewport(marked_points(cfg, sol))
-    return _document(vp.width_px, vp.height_px, "\n".join(_solution_body(cfg, sol, _Mapper(vp))))
-
-
 def render_gallery(cfg: FoldConfig, sols: list[FoldSolution]) -> str:
     """Grid of panels, one per solution, labeled a), b), ... in root order."""
     if not sols:
@@ -206,8 +177,7 @@ def render_gallery(cfg: FoldConfig, sols: list[FoldSolution]) -> str:
     total_h = rows * ph + (rows + 1) * gap
     panels = []
     for i, sol in enumerate(sols):
-        vp = auto_viewport(marked_points(cfg, sol), width_px=pw, height_px=ph)
-        m = _Mapper(vp)
+        m = _Mapper(marked_points(cfg, sol), pw, ph)
         x = gap + (i % cols) * (pw + gap)
         y = gap + (i // cols) * (ph + gap)
         inner = "\n".join(_solution_body(cfg, sol, m))
@@ -221,16 +191,12 @@ def render_gallery(cfg: FoldConfig, sols: list[FoldSolution]) -> str:
             f'<text class="panel" x="10" y="20">{tag})</text>\n'
             "</svg>"
         )
-    return _document(total_w, total_h, "\n".join(panels))
-
-
-def _document(width: int, height: int, body: str) -> str:
-    """A standalone SVG document of the given pixel size around body."""
+    body = "\n".join(panels)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
+        f'width="{total_w}" height="{total_h}" '
+        f'viewBox="0 0 {total_w} {total_h}">\n'
         f"<style>{_STYLE}</style>\n"
         f"{body}\n"
         "</svg>\n"

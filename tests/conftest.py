@@ -16,17 +16,17 @@ from origami_quintic import (
     Point,
     Quintic,
     build_config,
-    chi_from_xi,
     config_quintic,
     evaluate,
     fold_xi,
     normalize_monic,
     real_roots,
+    reflect_line,
     reflect_point,
 )
 from origami_quintic.errors import SingularSystem, SturmOverflow
 from origami_quintic.foldsolve import check_roundtrip
-from origami_quintic.polynomial import _horner, cauchy_bound
+from origami_quintic.polynomial import cauchy_bound
 from origami_quintic.geometry import PARALLEL_TOL, canonical, through_xy, triple_gap
 
 HENDECAGON = (1.0, 1.0, -4.0, -3.0, 3.0, 1.0)
@@ -159,7 +159,7 @@ def reference_verify(cfg: FoldConfig, t: float, xi: Line | None = None,
 
 
 def reference_solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
-    check_roundtrip(cfg, source.coeffs)
+    check_roundtrip(cfg, source)
     solutions = []
     for root, mult in real_roots(source):
         xi = fold_xi(root, cfg.h)
@@ -282,7 +282,8 @@ def residual_g(cfg: FoldConfig, t: float) -> float:
 
     Zero exactly where every incidence of the two-fold operation holds.
     """
-    return reflect_point(cfg.point_p, chi_from_xi(cfg, t)).x - cfg.k
+    chi = reflect_line(cfg.line_n, fold_xi(t, cfg.h))
+    return reflect_point(cfg.point_p, chi).x - cfg.k
 
 
 def is_parallel_case(cfg: FoldConfig, t: float) -> bool:
@@ -467,7 +468,7 @@ def pad(coeffs):
 
 def reference_real_roots(q: Quintic) -> list[tuple[float, int]]:
     bound = cauchy_bound(q)
-    chain, *deeper = fraction_sturm_chain(q.coeffs)
+    chain, *deeper = fraction_sturm_chain(q)
     square_free = chain[0]
     lo, hi = -bound, bound
     vlo, vhi = _reference_variations(chain, lo), _reference_variations(chain, hi)
@@ -492,7 +493,7 @@ def _reference_variations(chain, x):
     count = 0
     prev = 0.0
     for poly in chain:
-        v = _horner(poly, x)
+        v = evaluate(poly, x)
         if v == 0.0:
             continue
         if v != v:
@@ -517,7 +518,7 @@ def _reference_isolate(chain, lo, hi, vlo, vhi):
             continue
         mid = 0.5 * (lo + hi)
         tries = 0
-        while _horner(chain[0], mid) == 0.0 and tries < 4:
+        while evaluate(chain[0], mid) == 0.0 and tries < 4:
             mid += (hi - lo) * 1e-7
             tries += 1
         vm = _reference_variations(chain, mid)
@@ -526,8 +527,8 @@ def _reference_isolate(chain, lo, hi, vlo, vhi):
 
 
 def _reference_refine_root(poly, dpoly, lo, hi):
-    flo = _horner(poly, lo)
-    fhi = _horner(poly, hi)
+    flo = evaluate(poly, lo)
+    fhi = evaluate(poly, hi)
     if fhi == 0.0:
         return hi
     if flo == 0.0:
@@ -538,7 +539,7 @@ def _reference_refine_root(poly, dpoly, lo, hi):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fmid = _horner(poly, mid)
+        fmid = evaluate(poly, mid)
         if fmid == 0.0:
             return mid
         if (fmid > 0.0) == (flo > 0.0):
@@ -550,20 +551,20 @@ def _reference_refine_root(poly, dpoly, lo, hi):
 
 def _reference_newton_polish(poly, dpoly, x, lo, hi):
     best = x
-    best_val = abs(_horner(poly, x))
+    best_val = abs(evaluate(poly, x))
     seen = {x}
     for _ in range(40):
-        d = _horner(dpoly, x)
+        d = evaluate(dpoly, x)
         if d == 0.0:
             break
-        step = _horner(poly, x) / d
+        step = evaluate(poly, x) / d
         x -= step
         if x < lo or x > hi:
             x = min(max(x, lo), hi)
         if x in seen:
             break
         seen.add(x)
-        val = abs(_horner(poly, x))
+        val = abs(evaluate(poly, x))
         if val < best_val:
             best, best_val = x, val
         if abs(step) <= 1e-17 * max(1.0, abs(x)):

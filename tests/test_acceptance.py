@@ -97,7 +97,7 @@ def test_criterion_3_depressed_route_numbers():
     dep, shift = depress(q)
     # the fifth-scale quintic, t -> t/5: coefficient i (descending) times 5**i;
     # D = discriminant(dep, 1/5) * 5**10 is its discriminant at h = 1
-    fifth = [a * 5**i for i, a in enumerate(dep.coeffs)]
+    fifth = [a * 5**i for i, a in enumerate(dep)]
     d_value = discriminant(dep, 0.2) * 5**10
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 

@@ -144,17 +144,19 @@ class TestChooseH:
 class TestComputeBC:
     def test_hendecagon_both_branches(self, hendecagon):
         for branch in Branch:
-            assert compute_bc(hendecagon, 1.0, branch) == (0.0, 0.0)
+            assert compute_bc(hendecagon, 1.0, branch) == (0.0, 0.0, 0.0)
 
     def test_scaled_hendecagon_plus(self):
         root = math.sqrt(949637.0)
-        b, c = compute_bc(SCALED_HENDECAGON, 1.0, Branch.PLUS)
+        b, c, d = compute_bc(SCALED_HENDECAGON, 1.0, Branch.PLUS)
+        assert d == 949637.0
         assert b == pytest.approx((979.0 + root) / 4.0, rel=1e-12)
         assert c == pytest.approx((979.0 - 3.0 * root) / 4.0, rel=1e-12)
 
     def test_scaled_hendecagon_minus(self):
         root = math.sqrt(949637.0)
-        b, c = compute_bc(SCALED_HENDECAGON, 1.0, Branch.MINUS)
+        b, c, d = compute_bc(SCALED_HENDECAGON, 1.0, Branch.MINUS)
+        assert d == 949637.0
         assert b == pytest.approx((979.0 - root) / 4.0, rel=1e-12)
         assert c == pytest.approx((979.0 + 3.0 * root) / 4.0, rel=1e-12)
 
@@ -169,9 +171,9 @@ class TestComputeBC:
         for _ in range(300):
             tb, tc, k, p, tq, h = random_tuple(rng)
             q = quintic_of(tb, tc, k, p, tq, h)
-            alpha, beta, _, delta, epsilon = q.coeffs[1:]
+            alpha, beta, _, delta, epsilon = q[1:]
             for branch in Branch:
-                b, c = compute_bc(q, h, branch)
+                b, c, _ = compute_bc(q, h, branch)
                 r1 = (epsilon - h**4 * alpha) - h**4 * (c + 3 * b * h)
                 r2 = (h * h * beta + delta) - h**3 * (2 * b * c + 2 * b * b * h - h)
                 assert abs(r1) <= 1e-9
@@ -242,7 +244,7 @@ class TestComputeKPQ:
             quintic = quintic_of(b, c, k, p, q, h)
             got_k, got_p, got_q = compute_kpq(quintic, h, b, c)
             produced = forward_coefficients(b, c, got_k, got_p, got_q, h)
-            assert coefficient_gap(produced, quintic.coeffs[1:]) <= 1e-9
+            assert coefficient_gap(produced, quintic[1:]) <= 1e-9
 
 
 # zeros of both signs, underflowing and overflowing powers of h, infinities and
@@ -323,7 +325,7 @@ class TestBuildConfig:
     def test_scaled_hendecagon_roundtrip(self):
         cfg = build_config(SCALED_HENDECAGON, h_override=1.0, branch=Branch.PLUS)
         produced = config_quintic(cfg)
-        assert coefficient_gap(produced.coeffs, SCALED_HENDECAGON.coeffs) <= 1e-8
+        assert coefficient_gap(produced, SCALED_HENDECAGON) <= 1e-8
 
     def test_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):
@@ -374,7 +376,7 @@ class TestBuildConfig:
             quintic = quintic_of(b, c, k, p, q, h)
             for branch in Branch:
                 cfg = build_config(quintic, h_override=h, branch=branch)
-                gap = coefficient_gap(config_quintic(cfg).coeffs, quintic.coeffs)
+                gap = coefficient_gap(config_quintic(cfg), quintic)
                 assert gap <= 1e-8
 
     def test_h_is_the_scale_of_the_depressed_form_route(self):
@@ -386,7 +388,7 @@ class TestBuildConfig:
         for _ in range(60):
             d, _ = depress(Quintic(1.0, *rng.uniform(-5.0, 5.0, size=5)))
             for c in (2.0**e for e in range(-3, 4)):
-                scaled = Quintic(1.0, *(d.coeffs[i] / c**i for i in range(1, 6)))
+                scaled = Quintic(1.0, *(d[i] / c**i for i in range(1, 6)))
                 try:
                     cfg = build_config(d, h_override=c)
                 except OrigamiQuinticError as exc:

@@ -15,11 +15,11 @@ from origami_quintic import (
     FoldConfig,
     Line,
     Point,
-    chi_from_xi,
     evaluate,
     fold_xi,
     forward_coefficients,
     real_roots,
+    reflect_line,
     reflect_point,
     solve_all,
     verify,
@@ -65,7 +65,7 @@ def low_confidence_tuple(offset=0.0):
     and l through its image P', so that t = 2 is a root at which P moves by
     2 * offset.  At offset 0, P = P' lies on l (p = k)."""
     h, b, c = 1.0, 1.0, 0.5
-    chi = chi_from_xi(make_config(h=h, b=b, c=c, k=0.0, p=0.0, q=0.0), 2.0)
+    chi = reflect_line(Line(1.0, b, c), fold_xi(2.0, h))
     n2 = chi.a * chi.a + chi.b * chi.b
     p = chi.c * chi.a / n2 + offset * chi.a / math.sqrt(n2)
     q = chi.c * chi.b / n2 + offset * chi.b / math.sqrt(n2)
@@ -88,15 +88,16 @@ def parallel_tuple(rng):
 
 class TestChiFromXi:
     def test_hendecagon_places_p_on_l(self, hendecagon_config):
-        chi = chi_from_xi(hendecagon_config, 1.6825070656623622)
-        image = reflect_point(hendecagon_config.point_p, chi)
-        assert abs(image.x - hendecagon_config.k) <= 1e-9
+        cfg = hendecagon_config
+        chi = reflect_line(cfg.line_n, fold_xi(1.6825070656623622, cfg.h))
+        image = reflect_point(cfg.point_p, chi)
+        assert abs(image.x - cfg.k) <= 1e-9
 
     def test_mirror_fixing_n(self):
         # with n: x - 0.5 y = 2 the fold at t = 2 is the same line, so n maps to itself
         cfg = make_config(h=1.0, b=-0.5, c=2.0, k=-1.0, p=3.0, q=0.5)
         assert canonical_gap(fold_xi(2.0, 1.0), cfg.line_n) <= 1e-15
-        assert canonical_gap(chi_from_xi(cfg, 2.0), cfg.line_n) <= 1e-12
+        assert canonical_gap(reflect_line(cfg.line_n, fold_xi(2.0, 1.0)), cfg.line_n) <= 1e-12
 
     def test_parallel_direction_equidistance(self):
         rng = np.random.default_rng(31)
@@ -105,7 +106,7 @@ class TestChiFromXi:
             cfg = make_config(h=h, b=b, c=c, k=k, p=p, q=q)
             t = -h / b
             xi = fold_xi(t, h)
-            chi = chi_from_xi(cfg, t)
+            chi = reflect_line(cfg.line_n, fold_xi(t, cfg.h))
             d1 = parallel_distance(xi, cfg.line_n)
             d2 = parallel_distance(xi, chi)
             assert abs(d1 - d2) <= 1e-9
@@ -209,7 +210,7 @@ class TestVerify:
     def test_worst_field_names_nan_first(self, hendecagon_config):
         residuals = verify(hendecagon_config, 1.0)
         name, worst = residuals.worst_field
-        assert getattr(residuals, name) == worst == max(residuals.as_dict().values()) > 0.1
+        assert getattr(residuals, name) == worst == max(residuals._asdict().values()) > 0.1
         residuals = residuals._replace(bisect=math.nan, quintic_value=5.0)
         name, worst = residuals.worst_field
         assert name == "bisect" and math.isnan(worst)
@@ -228,7 +229,7 @@ class TestParallelCaseCheck:
             # the parallel direction is a root exactly because the closed
             # condition holds
             assert abs(evaluate(quintic, t)) <= 1e-9 * (
-                1.0 + max(abs(x) for x in quintic.coeffs)
+                1.0 + max(abs(x) for x in quintic)
             )
 
     def test_zero_b_rejected(self, hendecagon_config):
@@ -448,7 +449,7 @@ def test_equivalence_of_zero_sets_small():
         if abs(quintic.a0) < 1e-6:
             continue
         roots = [r for r, _ in real_roots(quintic)]
-        bound = 1.0 + max(abs(x) for x in quintic.coeffs[1:])
+        bound = 1.0 + max(abs(x) for x in quintic[1:])
         ts = np.linspace(-bound, bound, 20001)
         vals = np.array([residual_g(cfg, float(t)) for t in ts])
         signs = np.sign(vals)

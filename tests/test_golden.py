@@ -23,6 +23,9 @@ CASES = {
     "hendecagon_times_2": "2,2,-8,-6,6,2",
     "zero_constant": "1,1,-4,-3,3,0",
     "tiny_constant": "1,0,0,0,0,1e-300",
+    # five roots; five of the panels' lines miss their panel and are not drawn
+    "lines_off_panel": "1.0,-3.280299338087115,-14.586821022588014,47.44172755156295,"
+                       "30.725209450067304,-116.56470686572878",
 }
 
 COMMANDS = {

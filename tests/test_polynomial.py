@@ -18,7 +18,6 @@ from origami_quintic import (
 )
 from origami_quintic.polynomial import (
     Quintic,
-    _horner,
     _integer_coefficients,
     _isolate,
     _newton_polish,
@@ -54,11 +53,11 @@ def coeff_strategy():
 class TestNormalizeMonic:
     def test_uniform_scaling(self):
         q = normalize_monic([2, 2, -8, -6, 6, 2])
-        assert q.coeffs == HENDECAGON
+        assert q == HENDECAGON
 
     def test_already_monic(self):
         q = normalize_monic(HENDECAGON)
-        assert q.coeffs == HENDECAGON
+        assert q == HENDECAGON
 
     def test_leading_zero_rejected(self):
         with pytest.raises(DegenerateDegree):
@@ -98,7 +97,7 @@ class TestDepress:
         dep, shift = depress(hendecagon)
         assert shift == pytest.approx(0.2, abs=0.0)
         assert dep.a4 == 0.0
-        for got, want in zip(dep.coeffs, DEPRESSED_HENDECAGON):
+        for got, want in zip(dep, DEPRESSED_HENDECAGON):
             assert got == pytest.approx(want, rel=1e-14)
 
     def test_already_depressed_identity(self):
@@ -110,7 +109,7 @@ class TestDepress:
     def test_pure_quartic_shift(self):
         dep, shift = depress(Quintic(1, 5, 0, 0, 0, 0))
         assert shift == 1.0
-        for got, want in zip(dep.coeffs, (1.0, 0.0, -10.0, 20.0, -15.0, 4.0)):
+        for got, want in zip(dep, (1.0, 0.0, -10.0, 20.0, -15.0, 4.0)):
             assert got == pytest.approx(want, abs=1e-12)
 
     @given(rest=st.lists(coeff_strategy(), min_size=5, max_size=5))
@@ -246,20 +245,20 @@ def reference_newton_polish(poly, dpoly, x, lo, hi):
     """The 40-step polish without the repeated-iterate exit; also reports
     whether the iterates ran into a cycle."""
     best = x
-    best_val = abs(_horner(poly, x))
+    best_val = abs(evaluate(poly, x))
     seen = {x}
     cycled = False
     for _ in range(40):
-        d = _horner(dpoly, x)
+        d = evaluate(dpoly, x)
         if d == 0.0:
             break
-        step = _horner(poly, x) / d
+        step = evaluate(poly, x) / d
         x -= step
         if x < lo or x > hi:
             x = min(max(x, lo), hi)
         cycled = cycled or x in seen
         seen.add(x)
-        val = abs(_horner(poly, x))
+        val = abs(evaluate(poly, x))
         if val < best_val:
             best, best_val = x, val
         if abs(step) <= 1e-17 * max(1.0, abs(x)):
@@ -293,7 +292,7 @@ def dyadic_product(linear, pairs, shift):
 def brackets_hold_roots(q, roots):
     """Whether real_roots' isolation gives one bracket (lo, hi] per given
     exact root, holding it, in order."""
-    chain = [pad(poly) for poly in integer_sturm_chain(q.coeffs)[0]]
+    chain = [pad(poly) for poly in integer_sturm_chain(q)[0]]
     bound = cauchy_bound(q)
     brackets = _isolate(chain, -bound, bound, _variations(chain, -bound), _variations(chain, bound))
     return len(brackets) == len(roots) and all(
@@ -369,7 +368,7 @@ class TestNewtonPolish:
         cycled_starts = 0
         for _ in range(200):
             q = Quintic(1.0, *rng.uniform(-5, 5, size=5))
-            poly = integer_sturm_chain(q.coeffs)[0][0]
+            poly = integer_sturm_chain(q)[0][0]
             dpoly = poly_derivative(poly)
             for root, _ in real_roots(q):
                 lo, hi = root - 1e-12, root + 1e-12

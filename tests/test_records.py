@@ -11,7 +11,6 @@ from origami_quintic import (
     solve_all,
 )
 from origami_quintic.cli import RunReport
-from origami_quintic.render import Viewport
 
 MONIC_MESSAGE = "expected a monic quintic; call normalize_monic first"
 NORMAL_MESSAGE = "line normal must be nonzero"
@@ -35,10 +34,6 @@ def test_reprs(hendecagon):
         "equidistant=0.0, intersection_on_chi=0.0), "
         "parallel_case=False, multiplicity=1, diagnostics=())"
     )
-    assert repr(Viewport(0.0, 1.0, 0.0, 2.0)) == (
-        "Viewport(xmin=0.0, xmax=1.0, ymin=0.0, ymax=2.0, width_px=640, height_px=480, "
-        "margin_px=28)"
-    )
     report = RunReport(raw=[1.0], monic=hendecagon, config=None, solutions=[], warnings=[])
     assert repr(report) == (
         "RunReport(raw=[1.0], monic=Quintic(a5=1.0, a4=1.0, a3=-4.0, a2=-3.0, a1=3.0, "
@@ -56,7 +51,6 @@ def test_records_are_immutable(hendecagon):
         (cfg, "h"),
         (sol.residuals, "bisect"),
         (sol, "t"),
-        (Viewport(0.0, 1.0, 0.0, 2.0), "xmin"),
         (RunReport([1.0], hendecagon, None, [], []), "warnings"),
     ]
     for record, field in records:

@@ -8,11 +8,10 @@ from origami_quintic import (
     EmptySolutions,
     build_config,
     render_gallery,
-    render_solution,
     solve_all,
 )
 from origami_quintic.polynomial import Quintic
-from origami_quintic.render import auto_viewport, marked_points
+from origami_quintic.render import marked_points
 
 
 @pytest.fixture
@@ -20,15 +19,10 @@ def hendecagon_solutions(hendecagon, hendecagon_config):
     return solve_all(hendecagon_config, hendecagon)
 
 
-def test_solution_svg_is_well_formed(hendecagon_config, hendecagon_solutions):
-    doc = render_solution(hendecagon_config, hendecagon_solutions[0])
-    root = ET.fromstring(doc)
-    assert root.tag.endswith("svg")
-
-
 def test_gallery_svg_is_well_formed(hendecagon_config, hendecagon_solutions):
     doc = render_gallery(hendecagon_config, hendecagon_solutions)
-    ET.fromstring(doc)
+    root = ET.fromstring(doc)
+    assert root.tag.endswith("svg")
 
 
 def test_every_class_is_defined(hendecagon_config, hendecagon_solutions):
@@ -43,23 +37,24 @@ def test_deterministic_output(hendecagon_config, hendecagon_solutions):
     first = render_gallery(hendecagon_config, hendecagon_solutions)
     second = render_gallery(hendecagon_config, hendecagon_solutions)
     assert first == second
-    single = render_solution(hendecagon_config, hendecagon_solutions[0])
-    assert single == render_solution(hendecagon_config, hendecagon_solutions[0])
 
 
 def test_largest_root_panel_annotations(hendecagon_config, hendecagon_solutions):
     sol = hendecagon_solutions[-1]  # t = 2 cos(2 pi / 11) = 1.6825...
-    doc = render_solution(hendecagon_config, sol)
+    doc = render_gallery(hendecagon_config, [sol])  # one 460 x 360 panel
     assert "t = 1.683" in doc
-    # the Q' marker must sit at world (2t, -h) mapped through the same
-    # affine the renderer uses: uniform scale, centered, y flipped
-    vp = auto_viewport(marked_points(hendecagon_config, sol))
-    inner_w = vp.width_px - 2 * vp.margin_px
-    inner_h = vp.height_px - 2 * vp.margin_px
-    scale = min(inner_w / (vp.xmax - vp.xmin), inner_h / (vp.ymax - vp.ymin))
-    cx, cy = 0.5 * (vp.xmin + vp.xmax), 0.5 * (vp.ymin + vp.ymax)
-    want_x = vp.width_px / 2.0 + (2 * sol.t - cx) * scale
-    want_y = vp.height_px / 2.0 - (-1.0 - cy) * scale
+    # the Q' marker must sit at world (2t, -h) under the panel's affine map:
+    # the marked points' box padded 20% a side (at least 5% of its larger
+    # side), fitted uniformly inside a 28 px margin, centred, y flipped
+    points = marked_points(hendecagon_config, sol)
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    w, h = max(xs) - min(xs), max(ys) - min(ys)
+    spread = max(w, h, 1.0)
+    pad_x, pad_y = 0.2 * max(w, 0.25 * spread), 0.2 * max(h, 0.25 * spread)
+    scale = min((460 - 56) / (w + 2 * pad_x), (360 - 56) / (h + 2 * pad_y))
+    cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
+    want_x = 230.0 + (2 * sol.t - cx) * scale
+    want_y = 180.0 - (-1.0 - cy) * scale
     circles = [
         (float(m.group(1)), float(m.group(2)))
         for m in re.finditer(r'<circle class="marker" cx="([-\d.]+)" cy="([-\d.]+)"', doc)
