@@ -19,6 +19,14 @@ def hendecagon_solutions(hendecagon, hendecagon_config):
     return solve_all(hendecagon_config, hendecagon)
 
 
+def test_solution_svg_is_well_formed(hendecagon_config, hendecagon_solutions):
+    # one solution is drawn as a gallery of one panel
+    doc = render_gallery(hendecagon_config, hendecagon_solutions[:1])
+    root = ET.fromstring(doc)
+    assert root.tag.endswith("svg")
+    assert len(root.findall("{http://www.w3.org/2000/svg}svg")) == 1
+
+
 def test_gallery_svg_is_well_formed(hendecagon_config, hendecagon_solutions):
     doc = render_gallery(hendecagon_config, hendecagon_solutions)
     root = ET.fromstring(doc)
