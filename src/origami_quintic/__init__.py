@@ -12,6 +12,7 @@ from .errors import (
     DegenerateDegree,
     DegenerateP,
     EmptySolutions,
+    InexactFrame,
     NegativeDiscriminant,
     NoValidH,
     OrigamiQuinticError,
@@ -76,6 +77,7 @@ __all__ = [
     "FoldConfig",
     "FoldSolution",
     "IncidenceResiduals",
+    "InexactFrame",
     "LOW_CONFIDENCE",
     "Line",
     "NegativeDiscriminant",

@@ -34,7 +34,7 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
-SCHEMA = 2
+SCHEMA = 3
 
 DEFAULT_TOL = 1e-9
 H_MIN, H_MAX = 2.0**-128, 2.0**128
@@ -93,7 +93,10 @@ def _quintic_dict(raw: list[float], monic: Quintic) -> dict:
 
 
 def _config_dict(cfg: FoldConfig) -> dict:
-    return {**cfg._asdict(), "branch": cfg.branch.value}
+    out = {**cfg._asdict(), "branch": cfg.branch.value}
+    if not cfg.exponent:  # the quintic is its own frame: the key is left out
+        del out["exponent"]
+    return out
 
 
 def _solution_dict(sol: FoldSolution) -> dict:
@@ -133,18 +136,26 @@ def _dump(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_options(args) -> None:
-    """Reject numeric options the solver cannot use.
-
-    h is held to [2^-128, 2^128], where every power of h that the
-    construction forms (up to h^6) is a finite, nonzero float.
-    """
+def _check_tol(args) -> None:
     tol = getattr(args, "tol", DEFAULT_TOL)
     if not 0.0 <= tol < math.inf:
         raise UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
-    h = getattr(args, "h_override", None)
-    if h is not None and not H_MIN <= h <= H_MAX:
-        raise UsageError(f"--h must be from 2^-128 to 2^128, got {h!r}")
+
+
+def _check_h(monic: Quintic, h: float | None) -> None:
+    """Reject an h the solver cannot use: the caller's h (None: chosen) is
+    held to [2^-128, 2^128] in the quintic's 2^e frame, where every power of
+    h that the construction forms (up to h^6) is a finite, nonzero float."""
+    if h is None:
+        return
+    e = foldconfig.balance_exponent(monic)
+    try:
+        frame_h = math.ldexp(h, -e)
+    except OverflowError:
+        frame_h = math.inf
+    if not H_MIN <= frame_h <= H_MAX:
+        span = f"2^{e - 128} to 2^{e + 128}" if e else "2^-128 to 2^128"
+        raise UsageError(f"--h must be from {span}, got {h!r}")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -189,6 +200,7 @@ def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
     when timing is set; tol is read only by the warnings.  solve writes it,
     verify rebuilds it."""
     monic = monic_of(raw)
+    _check_h(monic, h)
     warnings: list[str] = []
     start = time.perf_counter()
     if monic.a0 == 0.0:
@@ -226,9 +238,10 @@ def cmd_solve(args) -> int:
 def cmd_config(args) -> int:
     raw = parse_coeffs(args.coeffs)
     monic = monic_of(raw)
+    _check_h(monic, args.h_override)
     cfg = foldconfig.build_config(monic, h_override=args.h_override,
                                   branch=Branch(args.branch))
-    foldsolve.check_roundtrip(cfg, monic)
+    foldsolve.check_roundtrip(*foldconfig.in_frame(cfg, monic))
     _dump({"schema": SCHEMA, "quintic": _quintic_dict(raw, monic), "config": _config_dict(cfg)},
           args.json)
     return EXIT_OK
@@ -251,7 +264,7 @@ def _match_roots(one: list, other: list) -> tuple[float | None, int]:
 def cmd_compare(args) -> int:
     raw = parse_coeffs(args.coeffs)
     monic, branch = monic_of(raw), Branch(args.branch)
-
+    _check_h(monic, args.h_override)
     direct_cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=branch)
     direct = [(s.t, s.multiplicity) for s in foldsolve.solve_all(direct_cfg, monic)]
     # the depressed-form route: choose_h picks its scale h; its errors name it
@@ -359,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_options(args)
+        _check_tol(args)
         handlers = {"solve": cmd_solve, "config": cmd_config, "compare": cmd_compare,
                     "verify": cmd_verify}
         return handlers[args.command](args)

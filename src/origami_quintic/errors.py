@@ -19,6 +19,12 @@ class ZeroConstantTerm(OrigamiQuinticError):
     factor is a quartic, outside the two-fold construction."""
 
 
+class InexactFrame(OrigamiQuinticError):
+    """A coefficient or length does not scale exactly into or out of the
+    quintic's 2^e frame: it overflows, underflows, or is a subnormal that
+    loses bits.  The quintic has roots at scales too far apart for one frame."""
+
+
 class NoValidH(OrigamiQuinticError):
     """The trial sequence for h exhausted without a nonnegative discriminant."""
 

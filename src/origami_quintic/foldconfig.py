@@ -9,6 +9,14 @@ for which the two-simultaneous-fold operation's admissible fold parameter
 t satisfies exactly that quintic.  ``forward_coefficients`` is the
 authoritative statement of the coefficient system; everything else here
 inverts it and is certified against it by roundtrip.
+
+Scaling every length of a configuration by s, and keeping the slope b,
+scales coefficient i of its quintic by s^i: the same folds drawn s times
+larger solve the quintic whose roots are s times larger.  So each quintic
+is built in its 2^e frame, ``balance(q, e)``, whose roots are those of q
+divided by 2^e; with s a power of two both directions are exact, or
+refused with InexactFrame.  The configuration comes back in the caller's
+frame, its lengths times 2^e, and carries e as ``exponent``.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from typing import NamedTuple
 
 from .errors import (
     DegenerateP,
+    InexactFrame,
     NegativeDiscriminant,
     NoValidH,
     SingularSystem,
@@ -42,7 +51,13 @@ class Branch(str, Enum):
 
 
 class FoldConfig(NamedTuple):
-    """Solved configuration parameters plus the derived points and lines."""
+    """Solved configuration parameters plus the derived points and lines.
+
+    The lengths h, c, k, p and q are in the caller's frame: those built in
+    the 2^exponent frame, times 2^exponent.  The slope b is the same in every
+    frame, and D is the frame's (in the caller's it is 2^(10 exponent) times
+    larger, beyond the float range from |exponent| of about 103).
+    """
 
     h: float
     b: float
@@ -52,6 +67,7 @@ class FoldConfig(NamedTuple):
     q: float
     branch: Branch
     D: float
+    exponent: int = 0
 
     @property
     def point_q(self) -> Point:
@@ -98,6 +114,65 @@ def forward_coefficients(
 def config_quintic(cfg: FoldConfig) -> Quintic:
     """The monic quintic this configuration solves."""
     return Quintic(1.0, *forward_coefficients(cfg.b, cfg.c, cfg.k, cfg.p, cfg.q, cfg.h))
+
+
+def balance_exponent(q: Quintic) -> int:
+    """The exponent e of q's frame: round(log2 B) for Fujiwara's root bound
+    B = 2 max(|a4|, |a3|^(1/2), |a2|^(1/3), |a1|^(1/4), |a0/2|^(1/5)), and 0
+    when |e| <= 2.  The factor 2 is added to log2 of the max, so that a B
+    beyond the float range (a4 = 1e308) still gives its e.
+    """
+    _, a4, a3, a2, a1, a0 = q
+    peak = max(abs(a4), abs(a3) ** 0.5, abs(a2) ** (1 / 3), abs(a1) ** 0.25,
+               abs(a0) ** 0.2 * 2.0**-0.2)
+    e = round(1.0 + math.log2(peak)) if 0.0 < peak < math.inf else 0
+    return 0 if -2 <= e <= 2 else e
+
+
+def _scaled(values, shifts, names, e: int) -> list[float]:
+    """Each value times 2 to its shift; InexactFrame naming the first product
+    that is not exact (it overflows, underflows or drops bits), and e, the
+    exponent of the frame."""
+    ldexp, out = math.ldexp, []
+    for value, shift, name in zip(values, shifts, names):
+        scaled = math.inf
+        try:
+            scaled = ldexp(value, shift)
+            if ldexp(scaled, -shift) == value:
+                out.append(scaled)
+                continue
+        except OverflowError:
+            pass
+        raise InexactFrame(f"{name} = {value!r} times 2^{shift} is {scaled!r}, not exact: "
+                           f"no frame holds this quintic (e = {e})")
+    return out
+
+
+_COEFFICIENTS = ("coefficient a4", "coefficient a3", "coefficient a2", "coefficient a1",
+                 "coefficient a0")
+
+
+def balance(q: Quintic, e: int) -> Quintic:
+    """q in its 2^e frame, the quintic whose roots are q's divided by 2^e:
+    coefficient a_(5-i) times 2^(-i e), each exactly or InexactFrame."""
+    if not e:
+        return q
+    return Quintic(1.0, *_scaled(q[1:], (-e, -2 * e, -3 * e, -4 * e, -5 * e), _COEFFICIENTS, e))
+
+
+def rescale(cfg: FoldConfig, shift: int) -> FoldConfig:
+    """cfg drawn 2^shift times larger: every length times 2^shift, each exactly
+    or InexactFrame, and the exponent raised by shift."""
+    if not shift:
+        return cfg
+    h, c, k, p, q = _scaled((cfg.h, cfg.c, cfg.k, cfg.p, cfg.q), (shift,) * 5, "hckpq",
+                            cfg.exponent or shift)  # into the frame, or out of it
+    return FoldConfig(h, cfg.b, c, k, p, q, cfg.branch, cfg.D, cfg.exponent + shift)
+
+
+def in_frame(cfg: FoldConfig, q: Quintic) -> tuple[FoldConfig, Quintic]:
+    """The configuration and its quintic in the configuration's frame."""
+    return rescale(cfg, -cfg.exponent), balance(q, cfg.exponent)
 
 
 # choose_h's trial sequence
@@ -166,7 +241,13 @@ def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float,
     solved by Gaussian elimination with partial pivoting; the paper's closed
     forms serve only as a cross-check in the tests.
 
-    The determinant is h^3 (1 + b^2)^3 / 2, never zero for h > 0, so
+    The cubic and quadratic rows carry h and h^2 in every entry, so they are
+    divided by 2^n and 2^2n, 2^n the power of two nearest h: exactly, and
+    with r = h / 2^n, the matrix is then the same for the quintic scaled by
+    any 2^k at h 2^k, and so are the pivot order and every rounding.  The
+    solution scales by 2^k, bit for bit.
+
+    The determinant is r^3 (1 + b^2)^3 / 2, never zero for h > 0, so
     SingularSystem reports numerical trouble only: a pivot that is zero or
     not finite, or a solution that is not finite.  Whether the solution
     reproduces the quintic is ``foldsolve.check_roundtrip``'s call.
@@ -174,12 +255,15 @@ def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float,
     if h <= 0.0:
         raise ValueError("h must be positive")
     b2 = b * b
+    m, n = math.frexp(h)  # h = m 2^n, 1/2 <= m < 1; 2^(n-1) is the nearer for m < 2^-0.5
+    n -= m < 0.7071067811865476
+    r, inv = math.ldexp(h, -n), math.ldexp(1.0, -n)  # h / 2^n and 1 / 2^n
     # augmented rows (matrix | right-hand side); each column's pivot is the first
     # row of largest abs, swapped to the top, and v, which starts 0.0, never leads
     u = (-(1.0 + b2) / 4.0, (b2 - 1.0) / 4.0, b / 2.0, q.a4 + 3.0 * b * h + c / 2.0)
-    v = (0.0, 2.0 * b * h, h * (1.0 - b2), q.a3 - b * c * h + h * h - 2.0 * b2 * h * h)
-    w = (-h * h * (1.0 + b2) / 2.0, 3.0 * h * h * (1.0 - b2) / 2.0, -3.0 * b * h * h,
-         q.a2 - b * h**3)
+    v = (0.0, 2.0 * b * r, r * (1.0 - b2), q.a3 * inv - b * c * r + h * r - 2.0 * b2 * h * r)
+    w = (-r * r * (1.0 + b2) / 2.0, 3.0 * r * r * (1.0 - b2) / 2.0, -3.0 * b * r * r,
+         q.a2 * inv * inv - b * h * r * r)
     if abs(w[0]) > abs(u[0]):
         u, w = w, u
     pivot, u1, u2, u3 = u
@@ -210,22 +294,27 @@ def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float,
 def build_config(
     q: Quintic, h_override: float | None = None, branch: Branch = Branch.PLUS
 ) -> FoldConfig:
-    """Full inverse construction for a monic quintic.
+    """Full inverse construction for a monic quintic, in its 2^e frame.
 
-    Picks h (unless overridden), solves (b, c) on the requested branch,
-    then (k, p, q) by linear solve.  P on line l (p = k) is never perturbed
-    silently: an h that build_config chose itself moves on to the next h of
-    the trial sequence with D >= 0, and an overriding h raises DegenerateP.
+    Balances q by e = balance_exponent(q), picks h there (unless overridden:
+    h_override is the caller's h, 2^e times the frame's), solves (b, c) on
+    the requested branch, then (k, p, q) by linear solve, and hands the
+    configuration back in the caller's frame.  P on line l (p = k) is never
+    perturbed silently: an h that build_config chose itself moves on to the
+    next h of the trial sequence with D >= 0, and an overriding h raises
+    DegenerateP.  Errors name the frame's values.
     """
     if q.a0 == 0.0:
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
+    e = balance_exponent(q)
+    q = balance(q, e)
     if h_override is not None:
-        return _config_at(q, float(h_override), branch)
+        return rescale(_config_at(q, math.ldexp(float(h_override), -e), branch), e)
     h = choose_h(q)
     later = (t for t in H_TRIALS[H_TRIALS.index(h) + 1:] if discriminant(q, t) >= 0.0)
     while True:
         try:
-            return _config_at(q, h, branch)
+            return rescale(_config_at(q, h, branch), e)
         except DegenerateP:
             h = next(later, None)
             if h is None:

@@ -5,6 +5,10 @@ For a configuration and a candidate parameter t, the fold xi is fixed by
 the alignment incidence holds by construction, without a branch, and is
 not measured; the remaining incidences (Q' on m, P' on l, the bisector
 relation, the parallel-case equidistance) are measured as numeric residuals.
+
+Everything is measured in the configuration's 2^e frame, so a residual
+means the same at every scale: lengths in units of 2^e.  The roots, folds
+and images come back in the caller's frame.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigMismatch
-from .foldconfig import FoldConfig, config_quintic
+from .foldconfig import FoldConfig, config_quintic, in_frame, rescale
 from .geometry import (
     PARALLEL_TOL,
     Line,
@@ -76,31 +80,38 @@ class FoldSolution(NamedTuple):
 
 
 def verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:
-    """Measure every incidence residual for the candidate parameter t.
+    """Measure every incidence residual for the candidate parameter t, which
+    is in the caller's frame; the residuals are the frame's.
 
     Outside the parallel case the xi-n intersection is recomputed and its
     distance to chi reported; inside it, a chi off xi's direction (a NaN chi
     once t*t overflows) gives a NaN equidistant residual.  Thresholding the
     residuals is the caller's call.
     """
-    return _reconstruct(cfg, t, _config_values(cfg, config_quintic(cfg))).residuals
+    frame = rescale(cfg, -cfg.exponent)
+    fixed = _config_values(frame, config_quintic(frame), cfg.exponent)
+    return _reconstruct(frame, t * 2.0**-cfg.exponent, fixed).residuals
 
 
-def _config_values(cfg: FoldConfig, quintic: Quintic) -> tuple:
-    """What _reconstruct needs that is fixed for the configuration: |n|, n's
-    canonical triple, the low-confidence threshold and the quintic itself."""
+def _config_values(cfg: FoldConfig, quintic: Quintic, e: int = 0) -> tuple:
+    """What _reconstruct needs that is fixed for the configuration, in its
+    frame: |n|, n's canonical triple, the low-confidence threshold, the
+    quintic itself and 2^e, the caller's unit of length."""
     nn = math.hypot(1.0, cfg.b)
-    return nn, canonical_abc(1.0, cfg.b, cfg.c, nn), 1e-9 * (1.0 + abs(cfg.p) + abs(cfg.q)), quintic
+    return (nn, canonical_abc(1.0, cfg.b, cfg.c, nn), 1e-9 * (1.0 + abs(cfg.p) + abs(cfg.q)),
+            quintic, 2.0**e)
 
 
 def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1) -> FoldSolution:
     """The per-root kernel of solve_all and verify: xi from (t, h), chi the
-    reflection of n across xi, and every incidence measured on local floats;
-    fixed is ``_config_values`` of the configuration and its quintic."""
-    h, b, c, k, p, q, _, _ = cfg
-    nn, n_canonical, still, quintic = fixed
-    xa, xb, xc = xi = fold_xi(t, h)
-    ca, cb, cc = chi = Line(*reflect_abc(1.0, b, c, xa, xb, xc))
+    reflection of n across xi, and every incidence measured on local floats,
+    all in the frame of cfg and t; fixed is ``_config_values`` of the
+    configuration and its quintic.  The record's lengths (t, s, the lines'
+    c and the images) are the caller's, times 2^e."""
+    h, b, c, k, p, q, _, _, _ = cfg
+    nn, n_canonical, still, quintic, unit = fixed
+    xa, xb, xc = fold_xi(t, h)
+    ca, cb, cc = reflect_abc(1.0, b, c, xa, xb, xc)
     qx, qy = reflect_xy(0.0, h, xa, xb, xc)
     px, py = reflect_xy(p, q, ca, cb, cc)
     xn, cn = math.hypot(xa, xb), math.hypot(ca, cb)
@@ -130,13 +141,16 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
         diagnostics = (CHI_EQUALS_N,)
     if math.hypot(px - p, py - q) <= still:
         diagnostics += (LOW_CONFIDENCE,)
-    return FoldSolution(t, py, xi, chi, Point(qx, qy), Point(px, py), residuals, parallel,
-                        multiplicity, diagnostics)
+    return FoldSolution(t * unit, py * unit, Line(xa, xb, xc * unit), Line(ca, cb, cc * unit),
+                        Point(qx * unit, qy * unit), Point(px * unit, py * unit), residuals,
+                        parallel, multiplicity, diagnostics)
 
 
 def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> Quintic:
     """The configuration's quintic; ConfigMismatch unless it reproduces the
-    six coefficients within a coefficient gap of 1e-8."""
+    six coefficients within a coefficient gap of 1e-8.  Both are taken as
+    they are: ``in_frame`` brings a built configuration and its quintic to
+    the frame where the gap means the same at every scale."""
     try:
         quintic = config_quintic(cfg)
     except OverflowError:  # a power of h beyond the float range
@@ -152,14 +166,17 @@ def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> Quintic:
 def solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
     """One verified FoldSolution per distinct real root of the source quintic.
 
-    The configuration must pass ``check_roundtrip`` against the source
-    coefficients, otherwise ConfigMismatch.  The roots are those of
-    ``real_roots``, at its one refinement width, so a stored solve rebuilds
-    bit for bit.  Solutions come back sorted ascending in t; s is read off
-    the image of P.  A chi that coincides with n, or an image of P too
-    close to P itself, is flagged through the diagnostics field rather
-    than dropped.  What every root shares, |n|, n's canonical triple, the
-    low-confidence threshold and the quintic's coefficients, is computed once.
+    The configuration and the source are taken to the configuration's 2^e
+    frame, where the configuration must pass ``check_roundtrip`` against
+    the source coefficients, otherwise ConfigMismatch, and where the roots
+    are those of ``real_roots``, at its one refinement width, so a stored
+    solve rebuilds bit for bit; each comes back as 2^e times the frame's.
+    Solutions come back sorted ascending in t; s is read off the image of P.
+    A chi that coincides with n, or an image of P too close to P itself, is
+    flagged through the diagnostics field rather than dropped.  What every
+    root shares, |n|, n's canonical triple, the low-confidence threshold,
+    the quintic's coefficients and 2^e, is computed once.
     """
-    fixed = _config_values(cfg, check_roundtrip(cfg, source))
-    return [_reconstruct(cfg, root, fixed, mult) for root, mult in real_roots(source)]
+    frame, source = in_frame(cfg, source)
+    fixed = _config_values(frame, check_roundtrip(frame, source), cfg.exponent)
+    return [_reconstruct(frame, root, fixed, mult) for root, mult in real_roots(source)]

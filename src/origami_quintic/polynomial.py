@@ -230,13 +230,21 @@ def _normalized(poly: Sequence[int]) -> tuple[float, ...]:
 
 
 def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
+    a, b, c, d, e, f = chain[0]
+    return _variations_after(((((a * x + b) * x + c) * x + d) * x + e) * x + f, chain[1:], x)
+
+
+def _variations_after(prev: float, rest: Sequence[Sequence[float]], x: float) -> int:
+    """The sign variations at x of a chain whose head has the value prev there,
+    and whose other members are rest."""
+    if prev != prev:  # only at an infinite x, such as a root bound that overflowed
+        raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
     count = 0
-    prev = 0.0
-    for a, b, c, d, e, f in chain:
+    for a, b, c, d, e, f in rest:
         v = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
         if v == 0.0:
             continue
-        if v != v:  # only at an infinite x, such as a root bound that overflowed
+        if v != v:
             raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
         if prev != 0.0 and (v > 0.0) != (prev > 0.0):
             count += 1
@@ -251,6 +259,7 @@ def _isolate(
     count of roots in each (above 1 only at the width floor), by bisection
     on the variation counts; a loop, since the depth grows with the scale."""
     a, b, c, d, e, f = chain[0]
+    rest = chain[1:]
     brackets = []
     pending = [(lo, hi, vlo, vhi)]
     while pending:
@@ -265,10 +274,12 @@ def _isolate(
         x = 0.5 * (lo + hi)
         # never probe exactly at a root of p (would make variation counts ambiguous)
         tries = 0
-        while ((((a * x + b) * x + c) * x + d) * x + e) * x + f == 0.0 and tries < 4:
+        head = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
+        while head == 0.0 and tries < 4:
             x += (hi - lo) * 1e-7
             tries += 1
-        vm = _variations(chain, x)
+            head = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
+        vm = _variations_after(head, rest, x)
         pending += ((x, hi, vm, vhi), (lo, x, vlo, vm))
     return brackets
 

@@ -25,6 +25,7 @@ from origami_quintic import (
     reflect_point,
 )
 from origami_quintic.errors import SingularSystem, SturmOverflow
+from origami_quintic.foldconfig import in_frame, rescale
 from origami_quintic.foldsolve import check_roundtrip
 from origami_quintic.polynomial import cauchy_bound
 from origami_quintic.geometry import PARALLEL_TOL, canonical, through_xy, triple_gap
@@ -129,6 +130,8 @@ def is_parallel(l1: Line, l2: Line) -> bool:
 
 def reference_verify(cfg: FoldConfig, t: float, xi: Line | None = None,
                      chi: Line | None = None) -> IncidenceResiduals:
+    """The residuals at t in cfg's frame, where both are taken first."""
+    cfg, t = rescale(cfg, -cfg.exponent), math.ldexp(t, -cfg.exponent)
     if xi is None:
         xi = fold_xi(t, cfg.h)
     if chi is None:
@@ -159,6 +162,10 @@ def reference_verify(cfg: FoldConfig, t: float, xi: Line | None = None,
 
 
 def reference_solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
+    """Every root solved in cfg's frame; the records are mapped back to the
+    caller's frame afterwards."""
+    e = cfg.exponent
+    cfg, source = in_frame(cfg, source)
     check_roundtrip(cfg, source)
     solutions = []
     for root, mult in real_roots(source):
@@ -186,7 +193,17 @@ def reference_solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
                 diagnostics=tuple(diagnostics),
             )
         )
-    return solutions
+    return [_in_caller_frame(sol, e) for sol in solutions]
+
+
+def _in_caller_frame(sol: FoldSolution, e: int) -> FoldSolution:
+    def up(v):
+        return math.ldexp(v, e)
+
+    return sol._replace(t=up(sol.t), s=up(sol.s), xi=sol.xi._replace(c=up(sol.xi.c)),
+                        chi=sol.chi._replace(c=up(sol.chi.c)),
+                        q_image=Point(up(sol.q_image.x), up(sol.q_image.y)),
+                        p_image=Point(up(sol.p_image.x), up(sol.p_image.y)))
 
 
 # Helpers that only the tests use: measurements on Point and Line objects,
@@ -343,15 +360,19 @@ def closed_form_kpq(
 def reference_compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float, float]:
     """The (k, p, q) elimination as it was written on lists, with max() picking
     each pivot and sum() in the back-substitution: the reference that the
-    straight-line compute_kpq must match bit for bit, messages included."""
+    straight-line compute_kpq must match bit for bit, messages included.
+    Rows 1 and 2 are over 2^n and 2^2n, n = round(log2 h), written with
+    r = h / 2^n."""
     if h <= 0.0:
         raise ValueError("h must be positive")
     b2 = b * b
+    n = round(math.log2(h)) if math.isfinite(h) else 0
+    r, inv = math.ldexp(h, -n), math.ldexp(1.0, -n)
     rows = [
         [-(1.0 + b2) / 4.0, (b2 - 1.0) / 4.0, b / 2.0, q.a4 + 3.0 * b * h + c / 2.0],
-        [0.0, 2.0 * b * h, h * (1.0 - b2), q.a3 - b * c * h + h * h - 2.0 * b2 * h * h],
-        [-h * h * (1.0 + b2) / 2.0, 3.0 * h * h * (1.0 - b2) / 2.0, -3.0 * b * h * h,
-         q.a2 - b * h**3],
+        [0.0, 2.0 * b * r, r * (1.0 - b2), q.a3 * inv - b * c * r + h * r - 2.0 * b2 * h * r],
+        [-r * r * (1.0 + b2) / 2.0, 3.0 * r * r * (1.0 - b2) / 2.0, -3.0 * b * r * r,
+         q.a2 * inv * inv - b * h * r * r],
     ]
     for col in range(3):
         top = max(range(col, 3), key=lambda r: abs(rows[r][col]))

@@ -1,8 +1,10 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,12 +24,9 @@ from origami_quintic.cli import (
 
 HENDECAGON_ARGS = ["--coeffs", "1,1,-4,-3,3,1"]
 
-# case 5 of the seed-0 wide-scale benchmark corpus: its configuration
-# reproduces the quintic within 1.974e-07 only
-MISMATCH_COEFFS = (
-    "1.0,55.32330251765784,359.4130149774432,-18160.81588184551,"
-    "-139558.59420122806,1653312.8622649652"
-)
+# roots at two scales, near -4.6e3 and of size 1e-8: even in its frame the
+# configuration reproduces the quintic within 2.870e-08 only
+MISMATCH_COEFFS = "1,0,0,1e11,0,1e-5"
 
 
 def run_json(capsys, argv):
@@ -173,8 +172,9 @@ class TestSolve:
         assert named in captured.err
 
     def test_overflowing_system_fails_quietly(self, capfd):
-        # fd-level capture: a linear-algebra library writing to stdout shows here
-        assert main(["solve", "--coeffs", "1,0,0,0,0,1e300"]) == EXIT_CONFIG
+        # fd-level capture: a linear-algebra library writing to stdout shows here;
+        # no frame holds roots near 1e300 and 1e-75 at once
+        assert main(["solve", "--coeffs", "1,-1e300,0,0,0,1"]) == EXIT_CONFIG
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith("configuration error: ") and err.count("\n") == 1
@@ -208,7 +208,9 @@ class TestConfig:
             ["config", "--coeffs", "1,0,-110,-55,2310,979", "--h", "1", "--branch", "plus"],
         )
         assert code == EXIT_OK
-        assert out["config"]["D"] == pytest.approx(949637.0, abs=1e-6)
+        # the quintic's frame is 2^4: there h is 1/16, and D is 2^-40 times the D at h = 1
+        assert out["config"]["exponent"] == 4
+        assert out["config"]["D"] == pytest.approx(949637.0 * 2.0**-40, rel=1e-12)
         assert out["config"]["b"] == pytest.approx((979.0 + root) / 4.0, rel=1e-12)
         assert out["config"]["c"] == pytest.approx((979.0 - 3.0 * root) / 4.0, rel=1e-12)
 
@@ -220,14 +222,14 @@ class TestConfig:
         assert main(["config", "--coeffs", MISMATCH_COEFFS]) == EXIT_VERIFY
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "reproduces the source within 1.974e-07" in captured.err
+        assert "reproduces the source within 2.870e-08" in captured.err
 
 
 class TestCompare:
     def test_hendecagon(self, capsys):
         code, out = run_json(capsys, ["compare", *HENDECAGON_ARGS])
         assert code == EXIT_OK
-        assert out["schema"] == 2
+        assert out["schema"] == 3
         assert out["direct"]["max_abs_parameter"] == pytest.approx(3.0, abs=1e-9)
         assert out["depressed"]["max_abs_parameter"] > out["direct"]["max_abs_parameter"]
         # D < 0 at h = 1 on the depressed quintic, so choose_h picks a smaller h
@@ -238,9 +240,12 @@ class TestCompare:
         assert out["unmatched_roots"] == 0
 
     def test_already_admissible_reports_unit_scale(self, capsys):
+        # already depressed: the route builds the direct configuration, at the h
+        # chosen in the quintic's frame (1/2 there, 8 in the caller's)
         code, out = run_json(capsys, ["compare", "--coeffs", "1,0,-110,-55,2310,979"])
         assert code == EXIT_OK
-        assert out["depressed"]["config"]["h"] == 1.0
+        assert out["depressed"]["config"] == out["direct"]["config"]
+        assert out["depressed"]["config"]["h"] == 8.0
         assert out["depressed"]["shift"] == 0.0
         assert out["depressed"]["quintic"] == out["quintic"]["monic"]
 
@@ -267,6 +272,59 @@ class TestCompare:
             "configuration error: depressed-form route: the depressed quintic's constant "
             "term is zero; t = -a4/5 = -2.0 is a root\n"
         )
+
+
+def brackets_a_root(coeffs: str, t: float, rel: float = 1e-9) -> bool:
+    """Whether the exact polynomial changes sign, or vanishes, within rel of t."""
+    exact = [Fraction(c) for c in coeffs.split(",")]
+
+    def value(x):
+        acc = Fraction(0)
+        for c in exact:
+            acc = acc * x + c
+        return acc
+
+    lo, hi = (Fraction(t) * (1 + Fraction(sign) * Fraction(rel)) for sign in (-1, 1))
+    return value(Fraction(t)) == 0 or (value(lo) > 0) != (value(hi) > 0)
+
+
+class TestFrame:
+    """Quintics whose roots lie far from 1 are solved in their 2^e frame."""
+
+    @pytest.mark.parametrize("constant, e", [("1e300", 200), ("1e-300", -199), ("-3e250", 167)])
+    def test_extreme_constant_solves_and_verifies(self, capsys, tmp_path, constant, e):
+        # t^5 + E has one real root, -E^(1/5)
+        coeffs, path = f"1,0,0,0,0,{constant}", str(tmp_path / "report.json")
+        assert main(["solve", "--coeffs", coeffs, "--json", path]) == EXIT_OK
+        report = json.loads(Path(path).read_text())
+        assert report["config"]["exponent"] == e
+        (sol,) = report["solutions"]
+        assert brackets_a_root(coeffs, sol["t"])
+        assert main(["verify", "--json", path]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("a4", ["-1e300", "-1e70", "-1e100", "-1e200", "1e250", "1e300",
+                                    "1e308"])
+    def test_roots_at_several_scales_fail_cleanly(self, capsys, command, a4):
+        # t^5 + a4 t^4 + 1 has a root near -a4 and four of size |a4|^(-1/4): in
+        # the large one's frame, a0 = 1 falls below the float range
+        assert main([command, "--coeffs", f"1,{a4},0,0,0,1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"configuration error: coefficient a0 = 1\.0 times 2\^-\d+ is 0\.0, "
+                            r"not exact: no frame holds this quintic \(e = \d+\)\n",
+                            captured.err)
+
+    def test_h_is_the_callers_and_checked_in_the_frame(self, capsys, tmp_path):
+        # h = 1 is 2^-200 in the frame of t^5 + 1e300, below 2^-128
+        assert main(["solve", "--coeffs", "1,0,0,0,0,1e300", "--h", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: --h must be from 2^72 to 2^328, got 1.0\n")
+        # the h that solve picks for itself, 1/2 in the frame
+        path, h = str(tmp_path / "report.json"), 2.0**199
+        assert main(["solve", "--coeffs", "1,0,0,0,0,1e300", "--h", repr(h), "--json", path]) == 0
+        assert json.loads(Path(path).read_text())["config"]["h"] == h
 
 
 class TestVerify:
@@ -300,20 +358,21 @@ class TestVerify:
         path.write_text(json.dumps(data))
         assert main(["verify", "--json", str(path)]) == EXIT_VERIFY
 
-    @pytest.mark.parametrize("schema, named", [(None, "schema 1"), (3, "schema 3")],
-                             ids=["missing", "newer"])
+    @pytest.mark.parametrize("schema, named", [(None, "schema 1"), (2, "schema 2"),
+                                               (4, "schema 4")],
+                             ids=["missing", "older", "newer"])
     def test_other_schema_is_unreadable(self, capsys, tmp_path, schema, named):
         path = tmp_path / "report.json"
         main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
         data = json.loads(path.read_text())
-        assert data.pop("schema") == 2
+        assert data.pop("schema") == 3
         if schema is not None:
             data["schema"] = schema
         path.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["verify", "--json", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"unreadable report: {named}, but verify reads schema 2; re-run solve\n"
+            f"unreadable report: {named}, but verify reads schema 3; re-run solve\n"
         )
 
     @pytest.mark.parametrize("text", ["[]", "1", '"report"'])

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origami_quintic import (
     Branch,
     DegenerateP,
+    InexactFrame,
     NegativeDiscriminant,
     OrigamiQuinticError,
     SingularSystem,
@@ -23,6 +24,7 @@ from origami_quintic import (
     normalize_monic,
     solve_all,
 )
+from origami_quintic.foldconfig import balance, balance_exponent, rescale
 from origami_quintic.polynomial import Quintic, coefficient_gap
 
 from conftest import closed_form_kpq, outcome, reference_compute_kpq
@@ -272,15 +274,18 @@ class TestComputeKPQReference:
         assert outcome(lambda: compute_kpq(hendecagon, h, b, c)) == want
 
     @pytest.mark.parametrize("h, b, c, message", [
-        (1e-300, 0.0, 0.0, "SingularSystem: (k, p, q) pivot 0.0 "),
-        (1e-300, -0.0, 0.0, "SingularSystem: (k, p, q) pivot -0.0 "),
+        # an h far below 1: row 2 over u^2 makes a2 infinite, and the solution NaN
+        (1e-300, 0.0, 0.0, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
+        (1e-300, -0.0, 0.0, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
         (1.0, math.nan, 0.0, "SingularSystem: (k, p, q) pivot nan "),
         (math.inf, 0.0, 0.0, "SingularSystem: (k, p, q) pivot -inf "),
         # both first-column candidates are -inf: the tie keeps the first row
         (1.0, math.inf, 0.0, "SingularSystem: (k, p, q) pivot -inf "),
-        (1e-160, 3.0, 0.0, "SingularSystem: (k, p, q) = (inf, inf, inf) "),
+        (1e-160, 3.0, 0.0, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
+        (1.0, 0.0, 1.7e308, "SingularSystem: (k, p, q) = (-inf, -8.5e+307, -3.0) "),
         (0.375, -0.0, math.nan, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
-        (1e160, 0.5, 0.0, "OverflowError: "),
+        # a subnormal h: 1 / u is beyond the float range
+        (5e-324, 0.5, 0.0, "OverflowError: "),
         (0.0, 1.0, 0.0, "ValueError: h must be positive"),
         (-0.0, 1.0, 0.0, "ValueError: h must be positive"),
         (-1.0, 1.0, 0.0, "ValueError: h must be positive"),
@@ -348,17 +353,21 @@ class TestBuildConfig:
         assert all(s.residuals.passes(1e-9) for s in solve_all(cfg, quintic))
 
     @pytest.mark.parametrize("coeffs, h", [
-        # the repeated-root cases of the seed-0 unit-batch benchmark corpus
+        # the repeated-root cases of the seed-0 unit-batch benchmark corpus whose
+        # first h in their frame puts P on l: cases 453, 459, 839, 1153, 263, 1749
         ((1.0, 4.75, 8.0, 5.1875, 0.375, -0.5625), 0.25),
         ((1.0, -0.25, -0.125, 0.03125, 0.00390625, -0.0009765625), 0.125),
         ((1.0, -1.75, -4.6875, 9.859375, -1.2109375, -3.515625), 0.5),
         ((1.0, 1.25, -0.3125, -0.390625, 0.15625, -0.015625), 0.25),
-        ((1.0, 6.25, -5.6875, -97.890625, -164.6484375, -35.15625), 0.5),
+        ((1.0, -1.0, -28.1875, 47.25, 195.0, -500.0), 2.0),
+        ((1.0, -1.5, -32.0, 48.0, 256.0, -384.0), 2.0),
     ])
     def test_repeated_roots_build_after_a_degenerate_h(self, coeffs, h):
+        # choose_h's first h in the quintic's frame puts P on l
         quintic = Quintic(*coeffs)
+        e = balance_exponent(quintic)
         with pytest.raises(DegenerateP):
-            build_config(quintic, h_override=choose_h(quintic))
+            build_config(quintic, h_override=math.ldexp(choose_h(balance(quintic, e)), e))
         cfg = build_config(quintic)
         assert cfg.h == h
         assert all(s.residuals.passes(1e-9) for s in solve_all(cfg, quintic))
@@ -396,10 +405,10 @@ class TestBuildConfig:
                         build_config(scaled, h_override=1.0)
                     continue
                 unit = build_config(scaled, h_override=1.0)
-                assert (cfg.h, cfg.b, cfg.c, cfg.D) == (c, unit.b, unit.c * c, unit.D * c**10)
-                lengths = (unit.k * c, unit.p * c, unit.q * c)
-                gap = max(abs(got - want) for got, want in zip((cfg.k, cfg.p, cfg.q), lengths))
-                assert gap <= 1e-12 * cfg.max_abs_parameter
+                # bit for bit; D is each frame's, 2^10 times larger per doubling
+                assert cfg[:6] == (c, unit.b, unit.c * c, unit.k * c, unit.p * c, unit.q * c)
+                doublings = round(math.log2(c)) - cfg.exponent + unit.exponent
+                assert cfg.D == math.ldexp(unit.D, 10 * doublings)
                 built += 1
         assert built >= 200
 
@@ -416,3 +425,100 @@ def test_requires_monic():
     # a non-monic quintic cannot be built, so it never reaches build_config
     with pytest.raises(ValueError):
         Quintic(2.0, 0, 0, 0, 0, 1)
+
+
+def fujiwara_exponent(q: Quintic) -> int:
+    """round(log2 B) for B = 2 max(|a4|, |a3|^(1/2), |a2|^(1/3), |a1|^(1/4),
+    |a0/2|^(1/5)), computed as written, and 0 when it is -2 to 2."""
+    bound = 2.0 * max(abs(q.a4), abs(q.a3) ** 0.5, abs(q.a2) ** (1 / 3), abs(q.a1) ** 0.25,
+                      abs(q.a0 / 2.0) ** 0.2)
+    e = round(math.log2(bound))
+    return 0 if abs(e) <= 2 else e
+
+
+# coefficients from 1e-30 to 1e30 in magnitude, or zero; from 1e-3 to 10, or zero
+WIDE_COEFFS = st.one_of(st.just(0.0), st.floats(1e-30, 1e30), st.floats(-1e30, -1e-30))
+FRAME_COEFFS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+class TestFrame:
+    @pytest.mark.parametrize("coeffs, e", [
+        ((1.0, 1.0, -4.0, -3.0, 3.0, 1.0), 0),  # the hendecagon keeps its configuration
+        ((1.0, 0.0, -110.0, -55.0, 2310.0, 979.0), 4),
+        ((1.0, 0.0, 0.0, 0.0, 0.0, 1e300), 200),
+        ((1.0, 0.0, 0.0, 0.0, 0.0, 1e-300), -199),
+        ((1.0, 0.0, 0.0, 0.0, 0.0, -3e250), 167),
+        ((1.0, 0.0, 0.0, 0.0, 0.0, 5e-324), -214),
+    ])
+    def test_exponent(self, coeffs, e):
+        assert balance_exponent(Quintic(*coeffs)) == e
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.lists(WIDE_COEFFS, min_size=5, max_size=5))
+    def test_exponent_is_fujiwaras(self, coeffs):
+        # log2 B term by term, against B as written; a tie at half an integer may
+        # round either way, which random floats do not reach
+        assume(coeffs[-1] != 0.0)
+        quintic = Quintic(1.0, *coeffs)
+        assert balance_exponent(quintic) == fujiwara_exponent(quintic)
+
+    def test_a_bound_beyond_the_float_range_is_refused(self):
+        # B = 2e308 is inf, yet e = 1024 is still found, and a0 leaves the range
+        quintic = Quintic(1.0, 1e308, 0.0, 0.0, 0.0, 1.0)
+        assert balance_exponent(quintic) == 1024
+        with pytest.raises(InexactFrame, match=r"^coefficient a0 = 1.0 .*\(e = 1024\)$"):
+            build_config(quintic)
+
+    @pytest.mark.parametrize("a4", [-1e300, -1e200, 1e250, -1e70])
+    def test_roots_at_several_scales_are_refused(self, a4):
+        # the frame of the root near -a4 leaves a0 = 1 below the float range;
+        # the message names a0 and e, and never claims that t = 0 is a root
+        e = balance_exponent(Quintic(1.0, a4, 0.0, 0.0, 0.0, 1.0))
+        with pytest.raises(InexactFrame) as info:
+            build_config(Quintic(1.0, a4, 0.0, 0.0, 0.0, 1.0))
+        assert str(info.value) == (f"coefficient a0 = 1.0 times 2^{-5 * e} is 0.0, not exact: "
+                                   f"no frame holds this quintic (e = {e})")
+
+    def test_a_subnormal_that_loses_bits_is_refused(self):
+        quintic = Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 3.0)
+        assert balance(quintic, -200)[5] == 3.0 * 2.0**1000
+        with pytest.raises(InexactFrame, match="coefficient a0 = 3.0 times 2"):
+            balance(quintic, 215)  # 3 * 2^-1075 rounds to 2^-1073
+
+    def test_a_subnormal_that_rounds_up_is_refused(self):
+        # a0 times 2^-2060 rounds up to 2^-1036, which times 2^2060 overflows
+        quintic = Quintic(1.0, 5e123, 0.0, 0.0, 0.0, 1.7976931348623157e308)
+        with pytest.raises(InexactFrame, match=r"^coefficient a0 = 1.7976931348623157e\+308 "
+                                               r"times 2\^-2060 is 1.3580773062\d*e-312, "):
+            build_config(quintic)
+
+    def test_lengths_come_back_in_the_callers_frame(self):
+        quintic = Quintic(1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)
+        cfg = build_config(quintic)
+        assert cfg.exponent == 4
+        assert cfg == rescale(build_config(balance(quintic, 4)), 4)
+        assert rescale(cfg, -4).exponent == 0 and rescale(cfg, -4).h == cfg.h / 16.0
+
+    @pytest.mark.parametrize("k", [-20, -3, -1, 1, 5, 20])
+    def test_scaled_hendecagon_is_the_hendecagon_drawn_larger(self, hendecagon, k):
+        # h chosen in each frame: the README's claim, with no h given
+        scaled = Quintic(1.0, *(math.ldexp(a, i * k) for i, a in enumerate(hendecagon[1:], 1)))
+        want = rescale(build_config(hendecagon), k)
+        assert build_config(scaled)[:6] == want[:6]
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.lists(FRAME_COEFFS, min_size=5, max_size=5), k=st.integers(-30, 30),
+           branch=st.sampled_from(Branch))
+    def test_construction_commutes_with_powers_of_two(self, coeffs, k, branch):
+        # the quintic with roots 2^k times larger, at 2^k times the h, is the same
+        # configuration drawn 2^k times larger, bit for bit, whatever the two frames
+        assume(coeffs[-1] != 0.0)
+        quintic = Quintic(1.0, *coeffs)
+        try:
+            cfg = build_config(quintic, branch=branch)
+        except OrigamiQuinticError:
+            assume(False)
+        scaled = Quintic(1.0, *(math.ldexp(a, i * k) for i, a in enumerate(coeffs, 1)))
+        got = build_config(scaled, h_override=math.ldexp(cfg.h, k), branch=branch)
+        assert got[:6] == (math.ldexp(cfg.h, k), cfg.b, *(math.ldexp(v, k) for v in cfg[2:6]))
+        assert got.D == math.ldexp(cfg.D, 10 * (k + cfg.exponent - got.exponent))

@@ -24,6 +24,7 @@ from origami_quintic import (
     solve_all,
     verify,
 )
+from origami_quintic.foldconfig import balance
 from origami_quintic.foldsolve import _config_values, _reconstruct, check_roundtrip
 from origami_quintic.polynomial import Quintic
 
@@ -467,3 +468,24 @@ def test_equivalence_of_zero_sets_small():
                     hi = mid
             assert 0.5 * (lo + hi) == pytest.approx(want, abs=1e-6)
         done += 1
+
+
+@pytest.mark.parametrize("coeffs, e", [
+    ((1.0, 0.0, -110.0, -55.0, 2310.0, 979.0), 4),
+    ((1.0, 0.0, 0.0, 0.0, 0.0, 1e300), 200),
+    ((1.0, 0.0, 0.0, 0.0, 0.0, 1e-300), -199),
+    ((1.0, 0.0, 0.0, 0.0, 0.0, -3e250), 167),
+    # three real roots, from 1.9e-7 to 2.5e-6
+    ((1.0, -3.2e-6, 1.9e-12, -3.0e-19, 1.0e-26, -1.0e-34), -17),
+])
+def test_roots_are_the_frames_times_2_to_the_e(coeffs, e):
+    # the roots are found in the frame and handed back exactly; the residuals
+    # stay the frame's, which is where verify measures them too
+    quintic = normalize_monic(coeffs)
+    cfg = build_config(quintic)
+    assert cfg.exponent == e
+    sols = solve_all(cfg, quintic)
+    assert [s.t for s in sols] == [math.ldexp(t, e) for t, _ in real_roots(balance(quintic, e))]
+    for sol in sols:
+        assert sol.residuals.passes(1e-9)
+        assert verify(cfg, sol.t) == sol.residuals

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,9 @@ CASES = {
     "zero_constant": "1,1,-4,-3,3,0",
     "tiny_constant": "1,0,0,0,0,1e-300",
     # five roots; five of the panels' lines miss their panel and are not drawn
-    "lines_off_panel": "1.0,-3.280299338087115,-14.586821022588014,47.44172755156295,"
-                       "30.725209450067304,-116.56470686572878",
+    # (case 252 of the seed-0 unit-batch corpus)
+    "lines_off_panel": "1.0,-4.220453770745659,1.1446624457767816,8.170406641073082,"
+                       "-1.9519895871521022,-4.0921899837055085",
 }
 
 COMMANDS = {
@@ -67,6 +69,19 @@ def run_case(coeffs: str, workdir: Path) -> dict:
 def test_default_reports_are_byte_stable(name, tmp_path):
     want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert run_case(CASES[name], tmp_path) == want
+
+
+def test_tiny_constant_root():
+    # t^5 + 1e-300 is solved in its 2^-199 frame; its one real root is -(1e-300)^(1/5)
+    record = json.loads((GOLDEN / "tiny_constant.json").read_text(encoding="utf-8"))
+    report = json.loads(record["files"]["report.json"])
+    assert report["config"]["exponent"] == -199
+    (sol,) = report["solutions"]
+    assert sol["t"] == pytest.approx(-(1e-300 ** 0.2), rel=1e-15)
+    t = Fraction(sol["t"])
+    # the exact quintic changes sign within 1e-15 relative of t
+    assert (t * (1 - Fraction(1, 10**15))) ** 5 + Fraction(1e-300) > 0
+    assert (t * (1 + Fraction(1, 10**15))) ** 5 + Fraction(1e-300) < 0
 
 
 if __name__ == "__main__":

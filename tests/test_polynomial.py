@@ -445,6 +445,14 @@ def test_nan_chain_sign_at_the_bound_is_named():
         real_roots(q)
 
 
+def test_nan_head_at_a_probe_is_named():
+    # _isolate evaluates the head once per probe and hands the value on to the
+    # count of the rest of the chain, which must still reject a NaN head
+    chain = [(0.0, 0.0, 0.0, 0.0, math.inf, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)]
+    with pytest.raises(SturmOverflow, match=r"^Sturm chain sign at x = 0\.0 is NaN$"):
+        _isolate(chain, -1.0, 1.0, 2, 0)
+
+
 def test_zero_count_at_the_bound_is_named():
     # Horner overflows at the bound and both ends count two sign variations;
     # a quintic has a real root, so an empty result would be wrong
