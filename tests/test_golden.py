@@ -1,14 +1,19 @@
-"""Byte-stable default reports.
+"""Byte-stable default reports and bit-stable roots.
 
 Each documented quintic runs through ``solve --json --svg``, ``config``,
 ``compare`` and ``verify`` as separate processes; the exit code, stdout,
 stderr and every file written must equal the stored golden record byte for
-byte.  ``python tests/test_golden.py`` rewrites the records, which is only
-right when a change of report is intended and stated.
+byte.  ``real_roots`` on a few thousand seeded quintics must give the stored
+digest of its roots and multiplicities, bit for bit.  ``python
+tests/test_golden.py`` rewrites the records and the digest, which is only
+right when a change of report or of roots is intended and stated.
 """
 
+import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -84,10 +89,106 @@ def test_tiny_constant_root():
     assert (t * (1 + Fraction(1, 10**15))) ** 5 + Fraction(1e-300) < 0
 
 
+# The digest's quintics are built with exact arithmetic only (Fractions, each
+# coefficient rounded once, and ldexp), and real_roots uses only IEEE + - * /
+# and integers, so the digest is the same on every platform and Python version.
+
+def _expand(factors) -> list[float]:
+    """Monic coefficients of the product of these exact factors (each a list
+    of Fractions, highest degree first), each rounded once to a float."""
+    poly = [Fraction(1)]
+    for factor in factors:
+        out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+        for i, x in enumerate(poly):
+            for j, y in enumerate(factor):
+                out[i + j] += x * y
+        poly = out
+    return [float(c) for c in poly]
+
+
+def _linear(r):
+    return [Fraction(1), -r]
+
+
+def _pair(rng):
+    """A quadratic factor with a complex pair of roots."""
+    x, y = Fraction(rng.randint(-400, 400), 100), Fraction(rng.randint(1, 300), 100)
+    return [Fraction(1), -2 * x, x * x + y * y]
+
+
+def _simple(rng):
+    real = rng.choice((1, 3, 5))
+    return _expand([_linear(Fraction(rng.randint(-4000, 4000), 1000)) for _ in range(real)]
+                   + [_pair(rng) for _ in range((5 - real) // 2)])
+
+
+def _repeated(rng):
+    pattern = rng.choice(((2, 1, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2), (4, 1), (5,), (2, 1, 0),
+                          (3, 0), (1, 2, 0)))  # a 0 stands for a complex pair
+    factors = []
+    for mult in pattern:
+        if mult:
+            factors += [_linear(Fraction(rng.randint(-16, 16), rng.randint(1, 8)))] * mult
+        else:
+            factors.append(_pair(rng))
+    return _expand(factors)
+
+
+def _clustered(rng):
+    base = Fraction(rng.randint(-3000, 3000), 1000)
+    gap = Fraction(1, 10 ** rng.randint(2, 7))
+    size = rng.randint(2, 5)
+    roots = [base + i * gap * rng.randint(1, 3) for i in range(size)]
+    roots += [Fraction(rng.randint(-4000, 4000), 1000) for _ in range(5 - size)]
+    return _expand([_linear(r) for r in roots])
+
+
+def _dyadic(rng):
+    shift = rng.randint(0, 6)
+    return _expand([_linear(Fraction(rng.randint(-6, 6), 2**shift)) for _ in range(5)])
+
+
+def _several_scale(rng):
+    return [1.0] + [rng.choice((-1.0, 1.0)) * math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-40, 40))
+                    for _ in range(5)]
+
+
+ROOT_FAMILIES = {"simple": _simple, "repeated": _repeated, "clustered": _clustered,
+                 "dyadic": _dyadic, "several_scale": _several_scale}
+ROOT_CASES = 600  # per family
+ROOT_DIGEST = GOLDEN / "real_roots_digest.json"
+
+
+def root_digests() -> dict:
+    """Per family, the case count and the sha256 of real_roots' outcome on
+    each seeded quintic: the repr of its roots and multiplicities, or the
+    class and message of what it raised."""
+    from origami_quintic.polynomial import Quintic, real_roots
+
+    digests = {}
+    for seed, (family, build) in enumerate(ROOT_FAMILIES.items()):
+        rng, lines = random.Random(seed), []
+        for _ in range(ROOT_CASES):
+            q = Quintic(*build(rng))
+            try:
+                lines.append(repr(real_roots(q)))
+            except Exception as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+        text = "\n".join(lines).encode("ascii")
+        digests[family] = {"cases": ROOT_CASES, "sha256": hashlib.sha256(text).hexdigest()}
+    return digests
+
+
+def test_real_roots_are_bit_stable():
+    assert root_digests() == json.loads(ROOT_DIGEST.read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    ROOT_DIGEST.write_text(json.dumps(root_digests(), indent=1) + "\n", encoding="utf-8")
     for name, coeffs in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             record = run_case(coeffs, Path(tmp))
