@@ -132,9 +132,9 @@ def balance_exponent(q: Quintic) -> int:
 def _scaled(values, shifts, names, e: int) -> list[float]:
     """Each value times 2 to its shift; InexactFrame naming the first product
     that is not exact (it overflows, underflows or drops bits), and e, the
-    exponent of the frame."""
+    exponent of the frame.  The name is looked up only on a failure."""
     ldexp, out = math.ldexp, []
-    for value, shift, name in zip(values, shifts, names):
+    for value, shift in zip(values, shifts):
         scaled = math.inf
         try:
             scaled = ldexp(value, shift)
@@ -143,8 +143,8 @@ def _scaled(values, shifts, names, e: int) -> list[float]:
                 continue
         except OverflowError:
             pass
-        raise InexactFrame(f"{name} = {value!r} times 2^{shift} is {scaled!r}, not exact: "
-                           f"no frame holds this quintic (e = {e})")
+        raise InexactFrame(f"{names[len(out)]} = {value!r} times 2^{shift} is {scaled!r}, "
+                           f"not exact: no frame holds this quintic (e = {e})")
     return out
 
 
@@ -311,21 +311,24 @@ def build_config(
     if h_override is not None:
         return rescale(_config_at(q, math.ldexp(float(h_override), -e), branch), e)
     h = choose_h(q)
-    later = (t for t in H_TRIALS[H_TRIALS.index(h) + 1:] if discriminant(q, t) >= 0.0)
-    while True:
-        try:
-            return rescale(_config_at(q, h, branch), e)
-        except DegenerateP:
-            h = next(later, None)
-            if h is None:
-                raise
+    try:
+        return rescale(_config_at(q, h, branch), e)
+    except DegenerateP as exc:
+        degenerate = exc
+    for h in H_TRIALS[H_TRIALS.index(h) + 1:]:
+        if discriminant(q, h) >= 0.0:
+            try:
+                return rescale(_config_at(q, h, branch), e)
+            except DegenerateP as exc:
+                degenerate = exc
+    raise degenerate
 
 
 def _config_at(q: Quintic, h: float, branch: Branch) -> FoldConfig:
     """The configuration at this h and branch; DegenerateP when P lies on l."""
     b, c, d = compute_bc(q, h, branch)
     k, p, q_point = compute_kpq(q, h, b, c)
-    if abs(p - k) <= 1e-12 * max(1.0, abs(k), abs(p)):
+    if abs(p - k) <= 1e-12 * max(abs(k), abs(p)):  # 12 digits at every scale
         raise DegenerateP(
             f"P lies on line l (p = k = {k:.6g}) at h = {h:.6g}; retry with a different h"
         )

@@ -105,12 +105,13 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     its own gcd.  Distinct roots are isolated by sign-variation counts of
     p's chain on a bisected interval [-B, B] (B the Cauchy bound), refined
     by bisection to the fixed bracket width ROOT_TOL on its head, the
-    square-free part p / g1, and polished with Newton steps.  A root's
-    multiplicity is its bracket's count plus, for each gcd chain, the
-    chain's count of roots in the bracket; a bracket left at the width
-    floor with several roots in it reports their total.  The chains are
-    exact integers until ``_normalized``; from there every evaluation is
-    straight-line Horner on six floats, rounding as the generic loop does.
+    square-free part p / g1, and polished with Newton steps; the brackets
+    come left to right, disjoint, so the roots come ascending unsorted.  A
+    root's multiplicity is its bracket's count plus each gcd chain's count
+    in the bracket; a bracket left at the width floor with several roots in
+    it reports their total.  The chains are exact integers until
+    ``_normalized``; from there every evaluation is straight-line Horner on
+    six floats, rounding as the generic loop does.
 
     A real quintic always has at least one real root, so the result is
     never empty: a count of none at the bound raises ``SturmOverflow``.
@@ -120,6 +121,8 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     chains, f = [], _integer_coefficients(q)
     while f != [1]:
         chain, f = _sturm_chain(f)
+        if f == [1] and not chains:  # p is square-free and heads its chain
+            chain[0] = q
         chains.append([_normalized(g) for g in chain])
     chain, *deeper = chains
     poly = chain[0]  # p / g1, the square-free part
@@ -130,12 +133,9 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
         raise SturmOverflow(
             f"Sturm chain counts no real root in [-B, B] for B = {bound!r}: "
             f"V(-B) = {vlo}, V(B) = {vhi}")
-    roots: list[tuple[float, int]] = []
-    for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi):
-        mult = count + sum(_variations(c, blo) - _variations(c, bhi) for c in deeper)
-        roots.append((_refine_root(poly, blo, bhi), mult))
-    roots.sort(key=lambda pair: pair[0])
-    return roots
+    return [(_refine_root(poly, blo, bhi),
+             count + sum([_variations(c, blo) - _variations(c, bhi) for c in deeper]))
+            for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,34 +163,35 @@ def _primitive(coeffs: Sequence[int]) -> list[int]:
     return [c // content for c in coeffs]
 
 
-def _pseudo_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of |lc(den)|^(deg num - deg den + 1) * num by den.
+def _sturm_remainder(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """-prem(num, den) for deg num > deg den: |lc(den)|^(deg num - deg den + 1)
+    num mod den, negated, with no division.  A pass cancels the leading term t
+    of the running remainder r as |l| r - t x^j d, d being den led by |l|; the
+    last two passes, a one-degree step, are one straight-line expression."""
+    lead, *tail = den
+    if lead < 0:
+        lead, tail = -lead, [-c for c in tail]
+    tail += [0] * (len(num) - len(den))
+    for _ in range(len(num) - len(den) - 1):
+        num = [lead * c - num[0] * d for c, d in zip(num[1:], tail)]
+    t0, t1 = num[0], lead * num[1] - num[0] * tail[0]
+    return [t1 * z - lead * (lead * x - t0 * y) for x, y, z in zip(num[2:], tail[1:], tail)]
 
-    The multiplier makes every quotient coefficient an integer, so the
-    floor divisions below are exact, and it is positive, so both results
-    are positive multiples of the rational quotient and remainder.
-    """
-    dn = len(den) - 1
-    steps = len(num) - dn
-    lead = den[0]
-    multiplier = abs(lead) ** steps
-    out = [c * multiplier for c in num]
-    quot = []
-    for i in range(steps):
-        coef = out[i] // lead
-        quot.append(coef)
-        if coef:
-            for j in range(1, dn + 1):
-                out[i + j] -= coef * den[j]
-    return quot, out[steps:]
+
+def _exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """num / den for primitive ones with den | num: exact and primitive (Gauss)."""
+    quot, tail = [], [*den[1:], *[0] * (len(num) - len(den))]
+    for _ in range(len(num) - len(den) + 1):
+        quot.append(num[0] // den[0])
+        num = [c - quot[-1] * d for c, d in zip(num[1:], tail)]
+    return quot
 
 
 def _integer_coefficients(coeffs: Sequence[float]) -> list[int]:
-    """Floats are dyadic rationals, so the coefficients scale exactly to
-    integers by a power of two; their primitive part."""
+    """The primitive part of the coefficients, dyadic n / 2^k, shifted to integers."""
     ratios = [c.as_integer_ratio() for c in coeffs]
-    denom = max(d for _, d in ratios)
-    return _primitive([n * (denom // d) for n, d in ratios])
+    top = max(d for _, d in ratios).bit_length()
+    return _primitive([n << (top - d.bit_length()) for n, d in ratios])
 
 
 def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
@@ -198,24 +199,25 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     divided by g = gcd(f, f'), and g itself ([1] when f is square-free).
 
     The chain is an integer primitive-part pseudo-remainder sequence: each
-    negated remainder is formed with a positive multiplier and divided by
-    its content, so every element is a positive multiple of the rational
-    Sturm remainder, and a zero remainder, and with it a repeated root, is
-    detected exactly instead of through an epsilon.  The chain then stops
-    on g and is divided by it exactly.  The divided chain, headed by the
-    square-free part f / g, counts the distinct real roots of f as the
-    undivided one does; undivided, every element has f's repeated roots as
-    multiple factors, and its float signs next to them are noise.
+    element is ``_sturm_remainder`` of the two before it, most often one
+    straight-line one-degree step, over its content, so every element is a
+    positive multiple of the rational Sturm remainder, down to a constant ±1,
+    and a zero remainder, and with it a repeated root, is detected exactly
+    instead of through an epsilon.  The chain then stops on g and is divided
+    by it exactly.  The divided chain, headed by the square-free part f / g,
+    counts the distinct real roots of f as the undivided one does; undivided,
+    every element has f's repeated roots as multiple factors, and its float
+    signs next to them are noise.
     """
     degree = len(exact) - 1
     chain = [list(exact), _primitive([c * (degree - i) for i, c in enumerate(exact[:-1])])]
     while len(chain[-1]) > 1:
-        rem = [-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]]
+        rem = _sturm_remainder(chain[-2], chain[-1])
         while rem and not rem[0]:
             del rem[0]
         if not rem:
             gcd = chain[-1]
-            return [_primitive(_pseudo_divmod(f, gcd)[0]) for f in chain], gcd
+            return [_exact_quotient(f, gcd) for f in chain], gcd
         chain.append(_primitive(rem))
     return chain, [1]
 
@@ -224,7 +226,11 @@ def _normalized(poly: Sequence[int]) -> tuple[float, ...]:
     """Max-norm normalized floats for fast sign counting, which integer true
     division rounds correctly whatever positive multiple of poly was kept; padded
     to six with leading zeros for the straight-line Horner below, which then rounds
-    as ``evaluate`` on the unpadded list (0.0*x + c is c, and NaN at an infinite x)."""
+    as ``evaluate`` on the unpadded list (0.0*x + c is c, and NaN at an infinite x).
+    A constant is ±1.0 with no division; a square-free quintic's head comes as its
+    float coefficients, whose quotients round the same ratios as its integers'."""
+    if len(poly) == 1:
+        return (0.0, 0.0, 0.0, 0.0, 0.0, 1.0 if poly[0] > 0 else -1.0)
     peak = max(map(abs, poly))
     return (0.0,) * (6 - len(poly)) + tuple([c / peak for c in poly])
 
@@ -342,11 +348,17 @@ def worst_item(items: Iterable[tuple[str, float]]) -> tuple[str, float]:
     """The first (name, value) pair whose value is NaN, else the first largest.
 
     ``max`` drops a NaN unless it comes first, and a gate ``worst <= tol``
-    must fail on a NaN defect, not pass it.
+    must fail on a NaN defect, not pass it.  One pass; ValueError when empty.
     """
-    items = list(items)
-    nan = next((item for item in items if math.isnan(item[1])), None)
-    return nan or max(items, key=lambda item: item[1])
+    worst = None
+    for item in items:
+        if item[1] != item[1]:
+            return item
+        if worst is None or item[1] > worst[1]:
+            worst = item
+    if worst is None:
+        raise ValueError("worst_item() arg is an empty sequence")
+    return worst
 
 
 def coefficient_gap(got: Sequence[float], want: Sequence[float]) -> float:

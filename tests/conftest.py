@@ -459,15 +459,21 @@ def _frac_chain(exact):
     return chain, None
 
 
-def fraction_sturm_chain(coeffs):
+def exact_sturm_chains(coeffs):
     """The Sturm chains of p, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to
-    a square-free g_j, each over its own gcd, as floats; the first is headed
-    by the square-free part p / g1."""
+    a square-free g_j, each over its own gcd, in Fractions; the first is
+    headed by the square-free part p / g1."""
     chains, gcd = [], _frac_trim([Fraction(c) for c in coeffs])
     while gcd is not None:
         chain, gcd = _frac_chain(gcd)
-        chains.append([_frac_to_floats(f) for f in chain])
+        chains.append(chain)
     return chains
+
+
+def fraction_sturm_chain(coeffs):
+    """The chains of ``exact_sturm_chains``, each element max-norm normalized
+    to floats."""
+    return [[_frac_to_floats(f) for f in chain] for chain in exact_sturm_chains(coeffs)]
 
 
 def poly_derivative(coeffs):

@@ -316,6 +316,21 @@ class TestFrame:
                             r"not exact: no frame holds this quintic \(e = \d+\)\n",
                             captured.err)
 
+    def test_p_on_l_is_relative_below_1(self, capsys, tmp_path):
+        # case 106 of the random several-scale set (random.Random(5)): at the
+        # frame's first h, 2^-23, p and k are near -4e-8 and differ by 1.2e-6 of
+        # their size, which an absolute 1e-12 took for P on l, and so on to
+        # h = 2^-40, where p and k were -8.5e-45 and the solve failed
+        coeffs = ("1.0,-31094.370706256694,28072727453.81077,7781832393.421712,"
+                  "-0.025851068285457326,1.1565983517117995")
+        path = str(tmp_path / "report.json")
+        assert main(["solve", "--coeffs", coeffs, "--json", path]) == EXIT_OK
+        report = json.loads(Path(path).read_text())
+        assert (report["config"]["exponent"], len(report["solutions"])) == (18, 1)
+        assert report["config"]["h"] == 2.0**-23 * 2.0**18
+        assert main(["verify", "--json", path]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_h_is_the_callers_and_checked_in_the_frame(self, capsys, tmp_path):
         # h = 1 is 2^-200 in the frame of t^5 + 1e300, below 2^-128
         assert main(["solve", "--coeffs", "1,0,0,0,0,1e300", "--h", "1"]) == EXIT_USAGE

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from origami_quintic import (
@@ -16,6 +16,7 @@ from origami_quintic import (
     normalize_monic,
     real_roots,
 )
+from origami_quintic.foldconfig import balance, balance_exponent
 from origami_quintic.polynomial import (
     Quintic,
     _integer_coefficients,
@@ -28,11 +29,13 @@ from origami_quintic.polynomial import (
     cauchy_bound,
     coefficient_gap,
     parse_coefficient,
+    worst_item,
 )
 
 from conftest import (
     HENDECAGON,
     HENDECAGON_ROOTS,
+    exact_sturm_chains,
     fraction_sturm_chain,
     outcome,
     pad,
@@ -299,8 +302,68 @@ def brackets_hold_roots(q, roots):
         count == 1 and blo < root <= bhi for (blo, bhi, count), root in zip(brackets, roots))
 
 
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+_nonzero = st.integers(1, 9) | st.integers(-9, -1)
+
+
+def _polynomial(draw, degree):
+    """A nonzero lead, then small coefficients, zero in about half of the
+    draws, or at most two nonzero ones."""
+    rest = draw(st.lists(st.just(0) | st.integers(-9, 9), min_size=degree, max_size=degree))
+    if degree and draw(st.booleans()):
+        rest = [0] * degree
+        for i in draw(st.sets(st.integers(0, degree - 1), max_size=2)):
+            rest[i] = draw(_nonzero)
+    return [draw(_nonzero), *rest]
+
+
+@st.composite
+def primitive_polynomials(draw):
+    """Primitive integer polynomials of degree 1 to 5, either sign: one times
+    a factor of degree 1 or 2 raised to a power of 0 to 3, so that repeated
+    factors are common; sparse ones make remainders that drop two or more
+    degrees."""
+    degree = draw(st.integers(1, 2))
+    factor, power = _polynomial(draw, degree), min(draw(st.sampled_from((0, 0, 1, 2, 3))),
+                                                   5 // degree)
+    poly = _polynomial(draw, draw(st.integers(power == 0, 5 - degree * power)))
+    for _ in range(power):
+        poly = _times(poly, factor)
+    content = math.gcd(*poly)
+    return [c // content for c in poly]
+
+
 class TestSturmChain:
     """The integer chains equal the rational ones bit for bit."""
+
+    # the drawn ones drop two or more degrees rarely, so a few that do: t^5 + t^2
+    # (a double root at 0), -(t^4 + t), t^5 - 2t, t^5 + 3t^2 - 1 and t^5 - t^3
+    @settings(max_examples=400, deadline=None)
+    @given(primitive_polynomials())
+    @example([1, 0, 0, 1, 0, 0])
+    @example([-1, 0, 0, -1, 0])
+    @example([1, 0, 0, 0, -2, 0])
+    @example([1, 0, 0, 3, 0, -1])
+    @example([1, 0, -1, 0, 0, 0])
+    def test_elements_are_positive_multiples_of_the_rational_ones(self, poly):
+        levels, f = [], poly
+        while f != [1]:
+            chain, f = _sturm_chain(f)
+            assert math.gcd(*f) == 1  # the gcd is primitive
+            levels.append(chain)
+        want = exact_sturm_chains(poly)
+        assert [len(chain) for chain in levels] == [len(chain) for chain in want]
+        for chain, exact in zip(levels, want):
+            for got, ref in zip(chain, exact):
+                ratio = Fraction(got[0]) / ref[0]
+                assert ratio > 0 and [ratio * c for c in ref] == got
 
     @settings(max_examples=200, deadline=None)
     @given(rest=st.lists(wide_floats, min_size=5, max_size=5))
@@ -524,6 +587,21 @@ class TestMultiplicity:
         assert sorted(m for _, m in real_roots(q)) == sorted(stated.values())
 
 
+# quintics whose coefficients span 2^-40 to 2^41, as the several-scale sets do
+several_scales = st.builds(lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from((-1.0, 1.0)),
+                           st.floats(1.0, 2.0), st.integers(-40, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(several_scales, min_size=5, max_size=5))
+def test_roots_come_strictly_ascending(rest):
+    # real_roots does not sort: its brackets are disjoint and come left to right;
+    # solve_all calls it on the quintic in its 2^e frame
+    q = Quintic(1.0, *rest)
+    roots = [t for t, _ in real_roots(balance(q, balance_exponent(q)))]
+    assert all(a < b for a, b in zip(roots, roots[1:]))
+
+
 def test_zero_at_the_lower_end_belongs_to_the_left_bracket():
     # (t + 2)(t + 1)(t - 1) on (-2, 0]: -2 is outside the bracket, -1 inside
     poly = _normalized([1, 2, -1, -2])
@@ -562,6 +640,29 @@ class TestParseCoefficient:
     def test_known_differences(self, text):
         assert outcome(lambda: parse_coefficient(text)) == outcome(
             lambda: reference_parse_coefficient(text))
+
+
+def test_worst_item_contract():
+    nan, later_nan = ("a", math.nan), ("b", math.nan)
+    # the first NaN wins wherever it stands
+    assert worst_item([nan, ("x", math.inf)]) is nan
+    assert worst_item([("x", math.inf), ("y", 1.0), nan, later_nan]) is nan
+    assert worst_item(iter([("x", 2.0), nan])) is nan
+    # a tie returns the first item itself
+    first, second = ("first", 3.0), ("second", 3.0)
+    assert worst_item([("low", 1.0), first, second]) is first
+    # inf beats any finite value
+    assert worst_item([("big", 1e308), ("inf", math.inf), ("max", 1.7976931348623157e308)]) == (
+        "inf", math.inf)
+    # -0.0 ties with 0.0, so the first of them is returned
+    negative, positive = ("neg", -0.0), ("pos", 0.0)
+    assert worst_item([negative, positive]) is negative
+    assert worst_item([positive, negative]) is positive
+    assert worst_item([("only", -1.0)]) == ("only", -1.0)
+    with pytest.raises(ValueError):
+        worst_item([])
+    with pytest.raises(ValueError):
+        worst_item(iter(()))
 
 
 def test_coefficient_gap():
