@@ -92,7 +92,7 @@ def cauchy_bound(q: Quintic) -> float:
     From max |a_i| = 2^53 on, 1 + max |a_i| rounds back onto max |a_i|, so
     the next float above max |a_i| is taken instead.
     """
-    peak = max(abs(c) for c in q[1:])
+    peak = max(map(abs, q[1:]))
     if peak < 2.0**53:
         return 1.0 + peak
     return math.nextafter(peak, math.inf)
@@ -273,8 +273,7 @@ def _isolate(
         count = vlo - vhi
         if count <= 0:
             continue
-        min_width = 1e-13 * max(1.0, abs(lo), abs(hi))
-        if count == 1 or hi - lo <= min_width:
+        if count == 1 or hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):  # the width floor
             brackets.append((lo, hi, count))
             continue
         x = 0.5 * (lo + hi)
