@@ -343,8 +343,8 @@ def primitive_polynomials(draw):
 class TestSturmChain:
     """The integer chains equal the rational ones bit for bit."""
 
-    # the drawn ones drop two or more degrees rarely, so a few that do: t^5 + t^2
-    # (a double root at 0), -(t^4 + t), t^5 - 2t, t^5 + 3t^2 - 1 and t^5 - t^3
+    # the drawn ones rarely drop two or more degrees, so four that do, t^5 + t^2
+    # (a double root at 0), -(t^4 + t), t^5 - 2t and t^5 + 3t^2 - 1, and t^5 - t^3
     @settings(max_examples=400, deadline=None)
     @given(primitive_polynomials())
     @example([1, 0, 0, 1, 0, 0])
