@@ -28,7 +28,7 @@ from .geometry import (
     reflect_xy,
     triple_gap,
 )
-from .polynomial import Quintic, coefficient_gap, evaluate, real_roots, worst_item
+from .polynomial import Quintic, coefficient_gap, real_roots, worst_item
 
 # Diagnostics attached to a solution instead of rejecting it outright.
 CHI_EQUALS_N = "chi_equals_n"
@@ -61,7 +61,7 @@ class IncidenceResiduals(NamedTuple):
         return self.worst_field[1]
 
     def passes(self, tol: float) -> bool:
-        return self.worst <= tol
+        return all(v <= tol for v in self)
 
 
 class FoldSolution(NamedTuple):
@@ -107,9 +107,11 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
     reflection of n across xi, and every incidence measured on local floats,
     all in the frame of cfg and t; fixed is ``_config_values`` of the
     configuration and its quintic.  The record's lengths (t, s, the lines'
-    c and the images) are the caller's, times 2^e."""
+    c and the images) are the caller's, times 2^e.  The records skip their
+    constructors: Line's one check holds, as xi's normal is (t, -h) with h > 0,
+    and chi's is n's (1, b) reflected, nonzero or ``reflect_abc`` raises."""
     h, b, c, k, p, q, _, _, _ = cfg
-    nn, n_canonical, still, quintic, unit = fixed
+    nn, n_canonical, still, (_, a4, a3, a2, a1, a0), unit = fixed
     xa, xb, xc = fold_xi(t, h)
     ca, cb, cc = reflect_abc(1.0, b, c, xa, xb, xc)
     qx, qy = reflect_xy(0.0, h, xa, xb, xc)
@@ -132,18 +134,21 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
         x, y = (xc * b - c * xb) / det, (xa * c - xc) / det
         equidistant, on_chi = 0.0, abs(ca * x + cb * y - cc) / cn
 
-    # bisect: |cos| of the xi-chi angle against |cos| of the xi-n angle
-    residuals = IncidenceResiduals(
+    # bisect compares |cos| of the xi-chi and xi-n angles; 0.0 * t as in evaluate, NaN at t = inf
+    new = tuple.__new__
+    residuals = new(IncidenceResiduals, (
         abs(qy + h), abs(px - k), abs(abs(xi_chi) / (xn * cn) - abs(xi_n) / (xn * nn)),
-        abs(evaluate(quintic, t)), equidistant, on_chi)
+        abs((((((0.0 * t + 1.0) * t + a4) * t + a3) * t + a2) * t + a1) * t + a0),
+        equidistant, on_chi))
     diagnostics = ()
     if triple_gap(canonical_abc(ca, cb, cc, cn), n_canonical) <= 1e-9:
         diagnostics = (CHI_EQUALS_N,)
     if math.hypot(px - p, py - q) <= still:
         diagnostics += (LOW_CONFIDENCE,)
-    return FoldSolution(t * unit, py * unit, Line(xa, xb, xc * unit), Line(ca, cb, cc * unit),
-                        Point(qx * unit, qy * unit), Point(px * unit, py * unit), residuals,
-                        parallel, multiplicity, diagnostics)
+    return new(FoldSolution, (t * unit, py * unit, new(Line, (xa, xb, xc * unit)),
+                              new(Line, (ca, cb, cc * unit)), new(Point, (qx * unit, qy * unit)),
+                              new(Point, (px * unit, py * unit)), residuals, parallel,
+                              multiplicity, diagnostics))
 
 
 def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> Quintic:

@@ -90,7 +90,7 @@ def fold_xi(t: float, h: float) -> Line:
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    return Line(t, -h, t * t)
+    return tuple.__new__(Line, (t, -h, t * t))  # its normal's -h is nonzero
 
 
 def reflect_xy(x: float, y: float, a: float, b: float, c: float) -> XY:

@@ -57,7 +57,7 @@ def normalize_monic(coeffs: Sequence[float]) -> Quintic:
     lead = float(coeffs[0])
     if lead == 0.0:
         raise DegenerateDegree("leading coefficient is zero; not a quintic")
-    return Quintic(1.0, *(float(c) / lead for c in coeffs[1:]))
+    return tuple.__new__(Quintic, (1.0, *[float(c) / lead for c in coeffs[1:]]))
 
 
 def evaluate(coeffs: Sequence[float], t: float) -> float:
@@ -133,9 +133,14 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
         raise SturmOverflow(
             f"Sturm chain counts no real root in [-B, B] for B = {bound!r}: "
             f"V(-B) = {vlo}, V(B) = {vhi}")
-    return [(_refine_root(poly, blo, bhi),
-             count + sum([_variations(c, blo) - _variations(c, bhi) for c in deeper]))
-            for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi)]
+    roots, at = [], {}  # each gcd chain's count at a bracket end, which adjacent brackets share
+    for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi):
+        for i, c in enumerate(deeper):
+            below = at[i, blo] if (i, blo) in at else _variations(c, blo)
+            at[i, bhi] = above = _variations(c, bhi)
+            count += below - above
+        roots.append((_refine_root(poly, blo, bhi), count))
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +162,6 @@ def _taylor_coefficients(coeffs: Sequence[float], x0: float) -> list[float]:
     return rems
 
 
-def _primitive(coeffs: Sequence[int]) -> list[int]:
-    """Divide out the content; the gcd is positive, so the signs are kept."""
-    content = math.gcd(*coeffs)
-    return [c // content for c in coeffs]
-
-
 def _sturm_remainder(num: Sequence[int], den: Sequence[int]) -> list[int]:
     """-prem(num, den) for deg num > deg den: |lc(den)|^(deg num - deg den + 1)
     num mod den, negated, with no division.  A pass cancels the leading term t
@@ -179,7 +178,7 @@ def _sturm_remainder(num: Sequence[int], den: Sequence[int]) -> list[int]:
 
 
 def _exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """num / den for primitive ones with den | num: exact and primitive (Gauss)."""
+    """num / den for a primitive den dividing num: integer and exact (Gauss)."""
     quot, tail = [], [*den[1:], *[0] * (len(num) - len(den))]
     for _ in range(len(num) - len(den) + 1):
         quot.append(num[0] // den[0])
@@ -188,37 +187,44 @@ def _exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int]:
 
 
 def _integer_coefficients(coeffs: Sequence[float]) -> list[int]:
-    """The primitive part of the coefficients, dyadic n / 2^k, shifted to integers."""
+    """The coefficients, dyadic n / 2^k, shifted to integers: a positive multiple."""
     ratios = [c.as_integer_ratio() for c in coeffs]
     top = max(d for _, d in ratios).bit_length()
-    return _primitive([n << (top - d.bit_length()) for n, d in ratios])
+    return [n << (top - d.bit_length()) for n, d in ratios]
 
 
 def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    """Sturm chain of a primitive integer polynomial f of positive degree,
-    divided by g = gcd(f, f'), and g itself ([1] when f is square-free).
+    """Sturm chain of an integer polynomial f of positive degree, divided by
+    g = gcd(f, f'), and g itself, primitive ([1] when f is square-free).
 
-    The chain is an integer primitive-part pseudo-remainder sequence: each
-    element is ``_sturm_remainder`` of the two before it, most often one
-    straight-line one-degree step, over its content, so every element is a
-    positive multiple of the rational Sturm remainder, down to a constant ±1,
-    and a zero remainder, and with it a repeated root, is detected exactly
-    instead of through an epsilon.  The chain then stops on g and is divided
-    by it exactly.  The divided chain, headed by the square-free part f / g,
-    counts the distinct real roots of f as the undivided one does; undivided,
-    every element has f's repeated roots as multiple factors, and its float
-    signs next to them are noise.
+    The chain is the subresultant pseudo-remainder sequence of f and f' on |lc|
+    (Brown & Traub, J. ACM 1971), with no content taken out: each element is
+    ``_sturm_remainder`` of the two before it over lc h^d, for the step's degree
+    drop d, |lc| of the step before's divisor lc, and h = lc^d / h^(d-1), both 1
+    at first.  Up to sign the elements are subresultants and h their leads,
+    integer determinants, so each division is exact; each factor is positive,
+    so each element is a positive multiple of the rational Sturm remainder,
+    down to a constant ±1.  A zero remainder, a repeated root, is detected
+    exactly; the chain then stops on g and is divided by it.  Headed by the
+    square-free part f / g, it counts f's distinct real roots as the undivided
+    one does, whose elements all have f's repeated roots as multiple factors.
     """
     degree = len(exact) - 1
-    chain = [list(exact), _primitive([c * (degree - i) for i, c in enumerate(exact[:-1])])]
+    chain = [list(exact), [c * (degree - i) for i, c in enumerate(exact[:-1])]]
+    lc = h = 1
     while len(chain[-1]) > 1:
         rem = _sturm_remainder(chain[-2], chain[-1])
         while rem and not rem[0]:
             del rem[0]
-        if not rem:
-            gcd = chain[-1]
+        if not rem:  # g is chain[-1] over its content, which is positive: signs are kept
+            content = math.gcd(*chain[-1])
+            gcd = [c // content for c in chain[-1]]
             return [_exact_quotient(f, gcd) for f in chain], gcd
-        chain.append(_primitive(rem))
+        if len(rem) == 1:  # the last element, kept as its sign
+            return [*chain, [1 if rem[0] > 0 else -1]], [1]
+        d = len(chain[-2]) - len(chain[-1])
+        scale, lc, h = lc * h**d, abs(chain[-1][0]), abs(chain[-1][0]) ** d // h ** (d - 1)
+        chain.append([c // scale for c in rem] if scale != 1 else rem)
     return chain, [1]
 
 
@@ -237,12 +243,14 @@ def _normalized(poly: Sequence[int]) -> tuple[float, ...]:
 
 def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
     a, b, c, d, e, f = chain[0]
-    return _variations_after(((((a * x + b) * x + c) * x + d) * x + e) * x + f, chain[1:], x)
+    return _variations_after(((((a * x + b) * x + c) * x + d) * x + e) * x + f, chain[1:-1],
+                             chain[-1][5], x)
 
 
-def _variations_after(prev: float, rest: Sequence[Sequence[float]], x: float) -> int:
-    """The sign variations at x of a chain whose head has the value prev there,
-    and whose other members are rest."""
+def _variations_after(prev: float, rest: Sequence[Sequence[float]], last: float, x: float) -> int:
+    """The sign variations at x of a chain whose head has the value prev there, whose
+    middle members are rest and whose last is the constant last, as every chain's: its
+    Horner value at a finite x; at another, a member before it, padded, is NaN first."""
     if prev != prev:  # only at an infinite x, such as a root bound that overflowed
         raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
     count = 0
@@ -255,7 +263,7 @@ def _variations_after(prev: float, rest: Sequence[Sequence[float]], x: float) ->
         if prev != 0.0 and (v > 0.0) != (prev > 0.0):
             count += 1
         prev = v
-    return count
+    return count + (prev != 0.0 and (last > 0.0) != (prev > 0.0))
 
 
 def _isolate(
@@ -265,7 +273,7 @@ def _isolate(
     count of roots in each (above 1 only at the width floor), by bisection
     on the variation counts; a loop, since the depth grows with the scale."""
     a, b, c, d, e, f = chain[0]
-    rest = chain[1:]
+    rest, last = chain[1:-1], chain[-1][5]
     brackets = []
     pending = [(lo, hi, vlo, vhi)]
     while pending:
@@ -284,7 +292,7 @@ def _isolate(
             x += (hi - lo) * 1e-7
             tries += 1
             head = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
-        vm = _variations_after(head, rest, x)
+        vm = _variations_after(head, rest, last, x)
         pending += ((x, hi, vm, vhi), (lo, x, vlo, vm))
     return brackets
 
@@ -300,8 +308,8 @@ def _refine_root(poly: Sequence[float], lo: float, hi: float) -> float:
     elif (flo > 0.0) == (fhi > 0.0):
         # no sign change (endpoint noise); fall back to clipped Newton from the midpoint
         return _newton_polish(poly, 0.5 * (lo + hi), lo, hi)
-    positive = flo > 0.0  # p's sign at lo, which lo keeps: it moves only onto that sign
-    while hi - lo > ROOT_TOL:
+    positive, tol = flo > 0.0, ROOT_TOL  # p's sign at lo, which lo keeps: it moves only onto it
+    while hi - lo > tol:
         x = 0.5 * (lo + hi)
         if x <= lo or x >= hi:
             break

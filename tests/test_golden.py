@@ -4,9 +4,11 @@ Each documented quintic runs through ``solve --json --svg``, ``config``,
 ``compare`` and ``verify`` as separate processes; the exit code, stdout,
 stderr and every file written must equal the stored golden record byte for
 byte.  ``real_roots`` on a few thousand seeded quintics must give the stored
-digest of its roots and multiplicities, bit for bit.  ``python
-tests/test_golden.py`` rewrites the records and the digest, which is only
-right when a change of report or of roots is intended and stated.
+digest of its roots and multiplicities, and ``build_config`` + ``solve_all``
+on two thousand more the stored digest of every configuration, solution and
+error, bit for bit.  ``python tests/test_golden.py`` rewrites the records and
+the digests, which is only right when a change of report, roots or solutions
+is intended and stated.
 """
 
 import hashlib
@@ -89,9 +91,11 @@ def test_tiny_constant_root():
     assert (t * (1 + Fraction(1, 10**15))) ** 5 + Fraction(1e-300) < 0
 
 
-# The digest's quintics are built with exact arithmetic only (Fractions, each
+# The digests' quintics are built with exact arithmetic only (Fractions, each
 # coefficient rounded once, and ldexp), and real_roots uses only IEEE + - * /
-# and integers, so the digest is the same on every platform and Python version.
+# and integers, so its digest is the same on every platform and Python version.
+# build_config and solve_all also take square roots, math.hypot and a log2,
+# as the reports above do.
 
 def _expand(factors) -> list[float]:
     """Monic coefficients of the product of these exact factors (each a list
@@ -157,30 +161,58 @@ ROOT_FAMILIES = {"simple": _simple, "repeated": _repeated, "clustered": _cluster
                  "dyadic": _dyadic, "several_scale": _several_scale}
 ROOT_CASES = 600  # per family
 ROOT_DIGEST = GOLDEN / "real_roots_digest.json"
+SOLVE_CASES = 400  # per family
+SOLVE_DIGEST = GOLDEN / "solve_all_digest.json"
 
 
-def root_digests() -> dict:
-    """Per family, the case count and the sha256 of real_roots' outcome on
-    each seeded quintic: the repr of its roots and multiplicities, or the
-    class and message of what it raised."""
-    from origami_quintic.polynomial import Quintic, real_roots
-
+def _digests(cases: int, first_seed: int, outcome) -> dict:
+    """Per family, the case count and the sha256 of outcome on each seeded
+    quintic's coefficients: the repr of what it returned, or the class and
+    message of what it raised.  Family i draws from random.Random(first_seed + i)."""
     digests = {}
-    for seed, (family, build) in enumerate(ROOT_FAMILIES.items()):
+    for seed, (family, build) in enumerate(ROOT_FAMILIES.items(), first_seed):
         rng, lines = random.Random(seed), []
-        for _ in range(ROOT_CASES):
-            q = Quintic(*build(rng))
+        for _ in range(cases):
+            coeffs = build(rng)
             try:
-                lines.append(repr(real_roots(q)))
+                lines.append(repr(outcome(coeffs)))
             except Exception as exc:
                 lines.append(f"{type(exc).__name__}: {exc}")
         text = "\n".join(lines).encode("ascii")
-        digests[family] = {"cases": ROOT_CASES, "sha256": hashlib.sha256(text).hexdigest()}
+        digests[family] = {"cases": cases, "sha256": hashlib.sha256(text).hexdigest()}
     return digests
+
+
+def root_digests() -> dict:
+    """real_roots' roots and multiplicities on 600 quintics per family."""
+    from origami_quintic.polynomial import Quintic, real_roots
+
+    return _digests(ROOT_CASES, 0, lambda coeffs: real_roots(Quintic(*coeffs)))
+
+
+def solve_digests() -> dict:
+    """The configuration and every FoldSolution of build_config + solve_all,
+    on 400 other quintics per family."""
+    from origami_quintic.foldconfig import build_config
+    from origami_quintic.foldsolve import solve_all
+    from origami_quintic.polynomial import Quintic
+
+    def solve(coeffs):
+        q = Quintic(*coeffs)
+        cfg = build_config(q)
+        # the branch as its value: the repr of an Enum member is not the same
+        # on every Python version
+        return cfg._replace(branch=cfg.branch.value), solve_all(cfg, q)
+
+    return _digests(SOLVE_CASES, len(ROOT_FAMILIES), solve)
 
 
 def test_real_roots_are_bit_stable():
     assert root_digests() == json.loads(ROOT_DIGEST.read_text(encoding="utf-8"))
+
+
+def test_solve_all_is_bit_stable():
+    assert solve_digests() == json.loads(SOLVE_DIGEST.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":
@@ -189,6 +221,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     ROOT_DIGEST.write_text(json.dumps(root_digests(), indent=1) + "\n", encoding="utf-8")
+    SOLVE_DIGEST.write_text(json.dumps(solve_digests(), indent=1) + "\n", encoding="utf-8")
     for name, coeffs in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             record = run_case(coeffs, Path(tmp))
