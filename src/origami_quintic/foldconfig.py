@@ -113,8 +113,8 @@ def forward_coefficients(
 
 def config_quintic(cfg: FoldConfig) -> Quintic:
     """The monic quintic this configuration solves."""
-    h, b, c, k, p, q = cfg[:6]
-    return tuple.__new__(Quintic, (1.0, *forward_coefficients(b, c, k, p, q, h)))
+    return tuple.__new__(Quintic, (1.0, *forward_coefficients(cfg.b, cfg.c, cfg.k, cfg.p, cfg.q,
+                                                              cfg.h)))
 
 
 def balance_exponent(q: Quintic) -> int:
@@ -158,7 +158,8 @@ def balance(q: Quintic, e: int) -> Quintic:
     coefficient a_(5-i) times 2^(-i e), each exactly or InexactFrame."""
     if not e:
         return q
-    return tuple.__new__(Quintic, (1.0, *_scaled(q[1:], range(-e, -6 * e, -e), _COEFFICIENTS, e)))
+    return tuple.__new__(Quintic, (1.0, *_scaled(q[1:], (-e, -2 * e, -3 * e, -4 * e, -5 * e),
+                                                 _COEFFICIENTS, e)))
 
 
 def rescale(cfg: FoldConfig, shift: int) -> FoldConfig:

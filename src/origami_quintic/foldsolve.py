@@ -28,7 +28,7 @@ from .geometry import (
     reflect_xy,
     triple_gap,
 )
-from .polynomial import Quintic, coefficient_gap, real_roots, worst_item
+from .polynomial import Quintic, coefficient_gap, evaluate, real_roots, worst_item
 
 # Diagnostics attached to a solution instead of rejecting it outright.
 CHI_EQUALS_N = "chi_equals_n"
@@ -111,7 +111,7 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
     constructors: Line's one check holds, as xi's normal is (t, -h) with h > 0,
     and chi's is n's (1, b) reflected, nonzero or ``reflect_abc`` raises."""
     h, b, c, k, p, q, _, _, _ = cfg
-    nn, n_canonical, still, (_, a4, a3, a2, a1, a0), unit = fixed
+    nn, n_canonical, still, quintic, unit = fixed
     xa, xb, xc = fold_xi(t, h)
     ca, cb, cc = reflect_abc(1.0, b, c, xa, xb, xc)
     qx, qy = reflect_xy(0.0, h, xa, xb, xc)
@@ -134,12 +134,11 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
         x, y = (xc * b - c * xb) / det, (xa * c - xc) / det
         equidistant, on_chi = 0.0, abs(ca * x + cb * y - cc) / cn
 
-    # bisect compares |cos| of the xi-chi and xi-n angles; 0.0 * t as in evaluate, NaN at t = inf
+    # bisect: |cos| of the xi-chi angle against |cos| of the xi-n angle
     new = tuple.__new__
     residuals = new(IncidenceResiduals, (
         abs(qy + h), abs(px - k), abs(abs(xi_chi) / (xn * cn) - abs(xi_n) / (xn * nn)),
-        abs((((((0.0 * t + 1.0) * t + a4) * t + a3) * t + a2) * t + a1) * t + a0),
-        equidistant, on_chi))
+        abs(evaluate(quintic, t)), equidistant, on_chi))
     diagnostics = ()
     if triple_gap(canonical_abc(ca, cb, cc, cn), n_canonical) <= 1e-9:
         diagnostics = (CHI_EQUALS_N,)

@@ -133,14 +133,9 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
         raise SturmOverflow(
             f"Sturm chain counts no real root in [-B, B] for B = {bound!r}: "
             f"V(-B) = {vlo}, V(B) = {vhi}")
-    roots, at = [], {}  # each gcd chain's count at a bracket end, which adjacent brackets share
-    for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi):
-        for i, c in enumerate(deeper):
-            below = at[i, blo] if (i, blo) in at else _variations(c, blo)
-            at[i, bhi] = above = _variations(c, bhi)
-            count += below - above
-        roots.append((_refine_root(poly, blo, bhi), count))
-    return roots
+    return [(_refine_root(poly, blo, bhi),
+             count + sum([_variations(c, blo) - _variations(c, bhi) for c in deeper]))
+            for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi)]
 
 
 # ---------------------------------------------------------------------------
