@@ -34,7 +34,7 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
-SCHEMA = 3
+SCHEMA = 4
 
 DEFAULT_TOL = 1e-9
 H_MIN, H_MAX = 2.0**-128, 2.0**128

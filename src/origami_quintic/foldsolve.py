@@ -84,9 +84,9 @@ def verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:
     is in the caller's frame; the residuals are the frame's.
 
     Outside the parallel case the xi-n intersection is recomputed and its
-    distance to chi reported; inside it, a chi off xi's direction (a NaN chi
-    once t*t overflows) gives a NaN equidistant residual.  Thresholding the
-    residuals is the caller's call.
+    distance to chi reported; inside it, a chi off xi's direction, or one
+    whose c is NaN once t*t overflows, gives a NaN equidistant residual.
+    Thresholding the residuals is the caller's call.
     """
     frame = rescale(cfg, -cfg.exponent)
     fixed = _config_values(frame, config_quintic(frame), cfg.exponent)
@@ -109,7 +109,8 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
     configuration and its quintic.  The record's lengths (t, s, the lines'
     c and the images) are the caller's, times 2^e.  The records skip their
     constructors: Line's one check holds, as xi's normal is (t, -h) with h > 0,
-    and chi's is n's (1, b) reflected, nonzero or ``reflect_abc`` raises."""
+    and chi's is n's (1, b) reflected, as long as n's to a few ulps, so at
+    least about 1 and never zero."""
     h, b, c, k, p, q, _, _, _ = cfg
     nn, n_canonical, still, quintic, unit = fixed
     xa, xb, xc = fold_xi(t, h)

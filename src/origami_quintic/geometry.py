@@ -53,15 +53,6 @@ class Line(_LineFields):
         return math.hypot(self.a, self.b)
 
 
-def through_xy(x1: float, y1: float, x2: float, y2: float) -> ABC:
-    """(a, b, c) of the line through two distinct points."""
-    dx, dy = x2 - x1, y2 - y1
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("need two distinct points")
-    a, b = dy, -dx
-    return a, b, a * x1 + b * y1
-
-
 def canonical_abc(a: float, b: float, c: float, norm: float) -> ABC:
     """canonical() of a*x + b*y = c, whose normal has length norm."""
     s = 1.0 / norm
@@ -114,14 +105,15 @@ def foot_and_direction_abc(a: float, b: float, c: float) -> tuple[float, float, 
 def reflect_abc(ta: float, tb: float, tc: float, ma: float, mb: float, mc: float) -> ABC:
     """(a, b, c) of the line ta*x + tb*y = tc reflected across ma*x + mb*y = mc.
 
-    Reflects the two points one unit along the target's direction from
-    its foot point; this covers intersecting and parallel mirrors alike
-    (a parallel mirror yields the equidistant line on the far side).
+    The reflection R across the mirror is an involution, so the image is
+    the set of points y with t·R(y) = tc, t = (ta, tb): the target less f
+    times the mirror, with f = 2 (t·m) / |m|^2 on the normals.  Its normal
+    is t reflected, as long as t; this covers intersecting and parallel
+    mirrors alike (a parallel mirror yields the equidistant line on the far
+    side), at any distance from the origin.
     """
-    fx, fy, dx, dy = foot_and_direction_abc(ta, tb, tc)
-    x1, y1 = reflect_xy(fx + dx, fy + dy, ma, mb, mc)
-    x2, y2 = reflect_xy(fx - dx, fy - dy, ma, mb, mc)
-    return through_xy(x1, y1, x2, y2)
+    f = 2.0 * (ta * ma + tb * mb) / (ma * ma + mb * mb)
+    return ta - f * ma, tb - f * mb, tc - f * mc
 
 
 def reflect_line(target: Line, mirror: Line) -> Line:

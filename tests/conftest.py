@@ -28,7 +28,7 @@ from origami_quintic.errors import SingularSystem, SturmOverflow
 from origami_quintic.foldconfig import in_frame, rescale
 from origami_quintic.foldsolve import check_roundtrip
 from origami_quintic.polynomial import cauchy_bound
-from origami_quintic.geometry import PARALLEL_TOL, canonical, through_xy, triple_gap
+from origami_quintic.geometry import PARALLEL_TOL, canonical, triple_gap
 
 HENDECAGON = (1.0, 1.0, -4.0, -3.0, 3.0, 1.0)
 
@@ -52,9 +52,10 @@ def make_config(h, b, c, k, p, q, branch=Branch.PLUS, D=0.0):
 
 
 def residual_grid(cfg: FoldConfig, ts: np.ndarray) -> np.ndarray:
-    """Vectorized mirror of residual_g, written out independently from the
-    parameters: the reference that criterion 5 and TestResidualG compare
-    the library against."""
+    """Vectorized residual_g, written out independently from the parameters,
+    with chi built the other way, through the images of two points one unit
+    either side of n's foot point: the reference that criterion 5 and
+    TestResidualG compare the library against."""
     h, b, c, k, p, q = cfg.h, cfg.b, cfg.c, cfg.k, cfg.p, cfg.q
     n2 = 1.0 + b * b
     fx, fy = c / n2, c * b / n2
@@ -93,18 +94,11 @@ def reference_reflect_point(pt: Point, mirror: Line) -> Point:
 
 
 def reference_reflect_line(target: Line, mirror: Line) -> Line:
-    """Reflect two points one unit from the target's foot and join them."""
-    n2 = target.a * target.a + target.b * target.b
-    foot = Point(target.c * target.a / n2, target.c * target.b / n2)
-    inv = 1.0 / math.sqrt(n2)
-    dx, dy = -target.b * inv, target.a * inv
-    p1 = reference_reflect_point(Point(foot.x + dx, foot.y + dy), mirror)
-    p2 = reference_reflect_point(Point(foot.x - dx, foot.y - dy), mirror)
-    ddx, ddy = p2.x - p1.x, p2.y - p1.y
-    if ddx == 0.0 and ddy == 0.0:
-        raise ValueError("need two distinct points")
-    a, b = ddy, -ddx
-    return Line(a, b, a * p1.x + b * p1.y)
+    """The target less f times the mirror, f = 2 (target . mirror) / |mirror|^2."""
+    f = 2.0 * (target.a * mirror.a + target.b * mirror.b) / (
+        mirror.a * mirror.a + mirror.b * mirror.b
+    )
+    return Line(target.a - f * mirror.a, target.b - f * mirror.b, target.c - f * mirror.c)
 
 
 def reference_canonical(line: Line) -> tuple[float, float, float]:
@@ -233,7 +227,10 @@ def canonical_gap(l1: Line, l2: Line) -> float:
 
 def line_through(p1: Point, p2: Point) -> Line:
     """Line through two distinct points."""
-    return Line(*through_xy(p1.x, p1.y, p2.x, p2.y))
+    dx, dy = p2.x - p1.x, p2.y - p1.y
+    if dx == 0.0 and dy == 0.0:
+        raise ValueError("need two distinct points")
+    return Line(dy, -dx, dy * p1.x - dx * p1.y)
 
 
 def lines_equal(l1: Line, l2: Line, tol: float = 1e-9) -> bool:

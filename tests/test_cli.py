@@ -229,7 +229,7 @@ class TestCompare:
     def test_hendecagon(self, capsys):
         code, out = run_json(capsys, ["compare", *HENDECAGON_ARGS])
         assert code == EXIT_OK
-        assert out["schema"] == 3
+        assert out["schema"] == 4
         assert out["direct"]["max_abs_parameter"] == pytest.approx(3.0, abs=1e-9)
         assert out["depressed"]["max_abs_parameter"] > out["direct"]["max_abs_parameter"]
         # D < 0 at h = 1 on the depressed quintic, so choose_h picks a smaller h
@@ -331,6 +331,23 @@ class TestFrame:
         assert main(["verify", "--json", path]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
+    def test_n_far_from_the_origin_fails_on_a_named_residual(self):
+        # a random several-scale quintic (random.Random(5)) at h = 2^-14: n is
+        # x = c with c = -7.96e27, so far out that one unit along n is below
+        # c's ulp; chi is still n reflected across xi, and the solve fails on
+        # the residual it names, not in the construction
+        coeffs = ("1.0,-2.1400210319165064e-09,1.0984532577457723e-09,-216817809513.02063,"
+                  "-1.0640283020183446e-07,-110420676925.15979")
+        result = subprocess.run(
+            [sys.executable, "-m", "origami_quintic.cli", "solve", "--coeffs", coeffs,
+             "--h", "6.103515625e-05"],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert result.returncode == EXIT_VERIFY
+        assert "Traceback" not in result.stderr
+        assert json.loads(result.stdout)["warnings"] == [
+            "residual 1.342e+08 (p_on_l) above tol 1.000e-09 at t = 6007.562801967912"]
+
     def test_h_is_the_callers_and_checked_in_the_frame(self, capsys, tmp_path):
         # h = 1 is 2^-200 in the frame of t^5 + 1e300, below 2^-128
         assert main(["solve", "--coeffs", "1,0,0,0,0,1e300", "--h", "1"]) == EXIT_USAGE
@@ -373,21 +390,21 @@ class TestVerify:
         path.write_text(json.dumps(data))
         assert main(["verify", "--json", str(path)]) == EXIT_VERIFY
 
-    @pytest.mark.parametrize("schema, named", [(None, "schema 1"), (2, "schema 2"),
-                                               (4, "schema 4")],
+    @pytest.mark.parametrize("schema, named", [(None, "schema 1"), (3, "schema 3"),
+                                               (5, "schema 5")],
                              ids=["missing", "older", "newer"])
     def test_other_schema_is_unreadable(self, capsys, tmp_path, schema, named):
         path = tmp_path / "report.json"
         main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
         data = json.loads(path.read_text())
-        assert data.pop("schema") == 3
+        assert data.pop("schema") == 4
         if schema is not None:
             data["schema"] = schema
         path.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["verify", "--json", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"unreadable report: {named}, but verify reads schema 3; re-run solve\n"
+            f"unreadable report: {named}, but verify reads schema 4; re-run solve\n"
         )
 
     @pytest.mark.parametrize("text", ["[]", "1", '"report"'])

@@ -31,7 +31,6 @@ from origami_quintic.polynomial import Quintic
 from conftest import (
     HENDECAGON,
     HENDECAGON_ROOTS,
-    NotParallel,
     ZeroB,
     canonical_gap,
     is_parallel_case,
@@ -187,24 +186,29 @@ class TestVerify:
 
     @pytest.mark.parametrize("t", [1e155, 1e200, 1e300])
     def test_overflowing_t_is_non_finite(self, hendecagon_config, t):
-        # t*t overflows, so chi is NaN; the parallel-case distance to it is
-        # undefined and comes back NaN instead of raising NotParallel
-        with pytest.raises(NotParallel):
-            reference_verify(hendecagon_config, t)
+        # t*t overflows xi's c and its normal's squared length, so chi is n
+        # less 0 times xi: n's normal, and a NaN c (0 * inf); the
+        # parallel-case distance to it comes back NaN, in the library as in
+        # the reference
+        chi = reflect_line(hendecagon_config.line_n, fold_xi(t, hendecagon_config.h))
+        assert chi[:2] == hendecagon_config.line_n[:2] and math.isnan(chi.c)
         residuals = verify(hendecagon_config, t)
+        assert repr(residuals) == repr(reference_verify(hendecagon_config, t))
         assert math.isnan(residuals.equidistant)
         assert not residuals.passes(1e-9)
 
     def test_nan_chi_fails_the_residuals_read_off_it(self, hendecagon_config):
         # chi is built to align with n, so no residual measures the alignment;
-        # a NaN chi, its one failure, must still fail: n this far out
-        # reflects to a NaN chi across the finite xi of a hendecagon root
+        # a chi that P cannot be reflected across must still fail: n this far
+        # out reflects to a finite chi across the finite xi of a hendecagon
+        # root, and P's image across it overflows to -inf
         cfg = hendecagon_config._replace(c=1e308)
         sol = _reconstruct(cfg, HENDECAGON_ROOTS[0], _config_values(cfg, Quintic(*HENDECAGON)))
-        assert all(math.isnan(v) for v in sol.chi)
+        assert all(math.isfinite(v) for v in sol.chi)
+        assert sol.p_image == (-math.inf, -math.inf) and sol.s == -math.inf
         assert sol.residuals.q_on_m <= 1e-9 and sol.residuals.quintic_value <= 1e-9
-        for field in ("p_on_l", "bisect", "intersection_on_chi"):
-            assert math.isnan(getattr(sol.residuals, field))
+        for field in ("p_on_l", "intersection_on_chi"):
+            assert getattr(sol.residuals, field) == math.inf
         assert not sol.residuals.passes(1e-9)
         assert not verify(cfg, HENDECAGON_ROOTS[0]).passes(1e-9)
 

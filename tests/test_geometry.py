@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 # every double, subnormals, zeros, infinities and NaN included
 anything = st.floats()
 normal_part = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+
+# 1e-8 to 1e8 in size, either sign
+magnitude = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-8.0, 8.0)).map(
+    lambda se: se[0] * 10.0 ** se[1])
 
 
 def line_strategy():
@@ -142,6 +148,19 @@ class TestReflectPoint:
         assert after == pytest.approx(before, abs=1e-12)
 
 
+def assert_near_exact_reflection(got, target, mirror):
+    """The reflection of the target across the mirror, against the one in
+    Fractions: a and b within 8 ulps of the target normal's length, and c
+    within 8 ulps of max(|tc|, |t| |mc| / |m|), the larger of its two terms."""
+    t, m = [Fraction(v) for v in target], [Fraction(v) for v in mirror]
+    f = 2 * (t[0] * m[0] + t[1] * m[1]) / (m[0] * m[0] + m[1] * m[1])
+    exact = [tv - f * mv for tv, mv in zip(t, m)]
+    norm = math.hypot(target[0], target[1])
+    c_size = max(abs(target[2]), norm * abs(mirror[2]) / math.hypot(mirror[0], mirror[1]))
+    for value, want, size in zip(got, exact, (norm, norm, c_size)):
+        assert abs(Fraction(value) - want) <= 8 * Fraction(math.ulp(size))
+
+
 class TestReflectLine:
     def test_mirror_fixes_itself(self):
         line = Line(2.0, -1.0, 3.0)
@@ -172,6 +191,20 @@ class TestReflectLine:
             lambda: reference_reflect_line(target, mirror))
         assert outcome(lambda: canonical_gap(target, mirror)) == outcome(
             lambda: reference_canonical_gap(target, mirror))
+
+    @given(target=st.tuples(magnitude, magnitude, magnitude),
+           mirror=st.tuples(magnitude, magnitude, magnitude))
+    def test_exact_oracle(self, target, mirror):
+        assert_near_exact_reflection(reflect_line(Line(*target), Line(*mirror)), target, mirror)
+
+    @given(a=magnitude, b=magnitude, c=st.floats(1.0, 1e30), sign=st.sampled_from((-1.0, 1.0)),
+           t=magnitude, h=st.floats(2.0**-40, 2.0**-10))
+    def test_exact_oracle_far_from_the_origin(self, a, b, c, sign, t, h):
+        # this far out, one unit along the target can be below the ulp of
+        # its points, so two points cannot give its image
+        mirror = fold_xi(t, h)
+        got = reflect_line(Line(a, b, sign * c), mirror)
+        assert_near_exact_reflection(got, (a, b, sign * c), mirror)
 
     @given(target=line_strategy(), mirror=line_strategy(), pt=point_strategy())
     def test_consistent_with_point_reflection(self, target, mirror, pt):

@@ -26,7 +26,7 @@ def test_reprs(hendecagon):
     assert repr(solve_all(cfg, hendecagon)[0]) == (
         "FoldSolution(t=-1.9189859472289947, s=-1.5692593530931405, "
         "xi=Line(a=-1.9189859472289947, b=-1.0, c=3.682507065662362), "
-        "chi=Line(a=-1.1457567615150666, b=-1.6392807701679746, c=6.036663018748005), "
+        "chi=Line(a=-0.5728783807575333, b=-0.8196403850839873, c=3.0183315093740024), "
         "q_image=Point(x=-3.8379718944579895, y=-1.0), "
         "p_image=Point(x=-1.4999999999999998, y=-1.5692593530931405), "
         "residuals=IncidenceResiduals(q_on_m=0.0, p_on_l=2.220446049250313e-16, "
