@@ -49,7 +49,6 @@ from .geometry import (
 )
 from .polynomial import (
     Quintic,
-    depress,
     evaluate,
     normalize_monic,
     real_roots,
@@ -94,7 +93,6 @@ __all__ = [
     "compute_bc",
     "compute_kpq",
     "config_quintic",
-    "depress",
     "discriminant",
     "evaluate",
     "fold_xi",

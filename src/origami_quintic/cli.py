@@ -34,7 +34,7 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
-SCHEMA = 4
+SCHEMA = 5
 
 DEFAULT_TOL = 1e-9
 H_MIN, H_MAX = 2.0**-128, 2.0**128
@@ -267,17 +267,20 @@ def cmd_compare(args) -> int:
     _check_h(monic, args.h_override)
     direct_cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=branch)
     direct = [(s.t, s.multiplicity) for s in foldsolve.solve_all(direct_cfg, monic)]
-    # the depressed-form route: choose_h picks its scale h; its errors name it
-    depressed, shift = polynomial.depress(monic)
-    if depressed.a0 == 0.0:
-        raise ZeroConstantTerm("depressed-form route: the depressed quintic's constant term "
-                               f"is zero; t = -a4/5 = {-shift!r} is a root")
+    # the depressed-form route, exact in u = 5t + a4: choose_h picks its scale h;
+    # its errors name it; a root u maps back to t = (u - a4) / 5, rounded once
+    na, da = monic.a4.as_integer_ratio()
     try:
+        depressed = polynomial._depressed_in_u(monic)
+        if depressed.a0 == 0.0:
+            raise ZeroConstantTerm("the depressed quintic's constant term is zero; "
+                                   f"t = -a4/5 = {-na / (5 * da)!r} is a root")
         dep_cfg = foldconfig.build_config(depressed, branch=branch)
         dep_sols = foldsolve.solve_all(dep_cfg, depressed)
     except OrigamiQuinticError as exc:  # the same class, so the same exit code
         raise type(exc)(f"depressed-form route: {exc}") from None
-    mapped = [(s.t - shift, s.multiplicity) for s in dep_sols]  # roots of the input
+    mapped = [((nu * da - na * du) / (5 * du * da), s.multiplicity)  # roots of the input
+              for s in dep_sols for nu, du in [s.t.as_integer_ratio()]]
     gap, unmatched = _match_roots(direct, mapped)
 
     _dump(
@@ -291,7 +294,6 @@ def cmd_compare(args) -> int:
             },
             "depressed": {
                 "quintic": list(depressed),
-                "shift": shift,
                 "config": _config_dict(dep_cfg),
                 "max_abs_parameter": dep_cfg.max_abs_parameter,
                 "roots": [t for t, _ in mapped],

@@ -22,7 +22,8 @@ class ZeroConstantTerm(OrigamiQuinticError):
 class InexactFrame(OrigamiQuinticError):
     """A coefficient or length does not scale exactly into or out of the
     quintic's 2^e frame: it overflows, underflows, or is a subnormal that
-    loses bits.  The quintic has roots at scales too far apart for one frame."""
+    loses bits.  The quintic has roots at scales too far apart for one frame.
+    Also: a coefficient of the quintic in u = 5t + a4 overflows, or its constant underflows."""
 
 
 class NoValidH(OrigamiQuinticError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateDegree, SturmOverflow
+from .errors import DegenerateDegree, InexactFrame, SturmOverflow
 
 ROOT_TOL = 1e-12  # the bracket width at which refinement hands over to Newton
 
@@ -67,23 +67,6 @@ def evaluate(coeffs: Sequence[float], t: float) -> float:
     for c in coeffs:
         acc = acc * t + c
     return acc
-
-
-def depress(q: Quintic) -> tuple[Quintic, float]:
-    """Remove the quartic term via the shift t = t' - a4/5.
-
-    Returns the depressed quintic together with the shift; roots of the
-    input are the roots of the output minus the shift.  The quartic
-    coefficient of the result is exactly zero.
-    """
-    if q.a4 == 0.0:
-        return q, 0.0
-    # branch on a4, not shift: a subnormal a4 underflows shift to zero but
-    # must still produce an exactly depressed result
-    shift = q.a4 / 5.0
-    # Taylor expansion of q about -shift gives the coefficients of q(t' - shift).
-    taylor = _taylor_coefficients(q, -shift)
-    return Quintic(1.0, 0.0, taylor[3], taylor[2], taylor[1], taylor[0]), shift
 
 
 def cauchy_bound(q: Quintic) -> float:
@@ -141,22 +124,6 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (coefficients descending)
 
-def _taylor_coefficients(coeffs: Sequence[float], x0: float) -> list[float]:
-    """Ascending Taylor coefficients b_k of p about x0: p(x) = sum b_k (x-x0)^k."""
-    work = list(coeffs)
-    rems: list[float] = []
-    while len(work) > 1:
-        acc = work[0]
-        quot = [acc]
-        for c in work[1:]:
-            acc = acc * x0 + c
-            quot.append(acc)
-        rems.append(quot[-1])
-        work = quot[:-1]
-    rems.append(work[0])
-    return rems
-
-
 def _sturm_remainder(num: Sequence[int], den: Sequence[int]) -> list[int]:
     """-prem(num, den) for deg num > deg den: |lc(den)|^(deg num - deg den + 1)
     num mod den, negated, with no division.  A pass cancels the leading term t
@@ -186,6 +153,32 @@ def _integer_coefficients(coeffs: Sequence[float]) -> list[int]:
     ratios = [c.as_integer_ratio() for c in coeffs]
     top = max(d for _, d in ratios).bit_length()
     return [n << (top - d.bit_length()) for n, d in ratios]
+
+
+def _depressed_in_u(q: Quintic) -> Quintic:
+    """5^5 q((u - a4) / 5), q in u = 5t + a4: monic, with no u^4 term.  q is n / s
+    on integers, s = 2^k and a4 = a / s; the integer monic (5s)^5 q(x / 5s), with
+    coefficient i n_i 5^i s^(i-1), is shifted exactly by -a (x = s u - a), and its
+    coefficient i over s^i rounded once.  InexactFrame names one that overflows,
+    and a nonzero constant that underflows: that is not the root u = 0."""
+    n = _integer_coefficients(q)
+    s, a = n[0], n[1]
+    f = [1] + [c * 5**i * s ** (i - 1) for i, c in enumerate(n[1:], 1)]
+    for k in range(5, 0, -1):  # Taylor shift by -a: repeated synthetic division
+        for i in range(1, k + 1):
+            f[i] -= a * f[i - 1]
+    u = []
+    for i, c in enumerate(f):
+        try:
+            u.append(c / s**i)
+        except OverflowError:
+            u.append(math.inf)
+        if u[-1] == math.inf or (i == 5 and c and not u[-1]):
+            digits = math.log10(abs(c)) - i * math.log10(s)
+            raise InexactFrame(
+                f"the u^{5 - i} coefficient {'-' if c < 0 else ''}{10 ** (digits % 1):.4f}"
+                f"e{math.floor(digits):+d} {'overflows' if u[-1] else 'underflows to 0.0'}")
+    return tuple.__new__(Quintic, u)
 
 
 def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:

@@ -17,7 +17,6 @@ from origami_quintic import (
     Point,
     build_config,
     compute_kpq,
-    depress,
     discriminant,
     forward_coefficients,
     normalize_monic,
@@ -26,7 +25,7 @@ from origami_quintic import (
     solve_all,
     verify,
 )
-from origami_quintic.polynomial import Quintic, coefficient_gap
+from origami_quintic.polynomial import Quintic, _depressed_in_u, coefficient_gap
 
 from conftest import closed_form_kpq, parallel_case_check, residual_g, residual_grid
 
@@ -92,34 +91,28 @@ def test_criterion_2_hendecagon_roots():
 
 def test_criterion_3_depressed_route_numbers():
     q = normalize_monic(HENDECAGON)
-    depress(q)  # warm-up
+    _depressed_in_u(q)  # warm-up
     start = time.perf_counter()
-    dep, shift = depress(q)
-    # the fifth-scale quintic, t -> t/5: coefficient i (descending) times 5**i;
-    # D = discriminant(dep, 1/5) * 5**10 is its discriminant at h = 1
-    fifth = [a * 5**i for i, a in enumerate(dep)]
-    d_value = discriminant(dep, 0.2) * 5**10
+    # the depressed quintic scaled by 5, in u = 5t + a4: exact integers, and its
+    # coefficient i over 5^i is the depressed quintic in t
+    u = _depressed_in_u(q)
+    d_value = discriminant(u, 1.0)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     dep_want = [
         float(x)
         for x in (Fraction(-22, 5), Fraction(-11, 25), Fraction(462, 125), Fraction(979, 3125))
     ]
-    dep_got = [dep.a3, dep.a2, dep.a1, dep.a0]
+    dep_got = [u[i] / 5**i for i in range(2, 6)]
     dep_gap = max(abs(g - w) / abs(w) for g, w in zip(dep_got, dep_want))
-    scale_want = (-110.0, -55.0, 2310.0, 979.0)
-    scale_gap = max(abs(g - w) for g, w in zip(fifth[2:], scale_want))
-    d_gap = abs(d_value - 949637.0)
     _report(
         3,
-        "depressed coefficients (1e-14 rel), fifth-scale coefficients (1e-12), D=949637 (1e-6)",
-        shift == 0.2
-        and dep.a4 == 0.0
+        "u quintic (1, 0, -110, -55, 2310, 979) and D=949637 exactly, u_i / 5^i (1e-14 rel)",
+        u == (1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)
+        and d_value == 949637.0
         and dep_gap <= 1e-14
-        and scale_gap <= 1e-12
-        and d_gap <= 1e-6
         and elapsed_ms < 10.0,
-        f"dep {dep_gap:.2e}, scale {scale_gap:.2e}, D {d_gap:.2e}, {elapsed_ms:.2f} ms",
+        f"u {list(u)}, D {d_value!r}, dep {dep_gap:.2e}, {elapsed_ms:.2f} ms",
     )
 
 

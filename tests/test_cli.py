@@ -229,40 +229,50 @@ class TestCompare:
     def test_hendecagon(self, capsys):
         code, out = run_json(capsys, ["compare", *HENDECAGON_ARGS])
         assert code == EXIT_OK
-        assert out["schema"] == 4
+        assert out["schema"] == 5
         assert out["direct"]["max_abs_parameter"] == pytest.approx(3.0, abs=1e-9)
         assert out["depressed"]["max_abs_parameter"] > out["direct"]["max_abs_parameter"]
-        # D < 0 at h = 1 on the depressed quintic, so choose_h picks a smaller h
-        assert out["depressed"]["config"]["h"] == 0.25
-        assert out["depressed"]["shift"] == pytest.approx(0.2)
-        assert out["depressed"]["quintic"][:2] == [1.0, 0.0]
+        # in u = 5t + a4 the hendecagon is the README quintic, exactly, so the
+        # route builds the README example's configuration (h = 8, exponent 4)
+        assert out["depressed"]["quintic"] == [1.0, 0.0, -110.0, -55.0, 2310.0, 979.0]
+        assert "shift" not in out["depressed"]
+        _, readme = run_json(capsys, ["config", "--coeffs", "1,0,-110,-55,2310,979"])
+        assert out["depressed"]["config"] == readme["config"]
+        assert (readme["config"]["h"], readme["config"]["exponent"]) == (8.0, 4)
         assert out["max_root_gap"] <= 1e-6
         assert out["unmatched_roots"] == 0
 
     def test_already_admissible_reports_unit_scale(self, capsys):
-        # already depressed: the route builds the direct configuration, at the h
-        # chosen in the quintic's frame (1/2 there, 8 in the caller's)
+        # already depressed: u = 5t, so the route's quintic is the input's
+        # coefficient i times 5^i, exactly
         code, out = run_json(capsys, ["compare", "--coeffs", "1,0,-110,-55,2310,979"])
         assert code == EXIT_OK
-        assert out["depressed"]["config"] == out["direct"]["config"]
-        assert out["depressed"]["config"]["h"] == 8.0
-        assert out["depressed"]["shift"] == 0.0
-        assert out["depressed"]["quintic"] == out["quintic"]["monic"]
+        assert out["depressed"]["quintic"] == [c * 5**i for i, c in
+                                               enumerate(out["quintic"]["monic"])]
+        assert out["unmatched_roots"] == 0
 
-    @pytest.mark.parametrize("coeffs, gap, unmatched", [
+    @pytest.mark.parametrize("coeffs", [
         # (t + 3/4)^2 (t - 13/4) (t^2 + ...), case 259 of the seed-0 unit-batch
-        # corpus: rounding the depressed quintic splits -3/4 into two real roots
-        ("1.0,-4.75,12.1875,-8.578125,-43.03125,-20.56640625", 1e-8, 0),
-        # (t - 1)^2 (t - 15/4)^3, case 3 of the same corpus: the depressed
-        # route finds one real root near 15/4, where the direct route finds a triple root
-        ("1.0,-13.25,65.6875,-148.359375,147.65625,-52.734375", 1e-4, 2),
+        # corpus: a float shift by a4/5 split -3/4 into two real roots
+        "1.0,-4.75,12.1875,-8.578125,-43.03125,-20.56640625",
+        # (t - 1)^2 (t - 15/4)^3, case 3 of the same corpus: a float shift by
+        # a4/5 left one real root near 15/4, where the direct route finds a triple root
+        "1.0,-13.25,65.6875,-148.359375,147.65625,-52.734375",
     ], ids=["split_double_root", "lost_triple_root"])
-    def test_roots_are_matched_with_multiplicities(self, capsys, coeffs, gap, unmatched):
+    def test_roots_are_matched_with_multiplicities(self, capsys, coeffs):
+        # the quintic in u = 5t + a4 is exact here, and so is every root mapped back
         code, out = run_json(capsys, ["compare", "--coeffs", coeffs])
         assert code == EXIT_OK
         assert len(out["direct"]["roots"]) == 2
-        assert out["max_root_gap"] <= gap
-        assert out["unmatched_roots"] == unmatched
+        assert out["max_root_gap"] == 0.0
+        assert out["unmatched_roots"] == 0
+
+    def test_u_coefficient_beyond_the_float_range_is_named(self, capsys):
+        # 4 a4^5 = 9.72e312 is the constant term in u = 5t + a4
+        assert main(["compare", "--coeffs", "1,3e62,-1,2,1,-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: depressed-form route: the u^0 coefficient 9.7200e+312 "
+            "overflows\n")
 
     def test_depressed_route_errors_name_the_route(self, capsys):
         # (t + 2)^5 - (t + 2): the direct route builds, but the depressed
@@ -390,21 +400,21 @@ class TestVerify:
         path.write_text(json.dumps(data))
         assert main(["verify", "--json", str(path)]) == EXIT_VERIFY
 
-    @pytest.mark.parametrize("schema, named", [(None, "schema 1"), (3, "schema 3"),
-                                               (5, "schema 5")],
+    @pytest.mark.parametrize("schema, named", [(None, "schema 1"), (4, "schema 4"),
+                                               (6, "schema 6")],
                              ids=["missing", "older", "newer"])
     def test_other_schema_is_unreadable(self, capsys, tmp_path, schema, named):
         path = tmp_path / "report.json"
         main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
         data = json.loads(path.read_text())
-        assert data.pop("schema") == 4
+        assert data.pop("schema") == 5
         if schema is not None:
             data["schema"] = schema
         path.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["verify", "--json", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"unreadable report: {named}, but verify reads schema 4; re-run solve\n"
+            f"unreadable report: {named}, but verify reads schema 5; re-run solve\n"
         )
 
     @pytest.mark.parametrize("text", ["[]", "1", '"report"'])

@@ -18,14 +18,13 @@ from origami_quintic import (
     compute_bc,
     compute_kpq,
     config_quintic,
-    depress,
     discriminant,
     forward_coefficients,
     normalize_monic,
     solve_all,
 )
 from origami_quintic.foldconfig import balance, balance_exponent, rescale
-from origami_quintic.polynomial import Quintic, coefficient_gap
+from origami_quintic.polynomial import Quintic, _depressed_in_u, coefficient_gap
 
 from conftest import closed_form_kpq, outcome, reference_compute_kpq
 
@@ -395,7 +394,7 @@ class TestBuildConfig:
         rng = np.random.default_rng(31)
         built = 0
         for _ in range(60):
-            d, _ = depress(Quintic(1.0, *rng.uniform(-5.0, 5.0, size=5)))
+            d = _depressed_in_u(Quintic(1.0, *rng.uniform(-5.0, 5.0, size=5)))
             for c in (2.0**e for e in range(-3, 4)):
                 scaled = Quintic(1.0, *(d[i] / c**i for i in range(1, 6)))
                 try:

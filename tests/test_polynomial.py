@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from origami_quintic import (
     DegenerateDegree,
+    InexactFrame,
     SturmOverflow,
-    depress,
     evaluate,
     normalize_monic,
     real_roots,
@@ -19,6 +19,7 @@ from origami_quintic import (
 from origami_quintic.foldconfig import balance, balance_exponent
 from origami_quintic.polynomial import (
     Quintic,
+    _depressed_in_u,
     _integer_coefficients,
     _isolate,
     _newton_polish,
@@ -95,38 +96,93 @@ class TestEvaluate:
             assert abs(evaluate(hendecagon, root)) <= 1e-9
 
 
+def fraction_depressed_in_u(q):
+    """5^5 q((u - a4) / 5) expanded in Fractions, coefficients descending."""
+    shift, out = -Fraction(q[1]), [Fraction(0)] * 6
+    for i, c in enumerate(map(Fraction, q)):  # c t^(5-i), t^d = ((u + shift) / 5)^d
+        d = 5 - i
+        for j in range(d + 1):
+            out[5 - j] += c * 5**i * math.comb(d, j) * shift ** (d - j)
+    return out
+
+
+def wide_coeff_strategy():
+    """coeff_strategy's draws, and others of every exponent, subnormals included."""
+    return st.one_of(coeff_strategy(),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(min_value=-1e-300, max_value=1e-300))
+
+
 class TestDepress:
+    """The quintic in u = 5t + a4: 5^5 q((u - a4) / 5), coefficients rounded once."""
+
     def test_hendecagon_exact_rationals(self, hendecagon):
-        dep, shift = depress(hendecagon)
-        assert shift == pytest.approx(0.2, abs=0.0)
-        assert dep.a4 == 0.0
-        for got, want in zip(dep, DEPRESSED_HENDECAGON):
-            assert got == pytest.approx(want, rel=1e-14)
+        dep = _depressed_in_u(hendecagon)
+        assert dep == (1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)
+        # coefficient i over 5^i is the depressed quintic in t, rounded once
+        assert tuple(c / 5**i for i, c in enumerate(dep)) == DEPRESSED_HENDECAGON
 
     def test_already_depressed_identity(self):
+        # a4 = 0: u = 5t, so coefficient i is q's times 5^i
         q = Quintic(1.0, 0.0, -2.0, 0.5, 3.0, 1.0)
-        dep, shift = depress(q)
-        assert shift == 0.0
-        assert dep == q
+        assert _depressed_in_u(q) == tuple(c * 5**i for i, c in enumerate(q))
 
     def test_pure_quartic_shift(self):
-        dep, shift = depress(Quintic(1, 5, 0, 0, 0, 0))
-        assert shift == 1.0
-        for got, want in zip(dep, (1.0, 0.0, -10.0, 20.0, -15.0, 4.0)):
-            assert got == pytest.approx(want, abs=1e-12)
+        # t^4 (t + 5) in u = 5t + 5 is (u - 5)^4 (u + 20)
+        assert _depressed_in_u(Quintic(1, 5, 0, 0, 0, 0)) == (1.0, 0.0, -250.0, 2500.0,
+                                                              -9375.0, 12500.0)
 
     @given(rest=st.lists(coeff_strategy(), min_size=5, max_size=5))
     def test_functional_identity(self, rest):
         q = Quintic(1.0, *rest)
-        dep, shift = depress(q)
+        try:
+            dep = _depressed_in_u(q)
+        except InexactFrame:  # only a nonzero constant below the float range
+            assert 0 < abs(fraction_depressed_in_u(q)[5]) < 2.0**-1074
+            return
         assert dep.a4 == 0.0
-        # q(t) must equal the depressed polynomial at t + shift
+        # 5^5 q(t) must equal the quintic in u at u = 5t + a4
         for t in (-2.2, -0.4, 0.9, 3.0):
-            assert evaluate(dep, t + shift) == pytest.approx(evaluate(q, t), abs=1e-9)
+            assert evaluate(dep, 5.0 * t + q.a4) / 5**5 == pytest.approx(evaluate(q, t),
+                                                                          abs=1e-9)
+
+    @given(rest=st.lists(wide_coeff_strategy(), min_size=5, max_size=5))
+    @settings(max_examples=300)
+    def test_fraction_expansion_rounded_once(self, rest):
+        q = Quintic(1.0, *rest)
+        want = fraction_depressed_in_u(q)
+        assert want[1] == 0
+        try:
+            rounded = [float(c) for c in want]
+        except OverflowError:
+            with pytest.raises(InexactFrame, match="overflows$"):
+                _depressed_in_u(q)
+            return
+        if want[5] and not rounded[5]:
+            with pytest.raises(InexactFrame, match=r"u\^0 coefficient .* underflows to 0\.0$"):
+                _depressed_in_u(q)
+            return
+        dep = _depressed_in_u(q)
+        assert dep == tuple(rounded)
+        assert repr(dep.a4) == "0.0"
+
+    def test_overflow_names_the_coefficient(self):
+        with pytest.raises(InexactFrame) as info:
+            _depressed_in_u(Quintic(1.0, 3e62, -1.0, 2.0, 1.0, -1.0))
+        assert str(info.value) == "the u^0 coefficient 9.7200e+312 overflows"
+
+    def test_underflow_is_not_a_zero_constant(self):
+        # q(-a4/5) = 2^-1098 exactly: a1 t cancels a0 at t = -2^-220, and
+        # 5^5 2^-1098 is below the least subnormal
+        q = Quintic(1.0, 5.0 * 2.0**-220, 0.0, 0.0, 2.0**-854, 2.0**-1074)
+        assert fraction_depressed_in_u(q)[5] == 5**5 * Fraction(1, 2**1098)
+        with pytest.raises(InexactFrame) as info:
+            _depressed_in_u(q)
+        assert str(info.value) == "the u^0 coefficient 9.2027e-328 underflows to 0.0"
 
     def test_requires_monic(self):
         with pytest.raises(ValueError):
-            depress(Quintic(2, 0, 0, 0, 0, 1))
+            _depressed_in_u(Quintic(2, 0, 0, 0, 0, 1))
 
 
 def brute_force_roots(coeffs, step=1e-4):
@@ -225,9 +281,8 @@ class TestRealRoots:
         rng = np.random.default_rng(11)
         for _ in range(50):
             q = Quintic(1.0, *rng.uniform(-4, 4, size=5))
-            dep, shift = depress(q)
             orig = [r for r, _ in real_roots(q)]
-            moved = [r - shift for r, _ in real_roots(dep)]
+            moved = [(r - q.a4) / 5.0 for r, _ in real_roots(_depressed_in_u(q))]
             assert len(orig) == len(moved)
             for a, b in zip(orig, moved):
                 assert a == pytest.approx(b, abs=1e-8)
