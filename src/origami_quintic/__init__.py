@@ -42,10 +42,7 @@ from .foldsolve import (
 from .geometry import (
     Line,
     Point,
-    canonical,
     fold_xi,
-    reflect_line,
-    reflect_point,
 )
 from .polynomial import (
     Quintic,
@@ -88,7 +85,6 @@ __all__ = [
     "SturmOverflow",
     "ZeroConstantTerm",
     "build_config",
-    "canonical",
     "choose_h",
     "compute_bc",
     "compute_kpq",
@@ -99,8 +95,6 @@ __all__ = [
     "forward_coefficients",
     "normalize_monic",
     "real_roots",
-    "reflect_line",
-    "reflect_point",
     "render_gallery",
     "solve_all",
     "verify",

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import foldconfig, foldsolve, polynomial
 from .errors import ConfigMismatch, DegenerateDegree, OrigamiQuinticError, ZeroConstantTerm
-from .foldconfig import Branch, FoldConfig
+from .foldconfig import FoldConfig
 from .foldsolve import FoldSolution
 from .polynomial import Quintic, worst_item
 
@@ -208,7 +208,7 @@ def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
                         f"is the quartic {list(monic[:5])}, outside the two-fold "
                         "construction")
         return RunReport(raw=raw, monic=monic, config=None, solutions=[], warnings=warnings)
-    cfg = foldconfig.build_config(monic, h_override=h, branch=Branch(branch))
+    cfg = foldconfig.build_config(monic, h_override=h, branch=branch)
     solutions = foldsolve.solve_all(cfg, monic)
     for sol in solutions:
         for diag in sol.diagnostics:
@@ -239,8 +239,7 @@ def cmd_config(args) -> int:
     raw = parse_coeffs(args.coeffs)
     monic = monic_of(raw)
     _check_h(monic, args.h_override)
-    cfg = foldconfig.build_config(monic, h_override=args.h_override,
-                                  branch=Branch(args.branch))
+    cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=args.branch)
     foldsolve.check_roundtrip(*foldconfig.in_frame(cfg, monic))
     _dump({"schema": SCHEMA, "quintic": _quintic_dict(raw, monic), "config": _config_dict(cfg)},
           args.json)
@@ -263,9 +262,9 @@ def _match_roots(one: list, other: list) -> tuple[float | None, int]:
 
 def cmd_compare(args) -> int:
     raw = parse_coeffs(args.coeffs)
-    monic, branch = monic_of(raw), Branch(args.branch)
+    monic = monic_of(raw)
     _check_h(monic, args.h_override)
-    direct_cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=branch)
+    direct_cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=args.branch)
     direct = [(s.t, s.multiplicity) for s in foldsolve.solve_all(direct_cfg, monic)]
     # the depressed-form route, exact in u = 5t + a4: choose_h picks its scale h;
     # its errors name it; a root u maps back to t = (u - a4) / 5, rounded once
@@ -275,7 +274,7 @@ def cmd_compare(args) -> int:
         if depressed.a0 == 0.0:
             raise ZeroConstantTerm("the depressed quintic's constant term is zero; "
                                    f"t = -a4/5 = {-na / (5 * da)!r} is a root")
-        dep_cfg = foldconfig.build_config(depressed, branch=branch)
+        dep_cfg = foldconfig.build_config(depressed, branch=args.branch)
         dep_sols = foldsolve.solve_all(dep_cfg, depressed)
     except OrigamiQuinticError as exc:  # the same class, so the same exit code
         raise type(exc)(f"depressed-form route: {exc}") from None

@@ -211,14 +211,16 @@ def choose_h(q: Quintic) -> float:
 
 
 def compute_bc(q: Quintic, h: float,
-               branch: Branch = Branch.PLUS) -> tuple[float, float, float]:
-    """Solve the coupled pair (b, c) at the given h and sign branch; returns
-    (b, c, D) with D clamped.
+               branch: Branch | str = Branch.PLUS) -> tuple[float, float, float]:
+    """Solve the coupled pair (b, c) at the given h and sign branch, a member
+    or its value ("plus" or "minus"); returns (b, c, D) with D clamped.
 
     b = (E - h^4*A +- sqrt(D)) / (4*h^5) with the opposite triple sign in
     c = (E - h^4*A -+ 3*sqrt(D)) / (4*h^4).  Tiny negative D from rounding
     is clamped to zero; a genuinely negative D raises.
     """
+    if branch is not Branch.PLUS and branch is not Branch.MINUS:
+        branch = Branch(branch)  # ValueError unless "plus" or "minus"
     d = discriminant(q, h)
     lead = q.a0 - h**4 * q.a4
     floor = 64.0 * sys.float_info.epsilon * (
@@ -294,18 +296,20 @@ def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float,
 
 
 def build_config(
-    q: Quintic, h_override: float | None = None, branch: Branch = Branch.PLUS
+    q: Quintic, h_override: float | None = None, branch: Branch | str = Branch.PLUS
 ) -> FoldConfig:
     """Full inverse construction for a monic quintic, in its 2^e frame.
 
     Balances q by e = balance_exponent(q), picks h there (unless overridden:
     h_override is the caller's h, 2^e times the frame's), solves (b, c) on
-    the requested branch, then (k, p, q) by linear solve, and hands the
-    configuration back in the caller's frame.  P on line l (p = k) is never
-    perturbed silently: an h that build_config chose itself moves on to the
-    next h of the trial sequence with D >= 0, and an overriding h raises
-    DegenerateP.  Errors name the frame's values.
+    the branch, a member or its value ("plus" or "minus", else ValueError),
+    then (k, p, q) by linear solve, and hands the configuration back in the
+    caller's frame.  P on line l (p = k) is never perturbed silently: an h
+    that build_config chose itself moves on to the next h of the trial
+    sequence with D >= 0, and an overriding h raises DegenerateP.  Errors
+    name the frame's values.
     """
+    branch = Branch(branch)
     if q.a0 == 0.0:
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
     e = balance_exponent(q)

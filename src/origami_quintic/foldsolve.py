@@ -55,11 +55,6 @@ class IncidenceResiduals(NamedTuple):
         """The largest residual and its field name; a NaN one comes first."""
         return worst_item(zip(self._fields, self))
 
-    @property
-    def worst(self) -> float:
-        """The largest residual, NaN if any residual is NaN."""
-        return self.worst_field[1]
-
     def passes(self, tol: float) -> bool:
         return all(v <= tol for v in self)
 

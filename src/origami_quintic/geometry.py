@@ -4,9 +4,9 @@ Lines are stored as a*x + b*y = c with the raw coefficients retained;
 a canonical unit-normal form is used only for equality tests and
 reporting, never for arithmetic, to avoid drift.
 
-Each construction is written once, on bare floats (the ``*_xy`` and
-``*_abc`` functions); the Point and Line functions unpack into them.  The
-incidence measurements are written in the one kernel that takes them,
+Each construction has one name, on bare floats; Point and Line are tuples,
+so a caller unpacks a record into one: ``reflect_xy(*point, *mirror)``.
+The incidence measurements are written in the one kernel that takes them,
 ``foldsolve._reconstruct``.
 """
 
@@ -54,17 +54,12 @@ class Line(_LineFields):
 
 
 def canonical_abc(a: float, b: float, c: float, norm: float) -> ABC:
-    """canonical() of a*x + b*y = c, whose normal has length norm."""
+    """Unit-normal triple of a*x + b*y = c, |(a, b)| = norm: a > 0, or a = 0 < b."""
     s = 1.0 / norm
     a, b, c = a * s, b * s, c * s
     if a < 0.0 or (a == 0.0 and b < 0.0):
         return (-a, -b, -c)
     return (a, b, c)
-
-
-def canonical(line: Line) -> ABC:
-    """Unit-normal triple with a > 0, or a = 0 and b > 0 (equality use only)."""
-    return canonical_abc(line.a, line.b, line.c, line.norm)
 
 
 def triple_gap(u: ABC, v: ABC) -> float:
@@ -90,10 +85,6 @@ def reflect_xy(x: float, y: float, a: float, b: float, c: float) -> XY:
     return x - 2.0 * d * a, y - 2.0 * d * b
 
 
-def reflect_point(pt: Point, mirror: Line) -> Point:
-    return Point(*reflect_xy(pt.x, pt.y, mirror.a, mirror.b, mirror.c))
-
-
 def foot_and_direction_abc(a: float, b: float, c: float) -> tuple[float, float, float, float]:
     """The foot point (fx, fy) of a*x + b*y = c, its point nearest the origin,
     and its unit direction (dx, dy), the normal turned a quarter left."""
@@ -114,8 +105,3 @@ def reflect_abc(ta: float, tb: float, tc: float, ma: float, mb: float, mc: float
     """
     f = 2.0 * (ta * ma + tb * mb) / (ma * ma + mb * mb)
     return ta - f * ma, tb - f * mb, tc - f * mc
-
-
-def reflect_line(target: Line, mirror: Line) -> Line:
-    """Image of a whole line under reflection across the mirror."""
-    return Line(*reflect_abc(target.a, target.b, target.c, mirror.a, mirror.b, mirror.c))

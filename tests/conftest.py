@@ -21,14 +21,18 @@ from origami_quintic import (
     fold_xi,
     normalize_monic,
     real_roots,
-    reflect_line,
-    reflect_point,
 )
 from origami_quintic.errors import SingularSystem, SturmOverflow
 from origami_quintic.foldconfig import in_frame, rescale
 from origami_quintic.foldsolve import check_roundtrip
 from origami_quintic.polynomial import cauchy_bound
-from origami_quintic.geometry import PARALLEL_TOL, canonical, triple_gap
+from origami_quintic.geometry import (
+    PARALLEL_TOL,
+    canonical_abc,
+    reflect_abc,
+    reflect_xy,
+    triple_gap,
+)
 
 HENDECAGON = (1.0, 1.0, -4.0, -3.0, 3.0, 1.0)
 
@@ -222,7 +226,7 @@ class ZeroB(OrigamiQuinticError):
 
 def canonical_gap(l1: Line, l2: Line) -> float:
     """Max-abs gap between canonical forms, insensitive to the sign tie at a ~ 0."""
-    return triple_gap(canonical(l1), canonical(l2))
+    return triple_gap(canonical_abc(*l1, l1.norm), canonical_abc(*l2, l2.norm))
 
 
 def line_through(p1: Point, p2: Point) -> Line:
@@ -255,7 +259,7 @@ def intersect(l1: Line, l2: Line) -> Point | None:
     coincident pair has every point in common, not none).
     """
     if is_parallel(l1, l2):
-        scale = 1.0 + abs(canonical(l1)[2]) + abs(canonical(l2)[2])
+        scale = 1.0 + abs(canonical_abc(*l1, l1.norm)[2]) + abs(canonical_abc(*l2, l2.norm)[2])
         if canonical_gap(l1, l2) <= PARALLEL_TOL * scale:
             raise CoincidentLines("lines are canonically equal")
         return None
@@ -296,8 +300,8 @@ def residual_g(cfg: FoldConfig, t: float) -> float:
 
     Zero exactly where every incidence of the two-fold operation holds.
     """
-    chi = reflect_line(cfg.line_n, fold_xi(t, cfg.h))
-    return reflect_point(cfg.point_p, chi).x - cfg.k
+    chi = reflect_abc(*cfg.line_n, *fold_xi(t, cfg.h))
+    return reflect_xy(*cfg.point_p, *chi)[0] - cfg.k
 
 
 def is_parallel_case(cfg: FoldConfig, t: float) -> bool:

@@ -377,6 +377,21 @@ class TestBuildConfig:
         for field in ("h", "b", "c", "k", "p", "q", "D"):
             assert getattr(plus, field) == getattr(minus, field)
 
+    def test_branch_values_are_the_members(self):
+        # the README quintic, D = 949637 at h = 1: the hendecagon has D = 0,
+        # where both branches give the same configuration
+        quintic = normalize_monic((1, 0, -110, -55, 2310, 979))
+        for branch in Branch:
+            cfg = build_config(quintic, branch=branch.value)
+            assert cfg.branch is branch
+            assert tuple(cfg) == tuple(build_config(quintic, branch=branch))
+            assert compute_bc(quintic, 1.0, branch.value) == compute_bc(quintic, 1.0, branch)
+        assert build_config(quintic, branch="plus").b != build_config(quintic, branch="minus").b
+        with pytest.raises(ValueError, match="'up' is not a valid Branch"):
+            build_config(quintic, branch="up")
+        with pytest.raises(ValueError, match="'up' is not a valid Branch"):
+            compute_bc(quintic, 1.0, "up")
+
     def test_roundtrip_both_branches(self):
         rng = np.random.default_rng(28)
         for _ in range(200):

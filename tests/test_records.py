@@ -1,9 +1,12 @@
 """The result records are NamedTuples: their reprs, immutability and the
-checks that Quintic and Line make when they are built."""
+checks that Quintic and Line make when they are built; and the package's
+public names."""
 
 import pytest
 
+import origami_quintic
 from origami_quintic import (
+    IncidenceResiduals,
     Line,
     Point,
     Quintic,
@@ -83,3 +86,16 @@ def test_line_normal_must_be_nonzero():
         Line(a=0.0, b=-0.0, c=0.0)
     with pytest.raises(ValueError, match=NORMAL_MESSAGE):
         Line(0.0, 1.0, 1.0)._replace(b=0.0)
+
+
+def test_public_surface():
+    names = origami_quintic.__all__
+    assert len(set(names)) == len(names)
+    for name in names:  # render_gallery through the package's lazy __getattr__
+        getattr(origami_quintic, name)
+    # second names for geometry's float kernels and for worst_field[1]
+    for name in ("reflect_point", "reflect_line", "canonical"):
+        assert name not in names
+        assert not hasattr(origami_quintic, name)
+        assert not hasattr(origami_quintic.geometry, name)
+    assert not hasattr(IncidenceResiduals, "worst")
