@@ -21,7 +21,6 @@ from .errors import (
     ZeroConstantTerm,
 )
 from .foldconfig import (
-    Branch,
     FoldConfig,
     build_config,
     choose_h,
@@ -64,7 +63,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Branch",
     "CHI_EQUALS_N",
     "ConfigMismatch",
     "DegenerateDegree",

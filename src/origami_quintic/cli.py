@@ -34,10 +34,9 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
-SCHEMA = 5
+SCHEMA = 6
 
 DEFAULT_TOL = 1e-9
-H_MIN, H_MAX = 2.0**-128, 2.0**128
 
 
 class UsageError(Exception):
@@ -93,7 +92,7 @@ def _quintic_dict(raw: list[float], monic: Quintic) -> dict:
 
 
 def _config_dict(cfg: FoldConfig) -> dict:
-    out = {**cfg._asdict(), "branch": cfg.branch.value}
+    out = cfg._asdict()
     if not cfg.exponent:  # the quintic is its own frame: the key is left out
         del out["exponent"]
     return out
@@ -144,8 +143,8 @@ def _check_tol(args) -> None:
 
 def _check_h(monic: Quintic, h: float | None) -> None:
     """Reject an h the solver cannot use: the caller's h (None: chosen) is
-    held to [2^-128, 2^128] in the quintic's 2^e frame, where every power of
-    h that the construction forms (up to h^6) is a finite, nonzero float."""
+    held to foldconfig's [H_MIN, H_MAX] = [2^-128, 2^128] in the quintic's 2^e
+    frame."""
     if h is None:
         return
     e = foldconfig.balance_exponent(monic)
@@ -153,7 +152,7 @@ def _check_h(monic: Quintic, h: float | None) -> None:
         frame_h = math.ldexp(h, -e)
     except OverflowError:
         frame_h = math.inf
-    if not H_MIN <= frame_h <= H_MAX:
+    if not foldconfig.H_MIN <= frame_h <= foldconfig.H_MAX:
         span = f"2^{e - 128} to 2^{e + 128}" if e else "2^-128 to 2^128"
         raise UsageError(f"--h must be from {span}, got {h!r}")
 
@@ -163,7 +162,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="six coefficients, descending degree; fractions like -22/5 allowed")
     sub.add_argument("--h", type=float, default=None, dest="h_override",
                      help="override the automatic choice of h")
-    sub.add_argument("--branch", choices=["plus", "minus"], default="plus")
+    sub.add_argument("--branch", choices=foldconfig.BRANCHES, default="plus")
     sub.add_argument("--json", default=None, metavar="PATH",
                      help="write the JSON report here instead of stdout")
 

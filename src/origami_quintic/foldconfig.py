@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import (
@@ -38,16 +37,10 @@ from .geometry import Line, Point
 from .polynomial import Quintic
 
 
-class Branch(str, Enum):
-    """Sign choice in the quadratic solution for (b, c).
-
-    PLUS takes +sqrt(D) in b coupled with -3*sqrt(D) in c; MINUS the
-    opposite.  Both branches yield valid configurations; at D = 0 they
-    coincide.
-    """
-
-    PLUS = "plus"
-    MINUS = "minus"
+# The sign choice in the quadratic solution for (b, c): "plus" takes +sqrt(D)
+# in b coupled with -3 sqrt(D) in c, "minus" the opposite.  Both yield valid
+# configurations; at D = 0 they coincide.
+BRANCHES = ("plus", "minus")
 
 
 class FoldConfig(NamedTuple):
@@ -65,7 +58,7 @@ class FoldConfig(NamedTuple):
     k: float
     p: float
     q: float
-    branch: Branch
+    branch: str
     D: float
     exponent: int = 0
 
@@ -177,6 +170,9 @@ def in_frame(cfg: FoldConfig, q: Quintic) -> tuple[FoldConfig, Quintic]:
     return rescale(cfg, -cfg.exponent), balance(q, cfg.exponent)
 
 
+# the range of h in the frame, where every power of h that the construction
+# forms (up to h^6) is a finite, nonzero float
+H_MIN, H_MAX = 2.0**-128, 2.0**128
 # choose_h's trial sequence
 H_TRIALS = tuple([2.0**-i for i in range(41)] + [2.0**i for i in range(1, 21)])
 
@@ -186,10 +182,11 @@ def discriminant(q: Quintic, h: float) -> float:
     with quartic A, cubic B, linear D1 and constant E coefficients.
 
     Nonnegative D admits real (b, c); for parameter tuples it equals
-    h^8 * (c - b*h)^2.
+    h^8 * (c - b*h)^2.  An h outside [H_MIN, H_MAX], NaN included, is a
+    ValueError.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not H_MIN <= h <= H_MAX:
+        raise ValueError(f"h must be from 2^-128 to 2^128 in the frame, got {h!r}")
     lead = q.a0 - h**4 * q.a4
     return lead * lead - 4.0 * h**6 * (h**4 + h * h * q.a3 + q.a1)
 
@@ -210,17 +207,20 @@ def choose_h(q: Quintic) -> float:
     raise NoValidH("discriminant negative for all h in 2^-40..2^20")
 
 
-def compute_bc(q: Quintic, h: float,
-               branch: Branch | str = Branch.PLUS) -> tuple[float, float, float]:
-    """Solve the coupled pair (b, c) at the given h and sign branch, a member
-    or its value ("plus" or "minus"); returns (b, c, D) with D clamped.
+def _check_branch(branch: str) -> None:
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+
+
+def compute_bc(q: Quintic, h: float, branch: str = "plus") -> tuple[float, float, float]:
+    """Solve the coupled pair (b, c) at the given h and sign branch, one of
+    BRANCHES (else ValueError); returns (b, c, D) with D clamped.
 
     b = (E - h^4*A +- sqrt(D)) / (4*h^5) with the opposite triple sign in
     c = (E - h^4*A -+ 3*sqrt(D)) / (4*h^4).  Tiny negative D from rounding
     is clamped to zero; a genuinely negative D raises.
     """
-    if branch is not Branch.PLUS and branch is not Branch.MINUS:
-        branch = Branch(branch)  # ValueError unless "plus" or "minus"
+    _check_branch(branch)
     d = discriminant(q, h)
     lead = q.a0 - h**4 * q.a4
     floor = 64.0 * sys.float_info.epsilon * (
@@ -230,92 +230,64 @@ def compute_bc(q: Quintic, h: float,
         raise NegativeDiscriminant(f"D = {d:.6g} < 0 at h = {h:.6g}")
     d = max(d, 0.0)
     root = math.sqrt(d)
-    sign = 1.0 if branch is Branch.PLUS else -1.0
+    sign = 1.0 if branch == "plus" else -1.0
     b = (lead + sign * root) / (4.0 * h**5)
     c = (lead - 3.0 * sign * root) / (4.0 * h**4)
     return b, c, d
 
 
 def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float, float]:
-    """Solve the 3x3 linear system for (k, p, q) with b, c, h known.
+    """Solve the quartic, cubic and quadratic rows of the coefficient system
+    for (k, p, q), with b, c and h known; the remaining two rows hold once
+    (b, c) satisfy their compatibility relations.
 
-    The three equations are the quartic, cubic and quadratic rows of the
-    coefficient system; the remaining two rows are linearly dependent on
-    them once (b, c) satisfy their compatibility relations.  They are
-    solved by Gaussian elimination with partial pivoting; the paper's closed
-    forms serve only as a cross-check in the tests.
+    With (P, Q) the point (p, q) rotated by twice the angle of n's normal
+    (1, b), the rows over their norms separate into k + P = u, Q = v and
+    k - 3P = w, so the solution is closed-form; the paper's printed closed
+    forms serve only as a cross-check in the tests.  Every term scales
+    exactly by 2^k with the quintic scaled by 2^k at h 2^k, and so does the
+    solution, bit for bit.
 
-    The cubic and quadratic rows carry h and h^2 in every entry, so they are
-    divided by 2^n and 2^2n, 2^n the power of two nearest h: exactly, and
-    with r = h / 2^n, the matrix is then the same for the quintic scaled by
-    any 2^k at h 2^k, and so are the pivot order and every rounding.  The
-    solution scales by 2^k, bit for bit.
-
-    The determinant is r^3 (1 + b^2)^3 / 2, never zero for h > 0, so
-    SingularSystem reports numerical trouble only: a pivot that is zero or
-    not finite, or a solution that is not finite.  Whether the solution
-    reproduces the quintic is ``foldsolve.check_roundtrip``'s call.
+    The determinant, h^3 (1 + b^2)^3 / 2, is never zero for h > 0, so
+    SingularSystem reports numerical trouble only: a solution that is not
+    finite.  Whether it reproduces the quintic is
+    ``foldsolve.check_roundtrip``'s call.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    b2 = b * b
-    m, n = math.frexp(h)  # h = m 2^n, 1/2 <= m < 1; 2^(n-1) is the nearer for m < 2^-0.5
-    n -= m < 0.7071067811865476
-    r, inv = math.ldexp(h, -n), math.ldexp(1.0, -n)  # h / 2^n and 1 / 2^n
-    # augmented rows (matrix | right-hand side); each column's pivot is the first
-    # row of largest abs, swapped to the top, and v, which starts 0.0, never leads
-    u = (-(1.0 + b2) / 4.0, (b2 - 1.0) / 4.0, b / 2.0, q.a4 + 3.0 * b * h + c / 2.0)
-    v = (0.0, 2.0 * b * r, r * (1.0 - b2), q.a3 * inv - b * c * r + h * r - 2.0 * b2 * h * r)
-    w = (-r * r * (1.0 + b2) / 2.0, 3.0 * r * r * (1.0 - b2) / 2.0, -3.0 * b * r * r,
-         q.a2 * inv * inv - b * h * r * r)
-    if abs(w[0]) > abs(u[0]):
-        u, w = w, u
-    pivot, u1, u2, u3 = u
-    if pivot == 0.0 or not math.isfinite(pivot):
-        raise SingularSystem(f"(k, p, q) pivot {pivot!r} at b = {b:.6g}, h = {h:.6g}")
-    f = v[0] / pivot
-    v = (v[1] - f * u1, v[2] - f * u2, v[3] - f * u3)
-    f = w[0] / pivot
-    w = (w[1] - f * u1, w[2] - f * u2, w[3] - f * u3)
-    if abs(w[0]) > abs(v[0]):
-        v, w = w, v
-    pivot, v2, v3 = v
-    if pivot == 0.0 or not math.isfinite(pivot):
-        raise SingularSystem(f"(k, p, q) pivot {pivot!r} at b = {b:.6g}, h = {h:.6g}")
-    f = w[0] / pivot
-    pivot, w3 = w[1] - f * v2, w[2] - f * v3
-    if pivot == 0.0 or not math.isfinite(pivot):
-        raise SingularSystem(f"(k, p, q) pivot {pivot!r} at b = {b:.6g}, h = {h:.6g}")
-    # back-substitution; each 0.0 + is sum()'s start, which turns a -0.0 into 0.0
-    z = w3 / pivot
-    y = (v3 - (0.0 + v2 * z)) / v[0]
-    x = (u3 - (0.0 + u1 * y + u2 * z)) / u[0]
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise SingularSystem(f"(k, p, q) = {(x, y, z)} at b = {b:.6g}, h = {h:.6g}")
-    return x, y, z
+    s = 1.0 + b * b
+    cos, sin = (1.0 - b * b) / s, 2.0 * b / s  # n's normal at twice its angle
+    u = -4.0 * (q.a4 + 3.0 * b * h + c / 2.0) / s  # k + P
+    w = -2.0 * (q.a2 / h / h - b * h) / s  # k - 3P; h * h could underflow
+    v = (q.a3 / h - b * c + h - 2.0 * b * b * h) / s  # Q
+    rotated_p = (u - w) / 4.0
+    k, p, q_point = u - rotated_p, cos * rotated_p + sin * v, cos * v - sin * rotated_p
+    if not (math.isfinite(k) and math.isfinite(p) and math.isfinite(q_point)):
+        raise SingularSystem(f"(k, p, q) = {(k, p, q_point)} at b = {b:.6g}, h = {h:.6g}")
+    return k, p, q_point
 
 
 def build_config(
-    q: Quintic, h_override: float | None = None, branch: Branch | str = Branch.PLUS
+    q: Quintic, h_override: float | None = None, branch: str = "plus"
 ) -> FoldConfig:
     """Full inverse construction for a monic quintic, in its 2^e frame.
 
     Balances q by e = balance_exponent(q), picks h there (unless overridden:
     h_override is the caller's h, 2^e times the frame's), solves (b, c) on
-    the branch, a member or its value ("plus" or "minus", else ValueError),
-    then (k, p, q) by linear solve, and hands the configuration back in the
-    caller's frame.  P on line l (p = k) is never perturbed silently: an h
-    that build_config chose itself moves on to the next h of the trial
-    sequence with D >= 0, and an overriding h raises DegenerateP.  Errors
-    name the frame's values.
+    the branch, one of BRANCHES (else ValueError), then (k, p, q) in closed
+    form, and hands the configuration back in the caller's frame.  P on line
+    l (p = k) is never perturbed silently: an h that build_config chose
+    itself moves on to the next h of the trial sequence with D >= 0, and an
+    overriding h raises DegenerateP.  Errors name the frame's values.
     """
-    branch = Branch(branch)
+    _check_branch(branch)
     if q.a0 == 0.0:
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
     e = balance_exponent(q)
     q = balance(q, e)
     if h_override is not None:
-        return rescale(_config_at(q, math.ldexp(float(h_override), -e), branch), e)
+        h = float(h_override) * 2.0**-e  # ldexp, but inf, not OverflowError (e >= -214)
+        return rescale(_config_at(q, h, branch), e)
     h = choose_h(q)
     try:
         return rescale(_config_at(q, h, branch), e)
@@ -330,7 +302,7 @@ def build_config(
     raise degenerate
 
 
-def _config_at(q: Quintic, h: float, branch: Branch) -> FoldConfig:
+def _config_at(q: Quintic, h: float, branch: str) -> FoldConfig:
     """The configuration at this h and branch; DegenerateP when P lies on l."""
     b, c, d = compute_bc(q, h, branch)
     k, p, q_point = compute_kpq(q, h, b, c)

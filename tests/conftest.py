@@ -7,7 +7,6 @@ import pytest
 from origami_quintic import (
     CHI_EQUALS_N,
     LOW_CONFIDENCE,
-    Branch,
     FoldConfig,
     FoldSolution,
     IncidenceResiduals,
@@ -50,7 +49,7 @@ def hendecagon_config(hendecagon):
     return build_config(hendecagon)
 
 
-def make_config(h, b, c, k, p, q, branch=Branch.PLUS, D=0.0):
+def make_config(h, b, c, k, p, q, branch="plus", D=0.0):
     """Config straight from a parameter tuple (no inverse solve involved)."""
     return FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q, branch=branch, D=D)
 
@@ -358,12 +357,33 @@ def closed_form_kpq(
     return k, p, q
 
 
+def exact_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[Fraction, ...]:
+    """(k, p, q) of the quartic, cubic and quadratic rows of the coefficient
+    system, unscaled, by Cramer's rule in Fractions: the exact solution for
+    these floats, with nothing of compute_kpq's rotation in it."""
+    a4, a3, a2, h, b, c = map(Fraction, (q.a4, q.a3, q.a2, h, b, c))
+    b2 = b * b
+    rows = [
+        [-(1 + b2) / 4, (b2 - 1) / 4, b / 2, a4 + 3 * b * h + c / 2],
+        [0, 2 * b * h, h * (1 - b2), a3 - b * c * h + h * h - 2 * b2 * h * h],
+        [-h * h * (1 + b2) / 2, 3 * h * h * (1 - b2) / 2, -3 * b * h * h, a2 - b * h**3],
+    ]
+
+    def det(cols):  # of the columns cols of the three rows
+        x, y, z = ([row[j] for j in cols] for row in rows)
+        return (x[0] * (y[1] * z[2] - y[2] * z[1]) - x[1] * (y[0] * z[2] - y[2] * z[0])
+                + x[2] * (y[0] * z[1] - y[1] * z[0]))
+
+    whole = det((0, 1, 2))
+    return det((3, 1, 2)) / whole, det((0, 3, 2)) / whole, det((0, 1, 3)) / whole
+
+
 def reference_compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float, float]:
-    """The (k, p, q) elimination as it was written on lists, with max() picking
-    each pivot and sum() in the back-substitution: the reference that the
-    straight-line compute_kpq must match bit for bit, messages included.
-    Rows 1 and 2 are over 2^n and 2^2n, n = round(log2 h), written with
-    r = h / 2^n."""
+    """The (k, p, q) elimination with partial pivoting that the closed-form
+    compute_kpq replaced, as it was written on lists, with max() picking each
+    pivot and sum() in the back-substitution: the reference whose failures
+    the closed form's must match.  Rows 1 and 2 are over 2^n and 2^2n,
+    n = round(log2 h), written with r = h / 2^n."""
     if h <= 0.0:
         raise ValueError("h must be positive")
     b2 = b * b

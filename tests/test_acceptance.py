@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 
 from origami_quintic import (
-    Branch,
     FoldConfig,
     Line,
     Point,
@@ -24,6 +23,7 @@ from origami_quintic import (
     solve_all,
     verify,
 )
+from origami_quintic.foldconfig import BRANCHES
 from origami_quintic.geometry import reflect_xy
 from origami_quintic.polynomial import Quintic, _depressed_in_u, coefficient_gap
 
@@ -124,7 +124,7 @@ def test_criterion_4_roundtrip_property_suite():
         b, c, k, p, q, h = spec_tuple(rng)
         coeffs = forward_coefficients(b, c, k, p, q, h)
         quintic = Quintic(1.0, *coeffs)
-        for branch in Branch:
+        for branch in BRANCHES:
             cfg = build_config(quintic, h_override=h, branch=branch)
             again = forward_coefficients(cfg.b, cfg.c, cfg.k, cfg.p, cfg.q, cfg.h)
             worst = max(worst, coefficient_gap(again, coeffs))
@@ -157,7 +157,7 @@ def test_criterion_5_geometric_algebraic_equivalence():
         if abs(quintic.a0) < 1e-9:
             rejected += 1
             continue
-        cfg = FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q, branch=Branch.PLUS, D=0.0)
+        cfg = FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q, branch="plus", D=0.0)
         expected = [r for r, _ in real_roots(quintic)]
         bound = 1.0 + max(abs(x) for x in coeffs)
         ts = np.linspace(-bound - 0.5, bound + 0.5, grid_points)
@@ -214,7 +214,7 @@ def test_criterion_6_parallel_case_coverage():
         dk = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
         total = -(4.0 * h + 2.0 * b * (b * q + c) + b**3 * dk) / b
         k, p = (total + dk) / 2.0, (total - dk) / 2.0
-        cfg = FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q, branch=Branch.PLUS, D=0.0)
+        cfg = FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q, branch="plus", D=0.0)
         quintic = Quintic(1.0, *forward_coefficients(b, c, k, p, q, h))
         target = -h / b
         assert parallel_case_check(cfg, target)
@@ -268,7 +268,7 @@ def test_criterion_7_reflection_kernel_properties():
 def test_criterion_8_k_closed_form_adjudication():
     """The closed form for k carries the quadratic coefficient with a plus
     sign.  The minus-sign variant evaluates to -9/2 on the reference
-    configuration (b=c=0, h=1, quartic 1, quadratic -3) while the linear
+    configuration (b=c=0, h=1, quartic 1, quadratic -3) while the closed-form
     solve, an independent numpy solve of the coefficient system's rows and
     the coefficient system itself agree on -3/2; the build must side with
     the solve."""

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origami_quintic import (
-    Branch,
     DegenerateP,
     InexactFrame,
     NegativeDiscriminant,
@@ -23,10 +24,11 @@ from origami_quintic import (
     normalize_monic,
     solve_all,
 )
-from origami_quintic.foldconfig import balance, balance_exponent, rescale
+from origami_quintic.foldconfig import (BRANCHES, H_MAX, H_MIN, H_TRIALS, balance,
+                                       balance_exponent, rescale)
 from origami_quintic.polynomial import Quintic, _depressed_in_u, coefficient_gap
 
-from conftest import closed_form_kpq, outcome, reference_compute_kpq
+from conftest import closed_form_kpq, exact_kpq, outcome, reference_compute_kpq
 
 SCALED_HENDECAGON = Quintic(1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)
 
@@ -114,6 +116,30 @@ class TestDiscriminant:
             want = h**8 * (c - b * h) ** 2
             assert d == pytest.approx(want, rel=1e-6, abs=1e-7)
 
+    # h^5 underflowing to 0.0 gave ZeroDivisionError, and h^6 overflowing
+    # OverflowError, from discriminant, compute_bc and build_config
+    @pytest.mark.parametrize("h", [1e-70, 1e-65, 2.0**-129, 2.0**129, 1e60, math.inf, math.nan,
+                                   0.0, -1.0])
+    def test_h_outside_the_range_is_a_value_error(self, hendecagon, h):
+        message = f"^{re.escape(f'h must be from 2^-128 to 2^128 in the frame, got {h!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            discriminant(hendecagon, h)
+        with pytest.raises(ValueError, match=message):
+            compute_bc(hendecagon, h)
+        with pytest.raises(ValueError, match=message):
+            build_config(hendecagon, h_override=h)
+
+    def test_the_range_holds_every_trial_h(self, hendecagon):
+        assert (H_MIN, H_MAX) == (2.0**-128, 2.0**128)
+        assert all(H_MIN <= h <= H_MAX for h in H_TRIALS)
+        for h in (H_MIN, H_MAX):  # the ends are in it (D is NaN at 2^128: inf - inf)
+            discriminant(hendecagon, h)
+        # e = -66: 1e300 in the frame is 1e300 2^66, beyond the float range
+        tiny = Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 1e-100)
+        assert balance_exponent(tiny) == -66
+        with pytest.raises(ValueError, match="got inf$"):
+            build_config(tiny, h_override=1e300)
+
 
 class TestChooseH:
     def test_hendecagon(self, hendecagon):
@@ -144,19 +170,19 @@ class TestChooseH:
 
 class TestComputeBC:
     def test_hendecagon_both_branches(self, hendecagon):
-        for branch in Branch:
+        for branch in BRANCHES:
             assert compute_bc(hendecagon, 1.0, branch) == (0.0, 0.0, 0.0)
 
     def test_scaled_hendecagon_plus(self):
         root = math.sqrt(949637.0)
-        b, c, d = compute_bc(SCALED_HENDECAGON, 1.0, Branch.PLUS)
+        b, c, d = compute_bc(SCALED_HENDECAGON, 1.0, "plus")
         assert d == 949637.0
         assert b == pytest.approx((979.0 + root) / 4.0, rel=1e-12)
         assert c == pytest.approx((979.0 - 3.0 * root) / 4.0, rel=1e-12)
 
     def test_scaled_hendecagon_minus(self):
         root = math.sqrt(949637.0)
-        b, c, d = compute_bc(SCALED_HENDECAGON, 1.0, Branch.MINUS)
+        b, c, d = compute_bc(SCALED_HENDECAGON, 1.0, "minus")
         assert d == 949637.0
         assert b == pytest.approx((979.0 - root) / 4.0, rel=1e-12)
         assert c == pytest.approx((979.0 + 3.0 * root) / 4.0, rel=1e-12)
@@ -173,7 +199,7 @@ class TestComputeBC:
             tb, tc, k, p, tq, h = random_tuple(rng)
             q = quintic_of(tb, tc, k, p, tq, h)
             alpha, beta, _, delta, epsilon = q[1:]
-            for branch in Branch:
+            for branch in BRANCHES:
                 b, c, _ = compute_bc(q, h, branch)
                 r1 = (epsilon - h**4 * alpha) - h**4 * (c + 3 * b * h)
                 r2 = (h * h * beta + delta) - h**3 * (2 * b * c + 2 * b * b * h - h)
@@ -232,7 +258,7 @@ class TestComputeKPQ:
 
     @pytest.mark.parametrize("h", [1e-300, 1e-160])
     def test_underflowing_h_is_singular(self, hendecagon, h):
-        # a zero pivot or an overflowing solution, never ZeroDivisionError
+        # a solution that is not finite, never ZeroDivisionError
         with pytest.raises(SingularSystem, match="h = "):
             compute_kpq(hendecagon, h, 0.5, 0.0)
 
@@ -249,7 +275,7 @@ class TestComputeKPQ:
 
 
 # zeros of both signs, underflowing and overflowing powers of h, infinities and
-# NaN, dyadic values among which pivots tie, and any float at all
+# NaN, small dyadic values, and any float at all
 KPQ_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 1e-300, 1e-160, 1e160, 1e200, 1e308, math.inf,
                      -math.inf, math.nan]),
@@ -258,33 +284,61 @@ KPQ_FLOATS = st.one_of(
 )
 
 
-class TestComputeKPQReference:
-    """The straight-line elimination against the list-based one, bit for bit:
-    the same pivots, the same solution, the same exception and message."""
+def signed(low, high):
+    """Zeros and floats of either sign from low to high in abs."""
+    return st.one_of(st.sampled_from([0.0, -0.0]), st.floats(low, high),
+                     st.floats(-high, -low))
 
-    # after the first elimination the two remaining rows lead with x and +-x,
-    # and the first of them must stay the pivot
+
+# compute_kpq's error bound in kpq_error's units: over 320,000 random draws and
+# 20,000 of test_matches_reference's, h from 2^-40 to 2^40 and |b| up to 1e8, the
+# closed form's largest error read 5.9 (the elimination it replaced read 12.7)
+KPQ_BOUND = 8.0
+
+
+def kpq_error(quintic, h, b, c):
+    """compute_kpq's largest error against exact_kpq, in units of 2^-53 times the
+    problem's scale: the larger of the exact solution's largest entry and, for
+    each row, the abs of its right-hand side's terms summed over the row's norm
+    (s sqrt(2) / 4, h s and h^2 s sqrt(10) / 2, with s = 1 + b^2)."""
+    want = exact_kpq(quintic, h, b, c)
+    got = compute_kpq(quintic, h, b, c)
+    s = 1.0 + b * b
+    scale = max(
+        *(abs(float(v)) for v in want),
+        (abs(quintic.a4) + abs(3.0 * b * h) + abs(c / 2.0)) / (s * math.sqrt(2.0) / 4.0),
+        (abs(quintic.a3) + abs(b * c * h) + h * h + 2.0 * b * b * h * h) / (h * s),
+        (abs(quintic.a2) + abs(b) * h**3) / (h * h * s * math.sqrt(10.0) / 2.0),
+    )
+    return float(max(abs(Fraction(g) - w) for g, w in zip(got, want))) / scale * 2.0**53
+
+
+class TestComputeKPQReference:
+    """The closed form against two references: exact_kpq, the exact solve of
+    the unscaled rows, and the elimination it replaced, whose failures it
+    must match."""
+
+    # dyadic inputs at which the elimination's second pivots tied, so that its
+    # pivot order decided the rounding; the closed form has no pivot order, and
+    # holds its bound here too
     @pytest.mark.parametrize("h, b", [(0.375, 3.0), (0.375, -3.0), (0.75, 0.5), (0.75, -2.0),
                                       (1.875, -4.0)])
     @pytest.mark.parametrize("c", [0.0, 1.0, -2.5])
     def test_second_pivots_of_equal_magnitude(self, hendecagon, h, b, c):
-        want = outcome(lambda: reference_compute_kpq(hendecagon, h, b, c))
-        assert want.startswith("(")
-        assert outcome(lambda: compute_kpq(hendecagon, h, b, c)) == want
+        assert kpq_error(hendecagon, h, b, c) <= KPQ_BOUND
 
     @pytest.mark.parametrize("h, b, c, message", [
-        # an h far below 1: row 2 over u^2 makes a2 infinite, and the solution NaN
-        (1e-300, 0.0, 0.0, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
-        (1e-300, -0.0, 0.0, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
-        (1.0, math.nan, 0.0, "SingularSystem: (k, p, q) pivot nan "),
-        (math.inf, 0.0, 0.0, "SingularSystem: (k, p, q) pivot -inf "),
-        # both first-column candidates are -inf: the tie keeps the first row
-        (1.0, math.inf, 0.0, "SingularSystem: (k, p, q) pivot -inf "),
-        (1e-160, 3.0, 0.0, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
-        (1.0, 0.0, 1.7e308, "SingularSystem: (k, p, q) = (-inf, -8.5e+307, -3.0) "),
+        # an h far below 1: a2 / h / h is infinite
+        (1e-300, 0.0, 0.0, "SingularSystem: (k, p, q) = (inf, -inf, nan) "),
+        (1e-300, -0.0, 0.0, "SingularSystem: (k, p, q) = (inf, -inf, nan) "),
+        (1.0, math.nan, 0.0, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
+        (math.inf, 0.0, 0.0, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
+        (1.0, math.inf, 0.0, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
+        (1e-160, 3.0, 0.0, "SingularSystem: (k, p, q) = (inf, inf, inf) "),
+        (1.0, 0.0, 1.7e308, "SingularSystem: (k, p, q) = (nan, -inf, nan) "),
         (0.375, -0.0, math.nan, "SingularSystem: (k, p, q) = (nan, nan, nan) "),
-        # a subnormal h: 1 / u is beyond the float range
-        (5e-324, 0.5, 0.0, "OverflowError: "),
+        # a subnormal h: a3 / h and a2 / h / h are infinite
+        (5e-324, 0.5, 0.0, "SingularSystem: (k, p, q) = (inf, -inf, nan) "),
         (0.0, 1.0, 0.0, "ValueError: h must be positive"),
         (-0.0, 1.0, 0.0, "ValueError: h must be positive"),
         (-1.0, 1.0, 0.0, "ValueError: h must be positive"),
@@ -292,25 +346,41 @@ class TestComputeKPQReference:
     def test_failures_match(self, hendecagon, h, b, c, message):
         got = outcome(lambda: compute_kpq(hendecagon, h, b, c))
         assert got.startswith(message)
-        assert got == outcome(lambda: reference_compute_kpq(hendecagon, h, b, c))
+        # the elimination's class of failure, but where its 1 / 2^n overflowed
+        want = outcome(lambda: reference_compute_kpq(hendecagon, h, b, c))
+        assert got.split(":")[0] == want.split(":")[0].replace("OverflowError", "SingularSystem")
 
-    # a quintic of zeros: the back-substitution sums are -0.0, and sum()'s start
-    # of 0 turns them into 0.0, which decides the sign of a zero p or k
+    # a quintic of zeros: k = u - P and p = cos P + sin Q are sums that cancel
+    # to +0.0 whatever the sign of c's zero (the elimination gave p = -0.0)
     @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_signed_zero_solutions(self, h, zero):
         quintic = Quintic(1.0, 0.0, 0.0, -0.0, 0.0, 1.0)
-        want = outcome(lambda: reference_compute_kpq(quintic, h, 0.0, zero))
-        assert want.startswith("(") and "-0.0" in want
-        assert outcome(lambda: compute_kpq(quintic, h, 0.0, zero)) == want
+        k, p, q = compute_kpq(quintic, h, 0.0, zero)
+        assert (k, p, q) == (0.0, 0.0, h)
+        assert math.copysign(1.0, k) == math.copysign(1.0, p) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(a4=signed(1e-12, 1e12), a3=signed(1e-12, 1e12), a2=signed(1e-12, 1e12),
+           h=st.floats(2.0**-40, 2.0**40), b=signed(1e-8, 1e8), c=signed(1e-12, 1e12))
+    def test_matches_reference(self, a4, a3, a2, h, b, c):
+        assert kpq_error(Quintic(1.0, a4, a3, a2, 0.0, 1.0), h, b, c) <= KPQ_BOUND
 
     @settings(max_examples=600, deadline=None)
     @given(a4=KPQ_FLOATS, a3=KPQ_FLOATS, a2=KPQ_FLOATS, h=KPQ_FLOATS, b=KPQ_FLOATS,
            c=KPQ_FLOATS)
-    def test_matches_reference(self, a4, a3, a2, h, b, c):
+    def test_any_floats_solve_finitely_or_raise_a_named_error(self, a4, a3, a2, h, b, c):
         quintic = Quintic(1.0, a4, a3, a2, 0.0, 1.0)
-        assert outcome(lambda: compute_kpq(quintic, h, b, c)) == outcome(
-            lambda: reference_compute_kpq(quintic, h, b, c))
+        if h <= 0.0:
+            with pytest.raises(ValueError, match="h must be positive"):
+                compute_kpq(quintic, h, b, c)
+            return
+        try:
+            solution = compute_kpq(quintic, h, b, c)
+        except SingularSystem as exc:
+            assert str(exc).startswith("(k, p, q) = (") and " at b = " in str(exc)
+        else:
+            assert all(math.isfinite(v) for v in solution)
 
 
 class TestBuildConfig:
@@ -327,7 +397,7 @@ class TestBuildConfig:
         assert cfg.line_n.c == 0.0
 
     def test_scaled_hendecagon_roundtrip(self):
-        cfg = build_config(SCALED_HENDECAGON, h_override=1.0, branch=Branch.PLUS)
+        cfg = build_config(SCALED_HENDECAGON, h_override=1.0, branch="plus")
         produced = config_quintic(cfg)
         assert coefficient_gap(produced, SCALED_HENDECAGON) <= 1e-8
 
@@ -340,15 +410,15 @@ class TestBuildConfig:
         # on the way back; with c > b h the MINUS branch recovers the tuple
         quintic = quintic_of(0.0, 1.0, 2.0, 2.0, 1.0, 1.0)
         with pytest.raises(DegenerateP):
-            build_config(quintic, h_override=1.0, branch=Branch.MINUS)
+            build_config(quintic, h_override=1.0, branch="minus")
 
     def test_degenerate_p_moves_to_the_next_h(self):
         # h = 1 puts P on l, as above; an h build_config chose itself moves on
         # to the next h of choose_h's sequence with D >= 0, on the same branch
         quintic = quintic_of(0.0, 1.0, 2.0, 2.0, 1.0, 1.0)
         assert choose_h(quintic) == 1.0
-        cfg = build_config(quintic, branch=Branch.MINUS)
-        assert (cfg.h, cfg.branch) == (0.5, Branch.MINUS)
+        cfg = build_config(quintic, branch="minus")
+        assert (cfg.h, cfg.branch) == (0.5, "minus")
         assert all(s.residuals.passes(1e-9) for s in solve_all(cfg, quintic))
 
     @pytest.mark.parametrize("coeffs, h", [
@@ -372,8 +442,8 @@ class TestBuildConfig:
         assert all(s.residuals.passes(1e-9) for s in solve_all(cfg, quintic))
 
     def test_branch_coincidence_at_zero_discriminant(self, hendecagon):
-        plus = build_config(hendecagon, branch=Branch.PLUS)
-        minus = build_config(hendecagon, branch=Branch.MINUS)
+        plus = build_config(hendecagon, branch="plus")
+        minus = build_config(hendecagon, branch="minus")
         for field in ("h", "b", "c", "k", "p", "q", "D"):
             assert getattr(plus, field) == getattr(minus, field)
 
@@ -381,23 +451,27 @@ class TestBuildConfig:
         # the README quintic, D = 949637 at h = 1: the hendecagon has D = 0,
         # where both branches give the same configuration
         quintic = normalize_monic((1, 0, -110, -55, 2310, 979))
-        for branch in Branch:
-            cfg = build_config(quintic, branch=branch.value)
-            assert cfg.branch is branch
-            assert tuple(cfg) == tuple(build_config(quintic, branch=branch))
-            assert compute_bc(quintic, 1.0, branch.value) == compute_bc(quintic, 1.0, branch)
-        assert build_config(quintic, branch="plus").b != build_config(quintic, branch="minus").b
-        with pytest.raises(ValueError, match="'up' is not a valid Branch"):
-            build_config(quintic, branch="up")
-        with pytest.raises(ValueError, match="'up' is not a valid Branch"):
-            compute_bc(quintic, 1.0, "up")
+        assert BRANCHES == ("plus", "minus")
+        for branch, sign in zip(BRANCHES, (1.0, -1.0)):
+            cfg = build_config(quintic, branch=branch)
+            assert type(cfg.branch) is str and cfg.branch == branch
+            frame = balance(quintic, cfg.exponent), math.ldexp(cfg.h, -cfg.exponent)
+            assert (cfg.b, cfg.D) == compute_bc(*frame, branch)[::2]
+            assert compute_bc(quintic, 1.0, branch)[0] == (979.0 + sign * math.sqrt(949637.0)) / 4
+        # any other value, before the constant term is looked at
+        message = "branch must be 'plus' or 'minus', got 'up'"
+        for quintic in (quintic, Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match=message):
+                build_config(quintic, branch="up")
+            with pytest.raises(ValueError, match=message):
+                compute_bc(quintic, 1.0, "up")
 
     def test_roundtrip_both_branches(self):
         rng = np.random.default_rng(28)
         for _ in range(200):
             b, c, k, p, q, h = random_tuple(rng)
             quintic = quintic_of(b, c, k, p, q, h)
-            for branch in Branch:
+            for branch in BRANCHES:
                 cfg = build_config(quintic, h_override=h, branch=branch)
                 gap = coefficient_gap(config_quintic(cfg), quintic)
                 assert gap <= 1e-8
@@ -522,7 +596,7 @@ class TestFrame:
 
     @settings(max_examples=200, deadline=None)
     @given(coeffs=st.lists(FRAME_COEFFS, min_size=5, max_size=5), k=st.integers(-30, 30),
-           branch=st.sampled_from(Branch))
+           branch=st.sampled_from(BRANCHES))
     def test_construction_commutes_with_powers_of_two(self, coeffs, k, branch):
         # the quintic with roots 2^k times larger, at 2^k times the h, is the same
         # configuration drawn 2^k times larger, bit for bit, whatever the two frames

@@ -6,7 +6,6 @@ import pytest
 from origami_quintic import (
     CHI_EQUALS_N,
     LOW_CONFIDENCE,
-    Branch,
     ConfigMismatch,
     IncidenceResiduals,
     OrigamiQuinticError,

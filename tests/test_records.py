@@ -24,7 +24,7 @@ def test_reprs(hendecagon):
     assert repr(hendecagon) == "Quintic(a5=1.0, a4=1.0, a3=-4.0, a2=-3.0, a1=3.0, a0=1.0)"
     assert repr(cfg) == (
         "FoldConfig(h=1.0, b=0.0, c=0.0, k=-1.5, p=-2.5, q=-3.0, "
-        "branch=<Branch.PLUS: 'plus'>, D=0.0, exponent=0)"
+        "branch='plus', D=0.0, exponent=0)"
     )
     assert repr(solve_all(cfg, hendecagon)[0]) == (
         "FoldSolution(t=-1.9189859472289947, s=-1.5692593530931405, "
@@ -99,3 +99,7 @@ def test_public_surface():
         assert not hasattr(origami_quintic, name)
         assert not hasattr(origami_quintic.geometry, name)
     assert not hasattr(IncidenceResiduals, "worst")
+    # the branch is a string of foldconfig.BRANCHES, as a report writes it
+    assert "Branch" not in names
+    assert not hasattr(origami_quintic, "Branch")
+    assert not hasattr(origami_quintic.foldconfig, "Branch")
