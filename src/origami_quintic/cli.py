@@ -7,11 +7,11 @@ schema 1) and are byte-stable across runs unless --timing is requested.
 A report depends on no setting but the raw coefficients, h and branch,
 which it stores, and --tol, which decides only the exit code and warnings.
 verify exits 65 on another schema, else reruns solve's report builder on
-the stored raw coefficients, h and branch and compares the two reports in
-one walk: floats within --tol relative to max(1, |rebuilt|), everything
-else exactly in type and value.  A differing shape exits 65, any other
-difference 3, naming the field's JSON path; warnings and timing_ms are not
-compared.
+the stored raw coefficients, h and branch and compares the stored report
+with the JSON of the rebuild, what solve would write, in one walk: floats
+within --tol relative to max(1, |rebuilt|), everything else exactly in type
+and value.  A differing shape exits 65, any other difference 3, naming the
+field's JSON path; warnings and timing_ms are not compared.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-from typing import NamedTuple
 
 from . import foldconfig, foldsolve, polynomial
 from .errors import ConfigMismatch, DegenerateDegree, OrigamiQuinticError, ZeroConstantTerm
@@ -51,17 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class RunReport(NamedTuple):
-    """Everything one solve run produces, in JSON-ready form."""
-
-    raw: list[float]
-    monic: Quintic
-    config: FoldConfig | None
-    solutions: list[FoldSolution]
-    warnings: list[str]
-    timing_ms: float | None = None
-
-
 def parse_coeffs(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 6:
@@ -87,8 +75,9 @@ def monic_of(raw: list[float]) -> Quintic:
     return monic
 
 
-def _quintic_dict(raw: list[float], monic: Quintic) -> dict:
-    return {"raw": raw, "monic": list(monic)}
+def _head(raw: list[float], monic: Quintic) -> dict:
+    """The start of every payload: the schema and the quintic, raw and monic."""
+    return {"schema": SCHEMA, "quintic": {"raw": raw, "monic": monic}}
 
 
 def _config_dict(cfg: FoldConfig) -> dict:
@@ -99,31 +88,9 @@ def _config_dict(cfg: FoldConfig) -> dict:
 
 
 def _solution_dict(sol: FoldSolution) -> dict:
-    return {
-        "t": sol.t,
-        "s": sol.s,
-        "xi": sol.xi._asdict(),
-        "chi": sol.chi._asdict(),
-        "q_image": [sol.q_image.x, sol.q_image.y],
-        "p_image": [sol.p_image.x, sol.p_image.y],
-        "residuals": sol.residuals._asdict(),
-        "parallel_case": sol.parallel_case,
-        "multiplicity": sol.multiplicity,
-        "diagnostics": list(sol.diagnostics),
-    }
-
-
-def report_to_dict(report: RunReport) -> dict:
-    out = {
-        "schema": SCHEMA,
-        "quintic": _quintic_dict(report.raw, report.monic),
-        "config": None if report.config is None else _config_dict(report.config),
-        "solutions": [_solution_dict(s) for s in report.solutions],
-        "warnings": report.warnings,
-    }
-    if report.timing_ms is not None:
-        out["timing_ms"] = report.timing_ms
-    return out
+    """The solution's own fields; json writes its Points and diagnostics as arrays."""
+    return {**sol._asdict(), "xi": sol.xi._asdict(), "chi": sol.chi._asdict(),
+            "residuals": sol.residuals._asdict()}
 
 
 def _dump(payload: dict, path: str | None) -> None:
@@ -194,19 +161,21 @@ def build_parser() -> _Parser:
 
 
 def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
-                  timing: bool) -> RunReport:
+                  timing: bool) -> tuple[dict, FoldConfig | None, list[FoldSolution]]:
     """The report of solving raw at h (None: chosen) on branch, with timing_ms
-    when timing is set; tol is read only by the warnings.  solve writes it,
-    verify rebuilds it."""
+    when timing is set, and the configuration (None when the constant term is
+    zero) and solutions it writes; tol is read only by the warnings.  solve
+    writes the report, verify rebuilds it."""
     monic = monic_of(raw)
     _check_h(monic, h)
-    warnings: list[str] = []
-    start = time.perf_counter()
+    report = _head(raw, monic)
     if monic.a0 == 0.0:
-        warnings.append("constant term is zero: t = 0 is an exact root; the remaining factor "
-                        f"is the quartic {list(monic[:5])}, outside the two-fold "
-                        "construction")
-        return RunReport(raw=raw, monic=monic, config=None, solutions=[], warnings=warnings)
+        report.update(config=None, solutions=[], warnings=[
+            "constant term is zero: t = 0 is an exact root; the remaining factor is the "
+            f"quartic {list(monic[:5])}, outside the two-fold construction"])
+        return report, None, []
+    warnings = []
+    start = time.perf_counter()
     cfg = foldconfig.build_config(monic, h_override=h, branch=branch)
     solutions = foldsolve.solve_all(cfg, monic)
     for sol in solutions:
@@ -216,20 +185,23 @@ def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
             name, worst = sol.residuals.worst_field
             warnings.append(f"residual {worst:.3e} ({name}) above tol {tol:.3e} at t = {sol.t!r}")
     elapsed = (time.perf_counter() - start) * 1000.0
-    return RunReport(raw=raw, monic=monic, config=cfg, solutions=solutions,
-                     warnings=warnings, timing_ms=elapsed if timing else None)
+    report.update(config=_config_dict(cfg), solutions=[_solution_dict(s) for s in solutions],
+                  warnings=warnings)
+    if timing:
+        report["timing_ms"] = elapsed
+    return report, cfg, solutions
 
 
 def cmd_solve(args) -> int:
-    report = _solve_report(parse_coeffs(args.coeffs), args.h_override, args.branch, args.tol,
-                           args.timing)
-    _dump(report_to_dict(report), args.json)
-    if args.svg and report.solutions:
+    report, cfg, solutions = _solve_report(parse_coeffs(args.coeffs), args.h_override,
+                                           args.branch, args.tol, args.timing)
+    _dump(report, args.json)
+    if args.svg and solutions:
         from . import render  # only --svg draws, so only --svg loads render
 
         with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render.render_gallery(report.config, report.solutions))
-    if any(not s.residuals.passes(args.tol) for s in report.solutions):
+            handle.write(render.render_gallery(cfg, solutions))
+    if any(not s.residuals.passes(args.tol) for s in solutions):
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -240,8 +212,7 @@ def cmd_config(args) -> int:
     _check_h(monic, args.h_override)
     cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=args.branch)
     foldsolve.check_roundtrip(*foldconfig.in_frame(cfg, monic))
-    _dump({"schema": SCHEMA, "quintic": _quintic_dict(raw, monic), "config": _config_dict(cfg)},
-          args.json)
+    _dump({**_head(raw, monic), "config": _config_dict(cfg)}, args.json)
     return EXIT_OK
 
 
@@ -257,6 +228,12 @@ def _match_roots(one: list, other: list) -> tuple[float | None, int]:
         other.remove(nearest)
         gaps.append(abs(nearest - t))
     return max(gaps, default=None), len(other)
+
+
+def _route(cfg: FoldConfig, roots: list) -> dict:
+    """A compare section: one route's configuration and its (root, multiplicity) roots."""
+    return {"config": _config_dict(cfg), "max_abs_parameter": cfg.max_abs_parameter,
+            "roots": [t for t, _ in roots]}
 
 
 def cmd_compare(args) -> int:
@@ -281,26 +258,9 @@ def cmd_compare(args) -> int:
               for s in dep_sols for nu, du in [s.t.as_integer_ratio()]]
     gap, unmatched = _match_roots(direct, mapped)
 
-    _dump(
-        {
-            "schema": SCHEMA,
-            "quintic": _quintic_dict(raw, monic),
-            "direct": {
-                "config": _config_dict(direct_cfg),
-                "max_abs_parameter": direct_cfg.max_abs_parameter,
-                "roots": [t for t, _ in direct],
-            },
-            "depressed": {
-                "quintic": list(depressed),
-                "config": _config_dict(dep_cfg),
-                "max_abs_parameter": dep_cfg.max_abs_parameter,
-                "roots": [t for t, _ in mapped],
-            },
-            "max_root_gap": gap,
-            "unmatched_roots": unmatched,
-        },
-        args.json,
-    )
+    _dump({**_head(raw, monic), "direct": _route(direct_cfg, direct),
+           "depressed": {"quintic": depressed, **_route(dep_cfg, mapped)},
+           "max_root_gap": gap, "unmatched_roots": unmatched}, args.json)
     return EXIT_OK
 
 
@@ -344,22 +304,21 @@ def cmd_verify(args) -> int:
         print(f"unreadable report: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
-        report = _solve_report(raw, h, branch, tol, timing=False)
+        rebuilt, _, solutions = _solve_report(raw, h, branch, tol, timing=False)
     except (OrigamiQuinticError, UsageError, ValueError, OverflowError) as exc:
         print(f"verification failed: no rebuild: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     # warnings and timing_ms follow solve's --tol and the clock, so they are not compared
     stored = {key: value for key, value in stored.items() if key not in ("warnings", "timing_ms")}
-    rebuilt = report_to_dict(report)
     del rebuilt["warnings"]
-    fault = _difference(stored, rebuilt, tol)
+    fault = _difference(stored, json.loads(json.dumps(rebuilt)), tol)  # as solve writes it
     if fault is not None:
         code, message = fault
         print(f"{'unreadable report' if code == EXIT_DATA else 'verification failed'}: {message}",
               file=sys.stderr)
         return code
     name, worst = worst_item([("", 0.0)] + [(f"{field} at t = {sol.t!r}", value)
-                                            for sol in report.solutions
+                                            for sol in solutions
                                             for field, value in [sol.residuals.worst_field]])
     if not worst <= tol:
         print(f"verification failed: worst residual {worst:.3e} ({name}) > tol {tol:.3e}",

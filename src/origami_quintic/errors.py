@@ -35,7 +35,7 @@ class NegativeDiscriminant(OrigamiQuinticError):
 
 
 class SingularSystem(OrigamiQuinticError):
-    """The 3x3 linear system for (k, p, q) is numerically singular."""
+    """The closed-form (k, p, q) is not finite: its terms overflow or are NaN."""
 
 
 class DegenerateP(OrigamiQuinticError):

@@ -171,7 +171,8 @@ def in_frame(cfg: FoldConfig, q: Quintic) -> tuple[FoldConfig, Quintic]:
 
 
 # the range of h in the frame, where every power of h that the construction
-# forms (up to h^6) is a finite, nonzero float
+# forms alone (up to h^6) is a finite, nonzero float; D's h^4 h^6 term
+# overflows from h of about 2^102, and compute_bc refuses a D that is not finite
 H_MIN, H_MAX = 2.0**-128, 2.0**128
 # choose_h's trial sequence
 H_TRIALS = tuple([2.0**-i for i in range(41)] + [2.0**i for i in range(1, 21)])
@@ -218,7 +219,8 @@ def compute_bc(q: Quintic, h: float, branch: str = "plus") -> tuple[float, float
 
     b = (E - h^4*A +- sqrt(D)) / (4*h^5) with the opposite triple sign in
     c = (E - h^4*A -+ 3*sqrt(D)) / (4*h^4).  Tiny negative D from rounding
-    is clamped to zero; a genuinely negative D raises.
+    is clamped to zero; a genuinely negative D raises, and so does a D that
+    is not finite or whose rounding floor is not (its powers of h overflow).
     """
     _check_branch(branch)
     d = discriminant(q, h)
@@ -226,8 +228,9 @@ def compute_bc(q: Quintic, h: float, branch: str = "plus") -> tuple[float, float
     floor = 64.0 * sys.float_info.epsilon * (
         lead * lead + 4.0 * h**6 * (h**4 + abs(h * h * q.a3) + abs(q.a1)) + 1.0
     )
-    if d < -floor:
-        raise NegativeDiscriminant(f"D = {d:.6g} < 0 at h = {h:.6g}")
+    if not d >= -floor or floor == math.inf:  # NaN fails too
+        why = "< 0" if floor < math.inf else "is not finite"
+        raise NegativeDiscriminant(f"D = {d:.6g} {why} at h = {h:.6g}")
     d = max(d, 0.0)
     root = math.sqrt(d)
     sign = 1.0 if branch == "plus" else -1.0
@@ -288,12 +291,7 @@ def build_config(
     if h_override is not None:
         h = float(h_override) * 2.0**-e  # ldexp, but inf, not OverflowError (e >= -214)
         return rescale(_config_at(q, h, branch), e)
-    h = choose_h(q)
-    try:
-        return rescale(_config_at(q, h, branch), e)
-    except DegenerateP as exc:
-        degenerate = exc
-    for h in H_TRIALS[H_TRIALS.index(h) + 1:]:
+    for h in H_TRIALS[H_TRIALS.index(choose_h(q)):]:  # choose_h's h has D >= 0
         if discriminant(q, h) >= 0.0:
             try:
                 return rescale(_config_at(q, h, branch), e)

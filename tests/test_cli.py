@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import origami_quintic
+from origami_quintic import FoldConfig, FoldSolution, IncidenceResiduals, Line
 from origami_quintic.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -25,7 +26,7 @@ from origami_quintic.cli import (
 HENDECAGON_ARGS = ["--coeffs", "1,1,-4,-3,3,1"]
 
 # roots at two scales, near -4.6e3 and of size 1e-8: even in its frame the
-# configuration reproduces the quintic within 2.870e-08 only
+# configuration reproduces the quintic within 8.830e-08 only
 MISMATCH_COEFFS = "1,0,0,1e11,0,1e-5"
 
 
@@ -63,6 +64,22 @@ class TestSolve:
         assert report["warnings"] == []
         assert svg.exists()
         assert "timing_ms" not in report
+
+    @pytest.mark.parametrize("coeffs, exponent", [("1,1,-4,-3,3,1", 0),
+                                                  ("1,0,-110,-55,2310,979", 4)])
+    def test_report_writes_each_records_own_fields(self, capsys, coeffs, exponent):
+        # a field added to FoldConfig or FoldSolution is written with no change here;
+        # exponent is left out in the quintic's own frame
+        code, out = run_json(capsys, ["solve", "--coeffs", coeffs])
+        assert code == EXIT_OK
+        config_fields = set(FoldConfig._fields) - ({"exponent"} if exponent == 0 else set())
+        assert set(out["config"]) == config_fields
+        assert out["config"].get("exponent", 0) == exponent
+        assert out["solutions"]
+        for sol in out["solutions"]:
+            assert set(sol) == set(FoldSolution._fields)
+            assert set(sol["xi"]) == set(sol["chi"]) == set(Line._fields)
+            assert set(sol["residuals"]) == set(IncidenceResiduals._fields)
 
     def test_solutions_sorted_and_verified(self, capsys):
         code, report = run_json(capsys, ["solve", *HENDECAGON_ARGS])
@@ -217,6 +234,16 @@ class TestConfig:
     def test_inadmissible_h_is_config_error(self, capsys):
         assert main(["config", *HENDECAGON_ARGS, "--h", "2"]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h, d", [("1e31", "-inf"), ("3.402823669209385e+38", "nan")])
+    def test_discriminant_beyond_the_float_range_is_config_error(self, capsys, h, d):
+        # D's h^10 overflows in the frame: the error names D, not the P on l or
+        # the NaN (k, p, q) that a D clamped to 0 or passed on as NaN would give
+        assert main(["config", *HENDECAGON_ARGS, "--h", h]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"configuration error: D = {d} is not finite at h = {float(h):.6g}\n")
 
     def test_roundtrip_mismatch_is_verification_failure(self, capsys):
         assert main(["config", "--coeffs", MISMATCH_COEFFS]) == EXIT_VERIFY

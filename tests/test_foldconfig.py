@@ -193,6 +193,13 @@ class TestComputeBC:
         with pytest.raises(NegativeDiscriminant):
             compute_bc(hendecagon, 2.0)
 
+    @pytest.mark.parametrize("h, d", [(1e31, "-inf"), (2.0**128, "nan")])
+    def test_discriminant_beyond_the_float_range_is_named(self, hendecagon, h, d):
+        # D's h^4 h^6 term overflows from h of about 2^102: at 1e31 D is -inf,
+        # at 2^128 inf - inf; neither may be clamped to 0 or passed on
+        with pytest.raises(NegativeDiscriminant, match=f"^D = {d} is not finite at h = "):
+            compute_bc(hendecagon, h)
+
     def test_branches_satisfy_compatibility(self):
         rng = np.random.default_rng(24)
         for _ in range(300):

@@ -13,7 +13,6 @@ from origami_quintic import (
     build_config,
     solve_all,
 )
-from origami_quintic.cli import RunReport
 
 MONIC_MESSAGE = "expected a monic quintic; call normalize_monic first"
 NORMAL_MESSAGE = "line normal must be nonzero"
@@ -37,11 +36,6 @@ def test_reprs(hendecagon):
         "equidistant=0.0, intersection_on_chi=0.0), "
         "parallel_case=False, multiplicity=1, diagnostics=())"
     )
-    report = RunReport(raw=[1.0], monic=hendecagon, config=None, solutions=[], warnings=[])
-    assert repr(report) == (
-        "RunReport(raw=[1.0], monic=Quintic(a5=1.0, a4=1.0, a3=-4.0, a2=-3.0, a1=3.0, "
-        "a0=1.0), config=None, solutions=[], warnings=[], timing_ms=None)"
-    )
 
 
 def test_records_are_immutable(hendecagon):
@@ -54,7 +48,6 @@ def test_records_are_immutable(hendecagon):
         (cfg, "h"),
         (sol.residuals, "bisect"),
         (sol, "t"),
-        (RunReport([1.0], hendecagon, None, [], []), "warnings"),
     ]
     for record, field in records:
         with pytest.raises(AttributeError):
