@@ -1,17 +1,18 @@
 """Command-line front door: solve, config, compare, verify.
 
-Exit codes: 0 success, 2 configuration error, 3 verification failure,
-64 usage error, 65 unreadable report file.  JSON goes to stdout unless
---json PATH is given; reports carry their schema number (none means
-schema 1) and are byte-stable across runs unless --timing is requested.
-A report depends on no setting but the raw coefficients, h and branch,
-which it stores, and --tol, which decides only the exit code and warnings.
-verify exits 65 on another schema, else reruns solve's report builder on
-the stored raw coefficients, h and branch and compares the stored report
-with the JSON of the rebuild, what solve would write, in one walk: floats
-within --tol relative to max(1, |rebuilt|), everything else exactly in type
-and value.  A differing shape exits 65, any other difference 3, naming the
-field's JSON path; warnings and timing_ms are not compared.
+Exit codes: 0 success, 2 configuration error, 3 verification failure, 64
+usage error (a library ValueError too: an h out of range, a monic
+coefficient that overflows), 65 unreadable report file.  JSON goes to stdout
+unless --json PATH is given; reports carry their schema number (none means
+schema 1) and are byte-stable across runs unless --timing is requested.  A
+report depends on no setting but the raw coefficients, h and branch, which
+it stores, and --tol, which decides only the exit code and warnings.  verify
+exits 65 on another schema, else reruns solve's report builder on the stored
+raw coefficients, h and branch and compares the stored report with the JSON
+of the rebuild, what solve would write, in one walk: floats within --tol
+relative to max(1, |rebuilt|), everything else exactly in type and value.  A
+differing shape exits 65, any other difference 3, naming the field's JSON
+path; warnings and timing_ms are not compared.
 """
 
 from __future__ import annotations
@@ -60,21 +61,6 @@ def parse_coeffs(text: str) -> list[float]:
         raise UsageError(str(exc)) from exc
 
 
-def monic_of(raw: list[float]) -> Quintic:
-    """The monic form of six raw coefficients.
-
-    Dividing by a tiny leading coefficient can overflow; a monic
-    coefficient that is not finite is a usage error naming it.
-    """
-    monic = polynomial.normalize_monic(raw)
-    for i, value in enumerate(monic):
-        if not math.isfinite(value):
-            raise UsageError(
-                f"monic coefficient {i} is {value!r}: {raw[i]!r} / {raw[0]!r} overflows"
-            )
-    return monic
-
-
 def _head(raw: list[float], monic: Quintic) -> dict:
     """The start of every payload: the schema and the quintic, raw and monic."""
     return {"schema": SCHEMA, "quintic": {"raw": raw, "monic": monic}}
@@ -106,22 +92,6 @@ def _check_tol(args) -> None:
     tol = getattr(args, "tol", DEFAULT_TOL)
     if not 0.0 <= tol < math.inf:
         raise UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
-
-
-def _check_h(monic: Quintic, h: float | None) -> None:
-    """Reject an h the solver cannot use: the caller's h (None: chosen) is
-    held to foldconfig's [H_MIN, H_MAX] = [2^-128, 2^128] in the quintic's 2^e
-    frame."""
-    if h is None:
-        return
-    e = foldconfig.balance_exponent(monic)
-    try:
-        frame_h = math.ldexp(h, -e)
-    except OverflowError:
-        frame_h = math.inf
-    if not foldconfig.H_MIN <= frame_h <= foldconfig.H_MAX:
-        span = f"2^{e - 128} to 2^{e + 128}" if e else "2^-128 to 2^128"
-        raise UsageError(f"--h must be from {span}, got {h!r}")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -166,17 +136,17 @@ def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
     when timing is set, and the configuration (None when the constant term is
     zero) and solutions it writes; tol is read only by the warnings.  solve
     writes the report, verify rebuilds it."""
-    monic = monic_of(raw)
-    _check_h(monic, h)
+    monic = polynomial.normalize_monic(raw)
     report = _head(raw, monic)
-    if monic.a0 == 0.0:
+    start = time.perf_counter()
+    try:
+        cfg = foldconfig.build_config(monic, h_override=h, branch=branch)
+    except ZeroConstantTerm:  # raised after the branch and h are checked
         report.update(config=None, solutions=[], warnings=[
             "constant term is zero: t = 0 is an exact root; the remaining factor is the "
             f"quartic {list(monic[:5])}, outside the two-fold construction"])
         return report, None, []
     warnings = []
-    start = time.perf_counter()
-    cfg = foldconfig.build_config(monic, h_override=h, branch=branch)
     solutions = foldsolve.solve_all(cfg, monic)
     for sol in solutions:
         for diag in sol.diagnostics:
@@ -208,8 +178,7 @@ def cmd_solve(args) -> int:
 
 def cmd_config(args) -> int:
     raw = parse_coeffs(args.coeffs)
-    monic = monic_of(raw)
-    _check_h(monic, args.h_override)
+    monic = polynomial.normalize_monic(raw)
     cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=args.branch)
     foldsolve.check_roundtrip(*foldconfig.in_frame(cfg, monic))
     _dump({**_head(raw, monic), "config": _config_dict(cfg)}, args.json)
@@ -238,8 +207,7 @@ def _route(cfg: FoldConfig, roots: list) -> dict:
 
 def cmd_compare(args) -> int:
     raw = parse_coeffs(args.coeffs)
-    monic = monic_of(raw)
-    _check_h(monic, args.h_override)
+    monic = polynomial.normalize_monic(raw)
     direct_cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=args.branch)
     direct = [(s.t, s.multiplicity) for s in foldsolve.solve_all(direct_cfg, monic)]
     # the depressed-form route, exact in u = 5t + a4: choose_h picks its scale h;
@@ -305,7 +273,7 @@ def cmd_verify(args) -> int:
         return EXIT_DATA
     try:
         rebuilt, _, solutions = _solve_report(raw, h, branch, tol, timing=False)
-    except (OrigamiQuinticError, UsageError, ValueError, OverflowError) as exc:
+    except (OrigamiQuinticError, ValueError, OverflowError) as exc:
         print(f"verification failed: no rebuild: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     # warnings and timing_ms follow solve's --tol and the clock, so they are not compared
@@ -335,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         handlers = {"solve": cmd_solve, "config": cmd_config, "compare": cmd_compare,
                     "verify": cmd_verify}
         return handlers[args.command](args)
-    except (UsageError, OSError) as exc:  # OSError: an output path that cannot be written
+    except (UsageError, ValueError, OSError) as exc:  # OSError: an unwritable output path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateDegree as exc:
@@ -344,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigMismatch as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (OrigamiQuinticError, ValueError) as exc:
+    except OrigamiQuinticError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -281,15 +281,23 @@ def build_config(
     form, and hands the configuration back in the caller's frame.  P on line
     l (p = k) is never perturbed silently: an h that build_config chose
     itself moves on to the next h of the trial sequence with D >= 0, and an
-    overriding h raises DegenerateP.  Errors name the frame's values.
+    overriding h raises DegenerateP.  An h_override outside [H_MIN, H_MAX] in
+    the frame is a ValueError naming it as the caller gave it, raised before
+    the constant term is looked at; every other error names the frame's values.
     """
     _check_branch(branch)
+    e = balance_exponent(q)
+    if h_override is not None:
+        try:
+            h = math.ldexp(float(h_override), -e)
+        except OverflowError:  # beyond the float range, so above H_MAX
+            h = math.inf
+        if not H_MIN <= h <= H_MAX:
+            raise ValueError(f"h must be from 2^{e - 128} to 2^{e + 128}, got {h_override!r}")
     if q.a0 == 0.0:
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
-    e = balance_exponent(q)
     q = balance(q, e)
     if h_override is not None:
-        h = float(h_override) * 2.0**-e  # ldexp, but inf, not OverflowError (e >= -214)
         return rescale(_config_at(q, h, branch), e)
     for h in H_TRIALS[H_TRIALS.index(choose_h(q)):]:  # choose_h's h has D >= 0
         if discriminant(q, h) >= 0.0:

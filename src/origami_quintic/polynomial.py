@@ -51,13 +51,20 @@ class Quintic(_QuinticFields):
 
 
 def normalize_monic(coeffs: Sequence[float]) -> Quintic:
-    """Scale the six coefficients by the leading one; roots are unchanged."""
+    """Scale the six coefficients by the leading one; roots are unchanged.
+    A monic coefficient that is not finite (dividing by a tiny leading one
+    overflows) is a ValueError naming it."""
     if len(coeffs) != 6:
         raise ValueError(f"expected 6 coefficients, got {len(coeffs)}")
     lead = float(coeffs[0])
     if lead == 0.0:
         raise DegenerateDegree("leading coefficient is zero; not a quintic")
-    return tuple.__new__(Quintic, (1.0, *[float(c) / lead for c in coeffs[1:]]))
+    monic = [float(c) / lead for c in coeffs[1:]]
+    for i, value in enumerate(monic, 1):
+        if not math.isfinite(value):
+            raise ValueError(f"monic coefficient {i} is {value!r}: "
+                             f"{float(coeffs[i])!r} / {lead!r} overflows")
+    return tuple.__new__(Quintic, (1.0, *monic))
 
 
 def evaluate(coeffs: Sequence[float], t: float) -> float:

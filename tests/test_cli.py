@@ -163,8 +163,14 @@ class TestSolve:
             (["config", *HENDECAGON_ARGS, "--h", "1e-300"], "1e-300"),
             (["solve", *HENDECAGON_ARGS, "--tol", "nan"], "nan"),
             (["solve", *HENDECAGON_ARGS, "--tol", "-1"], "-1.0"),
+            # a zero constant: the h is checked before the constant term
+            (["solve", "--coeffs", "1,1,-4,-3,3,0", "--h", "1e300"], "1e+300"),
+            (["config", "--coeffs", "1,1,-4,-3,3,0", "--h", "1e300"], "1e+300"),
+            (["compare", "--coeffs", "1,1,-4,-3,3,0", "--h", "1e300"], "1e+300"),
         ],
-        ids=["coeff_1e400", "h_1e300", "h_nan", "h_zero", "h_1e-300", "tol_nan", "tol_negative"],
+        ids=["coeff_1e400", "h_1e300", "h_nan", "h_zero", "h_1e-300", "tol_nan", "tol_negative",
+             "zero_constant_solve_h_1e300", "zero_constant_config_h_1e300",
+             "zero_constant_compare_h_1e300"],
     )
     def test_numeric_input_fault_is_usage_error(self, capsys, argv, named):
         assert main(argv) == EXIT_USAGE
@@ -389,7 +395,7 @@ class TestFrame:
         # h = 1 is 2^-200 in the frame of t^5 + 1e300, below 2^-128
         assert main(["solve", "--coeffs", "1,0,0,0,0,1e300", "--h", "1"]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "usage error: --h must be from 2^72 to 2^328, got 1.0\n")
+            "usage error: h must be from 2^72 to 2^328, got 1.0\n")
         # the h that solve picks for itself, 1/2 in the frame
         path, h = str(tmp_path / "report.json"), 2.0**199
         assert main(["solve", "--coeffs", "1,0,0,0,0,1e300", "--h", repr(h), "--json", path]) == 0

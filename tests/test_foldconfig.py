@@ -126,6 +126,8 @@ class TestDiscriminant:
             discriminant(hendecagon, h)
         with pytest.raises(ValueError, match=message):
             compute_bc(hendecagon, h)
+        # build_config names the caller's h; the hendecagon is its own frame
+        message = f"^{re.escape(f'h must be from 2^-128 to 2^128, got {h!r}')}$"
         with pytest.raises(ValueError, match=message):
             build_config(hendecagon, h_override=h)
 
@@ -137,8 +139,11 @@ class TestDiscriminant:
         # e = -66: 1e300 in the frame is 1e300 2^66, beyond the float range
         tiny = Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 1e-100)
         assert balance_exponent(tiny) == -66
-        with pytest.raises(ValueError, match="got inf$"):
+        with pytest.raises(ValueError, match=r"got 1e\+300$"):
             build_config(tiny, h_override=1e300)
+        # e = 200: h = 1 is 2^-200 in the frame, and the span is the caller's
+        with pytest.raises(ValueError, match=r"^h must be from 2\^72 to 2\^328, got 1\.0$"):
+            build_config(Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 1e300), h_override=1.0)
 
 
 class TestChooseH:
@@ -411,6 +416,9 @@ class TestBuildConfig:
     def test_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):
             build_config(Quintic(1, 1, -4, -3, 3, 0))
+        # an h out of range is named first
+        with pytest.raises(ValueError, match=r"got 1e\+300$"):
+            build_config(Quintic(1, 1, -4, -3, 3, 0), h_override=1e300)
 
     def test_degenerate_p(self):
         # a tuple with p = k survives the forward map but must be rejected

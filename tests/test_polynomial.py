@@ -71,6 +71,14 @@ class TestNormalizeMonic:
         with pytest.raises(ValueError):
             normalize_monic([1, 2, 3])
 
+    @pytest.mark.parametrize("coeffs, message", [
+        ([1e-300, 1e300, 1, 1, 1, 1], "monic coefficient 1 is inf: 1e+300 / 1e-300 overflows"),
+        ([1, math.nan, 0, 0, 0, 1], "monic coefficient 1 is nan: nan / 1.0 overflows"),
+    ])
+    def test_monic_coefficient_not_finite_rejected(self, coeffs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            normalize_monic(coeffs)
+
     @given(
         lead=st.floats(min_value=0.25, max_value=8.0),
         rest=st.lists(coeff_strategy(), min_size=5, max_size=5),
