@@ -9,9 +9,7 @@ emitted as JSON reports or SVG diagrams.
 
 from .errors import (
     ConfigMismatch,
-    DegenerateDegree,
     DegenerateP,
-    EmptySolutions,
     InexactFrame,
     NegativeDiscriminant,
     NoValidH,
@@ -65,9 +63,7 @@ def __getattr__(name: str):
 __all__ = [
     "CHI_EQUALS_N",
     "ConfigMismatch",
-    "DegenerateDegree",
     "DegenerateP",
-    "EmptySolutions",
     "FoldConfig",
     "FoldSolution",
     "IncidenceResiduals",

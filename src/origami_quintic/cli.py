@@ -1,8 +1,8 @@
 """Command-line front door: solve, config, compare, verify.
 
 Exit codes: 0 success, 2 configuration error, 3 verification failure, 64
-usage error (a library ValueError too: an h out of range, a monic
-coefficient that overflows), 65 unreadable report file.  JSON goes to stdout
+usage error (a ValueError, from argparse or the library: a zero lead, an h
+out of range; or an OSError), 65 unreadable report file.  JSON goes to stdout
 unless --json PATH is given; reports carry their schema number (none means
 schema 1) and are byte-stable across runs unless --timing is requested.  A
 report depends on no setting but the raw coefficients, h and branch, which
@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import foldconfig, foldsolve, polynomial
-from .errors import ConfigMismatch, DegenerateDegree, OrigamiQuinticError, ZeroConstantTerm
+from .errors import ConfigMismatch, OrigamiQuinticError, ZeroConstantTerm
 from .foldconfig import FoldConfig
 from .foldsolve import FoldSolution
 from .polynomial import Quintic, worst_item
@@ -39,26 +39,19 @@ SCHEMA = 6
 DEFAULT_TOL = 1e-9
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):  # subparsers are _Parsers too; --h must not mean --help
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):  # argparse would exit 2; we need 64
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def parse_coeffs(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 6:
-        raise UsageError(f"--coeffs needs 6 comma-separated values, got {len(parts)}")
-    try:
-        return [polynomial.parse_coefficient(p) for p in parts]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"--coeffs needs 6 comma-separated values, got {len(parts)}")
+    return [polynomial.parse_coefficient(p) for p in parts]
 
 
 def _head(raw: list[float], monic: Quintic) -> dict:
@@ -91,7 +84,7 @@ def _dump(payload: dict, path: str | None) -> None:
 def _check_tol(args) -> None:
     tol = getattr(args, "tol", DEFAULT_TOL)
     if not 0.0 <= tol < math.inf:
-        raise UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -303,11 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         handlers = {"solve": cmd_solve, "config": cmd_config, "compare": cmd_compare,
                     "verify": cmd_verify}
         return handlers[args.command](args)
-    except (UsageError, ValueError, OSError) as exc:  # OSError: an unwritable output path
+    except (ValueError, OSError) as exc:  # OSError: an unwritable output path
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegenerateDegree as exc:
-        print(f"not a quintic: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigMismatch as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

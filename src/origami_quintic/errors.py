@@ -1,12 +1,10 @@
-"""Exception hierarchy for the quintic two-fold construction."""
+"""Exception hierarchy for the quintic two-fold construction: each class is a
+construction that failed on a valid input; an input fault is a ValueError."""
 
 
 class OrigamiQuinticError(Exception):
-    """Base class for all library errors."""
-
-
-class DegenerateDegree(OrigamiQuinticError):
-    """Leading coefficient is zero; the input is not a quintic."""
+    """Base class for all library errors: a construction that failed on a
+    valid input.  An argument outside its domain is a ValueError instead."""
 
 
 class SturmOverflow(OrigamiQuinticError):
@@ -44,7 +42,3 @@ class DegenerateP(OrigamiQuinticError):
 
 class ConfigMismatch(OrigamiQuinticError):
     """A fold configuration does not reproduce the source quintic."""
-
-
-class EmptySolutions(OrigamiQuinticError):
-    """A gallery rendering needs at least one solution."""

@@ -170,10 +170,12 @@ def in_frame(cfg: FoldConfig, q: Quintic) -> tuple[FoldConfig, Quintic]:
     return rescale(cfg, -cfg.exponent), balance(q, cfg.exponent)
 
 
-# the range of h in the frame, where every power of h that the construction
-# forms alone (up to h^6) is a finite, nonzero float; D's h^4 h^6 term
-# overflows from h of about 2^102, and compute_bc refuses a D that is not finite
-H_MIN, H_MAX = 2.0**-128, 2.0**128
+# the range of h in the frame, 2^_LOW to 2^_HIGH: from 2^_LOW every power of h
+# the construction forms alone (up to h^6) is a finite, nonzero float, and up to
+# 2^_HIGH D's 4 h^10 is at most 2^1022, so D and its rounding floor are finite
+# for every quintic in its frame (|a_(5-i)| <= 2^(1.5 i), twice that for a0)
+_LOW, _HIGH = -128, 102
+H_MIN, H_MAX = 2.0**_LOW, 2.0**_HIGH
 # choose_h's trial sequence
 H_TRIALS = tuple([2.0**-i for i in range(41)] + [2.0**i for i in range(1, 21)])
 
@@ -187,7 +189,7 @@ def discriminant(q: Quintic, h: float) -> float:
     ValueError.
     """
     if not H_MIN <= h <= H_MAX:
-        raise ValueError(f"h must be from 2^-128 to 2^128 in the frame, got {h!r}")
+        raise ValueError(f"h must be from 2^{_LOW} to 2^{_HIGH} in the frame, got {h!r}")
     lead = q.a0 - h**4 * q.a4
     return lead * lead - 4.0 * h**6 * (h**4 + h * h * q.a3 + q.a1)
 
@@ -293,7 +295,7 @@ def build_config(
         except OverflowError:  # beyond the float range, so above H_MAX
             h = math.inf
         if not H_MIN <= h <= H_MAX:
-            raise ValueError(f"h must be from 2^{e - 128} to 2^{e + 128}, got {h_override!r}")
+            raise ValueError(f"h must be from 2^{e + _LOW} to 2^{e + _HIGH}, got {h_override!r}")
     if q.a0 == 0.0:
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
     q = balance(q, e)

@@ -88,7 +88,7 @@ def verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:
     return _reconstruct(frame, t * 2.0**-cfg.exponent, fixed).residuals
 
 
-def _config_values(cfg: FoldConfig, quintic: Quintic, e: int = 0) -> tuple:
+def _config_values(cfg: FoldConfig, quintic: Quintic, e: int) -> tuple:
     """What _reconstruct needs that is fixed for the configuration, in its
     frame: |n|, n's canonical triple, the low-confidence threshold, the
     quintic itself and 2^e, the caller's unit of length."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateDegree, InexactFrame, SturmOverflow
+from .errors import InexactFrame, SturmOverflow
 
 ROOT_TOL = 1e-12  # the bracket width at which refinement hands over to Newton
 
@@ -52,13 +52,13 @@ class Quintic(_QuinticFields):
 
 def normalize_monic(coeffs: Sequence[float]) -> Quintic:
     """Scale the six coefficients by the leading one; roots are unchanged.
-    A monic coefficient that is not finite (dividing by a tiny leading one
-    overflows) is a ValueError naming it."""
+    A ValueError for a count other than six, a zero leading coefficient, or a
+    monic coefficient that is not finite (dividing by a tiny lead overflows)."""
     if len(coeffs) != 6:
         raise ValueError(f"expected 6 coefficients, got {len(coeffs)}")
     lead = float(coeffs[0])
     if lead == 0.0:
-        raise DegenerateDegree("leading coefficient is zero; not a quintic")
+        raise ValueError("leading coefficient is zero; not a quintic")
     monic = [float(c) / lead for c in coeffs[1:]]
     for i, value in enumerate(monic, 1):
         if not math.isfinite(value):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .errors import EmptySolutions
 from .foldconfig import FoldConfig
 from .foldsolve import FoldSolution
 from .geometry import Line, Point, foot_and_direction_abc
@@ -166,9 +165,9 @@ def marked_points(cfg: FoldConfig, sol: FoldSolution) -> list[Point]:
 
 
 def render_gallery(cfg: FoldConfig, sols: list[FoldSolution]) -> str:
-    """Grid of panels, one per solution, labeled a), b), ... in root order."""
+    """Grid of panels, one per solution, labeled a), b), ... in root order; ValueError if none."""
     if not sols:
-        raise EmptySolutions("gallery needs at least one solution")
+        raise ValueError("gallery needs at least one solution")
     cols = 1 if len(sols) == 1 else 2
     rows = (len(sols) + cols - 1) // cols
     pw, ph = 460, 360

@@ -42,15 +42,11 @@ class TestParseCoeffs:
         assert got == [1.0, -4.4, 0.5, 3.0, -1.0, 2.0]
 
     def test_wrong_count(self):
-        from origami_quintic.cli import UsageError
-
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError, match="^--coeffs needs 6 comma-separated values, got 3$"):
             parse_coeffs("1,2,3")
 
     def test_garbage(self):
-        from origami_quintic.cli import UsageError
-
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError, match="^cannot parse coefficient 'banana'$"):
             parse_coeffs("1,2,3,4,5,banana")
 
 
@@ -178,6 +174,21 @@ class TestSolve:
         assert "Traceback" not in err
         assert named in err
 
+    # argparse's, parse_coeffs' and normalize_monic's ValueError print alike
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["solve", *HENDECAGON_ARGS, "--bogus"], "unrecognized arguments: --bogus"),
+            (["solve", "--coeffs", "1,2,3"], "--coeffs needs 6 comma-separated values, got 3"),
+            (["config", "--coeffs", "1,2,3,4,5,banana"], "cannot parse coefficient 'banana'"),
+            (["compare", "--coeffs", "0,1,2,3,4,5"], "leading coefficient is zero; not a quintic"),
+        ],
+        ids=["argparse", "wrong_count", "garbage", "zero_lead"],
+    )
+    def test_input_fault_is_one_usage_line(self, capsys, argv, line):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"usage error: {line}\n")
+
     @pytest.mark.parametrize("command", ["solve", "config", "compare"])
     @pytest.mark.parametrize(
         "coeffs, named",
@@ -241,15 +252,12 @@ class TestConfig:
         assert main(["config", *HENDECAGON_ARGS, "--h", "2"]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("h, d", [("1e31", "-inf"), ("3.402823669209385e+38", "nan")])
-    def test_discriminant_beyond_the_float_range_is_config_error(self, capsys, h, d):
-        # D's h^10 overflows in the frame: the error names D, not the P on l or
-        # the NaN (k, p, q) that a D clamped to 0 or passed on as NaN would give
-        assert main(["config", *HENDECAGON_ARGS, "--h", h]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"configuration error: D = {d} is not finite at h = {float(h):.6g}\n")
+    @pytest.mark.parametrize("h", ["1e31", "3.402823669209385e+38"])
+    def test_h_beyond_the_range_is_usage_error(self, capsys, h):
+        # above 2^102 D's h^10 overflows in the frame: the range is named, not D
+        assert main(["config", *HENDECAGON_ARGS, "--h", h]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"usage error: h must be from 2^-128 to 2^102, got {float(h)!r}\n")
 
     def test_roundtrip_mismatch_is_verification_failure(self, capsys):
         assert main(["config", "--coeffs", MISMATCH_COEFFS]) == EXIT_VERIFY
@@ -395,7 +403,7 @@ class TestFrame:
         # h = 1 is 2^-200 in the frame of t^5 + 1e300, below 2^-128
         assert main(["solve", "--coeffs", "1,0,0,0,0,1e300", "--h", "1"]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "usage error: h must be from 2^72 to 2^328, got 1.0\n")
+            "usage error: h must be from 2^72 to 2^302, got 1.0\n")
         # the h that solve picks for itself, 1/2 in the frame
         path, h = str(tmp_path / "report.json"), 2.0**199
         assert main(["solve", "--coeffs", "1,0,0,0,0,1e300", "--h", repr(h), "--json", path]) == 0

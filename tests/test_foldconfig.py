@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -117,32 +118,34 @@ class TestDiscriminant:
             assert d == pytest.approx(want, rel=1e-6, abs=1e-7)
 
     # h^5 underflowing to 0.0 gave ZeroDivisionError, and h^6 overflowing
-    # OverflowError, from discriminant, compute_bc and build_config
+    # OverflowError, from discriminant, compute_bc and build_config; from 1e31
+    # D's h^10 overflows
     @pytest.mark.parametrize("h", [1e-70, 1e-65, 2.0**-129, 2.0**129, 1e60, math.inf, math.nan,
-                                   0.0, -1.0])
+                                   0.0, -1.0, 1e31, 2.0**128])
     def test_h_outside_the_range_is_a_value_error(self, hendecagon, h):
-        message = f"^{re.escape(f'h must be from 2^-128 to 2^128 in the frame, got {h!r}')}$"
+        message = f"^{re.escape(f'h must be from 2^-128 to 2^102 in the frame, got {h!r}')}$"
         with pytest.raises(ValueError, match=message):
             discriminant(hendecagon, h)
         with pytest.raises(ValueError, match=message):
             compute_bc(hendecagon, h)
         # build_config names the caller's h; the hendecagon is its own frame
-        message = f"^{re.escape(f'h must be from 2^-128 to 2^128, got {h!r}')}$"
+        message = f"^{re.escape(f'h must be from 2^-128 to 2^102, got {h!r}')}$"
         with pytest.raises(ValueError, match=message):
             build_config(hendecagon, h_override=h)
 
     def test_the_range_holds_every_trial_h(self, hendecagon):
-        assert (H_MIN, H_MAX) == (2.0**-128, 2.0**128)
+        assert (H_MIN, H_MAX) == (2.0**-128, 2.0**102)
         assert all(H_MIN <= h <= H_MAX for h in H_TRIALS)
-        for h in (H_MIN, H_MAX):  # the ends are in it (D is NaN at 2^128: inf - inf)
-            discriminant(hendecagon, h)
+        # the ends are in it; at 2^102 D's 4 h^10 is 2^1022, still finite
+        assert discriminant(hendecagon, H_MIN) == 1.0
+        assert discriminant(hendecagon, H_MAX) == -(2.0**1022)
         # e = -66: 1e300 in the frame is 1e300 2^66, beyond the float range
         tiny = Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 1e-100)
         assert balance_exponent(tiny) == -66
         with pytest.raises(ValueError, match=r"got 1e\+300$"):
             build_config(tiny, h_override=1e300)
         # e = 200: h = 1 is 2^-200 in the frame, and the span is the caller's
-        with pytest.raises(ValueError, match=r"^h must be from 2\^72 to 2\^328, got 1\.0$"):
+        with pytest.raises(ValueError, match=r"^h must be from 2\^72 to 2\^302, got 1\.0$"):
             build_config(Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 1e300), h_override=1.0)
 
 
@@ -198,12 +201,27 @@ class TestComputeBC:
         with pytest.raises(NegativeDiscriminant):
             compute_bc(hendecagon, 2.0)
 
-    @pytest.mark.parametrize("h, d", [(1e31, "-inf"), (2.0**128, "nan")])
-    def test_discriminant_beyond_the_float_range_is_named(self, hendecagon, h, d):
-        # D's h^4 h^6 term overflows from h of about 2^102: at 1e31 D is -inf,
-        # at 2^128 inf - inf; neither may be clamped to 0 or passed on
+    @pytest.mark.parametrize("q, h, d", [
+        (Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 1e200), 1.0, "inf"),
+        (Quintic(1.0, 0.0, 0.0, 0.0, 1e300, 1e300), 1024.0, "nan"),
+    ], ids=["inf", "nan"])
+    def test_discriminant_beyond_the_float_range_is_named(self, q, h, d):
+        # a quintic outside its frame: D's square overflows, and at h = 2^10 so does
+        # its h^6 a1 term, inf - inf; neither may be clamped to 0 or passed on
         with pytest.raises(NegativeDiscriminant, match=f"^D = {d} is not finite at h = "):
-            compute_bc(hendecagon, h)
+            compute_bc(q, h)
+
+    @pytest.mark.parametrize("peak", [2.0**1.5 * (1.0 - 2.0**-52), 2.0**-1.5, 1e60, 1e-60])
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_discriminant_is_finite_at_h_max_in_every_frame(self, peak, branch):
+        # in its frame |a_(5-i)| <= 2^(1.5 i), twice that for a0, so at H_MAX D
+        # and its rounding floor are finite: D is named negative, never not finite
+        for signs in itertools.product((-1.0, 1.0), repeat=5):
+            coeffs = [s * peak**i for i, s in enumerate(signs, 1)]
+            q = Quintic(1.0, *coeffs[:4], 2.0 * coeffs[4])
+            q = balance(q, balance_exponent(q))
+            with pytest.raises(NegativeDiscriminant, match=r"^D = -4\.49\d*e\+307 < 0 at h = "):
+                compute_bc(q, H_MAX, branch)
 
     def test_branches_satisfy_compatibility(self):
         rng = np.random.default_rng(24)

@@ -202,7 +202,8 @@ class TestVerify:
         # out reflects to a finite chi across the finite xi of a hendecagon
         # root, and P's image across it overflows to -inf
         cfg = hendecagon_config._replace(c=1e308)
-        sol = _reconstruct(cfg, HENDECAGON_ROOTS[0], _config_values(cfg, Quintic(*HENDECAGON)))
+        fixed = _config_values(cfg, Quintic(*HENDECAGON), cfg.exponent)
+        sol = _reconstruct(cfg, HENDECAGON_ROOTS[0], fixed)
         assert all(math.isfinite(v) for v in sol.chi)
         assert sol.p_image == (-math.inf, -math.inf) and sol.s == -math.inf
         assert sol.residuals.q_on_m <= 1e-9 and sol.residuals.quintic_value <= 1e-9

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from origami_quintic import (
-    DegenerateDegree,
     InexactFrame,
     SturmOverflow,
     evaluate,
@@ -64,7 +63,7 @@ class TestNormalizeMonic:
         assert q == HENDECAGON
 
     def test_leading_zero_rejected(self):
-        with pytest.raises(DegenerateDegree):
+        with pytest.raises(ValueError, match="^leading coefficient is zero; not a quintic$"):
             normalize_monic([0, 1, 0, 0, 0, 0])
 
     def test_wrong_arity_rejected(self):

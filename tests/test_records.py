@@ -5,6 +5,7 @@ public names."""
 import pytest
 
 import origami_quintic
+import origami_quintic.cli
 from origami_quintic import (
     IncidenceResiduals,
     Line,
@@ -96,3 +97,9 @@ def test_public_surface():
     assert "Branch" not in names
     assert not hasattr(origami_quintic, "Branch")
     assert not hasattr(origami_quintic.foldconfig, "Branch")
+    # an input fault is a ValueError, with no class of its own
+    for name in ("UsageError", "DegenerateDegree", "EmptySolutions"):
+        assert name not in names
+        assert not hasattr(origami_quintic, name)
+        assert not hasattr(origami_quintic.cli, name)
+        assert not hasattr(origami_quintic.errors, name)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from origami_quintic import (
-    EmptySolutions,
     build_config,
     render_gallery,
     solve_all,
@@ -83,7 +82,7 @@ def test_single_solution_gallery(hendecagon_config, hendecagon_solutions):
 
 
 def test_empty_gallery_rejected(hendecagon_config):
-    with pytest.raises(EmptySolutions):
+    with pytest.raises(ValueError, match="^gallery needs at least one solution$"):
         render_gallery(hendecagon_config, [])
 
 
