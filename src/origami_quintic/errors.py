@@ -8,8 +8,8 @@ class OrigamiQuinticError(Exception):
 
 
 class SturmOverflow(OrigamiQuinticError):
-    """A Sturm chain sign at the root bound is NaN, or the counts there find
-    no real root: the bound is beyond the float range or Horner overflowed."""
+    """A Sturm chain sign at the root bound or a probe is NaN: the bound is
+    beyond the float range or Horner overflowed."""
 
 
 class ZeroConstantTerm(OrigamiQuinticError):

@@ -136,7 +136,9 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
         abs(qy + h), abs(px - k), abs(abs(xi_chi) / (xn * cn) - abs(xi_n) / (xn * nn)),
         abs(evaluate(quintic, t)), equidistant, on_chi))
     diagnostics = ()
-    if triple_gap(canonical_abc(ca, cb, cc, cn), n_canonical) <= 1e-9:
+    # a triple gap of 1e-9 leaves the unit normals' cross product at most 2e-9
+    if abs(ca * b - cb) <= 1e-8 * cn * nn and triple_gap(canonical_abc(ca, cb, cc, cn),
+                                                       n_canonical) <= 1e-9:
         diagnostics = (CHI_EQUALS_N,)
     if math.hypot(px - p, py - q) <= still:
         diagnostics += (LOW_CONFIDENCE,)
@@ -169,7 +171,7 @@ def solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
     The configuration and the source are taken to the configuration's 2^e
     frame, where the configuration must pass ``check_roundtrip`` against
     the source coefficients, otherwise ConfigMismatch, and where the roots
-    are those of ``real_roots``, at its one refinement width, so a stored
+    are those of ``real_roots``, whose refinement is deterministic, so a stored
     solve rebuilds bit for bit; each comes back as 2^e times the frame's.
     Solutions come back sorted ascending in t; s is read off the image of P.
     A chi that coincides with n, or an image of P too close to P itself, is

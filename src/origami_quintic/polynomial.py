@@ -6,7 +6,8 @@ scaled exactly to integers) and for each of the successive gcds
 g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...: the integer Sturm chain of the
 polynomial divided by its own gcd.  p's chain, headed by the square-free
 part p / g1, isolates the distinct real roots by interval bisection; each
-root is refined on that head and polished with safeguarded Newton steps.
+root is refined on that head by Illinois regula falsi to adjacent floats, and
+exact integer signs at dyadic points pick the nearer float.
 The chain of g_j counts the distinct roots of p repeated more than j
 times, which gives each root's multiplicity exactly (the square-free
 decomposition of Yun, SYMSAC 1976).
@@ -18,9 +19,6 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InexactFrame, SturmOverflow
-
-ROOT_TOL = 1e-12  # the bracket width at which refinement hands over to Newton
-
 
 class _QuinticFields(NamedTuple):
     a5: float
@@ -93,37 +91,39 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
 
     Every chain, p's and those of g1, g2, ..., is built the same way, over
     its own gcd.  Distinct roots are isolated by sign-variation counts of
-    p's chain on a bisected interval [-B, B] (B the Cauchy bound), refined
-    by bisection to the fixed bracket width ROOT_TOL on its head, the
-    square-free part p / g1, and polished with Newton steps; the brackets
+    p's chain on a bisected interval [-B, B] (B the Cauchy bound), and each
+    is refined on the chain's head, the square-free part p / g1, to two
+    adjacent floats and the nearer of them (``_refine_root``); the brackets
     come left to right, disjoint, so the roots come ascending unsorted.  A
     root's multiplicity is its bracket's count plus each gcd chain's count
     in the bracket; a bracket left at the width floor with several roots in
     it reports their total.  The chains are exact integers until
     ``_normalized``; from there every evaluation is straight-line Horner on
-    six floats, rounding as the generic loop does.
+    six floats, rounding as the generic loop does, and every exact sign is
+    taken on the integers.
 
-    A real quintic always has at least one real root, so the result is
-    never empty: a count of none at the bound raises ``SturmOverflow``.
+    A real quintic always has at least one real root, so the result is never
+    empty: where the float signs at -B and B count none, as they can when a
+    root lies within an ulp of B, exact signs count again and find it.
     """
     bound = cauchy_bound(q)
     # the chains of p, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to a square-free g_j
     chains, f = [], _integer_coefficients(q)
     while f != [1]:
         chain, f = _sturm_chain(f)
-        if f == [1] and not chains:  # p is square-free and heads its chain
-            chain[0] = q
+        if not chains:  # p's integer chain, for exact signs; q heads it when p is square-free
+            exact, chain = chain, [q, *chain[1:]] if f == [1] else chain
         chains.append([_normalized(g) for g in chain])
     chain, *deeper = chains
-    poly = chain[0]  # p / g1, the square-free part
+    head = [0] * (6 - len(exact[0])) + exact[0]  # p / g1, the square-free part
 
     lo, hi = -bound, bound
     vlo, vhi = _variations(chain, lo), _variations(chain, hi)
-    if vlo <= vhi:
-        raise SturmOverflow(
-            f"Sturm chain counts no real root in [-B, B] for B = {bound!r}: "
-            f"V(-B) = {vlo}, V(B) = {vhi}")
-    return [(_refine_root(poly, blo, bhi),
+    if vlo <= vhi:  # float signs count no root: exact ones count every one in (-B, B)
+        signs = [[s for g in exact if (s := _sign_between([0] * (6 - len(g)) + g, x, x))]
+                 for x in (lo, hi)]
+        vlo, vhi = (sum(s != t for s, t in zip(v, v[1:])) for v in signs)
+    return [(_refine_root(chain[0], head, blo, bhi, None if deeper else q),
              count + sum([_variations(c, blo) - _variations(c, bhi) for c in deeper]))
             for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi)]
 
@@ -292,58 +292,82 @@ def _isolate(
     return brackets
 
 
-def _refine_root(poly: Sequence[float], lo: float, hi: float) -> float:
-    a, b, c, d, e, f = poly
+def _refine_root(head: Sequence[float], exact: Sequence[int], lo: float, hi: float,
+                 own: Sequence[float] | None = None) -> float:
+    """The float nearest the root of the square-free head in the bracket (lo, hi]: head
+    its floats that isolation counted on, exact its integers, and own p's own floats when
+    p is square-free.  Oriented by head's signs at the ends, or by exact ones where those
+    show no change, Illinois regula falsi (Dowell & Jarratt, BIT 1971) on own, else head,
+    closes the bracket to adjacent floats, kept 1/16 of it from each of isolation's ends,
+    which can be probes on a neighbouring root, until that end moves.  The exact sign midway
+    picks the nearer float; on head's rounded floats exact signs first walk out, the step
+    doubling, and bisect to the pair that holds the root."""
+    a, b, c, d, e, f = head
     flo = ((((a * lo + b) * lo + c) * lo + d) * lo + e) * lo + f
     fhi = ((((a * hi + b) * hi + c) * hi + d) * hi + e) * hi + f
-    if fhi == 0.0:
-        return hi
     if flo == 0.0:  # the bracket is (lo, hi]: that zero is the left neighbour's root
         flo = -fhi
-    elif (flo > 0.0) == (fhi > 0.0):
-        # no sign change (endpoint noise); fall back to clipped Newton from the midpoint
-        return _newton_polish(poly, 0.5 * (lo + hi), lo, hi)
-    positive, tol = flo > 0.0, ROOT_TOL  # p's sign at lo, which lo keeps: it moves only onto it
-    while hi - lo > tol:
-        x = 0.5 * (lo + hi)
-        if x <= lo or x >= hi:
-            break
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        slo, shi = _sign_between(exact, lo, lo), _sign_between(exact, hi, hi)
+        if shi == 0:  # a root at hi: the bracket's, unless the sign changes before it
+            shi = _sign_between(exact, math.nextafter(hi, lo), math.nextafter(hi, lo))
+            if shi == (slo or shi):
+                return hi
+        flo, fhi = float(slo or -shi), float(shi)
+        if flo == fhi:  # no exact sign change is left
+            return 0.5 * (lo + hi)
+    positive, low, high, side = flo > 0.0, 0.0625, 0.9375, 0  # the sign left of the root
+    a, b, c, d, e, f = own or head
+    while True:
+        r = flo / (flo - fhi)  # the secant's place in the bracket, kept in [low, high]
+        x = lo + (hi - lo) * (low if r < low else high if r > high else r)
+        if not lo < x < hi:  # on an end: one float in from it, or halfway if r is 0, 1 or NaN
+            x = (math.nextafter(hi, lo) if 0.5 < r < 1.0 else math.nextafter(lo, hi)
+                 if 0.0 < r <= 0.5 else 0.5 * (lo + hi))
+            if not lo < x < hi:
+                break
         fx = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == positive:
-            lo = x
+        if fx == 0.0:  # the root is within the rounding noise: x or the float above it
+            lo, hi = x, math.nextafter(x, math.inf)
+            break
+        if (fx > 0.0) == positive:  # Illinois: halve the other end's value on a repeat
+            lo, flo, low = x, fx, 0.0
+            if side < 0:
+                fhi *= 0.5
+            side = -1
         else:
-            hi = x
-    return _newton_polish(poly, 0.5 * (lo + hi), lo, hi)
+            hi, fhi, high = x, fx, 1.0
+            if side > 0:
+                flo *= 0.5
+            side = 1
+    if own is None:
+        s = _sign_between(exact, lo, lo)
+        if s == 0:
+            return lo
+        step = math.ulp(lo) if (s > 0) == positive else -math.ulp(lo)
+        while _sign_between(exact, lo + step, lo + step) == s:
+            lo, step = lo + step, 2.0 * step
+        lo, hi = min(lo, lo + step), max(lo, lo + step)
+        while lo < (x := 0.5 * (lo + hi)) < hi:
+            lo, hi = (x, hi) if (_sign_between(exact, x, x) > 0) == positive else (lo, x)
+    return hi if (_sign_between(exact, lo, hi) > 0) == positive else lo
 
 
-def _newton_polish(poly: Sequence[float], x: float, lo: float, hi: float) -> float:
+def _sign_at(poly: Sequence[int], n: int, k: int) -> int:
+    """The exact sign of the integer polynomial poly (six coefficients, leading zeros
+    allowed) at n / 2^k, k >= 0: that of poly(n / 2^k) 2^5k, straight-line Horner on ints."""
     a, b, c, d, e, f = poly
-    db, dc, dd, de, df = 5.0 * a, 4.0 * b, 3.0 * c, 2.0 * d, e  # the derivative
-    fx = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
-    best, best_val = x, abs(fx)
-    # the step is a function of x alone, so once an iterate repeats only
-    # values already compared against best come back
-    seen = {x}
-    for _ in range(40):
-        dx = (((db * x + dc) * x + dd) * x + de) * x + df
-        if dx == 0.0:
-            break
-        step = fx / dx
-        x -= step
-        if x < lo or x > hi:
-            x = min(max(x, lo), hi)
-        if x in seen:
-            break
-        seen.add(x)
-        fx = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
-        val = abs(fx)
-        if val < best_val:
-            best, best_val = x, val
-        if abs(step) <= 1e-17 * max(1.0, abs(x)):
-            break
-    return best
+    v = ((((a * n + (b << k)) * n + (c << 2 * k)) * n + (d << 3 * k)) * n + (e << 4 * k)) * n
+    v += f << 5 * k
+    return (v > 0) - (v < 0)
+
+
+def _sign_between(poly: Sequence[int], lo: float, hi: float) -> int:
+    """The exact sign of poly at (lo + hi) / 2 for finite floats lo and hi (at lo when equal)."""
+    (n, d), (m, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if d < e:
+        n, d, m, e = m, e, n, d
+    return _sign_at(poly, n + m * (d // e), d.bit_length())
 
 
 def worst_item(items: Iterable[tuple[str, float]]) -> tuple[str, float]:

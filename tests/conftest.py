@@ -497,44 +497,51 @@ def fraction_sturm_chain(coeffs):
     return [[_frac_to_floats(f) for f in chain] for chain in exact_sturm_chains(coeffs)]
 
 
-def poly_derivative(coeffs):
-    n = len(coeffs) - 1
-    return [coeffs[i] * (n - i) for i in range(n)]
-
-
 def pad(coeffs):
     """Six coefficients, leading zeros first, as the root finder's kernels take them."""
     return (0.0,) * (6 - len(coeffs)) + tuple(coeffs)
 
 
 # The root finder's loops as they were written on generic Horner over the
-# unpadded coefficient lists, on the rational chains: the reference that the
-# fixed-degree kernel must match bit for bit, at the same refinement width of
-# 1e-12.  A root's multiplicity is its bracket's count plus each gcd chain's
+# unpadded coefficient lists, on the rational chains, with every exact sign
+# taken in Fractions: the reference that the fixed-degree kernel must match bit
+# for bit.  A root's multiplicity is its bracket's count plus each gcd chain's
 # count at the bracket ends.
+
+
+def fraction_sign(poly, x) -> int:
+    """The sign of the Fraction polynomial poly at the rational x."""
+    value = Fraction(0)
+    for c in poly:
+        value = value * x + c
+    return (value > 0) - (value < 0)
 
 
 def reference_real_roots(q: Quintic) -> list[tuple[float, int]]:
     bound = cauchy_bound(q)
-    chain, *deeper = fraction_sturm_chain(q)
-    square_free = chain[0]
+    exact_chains = exact_sturm_chains(q)
+    chain, *deeper = [[_frac_to_floats(f) for f in c] for c in exact_chains]
     lo, hi = -bound, bound
     vlo, vhi = _reference_variations(chain, lo), _reference_variations(chain, hi)
     if vlo <= vhi:
-        raise SturmOverflow(
-            f"Sturm chain counts no real root in [-B, B] for B = {bound!r}: "
-            f"V(-B) = {vlo}, V(B) = {vhi}")
+        vlo, vhi = (_exact_reference_variations(exact_chains[0], x) for x in (lo, hi))
     brackets = _reference_isolate(chain, lo, hi, vlo, vhi)
-    d_square_free = poly_derivative(square_free)
+    # refined on p's own floats when p is square-free
+    own = None if deeper else list(q)
     roots = []
     for blo, bhi, count in brackets:
-        root = _reference_refine_root(square_free, d_square_free, blo, bhi)
+        root = reference_refine_root(chain[0], exact_chains[0][0], blo, bhi, own)
         for gcd_chain in deeper:
             count += (_reference_variations(gcd_chain, blo)
                       - _reference_variations(gcd_chain, bhi))
         roots.append((root, count))
     roots.sort(key=lambda pair: pair[0])
     return roots
+
+
+def _exact_reference_variations(chain, x):
+    signs = [s for s in (fraction_sign(poly, Fraction(x)) for poly in chain) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _reference_variations(chain, x):
@@ -574,47 +581,80 @@ def _reference_isolate(chain, lo, hi, vlo, vhi):
     return brackets
 
 
-def _reference_refine_root(poly, dpoly, lo, hi):
-    flo = evaluate(poly, lo)
-    fhi = evaluate(poly, hi)
-    if fhi == 0.0:
-        return hi
+def reference_refine_root(head, exact, lo, hi, own):
+    """Illinois regula falsi from the bracket (lo, hi], oriented by head's float
+    signs at its ends (else by exact ones), on own's floats when given (else on
+    head's) down to adjacent floats: the secant's place kept in [1/16, 15/16] of
+    the bracket until that end has moved, a point that rounds onto an end moved
+    one float in (halfway when r is 0, 1 or NaN), and a float zero ending it; then, on the exact head
+    (Fractions), the sign midway picks the nearer float, after a doubling walk
+    and a bisection to the pair that holds the root when own is None."""
+    flo, fhi = evaluate(head, lo), evaluate(head, hi)
     if flo == 0.0:
         flo = -fhi
-    elif (flo > 0.0) == (fhi > 0.0):
-        return _reference_newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        slo, shi = fraction_sign(exact, Fraction(lo)), fraction_sign(exact, Fraction(hi))
+        if shi == 0:
+            shi = fraction_sign(exact, Fraction(math.nextafter(hi, lo)))
+            if slo == 0 or shi == slo:
+                return hi
+        if slo == 0:
+            slo = -shi
+        if slo == shi:
+            return 0.5 * (lo + hi)
+        flo, fhi = float(slo), float(shi)
+    poly = head if own is None else own
+    positive = flo > 0.0
+    moved_lo = moved_hi = False
+    side = 0
+    while True:
+        r = flo / (flo - fhi)
+        if not moved_lo and r < 0.0625:
+            r = 0.0625
+        if not moved_hi and r > 0.9375:
+            r = 0.9375
+        x = lo + (hi - lo) * r
+        if not lo < x < hi:
+            if 0.5 < r < 1.0:
+                x = math.nextafter(hi, lo)
+            elif 0.0 < r <= 0.5:
+                x = math.nextafter(lo, hi)
+            else:  # an infinite, zero or NaN value: no secant
+                x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = evaluate(poly, x)
+        if fx == 0.0:
+            lo, hi = x, math.nextafter(x, math.inf)
             break
-        fmid = evaluate(poly, mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+        if (fx > 0.0) == positive:
+            lo, flo, moved_lo = x, fx, True
+            if side == -1:
+                fhi /= 2
+            side = -1
         else:
-            hi, fhi = mid, fmid
-    return _reference_newton_polish(poly, dpoly, 0.5 * (lo + hi), lo, hi)
+            hi, fhi, moved_hi = x, fx, True
+            if side == 1:
+                flo /= 2
+            side = 1
 
+    def left_of_root(x):
+        return (fraction_sign(exact, x) > 0) == positive
 
-def _reference_newton_polish(poly, dpoly, x, lo, hi):
-    best = x
-    best_val = abs(evaluate(poly, x))
-    seen = {x}
-    for _ in range(40):
-        d = evaluate(dpoly, x)
-        if d == 0.0:
-            break
-        step = evaluate(poly, x) / d
-        x -= step
-        if x < lo or x > hi:
-            x = min(max(x, lo), hi)
-        if x in seen:
-            break
-        seen.add(x)
-        val = abs(evaluate(poly, x))
-        if val < best_val:
-            best, best_val = x, val
-        if abs(step) <= 1e-17 * max(1.0, abs(x)):
-            break
-    return best
+    if own is None:
+        s = fraction_sign(exact, Fraction(lo))
+        if s == 0:
+            return lo
+        step = math.ulp(lo) if (s > 0) == positive else -math.ulp(lo)
+        while fraction_sign(exact, Fraction(lo + step)) == s:
+            lo, step = lo + step, 2 * step
+        lo, hi = min(lo, lo + step), max(lo, lo + step)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if left_of_root(Fraction(mid)):
+                lo = mid
+            else:
+                hi = mid
+    return hi if left_of_root((Fraction(lo) + Fraction(hi)) / 2) else lo

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origami_quintic import (
     CHI_EQUALS_N,
@@ -23,7 +25,7 @@ from origami_quintic import (
 )
 from origami_quintic.foldconfig import balance
 from origami_quintic.foldsolve import _config_values, _reconstruct, check_roundtrip
-from origami_quintic.geometry import reflect_abc, reflect_xy
+from origami_quintic.geometry import canonical_abc, reflect_abc, reflect_xy, triple_gap
 from origami_quintic.polynomial import Quintic
 
 from conftest import (
@@ -528,3 +530,31 @@ def test_roots_below_the_isolation_floor_are_found_or_refused():
     got = [s.t for s in sols]
     assert len(got) == len(want)
     assert all(abs(g - w) <= 1e-9 * abs(w) for g, w in zip(got, want))
+
+
+_moderate = st.floats(-10.0, 10.0)
+
+
+# _reconstruct tests chi's normal against n's by their cross product before it
+# compares their canonical triples; the diagnostics must be those of the
+# triple gap alone: at xi perpendicular to n (t = b h, chi = n) and nearby, where
+# the gap crosses 1e-9, at xi parallel to n (t = -h / b), and at a t that is
+# not finite, where chi and the residuals are NaN
+@settings(max_examples=500, deadline=None)
+@given(b=_moderate, c=_moderate, k=_moderate, p=_moderate, q=_moderate, h=st.floats(0.01, 10.0),
+       t=st.one_of(st.floats(-100.0, 100.0), st.sampled_from((math.inf, -math.inf, math.nan))),
+       kind=st.sampled_from(("free", "perpendicular", "parallel")),
+       offset=st.sampled_from((0.0, 1e-12, -1e-11, 3e-10, 1e-9, -2e-9, 5e-9, 1e-8)))
+def test_chi_equals_n_is_the_triple_gap_rule(b, c, k, p, q, h, t, kind, offset):
+    if kind == "perpendicular":
+        t = b * h + offset
+    elif kind == "parallel" and b:
+        t = -h / b + offset
+    cfg = make_config(h=h, b=b, c=c, k=k, p=p, q=q)
+    sol = _reconstruct(cfg, t, _config_values(cfg, Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 1.0), 0))
+    n_canonical = canonical_abc(1.0, b, c, math.hypot(1.0, b))
+    chi = canonical_abc(*sol.chi, math.hypot(sol.chi.a, sol.chi.b))
+    want = (CHI_EQUALS_N,) if triple_gap(chi, n_canonical) <= 1e-9 else ()
+    if math.hypot(sol.p_image.x - p, sol.p_image.y - q) <= 1e-9 * (1.0 + abs(p) + abs(q)):
+        want += (LOW_CONFIDENCE,)
+    assert sol.diagnostics == want

@@ -21,9 +21,9 @@ from origami_quintic.polynomial import (
     _depressed_in_u,
     _integer_coefficients,
     _isolate,
-    _newton_polish,
     _normalized,
     _refine_root,
+    _sign_at,
     _sturm_chain,
     _variations,
     cauchy_bound,
@@ -36,10 +36,10 @@ from conftest import (
     HENDECAGON,
     HENDECAGON_ROOTS,
     exact_sturm_chains,
+    fraction_sign,
     fraction_sturm_chain,
     outcome,
     pad,
-    poly_derivative,
     reference_parse_coefficient,
     reference_real_roots,
 )
@@ -306,31 +306,6 @@ def integer_sturm_chain(coeffs):
     return chains
 
 
-def reference_newton_polish(poly, dpoly, x, lo, hi):
-    """The 40-step polish without the repeated-iterate exit; also reports
-    whether the iterates ran into a cycle."""
-    best = x
-    best_val = abs(evaluate(poly, x))
-    seen = {x}
-    cycled = False
-    for _ in range(40):
-        d = evaluate(dpoly, x)
-        if d == 0.0:
-            break
-        step = evaluate(poly, x) / d
-        x -= step
-        if x < lo or x > hi:
-            x = min(max(x, lo), hi)
-        cycled = cycled or x in seen
-        seen.add(x)
-        val = abs(evaluate(poly, x))
-        if val < best_val:
-            best, best_val = x, val
-        if abs(step) <= 1e-17 * max(1.0, abs(x)):
-            break
-    return best, cycled
-
-
 # floats with binary exponents spanning about 1e-300 to 1e300, zero included
 wide_floats = st.builds(
     math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-997, 996)
@@ -481,33 +456,6 @@ class TestSturmChain:
         assert chains[2] == [[1.0, -1.0], [1.0]]
 
 
-class TestNewtonPolish:
-    """The repeated-iterate exit returns what the full 40 steps return."""
-
-    def test_two_cycle(self):
-        # Newton on t^3 - 2t + 2 from 0 alternates 0, 1, 0, 1, ...
-        poly, dpoly = [1.0, 0.0, -2.0, 2.0], [3.0, 0.0, -2.0]
-        want, cycled = reference_newton_polish(poly, dpoly, 0.0, -10.0, 10.0)
-        assert cycled
-        assert _newton_polish(pad(poly), 0.0, -10.0, 10.0) == want == 1.0
-
-    def test_starts_next_to_roots(self):
-        rng = np.random.default_rng(41)
-        cycled_starts = 0
-        for _ in range(200):
-            q = Quintic(1.0, *rng.uniform(-5, 5, size=5))
-            poly = integer_sturm_chain(q)[0][0]
-            dpoly = poly_derivative(poly)
-            for root, _ in real_roots(q):
-                lo, hi = root - 1e-12, root + 1e-12
-                for x in (root, math.nextafter(root, lo), math.nextafter(root, hi), lo, hi):
-                    want, cycled = reference_newton_polish(poly, dpoly, x, lo, hi)
-                    assert _newton_polish(pad(poly), x, lo, hi) == want
-                    cycled_starts += cycled
-        # the exit must actually be taken for the comparison to mean anything
-        assert cycled_starts >= 100
-
-
 # zeros of both signs, subnormals, the normal edge and the largest floats
 EDGE_FLOATS = st.sampled_from([
     0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
@@ -581,13 +529,32 @@ def test_nan_head_at_a_probe_is_named():
         _isolate(chain, -1.0, 1.0, 2, 0)
 
 
-def test_zero_count_at_the_bound_is_named():
-    # Horner overflows at the bound and both ends count two sign variations;
-    # a quintic has a real root, so an empty result would be wrong
+def is_nearest_float(poly, root):
+    """Whether the Fraction polynomial poly changes sign or vanishes between the
+    midpoints of the float root and its two neighbours: root is the float
+    nearest a root of poly."""
+    here = Fraction(root)
+    below, above = (Fraction(math.nextafter(root, to)) for to in (-math.inf, math.inf))
+    return fraction_sign(poly, (here + below) / 2) * fraction_sign(poly, (here + above) / 2) <= 0
+
+
+def test_zero_float_count_at_the_bound_is_recounted_exactly():
+    # Horner overflows at the bound and both ends count two float sign
+    # variations; the exact signs count the one real root, just beyond -a4
     q = Quintic(1.0, 7.95088381429319e+223, 9.677853493331734e-286, 0.0,
                 -2.155796641012135e-109, 1.445915818892557e-103)
-    with pytest.raises(SturmOverflow, match=r"B = 7\.950883814293191e\+223: V\(-B\) = 2, V\(B\) = 2"):
-        real_roots(q)
+    assert real_roots(q) == [(-7.95088381429319e+223, 1)]
+    assert is_nearest_float(exact_sturm_chains(q)[0][0], -7.95088381429319e+223)
+
+
+def test_root_within_an_ulp_of_the_bound_is_found():
+    # the root lies 6.6e-9 below B = 100663297.0, where the float signs of the
+    # chain count V(-B) = V(B) = 3; the exact ones count it, and B is the float
+    # nearest it, 0.44 ulp away
+    q = Quintic(1, -100663296, -100663296, -33554432, -1, -1)
+    assert cauchy_bound(q) == 100663297.0
+    assert real_roots(q) == [(100663297.0, 1)]
+    assert is_nearest_float(exact_sturm_chains(q)[0][0], 100663297.0)
 
 
 class TestMultiplicity:
@@ -670,7 +637,50 @@ def test_roots_come_strictly_ascending(rest):
 def test_zero_at_the_lower_end_belongs_to_the_left_bracket():
     # (t + 2)(t + 1)(t - 1) on (-2, 0]: -2 is outside the bracket, -1 inside
     poly = _normalized([1, 2, -1, -2])
-    assert _refine_root(poly, -2.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert _refine_root(poly, [0, 0, 1, 2, -1, -2], -2.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+
+
+class TestRefinement:
+    """Illinois on the head's floats, then exact signs pick the nearer float."""
+
+    def test_exact_roots_of_a_triple_root_quintic(self):
+        # (t + 3/4)^3 (t - 1)(t + 2): the floats of the head (t + 3/4)(t - 1)(t + 2)
+        # are rounded, so only the walk on exact signs lands on -2 itself
+        q = Quintic(1, 3.25, 1.9375, -2.390625, -2.953125, -0.84375)
+        assert real_roots(q) == [(-2.0, 1), (-0.75, 3), (1.0, 1)]
+
+    def test_hendecagon_roots_are_nearest_floats(self, hendecagon):
+        head = exact_sturm_chains(hendecagon)[0][0]
+        roots = [t for t, _ in real_roots(hendecagon)]
+        assert len(roots) == 5 and all(is_nearest_float(head, t) for t in roots)
+
+    def test_probes_on_neighbouring_roots(self):
+        # (t + 5/2)(t + 2)(t + 3/2)(t + 1/2)(t - 2): isolation's probes land on
+        # neighbouring roots, where the float values are noise, so the secant
+        # must keep away from those ends or it returns a neighbour's root. Each
+        # root is no farther from its exact root than the bisection and Newton
+        # polish of schema 6 put it
+        q = Quintic(1, 4.5, 1.75, -16.125, -23, -7.5)
+        exact = [Fraction(-5, 2), Fraction(-2), Fraction(-3, 2), Fraction(-1, 2), Fraction(2)]
+        polished = [-2.5000000000000027, -1.9999999999999953, -1.5000000000000016, -0.5, 2.0]
+        roots = real_roots(q)
+        assert [m for _, m in roots] == [1] * 5
+        for (t, _), want, before in zip(roots, exact, polished):
+            assert abs(Fraction(t) - want) <= abs(Fraction(before) - want)
+
+    # points as refinement takes them, float or midway between two: either
+    # sign, subnormal, and near 2^1000
+    @settings(max_examples=400, deadline=None)
+    @given(
+        poly=st.lists(st.integers(-9, 9) | st.integers(-2**80, 2**80), min_size=6, max_size=6),
+        x=st.one_of(wide_floats, st.floats(-1e-307, 1e-307),
+                    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(990, 1024))),
+        offset=st.sampled_from((-1, 0, 1)),
+    )
+    def test_sign_at_is_the_sign_of_the_fraction_value(self, poly, x, offset):
+        n, d = x.as_integer_ratio()
+        n, k = 2 * n + offset, d.bit_length()
+        assert _sign_at(poly, n, k) == fraction_sign(poly, Fraction(n, 2**k))
 
 
 # rounding boundaries, written out exactly: the midpoint between the largest
