@@ -60,7 +60,7 @@ def _head(raw: list[float], monic: Quintic) -> dict:
 
 
 def _config_dict(cfg: FoldConfig) -> dict:
-    out = cfg._asdict()
+    out = foldconfig.drawn(cfg)._asdict()  # the caller's lengths
     if not cfg.exponent:  # the quintic is its own frame: the key is left out
         del out["exponent"]
     return out
@@ -139,7 +139,7 @@ def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
             "constant term is zero: t = 0 is an exact root; the remaining factor is the "
             f"quartic {list(monic[:5])}, outside the two-fold construction"])
         return report, None, []
-    warnings = []
+    config, warnings = _config_dict(cfg), []
     solutions = foldsolve.solve_all(cfg, monic)
     for sol in solutions:
         for diag in sol.diagnostics:
@@ -148,7 +148,7 @@ def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
             name, worst = sol.residuals.worst_field
             warnings.append(f"residual {worst:.3e} ({name}) above tol {tol:.3e} at t = {sol.t!r}")
     elapsed = (time.perf_counter() - start) * 1000.0
-    report.update(config=_config_dict(cfg), solutions=[_solution_dict(s) for s in solutions],
+    report.update(config=config, solutions=[_solution_dict(s) for s in solutions],
                   warnings=warnings)
     if timing:
         report["timing_ms"] = elapsed
@@ -173,8 +173,9 @@ def cmd_config(args) -> int:
     raw = parse_coeffs(args.coeffs)
     monic = polynomial.normalize_monic(raw)
     cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=args.branch)
-    foldsolve.check_roundtrip(*foldconfig.in_frame(cfg, monic))
-    _dump({**_head(raw, monic), "config": _config_dict(cfg)}, args.json)
+    config = _config_dict(cfg)
+    foldsolve.check_roundtrip(cfg, foldconfig.balance(monic, cfg.exponent))
+    _dump({**_head(raw, monic), "config": config}, args.json)
     return EXIT_OK
 
 
@@ -192,9 +193,9 @@ def _match_roots(one: list, other: list) -> tuple[float | None, int]:
     return max(gaps, default=None), len(other)
 
 
-def _route(cfg: FoldConfig, roots: list) -> dict:
-    """A compare section: one route's configuration and its (root, multiplicity) roots."""
-    return {"config": _config_dict(cfg), "max_abs_parameter": cfg.max_abs_parameter,
+def _route(config: dict, roots: list) -> dict:
+    """A compare section: one route's configuration dict and its (root, multiplicity) roots."""
+    return {"config": config, "max_abs_parameter": max(abs(config[v]) for v in "hbckpq"),
             "roots": [t for t, _ in roots]}
 
 
@@ -202,6 +203,7 @@ def cmd_compare(args) -> int:
     raw = parse_coeffs(args.coeffs)
     monic = polynomial.normalize_monic(raw)
     direct_cfg = foldconfig.build_config(monic, h_override=args.h_override, branch=args.branch)
+    direct_config = _config_dict(direct_cfg)
     direct = [(s.t, s.multiplicity) for s in foldsolve.solve_all(direct_cfg, monic)]
     # the depressed-form route, exact in u = 5t + a4: choose_h picks its scale h;
     # its errors name it; a root u maps back to t = (u - a4) / 5, rounded once
@@ -212,6 +214,7 @@ def cmd_compare(args) -> int:
             raise ZeroConstantTerm("the depressed quintic's constant term is zero; "
                                    f"t = -a4/5 = {-na / (5 * da)!r} is a root")
         dep_cfg = foldconfig.build_config(depressed, branch=args.branch)
+        dep_config = _config_dict(dep_cfg)
         dep_sols = foldsolve.solve_all(dep_cfg, depressed)
     except OrigamiQuinticError as exc:  # the same class, so the same exit code
         raise type(exc)(f"depressed-form route: {exc}") from None
@@ -219,8 +222,8 @@ def cmd_compare(args) -> int:
               for s in dep_sols for nu, du in [s.t.as_integer_ratio()]]
     gap, unmatched = _match_roots(direct, mapped)
 
-    _dump({**_head(raw, monic), "direct": _route(direct_cfg, direct),
-           "depressed": {"quintic": depressed, **_route(dep_cfg, mapped)},
+    _dump({**_head(raw, monic), "direct": _route(direct_config, direct),
+           "depressed": {"quintic": depressed, **_route(dep_config, mapped)},
            "max_root_gap": gap, "unmatched_roots": unmatched}, args.json)
     return EXIT_OK
 

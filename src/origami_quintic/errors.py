@@ -18,9 +18,9 @@ class ZeroConstantTerm(OrigamiQuinticError):
 
 
 class InexactFrame(OrigamiQuinticError):
-    """A coefficient or length does not scale exactly into or out of the
-    quintic's 2^e frame: it overflows, underflows, or is a subnormal that
-    loses bits.  The quintic has roots at scales too far apart for one frame.
+    """A coefficient does not scale exactly into the quintic's 2^e frame, or
+    a length out of it where a report or a drawing writes it: it overflows,
+    underflows, or is a subnormal that loses bits.  The quintic has roots at scales too far apart for one frame.
     Also: a coefficient of the quintic in u = 5t + a4 overflows, or its constant underflows."""
 
 

@@ -14,9 +14,10 @@ Scaling every length of a configuration by s, and keeping the slope b,
 scales coefficient i of its quintic by s^i: the same folds drawn s times
 larger solve the quintic whose roots are s times larger.  So each quintic
 is built in its 2^e frame, ``balance(q, e)``, whose roots are those of q
-divided by 2^e; with s a power of two both directions are exact, or
-refused with InexactFrame.  The configuration comes back in the caller's
-frame, its lengths times 2^e, and carries e as ``exponent``.
+divided by 2^e, and its configuration stays there, with e as ``exponent``:
+drawn 2^k times larger it is ``cfg._replace(exponent=cfg.exponent + k)``.
+``drawn`` gives the caller's lengths, times 2^e, where a report or a drawing
+writes them; with s a power of two both directions are exact, or InexactFrame.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ BRANCHES = ("plus", "minus")
 class FoldConfig(NamedTuple):
     """Solved configuration parameters plus the derived points and lines.
 
-    The lengths h, c, k, p and q are in the caller's frame: those built in
-    the 2^exponent frame, times 2^exponent.  The slope b is the same in every
-    frame, and D is the frame's (in the caller's it is 2^(10 exponent) times
-    larger, beyond the float range from |exponent| of about 103).
+    Every value is the 2^exponent frame's: the lengths h, c, k, p and q, the
+    slope b (the same in every frame) and D (2^(10 exponent) times larger in
+    the caller's frame, beyond the float range from |exponent| of about 103).
+    The caller sees it drawn 2^exponent times larger, ``drawn(cfg)``.
     """
 
     h: float
@@ -81,10 +82,6 @@ class FoldConfig(NamedTuple):
     @property
     def line_n(self) -> Line:
         return Line(1.0, self.b, self.c)
-
-    @property
-    def max_abs_parameter(self) -> float:
-        return max(abs(v) for v in (self.h, self.b, self.c, self.k, self.p, self.q))
 
 
 def forward_coefficients(
@@ -155,19 +152,15 @@ def balance(q: Quintic, e: int) -> Quintic:
                                                  _COEFFICIENTS, e)))
 
 
-def rescale(cfg: FoldConfig, shift: int) -> FoldConfig:
-    """cfg drawn 2^shift times larger: every length times 2^shift, each exactly
-    or InexactFrame, and the exponent raised by shift."""
-    if not shift:
+def drawn(cfg: FoldConfig) -> FoldConfig:
+    """cfg's values as the caller sees them, for a report or a drawing to
+    write: every length times 2^exponent, each exactly or InexactFrame; b, D
+    and exponent as they are.  solve_all and verify take cfg itself."""
+    e = cfg.exponent
+    if not e:
         return cfg
-    h, c, k, p, q = _scaled((cfg.h, cfg.c, cfg.k, cfg.p, cfg.q), (shift,) * 5, "hckpq",
-                            cfg.exponent or shift)  # into the frame, or out of it
-    return FoldConfig(h, cfg.b, c, k, p, q, cfg.branch, cfg.D, cfg.exponent + shift)
-
-
-def in_frame(cfg: FoldConfig, q: Quintic) -> tuple[FoldConfig, Quintic]:
-    """The configuration and its quintic in the configuration's frame."""
-    return rescale(cfg, -cfg.exponent), balance(q, cfg.exponent)
+    h, c, k, p, q = _scaled((cfg.h, cfg.c, cfg.k, cfg.p, cfg.q), (e,) * 5, "hckpq", e)
+    return FoldConfig(h, cfg.b, c, k, p, q, cfg.branch, cfg.D, e)
 
 
 # the range of h in the frame, 2^_LOW to 2^_HIGH: from 2^_LOW every power of h
@@ -280,12 +273,13 @@ def build_config(
     Balances q by e = balance_exponent(q), picks h there (unless overridden:
     h_override is the caller's h, 2^e times the frame's), solves (b, c) on
     the branch, one of BRANCHES (else ValueError), then (k, p, q) in closed
-    form, and hands the configuration back in the caller's frame.  P on line
-    l (p = k) is never perturbed silently: an h that build_config chose
-    itself moves on to the next h of the trial sequence with D >= 0, and an
-    overriding h raises DegenerateP.  An h_override outside [H_MIN, H_MAX] in
-    the frame is a ValueError naming it as the caller gave it, raised before
-    the constant term is looked at; every other error names the frame's values.
+    form, and hands the configuration back in the frame, e its exponent.  P
+    on line l (p = k) is never perturbed silently: an h that build_config
+    chose itself moves on to the next h of the trial sequence with D >= 0,
+    and an overriding h raises DegenerateP.  An h_override outside [H_MIN,
+    H_MAX] in the frame is a ValueError naming it as the caller gave it,
+    raised before the constant term is looked at; every other error names
+    the frame's values.
     """
     _check_branch(branch)
     e = balance_exponent(q)
@@ -300,22 +294,22 @@ def build_config(
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
     q = balance(q, e)
     if h_override is not None:
-        return rescale(_config_at(q, h, branch), e)
+        return _config_at(q, h, branch, e)
     for h in H_TRIALS[H_TRIALS.index(choose_h(q)):]:  # choose_h's h has D >= 0
         if discriminant(q, h) >= 0.0:
             try:
-                return rescale(_config_at(q, h, branch), e)
+                return _config_at(q, h, branch, e)
             except DegenerateP as exc:
                 degenerate = exc
     raise degenerate
 
 
-def _config_at(q: Quintic, h: float, branch: str) -> FoldConfig:
-    """The configuration at this h and branch; DegenerateP when P lies on l."""
+def _config_at(q: Quintic, h: float, branch: str, e: int) -> FoldConfig:
+    """q's configuration in its 2^e frame at this h and branch; DegenerateP when P lies on l."""
     b, c, d = compute_bc(q, h, branch)
     k, p, q_point = compute_kpq(q, h, b, c)
     if abs(p - k) <= 1e-12 * max(abs(k), abs(p)):  # 12 digits at every scale
         raise DegenerateP(
             f"P lies on line l (p = k = {k:.6g}) at h = {h:.6g}; retry with a different h"
         )
-    return FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q_point, branch=branch, D=d)
+    return FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q_point, branch=branch, D=d, exponent=e)

@@ -6,9 +6,9 @@ the alignment incidence holds by construction, without a branch, and is
 not measured; the remaining incidences (Q' on m, P' on l, the bisector
 relation, the parallel-case equidistance) are measured as numeric residuals.
 
-Everything is measured in the configuration's 2^e frame, so a residual
-means the same at every scale: lengths in units of 2^e.  The roots, folds
-and images come back in the caller's frame.
+Everything is measured in the configuration's 2^e frame, where it lives,
+so a residual means the same at every scale: lengths in units of 2^e.  The
+roots, folds and images come back in the caller's frame.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigMismatch
-from .foldconfig import FoldConfig, config_quintic, in_frame, rescale
+from .foldconfig import FoldConfig, balance, config_quintic
 from .geometry import (
     PARALLEL_TOL,
     Line,
@@ -76,25 +76,24 @@ class FoldSolution(NamedTuple):
 
 def verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:
     """Measure every incidence residual for the candidate parameter t, which
-    is in the caller's frame; the residuals are the frame's.
+    is in the caller's frame and taken to cfg's; the residuals are the frame's.
 
     Outside the parallel case the xi-n intersection is recomputed and its
     distance to chi reported; inside it, a chi off xi's direction, or one
     whose c is NaN once t*t overflows, gives a NaN equidistant residual.
     Thresholding the residuals is the caller's call.
     """
-    frame = rescale(cfg, -cfg.exponent)
-    fixed = _config_values(frame, config_quintic(frame), cfg.exponent)
-    return _reconstruct(frame, t * 2.0**-cfg.exponent, fixed).residuals
+    fixed = _config_values(cfg, config_quintic(cfg))
+    return _reconstruct(cfg, t * 2.0**-cfg.exponent, fixed).residuals
 
 
-def _config_values(cfg: FoldConfig, quintic: Quintic, e: int) -> tuple:
+def _config_values(cfg: FoldConfig, quintic: Quintic) -> tuple:
     """What _reconstruct needs that is fixed for the configuration, in its
     frame: |n|, n's canonical triple, the low-confidence threshold, the
-    quintic itself and 2^e, the caller's unit of length."""
+    quintic itself and 2^exponent, the caller's unit of length."""
     nn = math.hypot(1.0, cfg.b)
     return (nn, canonical_abc(1.0, cfg.b, cfg.c, nn), 1e-9 * (1.0 + abs(cfg.p) + abs(cfg.q)),
-            quintic, 2.0**e)
+            quintic, 2.0**cfg.exponent)
 
 
 def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1) -> FoldSolution:
@@ -151,8 +150,8 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
 def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> Quintic:
     """The configuration's quintic; ConfigMismatch unless it reproduces the
     six coefficients within a coefficient gap of 1e-8.  Both are taken as
-    they are: ``in_frame`` brings a built configuration and its quintic to
-    the frame where the gap means the same at every scale."""
+    they are: a built configuration is in its frame, and ``balance`` takes
+    its quintic there, where the gap means the same at every scale."""
     try:
         quintic = config_quintic(cfg)
     except OverflowError:  # a power of h beyond the float range
@@ -168,9 +167,9 @@ def check_roundtrip(cfg: FoldConfig, coeffs: Sequence[float]) -> Quintic:
 def solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
     """One verified FoldSolution per distinct real root of the source quintic.
 
-    The configuration and the source are taken to the configuration's 2^e
-    frame, where the configuration must pass ``check_roundtrip`` against
-    the source coefficients, otherwise ConfigMismatch, and where the roots
+    The source is taken to the configuration's 2^e frame, where the
+    configuration must pass ``check_roundtrip`` against the source
+    coefficients, otherwise ConfigMismatch, and where the roots
     are those of ``real_roots``, whose refinement is deterministic, so a stored
     solve rebuilds bit for bit; each comes back as 2^e times the frame's.
     Solutions come back sorted ascending in t; s is read off the image of P.
@@ -179,6 +178,6 @@ def solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
     root shares, |n|, n's canonical triple, the low-confidence threshold,
     the quintic's coefficients and 2^e, is computed once.
     """
-    frame, source = in_frame(cfg, source)
-    fixed = _config_values(frame, check_roundtrip(frame, source), cfg.exponent)
-    return [_reconstruct(frame, root, fixed, mult) for root, mult in real_roots(source)]
+    source = balance(source, cfg.exponent)
+    fixed = _config_values(cfg, check_roundtrip(cfg, source))
+    return [_reconstruct(cfg, root, fixed, mult) for root, mult in real_roots(source)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .foldconfig import FoldConfig
+from .foldconfig import FoldConfig, drawn
 from .foldsolve import FoldSolution
 from .geometry import Line, Point, foot_and_direction_abc
 
@@ -168,6 +168,7 @@ def render_gallery(cfg: FoldConfig, sols: list[FoldSolution]) -> str:
     """Grid of panels, one per solution, labeled a), b), ... in root order; ValueError if none."""
     if not sols:
         raise ValueError("gallery needs at least one solution")
+    cfg = drawn(cfg)  # in the caller's lengths, as the solutions are
     cols = 1 if len(sols) == 1 else 2
     rows = (len(sols) + cols - 1) // cols
     pw, ph = 460, 360

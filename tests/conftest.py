@@ -22,7 +22,7 @@ from origami_quintic import (
     real_roots,
 )
 from origami_quintic.errors import SingularSystem, SturmOverflow
-from origami_quintic.foldconfig import in_frame, rescale
+from origami_quintic.foldconfig import balance
 from origami_quintic.foldsolve import check_roundtrip
 from origami_quintic.polynomial import cauchy_bound
 from origami_quintic.geometry import (
@@ -125,10 +125,14 @@ def is_parallel(l1: Line, l2: Line) -> bool:
     return abs(det) <= PARALLEL_TOL * l1.norm * l2.norm
 
 
-def reference_verify(cfg: FoldConfig, t: float, xi: Line | None = None,
-                     chi: Line | None = None) -> IncidenceResiduals:
-    """The residuals at t in cfg's frame, where both are taken first."""
-    cfg, t = rescale(cfg, -cfg.exponent), math.ldexp(t, -cfg.exponent)
+def reference_verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:
+    """The residuals at the caller's t, taken first to cfg's frame."""
+    return _reference_residuals(cfg, math.ldexp(t, -cfg.exponent))
+
+
+def _reference_residuals(cfg: FoldConfig, t: float, xi: Line | None = None,
+                         chi: Line | None = None) -> IncidenceResiduals:
+    """The residuals at t, both in cfg's frame."""
     if xi is None:
         xi = fold_xi(t, cfg.h)
     if chi is None:
@@ -159,16 +163,16 @@ def reference_verify(cfg: FoldConfig, t: float, xi: Line | None = None,
 
 
 def reference_solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
-    """Every root solved in cfg's frame; the records are mapped back to the
-    caller's frame afterwards."""
+    """Every root solved in cfg's frame, where the source is taken first; the
+    records are mapped back to the caller's frame afterwards."""
     e = cfg.exponent
-    cfg, source = in_frame(cfg, source)
+    source = balance(source, e)
     check_roundtrip(cfg, source)
     solutions = []
     for root, mult in real_roots(source):
         xi = fold_xi(root, cfg.h)
         chi = reference_reflect_line(cfg.line_n, fold_xi(root, cfg.h))
-        residuals = reference_verify(cfg, root, xi=xi, chi=chi)
+        residuals = _reference_residuals(cfg, root, xi=xi, chi=chi)
         p_image = reference_reflect_point(cfg.point_p, chi)
         diagnostics = []
         if reference_canonical_gap(chi, cfg.line_n) <= 1e-9:
@@ -325,7 +329,8 @@ def parallel_case_check(cfg: FoldConfig, t: float, tol: float = 1e-9) -> bool:
         + 2.0 * cfg.b * (cfg.b * cfg.q + cfg.c)
         + cfg.b**3 * (cfg.k - cfg.p)
     )
-    return abs(value) <= tol * (1.0 + abs(cfg.h) + cfg.max_abs_parameter)
+    largest = max(abs(v) for v in (cfg.h, cfg.b, cfg.c, cfg.k, cfg.p, cfg.q))
+    return abs(value) <= tol * (1.0 + abs(cfg.h) + largest)
 
 
 def closed_form_kpq(

@@ -23,7 +23,7 @@ from origami_quintic import (
     solve_all,
     verify,
 )
-from origami_quintic.foldconfig import BRANCHES
+from origami_quintic.foldconfig import BRANCHES, drawn
 from origami_quintic.geometry import reflect_xy
 from origami_quintic.polynomial import Quintic, _depressed_in_u, coefficient_gap
 
@@ -125,7 +125,7 @@ def test_criterion_4_roundtrip_property_suite():
         coeffs = forward_coefficients(b, c, k, p, q, h)
         quintic = Quintic(1.0, *coeffs)
         for branch in BRANCHES:
-            cfg = build_config(quintic, h_override=h, branch=branch)
+            cfg = drawn(build_config(quintic, h_override=h, branch=branch))
             again = forward_coefficients(cfg.b, cfg.c, cfg.k, cfg.p, cfg.q, cfg.h)
             worst = max(worst, coefficient_gap(again, coeffs))
     elapsed = time.perf_counter() - start

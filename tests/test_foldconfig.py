@@ -26,7 +26,7 @@ from origami_quintic import (
     solve_all,
 )
 from origami_quintic.foldconfig import (BRANCHES, H_MAX, H_MIN, H_TRIALS, balance,
-                                       balance_exponent, rescale)
+                                       balance_exponent, drawn)
 from origami_quintic.polynomial import Quintic, _depressed_in_u, coefficient_gap
 
 from conftest import closed_form_kpq, exact_kpq, outcome, reference_compute_kpq
@@ -428,7 +428,7 @@ class TestBuildConfig:
 
     def test_scaled_hendecagon_roundtrip(self):
         cfg = build_config(SCALED_HENDECAGON, h_override=1.0, branch="plus")
-        produced = config_quintic(cfg)
+        produced = config_quintic(drawn(cfg))
         assert coefficient_gap(produced, SCALED_HENDECAGON) <= 1e-8
 
     def test_zero_constant_term(self):
@@ -471,7 +471,7 @@ class TestBuildConfig:
         with pytest.raises(DegenerateP):
             build_config(quintic, h_override=math.ldexp(choose_h(balance(quintic, e)), e))
         cfg = build_config(quintic)
-        assert cfg.h == h
+        assert drawn(cfg).h == h
         assert all(s.residuals.passes(1e-9) for s in solve_all(cfg, quintic))
 
     def test_branch_coincidence_at_zero_discriminant(self, hendecagon):
@@ -488,7 +488,7 @@ class TestBuildConfig:
         for branch, sign in zip(BRANCHES, (1.0, -1.0)):
             cfg = build_config(quintic, branch=branch)
             assert type(cfg.branch) is str and cfg.branch == branch
-            frame = balance(quintic, cfg.exponent), math.ldexp(cfg.h, -cfg.exponent)
+            frame = balance(quintic, cfg.exponent), math.ldexp(drawn(cfg).h, -cfg.exponent)
             assert (cfg.b, cfg.D) == compute_bc(*frame, branch)[::2]
             assert compute_bc(quintic, 1.0, branch)[0] == (979.0 + sign * math.sqrt(949637.0)) / 4
         # any other value, before the constant term is looked at
@@ -506,7 +506,7 @@ class TestBuildConfig:
             quintic = quintic_of(b, c, k, p, q, h)
             for branch in BRANCHES:
                 cfg = build_config(quintic, h_override=h, branch=branch)
-                gap = coefficient_gap(config_quintic(cfg), quintic)
+                gap = coefficient_gap(config_quintic(drawn(cfg)), quintic)
                 assert gap <= 1e-8
 
     def test_h_is_the_scale_of_the_depressed_form_route(self):
@@ -520,12 +520,12 @@ class TestBuildConfig:
             for c in (2.0**e for e in range(-3, 4)):
                 scaled = Quintic(1.0, *(d[i] / c**i for i in range(1, 6)))
                 try:
-                    cfg = build_config(d, h_override=c)
+                    cfg = drawn(build_config(d, h_override=c))
                 except OrigamiQuinticError as exc:
                     with pytest.raises(type(exc)):
-                        build_config(scaled, h_override=1.0)
+                        drawn(build_config(scaled, h_override=1.0))
                     continue
-                unit = build_config(scaled, h_override=1.0)
+                unit = drawn(build_config(scaled, h_override=1.0))
                 # bit for bit; D is each frame's, 2^10 times larger per doubling
                 assert cfg[:6] == (c, unit.b, unit.c * c, unit.k * c, unit.p * c, unit.q * c)
                 doublings = round(math.log2(c)) - cfg.exponent + unit.exponent
@@ -617,15 +617,41 @@ class TestFrame:
         quintic = Quintic(1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)
         cfg = build_config(quintic)
         assert cfg.exponent == 4
-        assert cfg == rescale(build_config(balance(quintic, 4)), 4)
-        assert rescale(cfg, -4).exponent == 0 and rescale(cfg, -4).h == cfg.h / 16.0
+        frame = build_config(balance(quintic, 4))
+        assert frame.exponent == 0 and cfg == frame._replace(exponent=4)
+        assert drawn(cfg) == cfg._replace(h=16.0 * cfg.h, c=16.0 * cfg.c, k=16.0 * cfg.k,
+                                          p=16.0 * cfg.p, q=16.0 * cfg.q)
+
+    def test_readme_quintic_lives_in_its_frame(self):
+        # the frame's h is 1/2; the caller's is 8, and rebuilding at it is cfg again
+        quintic = normalize_monic([1, 0, -110, -55, 2310, 979])
+        cfg = build_config(quintic)
+        assert (cfg.h, cfg.exponent, drawn(cfg).h) == (0.5, 4, 8.0)
+        assert build_config(quintic, h_override=8.0) == cfg
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.lists(WIDE_COEFFS, min_size=5, max_size=5), k=st.integers(-60, 60),
+           branch=st.sampled_from(BRANCHES))
+    def test_roots_larger_by_2_to_the_k_shift_the_exponent_only(self, coeffs, k, branch):
+        # where the quintic with roots 2^k times larger has its frame 2^k times
+        # larger, it has the same frame quintic, so the same configuration, bit
+        # for bit, with k more doublings
+        assume(coeffs[-1] != 0.0)
+        quintic = Quintic(1.0, *coeffs)
+        try:
+            cfg = build_config(quintic, branch=branch)
+        except OrigamiQuinticError:
+            assume(False)
+        scaled = Quintic(1.0, *(math.ldexp(a, i * k) for i, a in enumerate(coeffs, 1)))
+        assume(balance_exponent(scaled) == cfg.exponent + k)
+        assert build_config(scaled, branch=branch) == cfg._replace(exponent=cfg.exponent + k)
 
     @pytest.mark.parametrize("k", [-20, -3, -1, 1, 5, 20])
     def test_scaled_hendecagon_is_the_hendecagon_drawn_larger(self, hendecagon, k):
         # h chosen in each frame: the README's claim, with no h given
         scaled = Quintic(1.0, *(math.ldexp(a, i * k) for i, a in enumerate(hendecagon[1:], 1)))
-        want = rescale(build_config(hendecagon), k)
-        assert build_config(scaled)[:6] == want[:6]
+        want = drawn(build_config(hendecagon)._replace(exponent=k))
+        assert drawn(build_config(scaled))[:6] == want[:6]
 
     @settings(max_examples=200, deadline=None)
     @given(coeffs=st.lists(FRAME_COEFFS, min_size=5, max_size=5), k=st.integers(-30, 30),
@@ -636,10 +662,10 @@ class TestFrame:
         assume(coeffs[-1] != 0.0)
         quintic = Quintic(1.0, *coeffs)
         try:
-            cfg = build_config(quintic, branch=branch)
+            cfg = drawn(build_config(quintic, branch=branch))
         except OrigamiQuinticError:
             assume(False)
         scaled = Quintic(1.0, *(math.ldexp(a, i * k) for i, a in enumerate(coeffs, 1)))
-        got = build_config(scaled, h_override=math.ldexp(cfg.h, k), branch=branch)
+        got = drawn(build_config(scaled, h_override=math.ldexp(cfg.h, k), branch=branch))
         assert got[:6] == (math.ldexp(cfg.h, k), cfg.b, *(math.ldexp(v, k) for v in cfg[2:6]))
         assert got.D == math.ldexp(cfg.D, 10 * (k + cfg.exponent - got.exponent))

@@ -204,7 +204,7 @@ class TestVerify:
         # out reflects to a finite chi across the finite xi of a hendecagon
         # root, and P's image across it overflows to -inf
         cfg = hendecagon_config._replace(c=1e308)
-        fixed = _config_values(cfg, Quintic(*HENDECAGON), cfg.exponent)
+        fixed = _config_values(cfg, Quintic(*HENDECAGON))
         sol = _reconstruct(cfg, HENDECAGON_ROOTS[0], fixed)
         assert all(math.isfinite(v) for v in sol.chi)
         assert sol.p_image == (-math.inf, -math.inf) and sol.s == -math.inf
@@ -551,7 +551,7 @@ def test_chi_equals_n_is_the_triple_gap_rule(b, c, k, p, q, h, t, kind, offset):
     elif kind == "parallel" and b:
         t = -h / b + offset
     cfg = make_config(h=h, b=b, c=c, k=k, p=p, q=q)
-    sol = _reconstruct(cfg, t, _config_values(cfg, Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 1.0), 0))
+    sol = _reconstruct(cfg, t, _config_values(cfg, Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
     n_canonical = canonical_abc(1.0, b, c, math.hypot(1.0, b))
     chi = canonical_abc(*sol.chi, math.hypot(sol.chi.a, sol.chi.b))
     want = (CHI_EQUALS_N,) if triple_gap(chi, n_canonical) <= 1e-9 else ()

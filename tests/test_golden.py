@@ -191,8 +191,8 @@ def root_digests() -> dict:
 
 
 def solve_digests() -> dict:
-    """The configuration and every FoldSolution of build_config + solve_all,
-    on 400 other quintics per family."""
+    """The configuration, in its frame, and every FoldSolution of build_config
+    + solve_all, on 400 other quintics per family."""
     from origami_quintic.foldconfig import build_config
     from origami_quintic.foldsolve import solve_all
     from origami_quintic.polynomial import Quintic
