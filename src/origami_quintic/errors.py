@@ -8,8 +8,8 @@ class OrigamiQuinticError(Exception):
 
 
 class SturmOverflow(OrigamiQuinticError):
-    """A Sturm chain sign at the root bound or a probe is NaN: the bound is
-    beyond the float range or Horner overflowed."""
+    """The root bound is beyond the float range, where a Sturm chain's signs
+    would be NaN, or a sign at a probe is NaN: Horner overflowed."""
 
 
 class ZeroConstantTerm(OrigamiQuinticError):

@@ -295,8 +295,8 @@ def build_config(
     q = balance(q, e)
     if h_override is not None:
         return _config_at(q, h, branch, e)
-    for h in H_TRIALS[H_TRIALS.index(choose_h(q)):]:  # choose_h's h has D >= 0
-        if discriminant(q, h) >= 0.0:
+    for h in H_TRIALS[H_TRIALS.index(first := choose_h(q)):]:  # D >= 0 at choose_h's h
+        if h == first or discriminant(q, h) >= 0.0:
             try:
                 return _config_at(q, h, branch, e)
             except DegenerateP as exc:

@@ -102,30 +102,30 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     six floats, rounding as the generic loop does, and every exact sign is
     taken on the integers.
 
-    A real quintic always has at least one real root, so the result is never
-    empty: where the float signs at -B and B count none, as they can when a
-    root lies within an ulp of B, exact signs count again and find it.
+    The sign variations at -B and B are those at -inf and inf, as no root lies
+    beyond B: each chain's are read off its integer leads, and count every root.
     """
     bound = cauchy_bound(q)
-    # the chains of p, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to a square-free g_j
-    chains, f = [], _integer_coefficients(q)
+    if bound == math.inf:  # no float lies above the largest |a_i|
+        raise SturmOverflow(f"Sturm chain sign at x = {-bound!r} is NaN")
+    # the chains of p, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to a square-free g_j, each
+    # with V(-B) and V(B), those at -inf and inf: its leads' signs, at -inf flipped on odd degrees
+    chains, ends, f = [], [], _integer_coefficients(q)
     while f != [1]:
         chain, f = _sturm_chain(f)
+        up = [g[0] > 0 for g in chain]
+        ends.append([sum([s != t for s, t in zip(v, v[1:])])
+                     for v in ([u == len(g) % 2 for u, g in zip(up, chain)], up)])
         if not chains:  # p's integer chain, for exact signs; q heads it when p is square-free
             exact, chain = chain, [q, *chain[1:]] if f == [1] else chain
         chains.append([_normalized(g) for g in chain])
     chain, *deeper = chains
     head = [0] * (6 - len(exact[0])) + exact[0]  # p / g1, the square-free part
-
-    lo, hi = -bound, bound
-    vlo, vhi = _variations(chain, lo), _variations(chain, hi)
-    if vlo <= vhi:  # float signs count no root: exact ones count every one in (-B, B)
-        signs = [[s for g in exact if (s := _sign_between([0] * (6 - len(g)) + g, x, x))]
-                 for x in (lo, hi)]
-        vlo, vhi = (sum(s != t for s, t in zip(v, v[1:])) for v in signs)
     return [(_refine_root(chain[0], head, blo, bhi, None if deeper else q),
-             count + sum([_variations(c, blo) - _variations(c, bhi) for c in deeper]))
-            for blo, bhi, count in _isolate(chain, lo, hi, vlo, vhi)]
+             count + sum([(vlo if blo == -bound else _variations(c, blo))
+                          - (vhi if bhi == bound else _variations(c, bhi))
+                          for c, (vlo, vhi) in zip(deeper, ends[1:])]))
+            for blo, bhi, count in _isolate(chain, -bound, bound, *ends[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def _variations_after(prev: float, rest: Sequence[Sequence[float]], last: float,
     """The sign variations at x of a chain whose head has the value prev there, whose
     middle members are rest and whose last is the constant last, as every chain's: its
     Horner value at a finite x; at another, a member before it, padded, is NaN first."""
-    if prev != prev:  # only at an infinite x, such as a root bound that overflowed
+    if prev != prev:  # only at an infinite x
         raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
     count = 0
     for a, b, c, d, e, f in rest:

@@ -523,22 +523,28 @@ def fraction_sign(poly, x) -> int:
 
 
 def reference_real_roots(q: Quintic) -> list[tuple[float, int]]:
+    """Every chain's sign variations at the bounds -B and B are counted on its
+    exact Fraction signs there, the interior ones on its floats."""
     bound = cauchy_bound(q)
+    if bound == math.inf:  # no Fraction is infinite
+        raise SturmOverflow(f"Sturm chain sign at x = {-bound!r} is NaN")
     exact_chains = exact_sturm_chains(q)
-    chain, *deeper = [[_frac_to_floats(f) for f in c] for c in exact_chains]
+    chains = [[_frac_to_floats(f) for f in c] for c in exact_chains]
+
+    def variations(j, x):
+        if abs(x) == bound:
+            return _exact_reference_variations(exact_chains[j], x)
+        return _reference_variations(chains[j], x)
+
     lo, hi = -bound, bound
-    vlo, vhi = _reference_variations(chain, lo), _reference_variations(chain, hi)
-    if vlo <= vhi:
-        vlo, vhi = (_exact_reference_variations(exact_chains[0], x) for x in (lo, hi))
-    brackets = _reference_isolate(chain, lo, hi, vlo, vhi)
+    brackets = _reference_isolate(chains[0], lo, hi, variations(0, lo), variations(0, hi))
     # refined on p's own floats when p is square-free
-    own = None if deeper else list(q)
+    own = None if len(chains) > 1 else list(q)
     roots = []
     for blo, bhi, count in brackets:
-        root = reference_refine_root(chain[0], exact_chains[0][0], blo, bhi, own)
-        for gcd_chain in deeper:
-            count += (_reference_variations(gcd_chain, blo)
-                      - _reference_variations(gcd_chain, bhi))
+        root = reference_refine_root(chains[0][0], exact_chains[0][0], blo, bhi, own)
+        for j in range(1, len(chains)):
+            count += variations(j, blo) - variations(j, bhi)
         roots.append((root, count))
     roots.sort(key=lambda pair: pair[0])
     return roots

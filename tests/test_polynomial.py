@@ -468,6 +468,7 @@ class TestRealRootsOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(rest=st.lists(st.one_of(wide_floats, EDGE_FLOATS), min_size=5, max_size=5))
+    @example([8254058480958692.0, 0.0, 0.0, 0.0, 0.0])  # the root -a4 lies an ulp inside -B
     def test_wide_and_edge_coefficients(self, rest):
         q = Quintic(1.0, *rest)
         assert outcome(lambda: real_roots(q)) == outcome(lambda: reference_real_roots(q))
@@ -538,9 +539,9 @@ def is_nearest_float(poly, root):
     return fraction_sign(poly, (here + below) / 2) * fraction_sign(poly, (here + above) / 2) <= 0
 
 
-def test_zero_float_count_at_the_bound_is_recounted_exactly():
-    # Horner overflows at the bound and both ends count two float sign
-    # variations; the exact signs count the one real root, just beyond -a4
+def test_zero_float_count_at_the_bound_is_read_off_the_leads():
+    # Horner overflows at the bound, where both ends count two float sign
+    # variations; the chain's leads count the one real root, just beyond -a4
     q = Quintic(1.0, 7.95088381429319e+223, 9.677853493331734e-286, 0.0,
                 -2.155796641012135e-109, 1.445915818892557e-103)
     assert real_roots(q) == [(-7.95088381429319e+223, 1)]
@@ -549,12 +550,55 @@ def test_zero_float_count_at_the_bound_is_recounted_exactly():
 
 def test_root_within_an_ulp_of_the_bound_is_found():
     # the root lies 6.6e-9 below B = 100663297.0, where the float signs of the
-    # chain count V(-B) = V(B) = 3; the exact ones count it, and B is the float
+    # chain count V(-B) = V(B) = 3; the leads count it, and B is the float
     # nearest it, 0.44 ulp away
     q = Quintic(1, -100663296, -100663296, -33554432, -1, -1)
     assert cauchy_bound(q) == 100663297.0
     assert real_roots(q) == [(100663297.0, 1)]
     assert is_nearest_float(exact_sturm_chains(q)[0][0], 100663297.0)
+
+
+def test_root_near_the_bound_beside_others_is_found():
+    # -B = -a4 - 1 lies an ulp beyond the root at -a4 - 3.6e-48, and the float head,
+    # normalized by a4, comes out positive at -B where p is negative: the float
+    # signs counted V(-B) one short and lost that root, while the two small ones
+    # kept the count above zero
+    q = normalize_monic([1, 8254058480958692, 0, 0, -2, -1])
+    assert real_roots(q) == [(-8254058480958692.0, 1), (-0.00010490841646511324, 1),
+                             (0.0001049194233957387, 1)]
+    assert real_roots(normalize_monic([1, 1e20, 0, 0, -2, -1]))[0] == (-1e20, 1)
+
+
+def exact_distinct_real_roots(q):
+    """V(-inf) - V(inf) of the Fraction Sturm chain of p / g1, from the signs of
+    its elements' leads and their degrees."""
+    chain = exact_sturm_chains(q)[0]
+
+    def variations(x):
+        signs = [(1 if f[0] > 0 else -1) * x ** (len(f) - 1) for f in chain]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(-1) - variations(1)
+
+
+def signed_units(exponents):
+    """+-u 2^k, u in [1, 2) and k drawn from exponents."""
+    return st.builds(lambda sign, u, k: sign * math.ldexp(u, k), st.sampled_from((-1.0, 1.0)),
+                     st.floats(1.0, 2.0, exclude_max=True), exponents)
+
+
+small = signed_units(st.integers(-10, 10))
+
+
+# a4 = +-u 2^k for k in 53..200, where B, the float next above |a4|, lies within
+# an ulp of the root near -a4, beside small roots from a3 .. a1, each 0 or
+# +-u 2^(-10..10), and a nonzero a0 of the same scale
+@settings(max_examples=300, deadline=None)
+@given(signed_units(st.integers(53, 200)),
+       st.lists(st.one_of(st.just(0.0), small), min_size=3, max_size=3), small)
+def test_every_root_beside_a_wide_a4_is_counted(a4, middle, a0):
+    q = Quintic(1.0, a4, *middle, a0)
+    assert len(real_roots(q)) == exact_distinct_real_roots(q)
 
 
 class TestMultiplicity:
