@@ -8,8 +8,8 @@ class OrigamiQuinticError(Exception):
 
 
 class SturmOverflow(OrigamiQuinticError):
-    """The root bound is beyond the float range, where a Sturm chain's signs
-    would be NaN, or a sign at a probe is NaN: Horner overflowed."""
+    """The root bound is beyond the float range, or an isolation probe, a
+    midpoint or a nudge off a root, overflows: no Sturm sign is taken there."""
 
 
 class ZeroConstantTerm(OrigamiQuinticError):

@@ -75,15 +75,11 @@ def evaluate(coeffs: Sequence[float], t: float) -> float:
 
 
 def cauchy_bound(q: Quintic) -> float:
-    """A float above the magnitude of every root: 1 + max |a_i| (monic input).
-
-    From max |a_i| = 2^53 on, 1 + max |a_i| rounds back onto max |a_i|, so
-    the next float above max |a_i| is taken instead.
-    """
+    """A float above the magnitude of every root (monic input): 1 + max |a_i|, or the next
+    float above max |a_i| where that sum rounds back onto it (from 2^53 on); infinite at
+    the largest float, where ``real_roots`` raises ``SturmOverflow``."""
     peak = max(map(abs, q[1:]))
-    if peak < 2.0**53:
-        return 1.0 + peak
-    return math.nextafter(peak, math.inf)
+    return max(1.0 + peak, math.nextafter(peak, math.inf))
 
 
 def real_roots(q: Quintic) -> list[tuple[float, int]]:
@@ -219,19 +215,17 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
             return [*chain, [1 if rem[0] > 0 else -1]], [1]
         d = len(chain[-2]) - len(chain[-1])
         scale, lc, h = lc * h**d, abs(chain[-1][0]), abs(chain[-1][0]) ** d // h ** (d - 1)
-        chain.append([c // scale for c in rem] if scale != 1 else rem)
+        chain.append([c // scale for c in rem])
     return chain, [1]
 
 
 def _normalized(poly: Sequence[int]) -> tuple[float, ...]:
     """Max-norm normalized floats for fast sign counting, which integer true
-    division rounds correctly whatever positive multiple of poly was kept; padded
-    to six with leading zeros for the straight-line Horner below, which then rounds
-    as ``evaluate`` on the unpadded list (0.0*x + c is c, and NaN at an infinite x).
-    A constant is ±1.0 with no division; a square-free quintic's head comes as its
-    float coefficients, whose quotients round the same ratios as its integers'."""
-    if len(poly) == 1:
-        return (0.0, 0.0, 0.0, 0.0, 0.0, 1.0 if poly[0] > 0 else -1.0)
+    division rounds correctly whatever positive multiple of poly was kept (a
+    constant is ±1.0); padded to six with leading zeros for the straight-line
+    Horner below, which at a finite x then rounds as ``evaluate`` on the unpadded
+    list (0.0*x + c is c).  A square-free quintic's head comes as its float
+    coefficients, whose quotients round the same ratios as its integers'."""
     peak = max(map(abs, poly))
     return (0.0,) * (6 - len(poly)) + tuple([c / peak for c in poly])
 
@@ -243,18 +237,14 @@ def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
 
 
 def _variations_after(prev: float, rest: Sequence[Sequence[float]], last: float, x: float) -> int:
-    """The sign variations at x of a chain whose head has the value prev there, whose
-    middle members are rest and whose last is the constant last, as every chain's: its
-    Horner value at a finite x; at another, a member before it, padded, is NaN first."""
-    if prev != prev:  # only at an infinite x
-        raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
+    """The sign variations at a finite x (``_isolate`` refuses others) of a chain whose head
+    is prev there, middle rest and last the constant last.  Horner on coefficients of
+    magnitude at most 1 may reach ±inf there but forms no 0.0 * inf or inf - inf: no NaN."""
     count = 0
     for a, b, c, d, e, f in rest:
         v = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
         if v == 0.0:
             continue
-        if v != v:
-            raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
         if prev != 0.0 and (v > 0.0) != (prev > 0.0):
             count += 1
         prev = v
@@ -287,6 +277,8 @@ def _isolate(
             x += (hi - lo) * 1e-7
             tries += 1
             head = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
+        if not math.isfinite(x):  # the midpoint or a nudge overflowed: B is above about 9e307
+            raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
         vm = _variations_after(head, rest, last, x)
         pending += ((x, hi, vm, vhi), (lo, x, vlo, vm))
     return brackets

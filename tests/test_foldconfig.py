@@ -25,6 +25,7 @@ from origami_quintic import (
     normalize_monic,
     solve_all,
 )
+from origami_quintic import foldconfig
 from origami_quintic.foldconfig import (BRANCHES, H_MAX, H_MIN, H_TRIALS, balance,
                                        balance_exponent, drawn)
 from origami_quintic.polynomial import Quintic, _depressed_in_u, coefficient_gap
@@ -453,6 +454,13 @@ class TestBuildConfig:
         cfg = build_config(quintic, branch="minus")
         assert (cfg.h, cfg.branch) == (0.5, "minus")
         assert all(s.residuals.passes(1e-9) for s in solve_all(cfg, quintic))
+
+    def test_degenerate_p_at_every_h_is_raised(self, hendecagon, monkeypatch):
+        # P on l at every admissible h: the walk re-raises the last h's DegenerateP
+        monkeypatch.setattr(foldconfig, "compute_kpq", lambda *args: (1.0, 1.0, 0.0))
+        with pytest.raises(DegenerateP, match=r"^P lies on line l \(p = k = 1\) at "
+                           r"h = 9\.09495e-13; retry with a different h$"):
+            build_config(hendecagon)
 
     @pytest.mark.parametrize("coeffs, h", [
         # the repeated-root cases of the seed-0 unit-batch benchmark corpus whose

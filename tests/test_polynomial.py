@@ -494,9 +494,11 @@ def test_cauchy_bound_contains_roots():
         assert all(abs(r) < bound for r, _ in real_roots(q))
 
 
-@pytest.mark.parametrize("a4", [2.0**53, 1e70, 1e300])
+@pytest.mark.parametrize("a4", [2.0**52, 2.0**53, 2.0**53 + 2.0, 1e70, 1e300])
 def test_cauchy_bound_above_large_coefficients(a4):
-    # 1 + a4 rounds back onto a4 here, and the root lies just beyond -a4
+    # the bound is the next float above a4: 1 + a4 is that float at 2^52, ties up
+    # onto it at 2^53 + 2 and rounds back onto a4 at the others; the root lies
+    # just beyond -a4
     q = Quintic(1.0, a4, 0.0, 0.0, 0.0, 1.0)
     assert cauchy_bound(q) == math.nextafter(a4, math.inf)
     roots = real_roots(q)
@@ -506,6 +508,8 @@ def test_cauchy_bound_above_large_coefficients(a4):
 def test_cauchy_bound_unchanged_below_2_53():
     q = Quintic(1.0, 2.0**53 - 1.0, 0.0, 0.0, 0.0, 1.0)
     assert cauchy_bound(q) == 2.0**53
+    # with every |a_i| zero the bound is 1, not the float above 0
+    assert cauchy_bound(Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)) == 1.0
 
 
 def test_deep_isolation_is_not_recursive():
@@ -522,12 +526,12 @@ def test_nan_chain_sign_at_the_bound_is_named():
         real_roots(q)
 
 
-def test_nan_head_at_a_probe_is_named():
-    # _isolate evaluates the head once per probe and hands the value on to the
-    # count of the rest of the chain, which must still reject a NaN head
-    chain = [(0.0, 0.0, 0.0, 0.0, math.inf, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)]
-    with pytest.raises(SturmOverflow, match=r"^Sturm chain sign at x = 0\.0 is NaN$"):
-        _isolate(chain, -1.0, 1.0, 2, 0)
+def test_overflowing_probe_is_refused():
+    # t^4 (t + 1e308): the first probe, 0.0, is a root of the head t (t + 1e308),
+    # and the nudge off it, (hi - lo) * 1e-7 with hi - lo = 2B, overflows
+    q = Quintic(1.0, 1e308, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(SturmOverflow, match=r"^Sturm chain sign at x = inf is NaN$"):
+        real_roots(q)
 
 
 def is_nearest_float(poly, root):
@@ -682,6 +686,13 @@ def test_zero_at_the_lower_end_belongs_to_the_left_bracket():
     # (t + 2)(t + 1)(t - 1) on (-2, 0]: -2 is outside the bracket, -1 inside
     poly = _normalized([1, 2, -1, -2])
     assert _refine_root(poly, [0, 0, 1, 2, -1, -2], -2.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_root_at_the_upper_end_is_returned_exactly():
+    # t^5 - 1 on (0.5, 1.0]: the head's floats are 0.0 at 1.0, so they do not
+    # orient the bracket, and the exact signs show no change before the root at hi
+    q = Quintic(1.0, 0.0, 0.0, 0.0, 0.0, -1.0)
+    assert _refine_root(_normalized(q), [1, 0, 0, 0, 0, -1], 0.5, 1.0, q) == 1.0
 
 
 class TestRefinement:
