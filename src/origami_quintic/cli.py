@@ -34,7 +34,7 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
-SCHEMA = 7
+SCHEMA = 8
 
 DEFAULT_TOL = 1e-9
 

@@ -226,12 +226,14 @@ def compute_bc(q: Quintic, h: float, branch: str = "plus") -> tuple[float, float
     if not d >= -floor or floor == math.inf:  # NaN fails too
         why = "< 0" if floor < math.inf else "is not finite"
         raise NegativeDiscriminant(f"D = {d:.6g} {why} at h = {h:.6g}")
-    d = max(d, 0.0)
-    root = math.sqrt(d)
+    return _bc_from(q, h, max(d, 0.0), branch)
+
+
+def _bc_from(q: Quintic, h: float, d: float, branch: str) -> tuple[float, float, float]:
+    """(b, c, d) at h on the branch from its discriminant d >= 0."""
+    lead, root = q.a0 - h**4 * q.a4, math.sqrt(d)
     sign = 1.0 if branch == "plus" else -1.0
-    b = (lead + sign * root) / (4.0 * h**5)
-    c = (lead - 3.0 * sign * root) / (4.0 * h**4)
-    return b, c, d
+    return (lead + sign * root) / (4.0 * h**5), (lead - 3.0 * sign * root) / (4.0 * h**4), d
 
 
 def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float, float]:
@@ -294,19 +296,19 @@ def build_config(
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
     q = balance(q, e)
     if h_override is not None:
-        return _config_at(q, h, branch, e)
-    for h in H_TRIALS[H_TRIALS.index(first := choose_h(q)):]:  # D >= 0 at choose_h's h
-        if h == first or discriminant(q, h) >= 0.0:
+        return _config_at(q, h, branch, e, *compute_bc(q, h, branch))
+    for h in H_TRIALS[H_TRIALS.index(choose_h(q)):]:  # from the first h with D >= 0
+        if (d := discriminant(q, h)) >= 0.0:
             try:
-                return _config_at(q, h, branch, e)
+                return _config_at(q, h, branch, e, *_bc_from(q, h, d, branch))
             except DegenerateP as exc:
                 degenerate = exc
     raise degenerate
 
 
-def _config_at(q: Quintic, h: float, branch: str, e: int) -> FoldConfig:
-    """q's configuration in its 2^e frame at this h and branch; DegenerateP when P lies on l."""
-    b, c, d = compute_bc(q, h, branch)
+def _config_at(q: Quintic, h: float, branch: str, e: int, b: float, c: float,
+               d: float) -> FoldConfig:
+    """q's configuration in its 2^e frame at h, (b, c) and D; DegenerateP when P lies on l."""
     k, p, q_point = compute_kpq(q, h, b, c)
     if abs(p - k) <= 1e-12 * max(abs(k), abs(p)):  # 12 digits at every scale
         raise DegenerateP(

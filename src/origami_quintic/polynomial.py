@@ -1,16 +1,15 @@
 """Quintic coefficient handling, transforms and real-root isolation.
 
 Coefficients are stored densely in descending degree order (a5 .. a0).
-The root finder builds one kind of chain for p (the float coefficients
-scaled exactly to integers) and for each of the successive gcds
-g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...: the integer Sturm chain of the
-polynomial divided by its own gcd.  p's chain, headed by the square-free
-part p / g1, isolates the distinct real roots by interval bisection; each
-root is refined on that head by Illinois regula falsi to adjacent floats, and
-exact integer signs at dyadic points pick the nearer float.
-The chain of g_j counts the distinct roots of p repeated more than j
-times, which gives each root's multiplicity exactly (the square-free
-decomposition of Yun, SYMSAC 1976).
+The root finder builds the integer Sturm chains of p (the float coefficients
+scaled exactly to integers) and of the successive gcds g1 = gcd(p, p'),
+g2 = gcd(g1, g1'), ..., each divided by its own gcd, so headed by
+s_j = g_(j-1) / g_j.  The quotients a_j = s_j / s_(j+1) are the square-free
+factors of p = a1 a2^2 a3^3 ... (Yun, SYMSAC 1976): a_j holds the roots of
+multiplicity exactly j.  Each a_j's own chain isolates its real roots by
+interval bisection; each root is refined on a_j by Illinois regula falsi to
+adjacent floats, and exact integer signs at dyadic points pick the nearer
+float.  A root's multiplicity is the index j of the factor it is found on.
 """
 
 from __future__ import annotations
@@ -85,18 +84,17 @@ def cauchy_bound(q: Quintic) -> float:
 def real_roots(q: Quintic) -> list[tuple[float, int]]:
     """All real roots of a monic quintic, ascending, with multiplicities.
 
-    Every chain, p's and those of g1, g2, ..., is built the same way, over
-    its own gcd.  Distinct roots are isolated by sign-variation counts of
-    p's chain on a bisected interval [-B, B] (B the Cauchy bound), and each
-    is refined on the chain's head, the square-free part p / g1, to two
-    adjacent floats and the nearer of them (``_refine_root``); the brackets
-    come left to right, disjoint, so the roots come ascending unsorted.  A
-    root's multiplicity is its bracket's count plus each gcd chain's count
-    in the bracket; a bracket left at the width floor with several roots in
-    it reports their total.  The chains are exact integers until
-    ``_normalized``; from there every evaluation is straight-line Horner on
-    six floats, rounding as the generic loop does, and every exact sign is
-    taken on the integers.
+    Each Yun factor a_j (see the module docstring) is isolated on its own Sturm
+    chain, built over its own gcd like those of p and g1, g2, ...: its distinct
+    roots by sign-variation counts on a bisected interval [-B, B] (B the Cauchy
+    bound), each refined on the chain's head a_j to two adjacent floats and the
+    nearer of them (``_refine_root``).  Every root is simple in a_j, and its
+    multiplicity is j; a bracket left at the width floor with several roots of
+    a_j in it reports count * j.  The roots of all factors come sorted.  When p
+    is square-free, a1 is p and its own floats are refined.  The chains are exact
+    integers until ``_normalized``; from there every evaluation is straight-line
+    Horner on six floats, rounding as the generic loop does, and every exact sign
+    is taken on the integers.
 
     The sign variations at -B and B are those at -inf and inf, as no root lies
     beyond B: each chain's are read off its integer leads, and count every root.
@@ -104,24 +102,28 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     bound = cauchy_bound(q)
     if bound == math.inf:  # no float lies above the largest |a_i|
         raise SturmOverflow(f"Sturm chain sign at x = {-bound!r} is NaN")
-    # the chains of p, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to a square-free g_j, each
-    # with V(-B) and V(B), those at -inf and inf: its leads' signs, at -inf flipped on odd degrees
-    chains, ends, f = [], [], _integer_coefficients(q)
+    # the chains of p = g0, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to a square-free g_j,
+    # each headed by s_j = g_(j-1) / g_j, whose roots are those of p repeated j times or more
+    levels, f = [], _integer_coefficients(q)
     while f != [1]:
         chain, f = _sturm_chain(f)
-        up = [g[0] > 0 for g in chain]
-        ends.append([sum([s != t for s, t in zip(v, v[1:])])
-                     for v in ([u == len(g) % 2 for u, g in zip(up, chain)], up)])
-        if not chains:  # p's integer chain, for exact signs; q heads it when p is square-free
-            exact, chain = chain, [q, *chain[1:]] if f == [1] else chain
-        chains.append([_normalized(g) for g in chain])
-    chain, *deeper = chains
-    head = [0] * (6 - len(exact[0])) + exact[0]  # p / g1, the square-free part
-    return [(_refine_root(chain[0], head, blo, bhi, None if deeper else q),
-             count + sum([(vlo if blo == -bound else _variations(c, blo))
-                          - (vhi if bhi == bound else _variations(c, bhi))
-                          for c, (vlo, vhi) in zip(deeper, ends[1:])]))
-            for blo, bhi, count in _isolate(chain, -bound, bound, *ends[0])]
+        levels.append(chain)
+    roots, own = [], q if len(levels) == 1 else None  # p's own floats when p is square-free
+    for j, exact in enumerate(levels, 1):
+        if j < len(levels):  # a_j = s_j / s_(j+1), the roots repeated exactly j times
+            a = _exact_quotient(exact[0], levels[j][0])
+            if len(a) == 1:
+                continue
+            exact = _sturm_chain(a)[0]
+        chain = [_normalized(g) for g in ([q, *exact[1:]] if own else exact)]
+        # V(-B) and V(B), those at -inf and inf: the leads' signs, at -inf flipped on odd degrees
+        up = [g[0] > 0 for g in exact]
+        vlo, vhi = [sum([s != t for s, t in zip(v, v[1:])])
+                    for v in ([u == len(g) % 2 for u, g in zip(up, exact)], up)]
+        head = [0] * (6 - len(exact[0])) + exact[0]
+        roots += [(_refine_root(chain[0], head, blo, bhi, own), count * j)
+                  for blo, bhi, count in _isolate(chain, -bound, bound, vlo, vhi)]
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +230,6 @@ def _normalized(poly: Sequence[int]) -> tuple[float, ...]:
     coefficients, whose quotients round the same ratios as its integers'."""
     peak = max(map(abs, poly))
     return (0.0,) * (6 - len(poly)) + tuple([c / peak for c in poly])
-
-
-def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
-    a, b, c, d, e, f = chain[0]
-    return _variations_after(((((a * x + b) * x + c) * x + d) * x + e) * x + f, chain[1:-1],
-                             chain[-1][5], x)
 
 
 def _variations_after(prev: float, rest: Sequence[Sequence[float]], last: float, x: float) -> int:

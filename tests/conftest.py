@@ -510,8 +510,8 @@ def pad(coeffs):
 # The root finder's loops as they were written on generic Horner over the
 # unpadded coefficient lists, on the rational chains, with every exact sign
 # taken in Fractions: the reference that the fixed-degree kernel must match bit
-# for bit.  A root's multiplicity is its bracket's count plus each gcd chain's
-# count at the bracket ends.
+# for bit.  Each Yun factor a_j = s_j / s_(j+1) of the rational chain heads is
+# isolated on its own rational chain, and its roots have multiplicity j.
 
 
 def fraction_sign(poly, x) -> int:
@@ -523,30 +523,27 @@ def fraction_sign(poly, x) -> int:
 
 
 def reference_real_roots(q: Quintic) -> list[tuple[float, int]]:
-    """Every chain's sign variations at the bounds -B and B are counted on its
-    exact Fraction signs there, the interior ones on its floats."""
+    """Each Yun factor a_j, the exact quotient of the Fraction chain heads s_j and
+    s_(j+1), isolated on its own Fraction chain: the sign variations at the bounds
+    -B and B counted on its exact signs there, the interior ones on its floats."""
     bound = cauchy_bound(q)
     if bound == math.inf:  # no Fraction is infinite
         raise SturmOverflow(f"Sturm chain sign at x = {-bound!r} is NaN")
-    exact_chains = exact_sturm_chains(q)
-    chains = [[_frac_to_floats(f) for f in c] for c in exact_chains]
-
-    def variations(j, x):
-        if abs(x) == bound:
-            return _exact_reference_variations(exact_chains[j], x)
-        return _reference_variations(chains[j], x)
-
-    lo, hi = -bound, bound
-    brackets = _reference_isolate(chains[0], lo, hi, variations(0, lo), variations(0, hi))
+    heads = [chain[0] for chain in exact_sturm_chains(q)]
     # refined on p's own floats when p is square-free
-    own = None if len(chains) > 1 else list(q)
+    own = None if len(heads) > 1 else list(q)
     roots = []
-    for blo, bhi, count in brackets:
-        root = reference_refine_root(chains[0][0], exact_chains[0][0], blo, bhi, own)
-        for j in range(1, len(chains)):
-            count += variations(j, blo) - variations(j, bhi)
-        roots.append((root, count))
-    roots.sort(key=lambda pair: pair[0])
+    for j, head in enumerate(heads, 1):
+        factor = _frac_div_exact(head, heads[j]) if j < len(heads) else head
+        if len(factor) == 1:
+            continue
+        exact = _frac_chain(factor)[0]
+        chain = [_frac_to_floats(f) for f in exact]
+        vlo, vhi = (_exact_reference_variations(exact, x) for x in (-bound, bound))
+        brackets = _reference_isolate(chain, -bound, bound, vlo, vhi)
+        for blo, bhi, count in brackets:
+            roots.append((reference_refine_root(chain[0], exact[0], blo, bhi, own), count * j))
+    roots.sort()
     return roots
 
 

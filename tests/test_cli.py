@@ -270,7 +270,7 @@ class TestCompare:
     def test_hendecagon(self, capsys):
         code, out = run_json(capsys, ["compare", *HENDECAGON_ARGS])
         assert code == EXIT_OK
-        assert out["schema"] == 7
+        assert out["schema"] == 8
         assert out["direct"]["max_abs_parameter"] == pytest.approx(3.0, abs=1e-9)
         assert out["depressed"]["max_abs_parameter"] > out["direct"]["max_abs_parameter"]
         # in u = 5t + a4 the hendecagon is the README quintic, exactly, so the
@@ -441,21 +441,21 @@ class TestVerify:
         path.write_text(json.dumps(data))
         assert main(["verify", "--json", str(path)]) == EXIT_VERIFY
 
-    @pytest.mark.parametrize("schema, named", [(None, "schema 1"), (6, "schema 6"),
-                                               (8, "schema 8")],
+    @pytest.mark.parametrize("schema, named", [(None, "schema 1"), (7, "schema 7"),
+                                               (9, "schema 9")],
                              ids=["missing", "older", "newer"])
     def test_other_schema_is_unreadable(self, capsys, tmp_path, schema, named):
         path = tmp_path / "report.json"
         main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
         data = json.loads(path.read_text())
-        assert data.pop("schema") == 7
+        assert data.pop("schema") == 8
         if schema is not None:
             data["schema"] = schema
         path.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["verify", "--json", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"unreadable report: {named}, but verify reads schema 7; re-run solve\n"
+            f"unreadable report: {named}, but verify reads schema 8; re-run solve\n"
         )
 
     @pytest.mark.parametrize("text", ["[]", "1", '"report"'])

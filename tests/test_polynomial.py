@@ -25,7 +25,6 @@ from origami_quintic.polynomial import (
     _refine_root,
     _sign_at,
     _sturm_chain,
-    _variations,
     cauchy_bound,
     coefficient_gap,
     parse_coefficient,
@@ -35,6 +34,7 @@ from origami_quintic.polynomial import (
 from conftest import (
     HENDECAGON,
     HENDECAGON_ROOTS,
+    _reference_variations,
     exact_sturm_chains,
     fraction_sign,
     fraction_sturm_chain,
@@ -334,7 +334,8 @@ def brackets_hold_roots(q, roots):
     exact root, holding it, in order."""
     chain = [pad(poly) for poly in integer_sturm_chain(q)[0]]
     bound = cauchy_bound(q)
-    brackets = _isolate(chain, -bound, bound, _variations(chain, -bound), _variations(chain, bound))
+    vlo, vhi = (_reference_variations(chain, x) for x in (-bound, bound))
+    brackets = _isolate(chain, -bound, bound, vlo, vhi)
     return len(brackets) == len(roots) and all(
         count == 1 and blo < root <= bhi for (blo, bhi, count), root in zip(brackets, roots))
 
@@ -469,6 +470,7 @@ class TestRealRootsOracle:
     @settings(max_examples=300, deadline=None)
     @given(rest=st.lists(st.one_of(wide_floats, EDGE_FLOATS), min_size=5, max_size=5))
     @example([8254058480958692.0, 0.0, 0.0, 0.0, 0.0])  # the root -a4 lies an ulp inside -B
+    @example([5e-324, 0.0, 0.0, 0.0, 0.0])  # t^4 (t + 5e-324): a1 = t + 5e-324, a4 = t
     def test_wide_and_edge_coefficients(self, rest):
         q = Quintic(1.0, *rest)
         assert outcome(lambda: real_roots(q)) == outcome(lambda: reference_real_roots(q))
@@ -527,9 +529,9 @@ def test_nan_chain_sign_at_the_bound_is_named():
 
 
 def test_overflowing_probe_is_refused():
-    # t^4 (t + 1e308): the first probe, 0.0, is a root of the head t (t + 1e308),
-    # and the nudge off it, (hi - lo) * 1e-7 with hi - lo = 2B, overflows
-    q = Quintic(1.0, 1e308, 0.0, 0.0, 0.0, 0.0)
+    # t (t^4 + 1e308 t^3 + 1), square-free: the first probe, 0.0, is a root of the
+    # head, and the nudge off it, (hi - lo) * 1e-7 with hi - lo = 2B, overflows
+    q = Quintic(1.0, 1e308, 0.0, 0.0, 1.0, 0.0)
     with pytest.raises(SturmOverflow, match=r"^Sturm chain sign at x = inf is NaN$"):
         real_roots(q)
 
@@ -606,7 +608,8 @@ def test_every_root_beside_a_wide_a4_is_counted(a4, middle, a0):
 
 
 class TestMultiplicity:
-    """Multiplicities are counted on the exact gcd chains, not judged at the root."""
+    """A multiplicity is the index of the exact Yun factor its root is found on, not judged
+    at the root."""
 
     def test_close_simple_roots_stay_simple(self):
         # 1 and 1 + 1e-7 are distinct roots of the float polynomial; a
@@ -649,10 +652,25 @@ class TestMultiplicity:
         assert [m for _, m in roots] == [1, 4]
         assert [r for r, _ in roots] == pytest.approx([-0.75, -0.5], abs=1e-12)
 
-    # a multiplicity is only as right as its bracket, and a bisection probe
-    # that lands on a multiple root, where the float signs of p's chain are
-    # noise even over its gcd, can still misplace one, so the multiplicities
-    # are compared where every bracket holds its root
+    # each root is found on the Yun factor a_j whose index j is its multiplicity:
+    # (t + 3)(t + 1)(t - 1)^2 (t - 3/2), (t + 2)^2 (t + 1/2)(t - 1)(t - 2),
+    # (t + 3)(t + 3/2)^2 (t + 1/2)(t - 1/2) and t^4 (t + 1e308). The gcd chains'
+    # float counts at the bracket ends, noise beside a multiple root, called the
+    # double root of the first three simple, and a probe on p's chain overflowed
+    # for the last
+    @pytest.mark.parametrize("q, roots", [
+        (normalize_monic([1, 0.5, -7, 4, 6, -4.5]), [(-3.0, 1), (-1.0, 1), (1.0, 2), (1.5, 1)]),
+        (normalize_monic([1, 1.5, -5.5, -7, 6, 4]), [(-2.0, 2), (-0.5, 1), (1.0, 1), (2.0, 1)]),
+        (normalize_monic([1, 6, 11, 5.25, -2.8125, -1.6875]),
+         [(-3.0, 1), (-1.5, 2), (-0.5, 1), (0.5, 1)]),
+        (Quintic(1.0, 1e308, 0.0, 0.0, 0.0, 0.0), [(-1e+308, 1), (0.0, 4)]),
+    ])
+    def test_multiplicity_is_the_factor_index(self, q, roots):
+        assert real_roots(q) == roots
+
+    # a multiplicity is only as right as its root's bracket, and float signs
+    # can still misplace a bracket, so the multiplicities are compared where
+    # p's chain gives every root a bracket that holds it
     @settings(max_examples=300, deadline=None)
     @given(
         linear=st.lists(st.integers(-24, 24), min_size=5, max_size=5),
@@ -675,8 +693,8 @@ several_scales = st.builds(lambda sign, m, e: sign * math.ldexp(m, e), st.sample
 @settings(max_examples=300, deadline=None)
 @given(st.lists(several_scales, min_size=5, max_size=5))
 def test_roots_come_strictly_ascending(rest):
-    # real_roots does not sort: its brackets are disjoint and come left to right;
-    # solve_all calls it on the quintic in its 2^e frame
+    # each Yun factor's brackets are disjoint, and real_roots sorts the roots of
+    # all factors together; solve_all calls it on the quintic in its 2^e frame
     q = Quintic(1.0, *rest)
     roots = [t for t, _ in real_roots(balance(q, balance_exponent(q)))]
     assert all(a < b for a, b in zip(roots, roots[1:]))
