@@ -1,15 +1,15 @@
 """Quintic coefficient handling, transforms and real-root isolation.
 
 Coefficients are stored densely in descending degree order (a5 .. a0).
-The root finder builds the integer Sturm chains of p (the float coefficients
-scaled exactly to integers) and of the successive gcds g1 = gcd(p, p'),
-g2 = gcd(g1, g1'), ..., each divided by its own gcd, so headed by
-s_j = g_(j-1) / g_j.  The quotients a_j = s_j / s_(j+1) are the square-free
-factors of p = a1 a2^2 a3^3 ... (Yun, SYMSAC 1976): a_j holds the roots of
-multiplicity exactly j.  Each a_j's own chain isolates its real roots by
-interval bisection; each root is refined on a_j by Illinois regula falsi to
-adjacent floats, and exact integer signs at dyadic points pick the nearer
-float.  A root's multiplicity is the index j of the factor it is found on.
+The root finder runs integer Sturm chains on p (the float coefficients scaled
+exactly to integers) and on the gcds g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...,
+keeping of each level with a repeated root only its head s_j = g_(j-1) / g_j.
+The quotients a_j = s_j / s_(j+1) are the square-free factors of
+p = a1 a2^2 a3^3 ... (Yun, SYMSAC 1976): a_j holds the roots of multiplicity
+exactly j.  Each a_j's own chain isolates its real roots by interval bisection;
+each root is refined by Illinois regula falsi to adjacent floats, and exact
+integer signs at dyadic points pick one.  A root's multiplicity is the index j
+of the factor it is found on.
 """
 
 from __future__ import annotations
@@ -85,16 +85,16 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     """All real roots of a monic quintic, ascending, with multiplicities.
 
     Each Yun factor a_j (see the module docstring) is isolated on its own Sturm
-    chain, built over its own gcd like those of p and g1, g2, ...: its distinct
-    roots by sign-variation counts on a bisected interval [-B, B] (B the Cauchy
-    bound), each refined on the chain's head a_j to two adjacent floats and the
-    nearer of them (``_refine_root``).  Every root is simple in a_j, and its
-    multiplicity is j; a bracket left at the width floor with several roots of
-    a_j in it reports count * j.  The roots of all factors come sorted.  When p
-    is square-free, a1 is p and its own floats are refined.  The chains are exact
-    integers until ``_normalized``; from there every evaluation is straight-line
-    Horner on six floats, rounding as the generic loop does, and every exact sign
-    is taken on the integers.
+    chain: its distinct roots by sign-variation counts on a bisected interval
+    [-B, B] (B the Cauchy bound), each refined to two adjacent floats and one of
+    them (``_refine_root``), the nearest float where p has a repeated root.  When
+    p is square-free, a1 is p, and the pair is where p's own float Horner changes
+    sign, which rounding noise can put away from the exact root.  Every root is
+    simple in a_j, and its multiplicity is j; a bracket left at the width floor
+    with several roots of a_j in it reports count * j.  The roots of all factors
+    come sorted.  The chains are exact integers until ``_normalized``; from there
+    every evaluation is straight-line Horner on six floats, rounding as the
+    generic loop does, and every exact sign is taken on the integers.
 
     The sign variations at -B and B are those at -inf and inf, as no root lies
     beyond B: each chain's are read off its integer leads, and count every root.
@@ -102,8 +102,8 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     bound = cauchy_bound(q)
     if bound == math.inf:  # no float lies above the largest |a_i|
         raise SturmOverflow(f"Sturm chain sign at x = {-bound!r} is NaN")
-    # the chains of p = g0, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ... down to a square-free g_j,
-    # each headed by s_j = g_(j-1) / g_j, whose roots are those of p repeated j times or more
+    # the levels of p = g0, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...: heads s_j = g_(j-1) / g_j,
+    # whose roots are p's repeated j times or more, and the last, square-free, level's chain
     levels, f = [], _integer_coefficients(q)
     while f != [1]:
         chain, f = _sturm_chain(f)
@@ -115,7 +115,7 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
             if len(a) == 1:
                 continue
             exact = _sturm_chain(a)[0]
-        chain = [_normalized(g) for g in ([q, *exact[1:]] if own else exact)]
+        chain = [_normalized(g) for g in exact]
         # V(-B) and V(B), those at -inf and inf: the leads' signs, at -inf flipped on odd degrees
         up = [g[0] > 0 for g in exact]
         vlo, vhi = [sum([s != t for s, t in zip(v, v[1:])])
@@ -187,8 +187,9 @@ def _depressed_in_u(q: Quintic) -> Quintic:
 
 
 def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    """Sturm chain of an integer polynomial f of positive degree, divided by
-    g = gcd(f, f'), and g itself, primitive ([1] when f is square-free).
+    """Sturm chain of an integer polynomial f of positive degree, and
+    g = gcd(f, f'), primitive; when f has a repeated root (g is not [1]), of the
+    chain only its head f / g, the square-free part of f.
 
     The chain is the subresultant pseudo-remainder sequence of f and f' on |lc|
     (Brown & Traub, J. ACM 1971), with no content taken out: each element is
@@ -198,9 +199,8 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     integer determinants, so each division is exact; each factor is positive,
     so each element is a positive multiple of the rational Sturm remainder,
     down to a constant ±1.  A zero remainder, a repeated root, is detected
-    exactly; the chain then stops on g and is divided by it.  Headed by the
-    square-free part f / g, it counts f's distinct real roots as the undivided
-    one does, whose elements all have f's repeated roots as multiple factors.
+    exactly; the chain then stops on g, and of it ``real_roots`` reads only
+    f / g, whose Yun factors it isolates on chains of their own.
     """
     degree = len(exact) - 1
     chain = [list(exact), [c * (degree - i) for i, c in enumerate(exact[:-1])]]
@@ -212,7 +212,7 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
         if not rem:  # g is chain[-1] over its content, which is positive: signs are kept
             content = math.gcd(*chain[-1])
             gcd = [c // content for c in chain[-1]]
-            return [_exact_quotient(f, gcd) for f in chain], gcd
+            return [_exact_quotient(exact, gcd)], gcd
         if len(rem) == 1:  # the last element, kept as its sign
             return [*chain, [1 if rem[0] > 0 else -1]], [1]
         d = len(chain[-2]) - len(chain[-1])
@@ -226,8 +226,7 @@ def _normalized(poly: Sequence[int]) -> tuple[float, ...]:
     division rounds correctly whatever positive multiple of poly was kept (a
     constant is ±1.0); padded to six with leading zeros for the straight-line
     Horner below, which at a finite x then rounds as ``evaluate`` on the unpadded
-    list (0.0*x + c is c).  A square-free quintic's head comes as its float
-    coefficients, whose quotients round the same ratios as its integers'."""
+    list (0.0*x + c is c)."""
     peak = max(map(abs, poly))
     return (0.0,) * (6 - len(poly)) + tuple([c / peak for c in poly])
 
@@ -282,14 +281,15 @@ def _isolate(
 
 def _refine_root(head: Sequence[float], exact: Sequence[int], lo: float, hi: float,
                  own: Sequence[float] | None = None) -> float:
-    """The float nearest the root of the square-free head in the bracket (lo, hi]: head
-    its floats that isolation counted on, exact its integers, and own p's own floats when
-    p is square-free.  Oriented by head's signs at the ends, or by exact ones where those
+    """A float at the root of the square-free head in the bracket (lo, hi]: head its
+    floats that isolation counted on, exact its integers, and own p's own floats when p
+    is square-free.  Oriented by head's signs at the ends, or by exact ones where those
     show no change, Illinois regula falsi (Dowell & Jarratt, BIT 1971) on own, else head,
     closes the bracket to adjacent floats, kept 1/16 of it from each of isolation's ends,
-    which can be probes on a neighbouring root, until that end moves.  The exact sign midway
-    picks the nearer float; on head's rounded floats exact signs first walk out, the step
-    doubling, and bisect to the pair that holds the root."""
+    which can be probes on a neighbouring root, until that end moves.  On head's rounded
+    floats exact signs then walk out, the step doubling, and bisect to the pair that holds
+    the root; on own the pair is where p's float Horner changes sign, which rounding noise
+    can put away from it.  The exact sign midway picks the nearer float of the pair."""
     a, b, c, d, e, f = head
     flo = ((((a * lo + b) * lo + c) * lo + d) * lo + e) * lo + f
     fhi = ((((a * hi + b) * hi + c) * hi + d) * hi + e) * hi + f
@@ -341,21 +341,18 @@ def _refine_root(head: Sequence[float], exact: Sequence[int], lo: float, hi: flo
     return hi if (_sign_between(exact, lo, hi) > 0) == positive else lo
 
 
-def _sign_at(poly: Sequence[int], n: int, k: int) -> int:
+def _sign_between(poly: Sequence[int], lo: float, hi: float) -> int:
     """The exact sign of the integer polynomial poly (six coefficients, leading zeros
-    allowed) at n / 2^k, k >= 0: that of poly(n / 2^k) 2^5k, straight-line Horner on ints."""
+    allowed) at (lo + hi) / 2 for finite floats lo and hi (at lo when equal): at that
+    dyadic n / 2^k, the sign of poly(n / 2^k) 2^5k, straight-line Horner on ints."""
+    (n, s), (m, t) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if s < t:
+        n, s, m, t = m, t, n, s
+    n, k = n + m * (s // t), s.bit_length()
     a, b, c, d, e, f = poly
     v = ((((a * n + (b << k)) * n + (c << 2 * k)) * n + (d << 3 * k)) * n + (e << 4 * k)) * n
     v += f << 5 * k
     return (v > 0) - (v < 0)
-
-
-def _sign_between(poly: Sequence[int], lo: float, hi: float) -> int:
-    """The exact sign of poly at (lo + hi) / 2 for finite floats lo and hi (at lo when equal)."""
-    (n, d), (m, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    if d < e:
-        n, d, m, e = m, e, n, d
-    return _sign_at(poly, n + m * (d // e), d.bit_length())
 
 
 def worst_item(items: Iterable[tuple[str, float]]) -> tuple[str, float]:

@@ -502,11 +502,6 @@ def fraction_sturm_chain(coeffs):
     return [[_frac_to_floats(f) for f in chain] for chain in exact_sturm_chains(coeffs)]
 
 
-def pad(coeffs):
-    """Six coefficients, leading zeros first, as the root finder's kernels take them."""
-    return (0.0,) * (6 - len(coeffs)) + tuple(coeffs)
-
-
 # The root finder's loops as they were written on generic Horner over the
 # unpadded coefficient lists, on the rational chains, with every exact sign
 # taken in Fractions: the reference that the fixed-degree kernel must match bit

@@ -19,11 +19,12 @@ from origami_quintic.foldconfig import balance, balance_exponent
 from origami_quintic.polynomial import (
     Quintic,
     _depressed_in_u,
+    _exact_quotient,
     _integer_coefficients,
     _isolate,
     _normalized,
     _refine_root,
-    _sign_at,
+    _sign_between,
     _sturm_chain,
     cauchy_bound,
     coefficient_gap,
@@ -34,12 +35,14 @@ from origami_quintic.polynomial import (
 from conftest import (
     HENDECAGON,
     HENDECAGON_ROOTS,
+    _frac_chain,
+    _frac_div_exact,
+    _frac_to_floats,
     _reference_variations,
     exact_sturm_chains,
     fraction_sign,
     fraction_sturm_chain,
     outcome,
-    pad,
     reference_parse_coefficient,
     reference_real_roots,
 )
@@ -295,15 +298,54 @@ class TestRealRoots:
                 assert a == pytest.approx(b, abs=1e-8)
 
 
-def integer_sturm_chain(coeffs):
-    """The integer chains of p, g1, g2, ..., each over its own gcd, normalized
-    as real_roots normalizes them, without the padding: the counterpart of
-    fraction_sturm_chain."""
-    chains, f = [], _integer_coefficients(coeffs)
+def sturm_levels(coeffs):
+    """The (chain, gcd) pairs of _sturm_chain on p's integer coefficients and on
+    each gcd g1, g2, ... in turn, down to a square-free g_j."""
+    levels, f = [], _integer_coefficients(coeffs)
     while f != [1]:
         chain, f = _sturm_chain(f)
-        chains.append([list(_normalized(g)[6 - len(g):]) for g in chain])
-    return chains
+        levels.append((chain, f))
+    return levels
+
+
+def integer_sturm_chain(coeffs):
+    """The chains of sturm_levels, normalized as real_roots normalizes them,
+    without the padding: the counterpart of fraction_sturm_chain where p is
+    square-free, and of its heads otherwise."""
+    return [[list(_normalized(g)[6 - len(g):]) for g in chain] for chain, _ in sturm_levels(coeffs)]
+
+
+def is_positive_multiple(got, want):
+    """Whether the integer coefficients got are a positive multiple of the rational ones want."""
+    ratio = Fraction(got[0]) / want[0]
+    return ratio > 0 and [ratio * c for c in want] == got
+
+
+def assert_levels_match(coeffs):
+    """sturm_levels against the Fraction chains of exact_sturm_chains, as positive
+    multiples: each level's head s_j and its primitive gcd g_j, the product of the
+    heads after it; the last, square-free level's whole chain, normalized too as
+    real_roots normalizes it; and the chain real_roots builds for each nonconstant
+    Yun factor a_j = s_j / s_(j+1) against _frac_chain of the Fraction a_j."""
+    levels, want = sturm_levels(coeffs), exact_sturm_chains(coeffs)
+    heads = [chain[0] for chain in want]
+    assert len(levels) == len(want)
+    assert [len(chain) for chain, _ in levels[:-1]] == [1] * (len(want) - 1)
+    for i, (chain, gcd) in enumerate(levels):
+        below = [Fraction(1)]
+        for head in heads[i + 1:]:
+            below = _times(below, head)
+        assert math.gcd(*gcd) == 1 and is_positive_multiple(gcd, below)
+        assert is_positive_multiple(chain[0], heads[i])
+    chain = levels[-1][0]
+    assert len(chain) == len(want[-1]) and all(map(is_positive_multiple, chain, want[-1]))
+    assert integer_sturm_chain(coeffs)[-1] == [_frac_to_floats(f) for f in want[-1]]
+    for j in range(1, len(levels)):
+        factor = _frac_div_exact(heads[j - 1], heads[j])
+        if len(factor) > 1:
+            chain = _sturm_chain(_exact_quotient(levels[j - 1][0][0], levels[j][0][0]))[0]
+            ref = _frac_chain(factor)[0]
+            assert len(chain) == len(ref) and all(map(is_positive_multiple, chain, ref))
 
 
 # floats with binary exponents spanning about 1e-300 to 1e300, zero included
@@ -330,9 +372,9 @@ def dyadic_product(linear, pairs, shift):
 
 
 def brackets_hold_roots(q, roots):
-    """Whether real_roots' isolation gives one bracket (lo, hi] per given
-    exact root, holding it, in order."""
-    chain = [pad(poly) for poly in integer_sturm_chain(q)[0]]
+    """Whether real_roots' isolation on the chain of p's square-free part s_1
+    gives one bracket (lo, hi] per given exact root, holding it, in order."""
+    chain = [_normalized(poly) for poly in _sturm_chain(sturm_levels(q)[0][0][0])[0]]
     bound = cauchy_bound(q)
     vlo, vhi = (_reference_variations(chain, x) for x in (-bound, bound))
     brackets = _isolate(chain, -bound, bound, vlo, vhi)
@@ -379,7 +421,8 @@ def primitive_polynomials(draw):
 
 
 class TestSturmChain:
-    """The integer chains equal the rational ones bit for bit."""
+    """The integer chains equal the rational ones bit for bit: each level's head,
+    the square-free level's whole chain and each Yun factor's."""
 
     # the drawn ones rarely drop two or more degrees, so four that do, t^5 + t^2
     # (a double root at 0), -(t^4 + t), t^5 - 2t and t^5 + 3t^2 - 1, and t^5 - t^3;
@@ -393,24 +436,12 @@ class TestSturmChain:
     @example([1, 0, 0, 3, 0, -1], 1)
     @example([1, 0, -1, 0, 0, 0], 1)
     def test_elements_are_positive_multiples_of_the_rational_ones(self, poly, content):
-        poly = [c * content for c in poly]
-        levels, f = [], poly
-        while f != [1]:
-            chain, f = _sturm_chain(f)
-            assert math.gcd(*f) == 1  # the gcd is primitive
-            levels.append(chain)
-        want = exact_sturm_chains(poly)
-        assert [len(chain) for chain in levels] == [len(chain) for chain in want]
-        for chain, exact in zip(levels, want):
-            for got, ref in zip(chain, exact):
-                ratio = Fraction(got[0]) / ref[0]
-                assert ratio > 0 and [ratio * c for c in ref] == got
+        assert_levels_match([c * content for c in poly])
 
     @settings(max_examples=200, deadline=None)
     @given(rest=st.lists(wide_floats, min_size=5, max_size=5))
     def test_wide_exponents(self, rest):
-        coeffs = (1.0, *rest)
-        assert integer_sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
+        assert_levels_match((1.0, *rest))
 
     # small ranges make repeated roots and repeated complex pairs common;
     # with complex roots some chain elements lead negative, which exposes
@@ -422,8 +453,7 @@ class TestSturmChain:
         shift=st.integers(0, 6),
     )
     def test_dyadic_repeated_roots(self, linear, pairs, shift):
-        coeffs = dyadic_product(linear[: 5 - 2 * len(pairs)], pairs, shift)
-        assert integer_sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
+        assert_levels_match(dyadic_product(linear[: 5 - 2 * len(pairs)], pairs, shift))
 
     @pytest.mark.parametrize("coeffs", [HENDECAGON, (1.0, 0.0, -110.0, -55.0, 2310.0, 979.0)])
     def test_documented_quintics(self, coeffs):
@@ -444,17 +474,20 @@ class TestSturmChain:
         (1.0, 0.0, 0.0, 1.0, 1.0, 1.0),
     ])
     def test_remainders_dropping_several_degrees(self, coeffs):
-        assert integer_sturm_chain(coeffs) == fraction_sturm_chain(coeffs)
+        assert_levels_match(coeffs)
 
     def test_square_free_part_of_repeated_roots(self):
         # (t - 1)^3 (t + 1/2)^2: p's chain ends on g1 = (t - 1)^2 (t + 1/2), and
-        # divided by it is headed by the square-free part (t - 1)(t + 1/2); the
-        # chain of g1 ends on g2 = t - 1 and is divided by it
-        chains = integer_sturm_chain(dyadic_product([2, 2, 2, -1, -1], [], 1))
-        assert [len(chain) for chain in chains] == [3, 3, 2]
-        assert chains[0][0] == [1.0, -0.5, -0.5] and chains[0][-1] == [1.0]
-        assert chains[1][0] == [1.0, -0.5, -0.5] and chains[1][-1] == [1.0]
+        # only its head, the square-free part p / g1 = (t - 1)(t + 1/2), is kept;
+        # g1's ends on g2 = t - 1 and keeps only g1 / g2, the same; g2 is
+        # square-free and keeps its whole chain. a1 = 1 is constant, and
+        # a2 = t + 1/2 and a3 = t - 1 are isolated on chains of their own
+        coeffs = dyadic_product([2, 2, 2, -1, -1], [], 1)
+        chains = integer_sturm_chain(coeffs)
+        assert [len(chain) for chain in chains] == [1, 1, 2]
+        assert chains[0] == chains[1] == [[1.0, -0.5, -0.5]]
         assert chains[2] == [[1.0, -1.0], [1.0]]
+        assert_levels_match(coeffs)
 
 
 # zeros of both signs, subnormals, the normal edge and the largest floats
@@ -741,19 +774,19 @@ class TestRefinement:
         for (t, _), want, before in zip(roots, exact, polished):
             assert abs(Fraction(t) - want) <= abs(Fraction(before) - want)
 
-    # points as refinement takes them, float or midway between two: either
-    # sign, subnormal, and near 2^1000
+    # points as refinement takes them, a float or midway between it and a
+    # neighbour: either sign, subnormal, and near 2^1000
     @settings(max_examples=400, deadline=None)
     @given(
         poly=st.lists(st.integers(-9, 9) | st.integers(-2**80, 2**80), min_size=6, max_size=6),
         x=st.one_of(wide_floats, st.floats(-1e-307, 1e-307),
                     st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(990, 1024))),
-        offset=st.sampled_from((-1, 0, 1)),
     )
-    def test_sign_at_is_the_sign_of_the_fraction_value(self, poly, x, offset):
-        n, d = x.as_integer_ratio()
-        n, k = 2 * n + offset, d.bit_length()
-        assert _sign_at(poly, n, k) == fraction_sign(poly, Fraction(n, 2**k))
+    def test_sign_between_is_the_sign_of_the_fraction_value(self, poly, x):
+        for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+            if math.isfinite(y):
+                want = fraction_sign(poly, (Fraction(x) + Fraction(y)) / 2)
+                assert _sign_between(poly, x, y) == want
 
 
 # rounding boundaries, written out exactly: the midpoint between the largest
