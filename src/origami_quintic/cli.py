@@ -1,7 +1,7 @@
 """Command-line front door: solve, config, compare, verify.
 
 Exit codes: 0 success, 2 configuration error, 3 verification failure, 64
-usage error (a ValueError, from argparse or the library: a zero lead, an h
+usage error (a ValueError, from parse_args or the library: a zero lead, an h
 out of range; or an OSError), 65 unreadable report file.  JSON goes to stdout
 unless --json PATH is given; reports carry their schema number (none means
 schema 1) and are byte-stable across runs unless --timing is requested.  A
@@ -17,11 +17,12 @@ path; warnings and timing_ms are not compared.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import foldconfig, foldsolve, polynomial
 from .errors import ConfigMismatch, OrigamiQuinticError, ZeroConstantTerm
@@ -35,16 +36,6 @@ EXIT_VERIFY = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 SCHEMA = 8
-
-DEFAULT_TOL = 1e-9
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):  # subparsers are _Parsers too; --h must not mean --help
-        super().__init__(allow_abbrev=False, **kwargs)
-
-    def error(self, message):  # argparse would exit 2; we need 64
-        raise ValueError(message)
 
 
 def parse_coeffs(text: str) -> list[float]:
@@ -79,48 +70,6 @@ def _dump(payload: dict, path: str | None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _check_tol(args) -> None:
-    tol = getattr(args, "tol", DEFAULT_TOL)
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--coeffs", required=True,
-                     help="six coefficients, descending degree; fractions like -22/5 allowed")
-    sub.add_argument("--h", type=float, default=None, dest="h_override",
-                     help="override the automatic choice of h")
-    sub.add_argument("--branch", choices=foldconfig.BRANCHES, default="plus")
-    sub.add_argument("--json", default=None, metavar="PATH",
-                     help="write the JSON report here instead of stdout")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="origami-quintic",
-                     description="Solve quintics through the two-simultaneous-fold construction.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    solve = subs.add_parser("solve", help="solve the quintic and verify every fold")
-    _add_common(solve)
-    solve.add_argument("--svg", default=None, metavar="PATH",
-                       help="write an SVG gallery of the solutions")
-    solve.add_argument("--timing", action="store_true", help="include timing_ms in the report")
-
-    config = subs.add_parser("config", help="emit the fold configuration only")
-    _add_common(config)
-
-    compare = subs.add_parser("compare",
-                              help="direct construction vs. the depressed-form route")
-    _add_common(compare)
-
-    verify = subs.add_parser("verify", help="re-check a stored solve report")
-    verify.add_argument("--json", required=True, metavar="PATH")
-    for sub in (solve, verify):
-        sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                         help=f"verification tolerance (default {DEFAULT_TOL})")
-    return parser
 
 
 def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
@@ -291,14 +240,65 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# each command's handler and flags: flag -> (attribute, value, default); the value is str,
+# float or the tuple of its choices, () for a switch, which sets True; ... marks required
+_COMMON = {"--coeffs": ("coeffs", str, ...), "--h": ("h_override", float, None),
+           "--branch": ("branch", foldconfig.BRANCHES, "plus"), "--json": ("json", str, None)}
+_TOL = {"--tol": ("tol", float, 1e-9)}
+_COMMANDS = {"solve": (cmd_solve, {**_COMMON, "--svg": ("svg", str, None),
+                                   "--timing": ("timing", (), False), **_TOL}),
+             "config": (cmd_config, _COMMON), "compare": (cmd_compare, _COMMON),
+             "verify": (cmd_verify, {"--json": ("json", str, ...), **_TOL})}
+_is_flag = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+$").match  # a flag, not "-", -1, -.5 or spaced
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command and its flags' attributes read from argv, or None once -h or --help printed
+    the usage.  A bad value is refused at once; a missing flag, then a stray token, at the end."""
+    command, table, args, extras = None, {}, {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        attribute, value, _ = table.get(flag, (None, None, None))
+        if token in ("-h", "--help"):  # the usage of the command, or of every command
+            for name in [command] if command else _COMMANDS:
+                words = [("{}" if default is ... else "[{}]").format(
+                    f"{option} {dest.upper()}" if kind else option)
+                    for option, (dest, kind, default) in _COMMANDS[name][1].items()]
+                print(f"usage: origami-quintic {name}", *words)
+            return None
+        if command is None and not _is_flag(token):
+            if token not in _COMMANDS:
+                raise ValueError(f"argument command: invalid choice: {token!r}")
+            command, table = token, _COMMANDS[token][1]
+            args = {attribute: default for attribute, _, default in table.values()}
+        elif attribute is None:  # no flag of the command; nothing after "--" is a flag either
+            extras += [token, *tokens] if token == "--" else [token]
+        elif value == () and not eq:  # a switch: no value may follow it
+            args[attribute] = True
+        elif not eq and _is_flag(text := next(tokens, "--")):  # "--": argv has ended
+            raise ValueError(f"argument {flag}: expected one argument")
+        elif isinstance(value, tuple) and text not in value:
+            raise ValueError(f"argument {flag}: {text!r} is not one of {value}")
+        else:
+            try:
+                args[attribute] = text if isinstance(value, tuple) else value(text)
+            except ValueError:
+                raise ValueError(f"argument {flag}: invalid float value: {text!r}") from None
+    missing = [flag for flag, (attribute, *_) in table.items() if args[attribute] is ...]
+    if command is None or missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing) or 'command'}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    if not 0.0 <= args.get("tol", 0.0) < math.inf:
+        raise ValueError(f"--tol must be a finite number >= 0, got {args['tol']!r}")
+    return SimpleNamespace(command=command, **args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _check_tol(args)
-        handlers = {"solve": cmd_solve, "config": cmd_config, "compare": cmd_compare,
-                    "verify": cmd_verify}
-        return handlers[args.command](args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return EXIT_OK if args is None else _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:  # OSError: an unwritable output path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

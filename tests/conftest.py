@@ -1,3 +1,4 @@
+import argparse
 import math
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from origami_quintic import (
     real_roots,
 )
 from origami_quintic.errors import SingularSystem, SturmOverflow
-from origami_quintic.foldconfig import balance
+from origami_quintic.foldconfig import BRANCHES, balance
 from origami_quintic.foldsolve import check_roundtrip
 from origami_quintic.polynomial import cauchy_bound
 from origami_quintic.geometry import (
@@ -429,6 +430,27 @@ def reference_parse_coefficient(text: str) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"coefficient {text!r} is outside the float range") from None
+
+
+def reference_cli_parser() -> argparse.ArgumentParser:
+    """The argparse definition that cli.parse_args replaced, kept as its reference
+    on well-formed argument lists: what each command's handler receives."""
+    parser = argparse.ArgumentParser(prog="origami-quintic", allow_abbrev=False)
+    subs = parser.add_subparsers(dest="command", required=True)
+    commands = {name: subs.add_parser(name, allow_abbrev=False)
+                for name in ("solve", "config", "compare", "verify")}
+    for name in ("solve", "config", "compare"):
+        sub = commands[name]
+        sub.add_argument("--coeffs", required=True)
+        sub.add_argument("--h", type=float, default=None, dest="h_override")
+        sub.add_argument("--branch", choices=BRANCHES, default="plus")
+        sub.add_argument("--json", default=None)
+    commands["solve"].add_argument("--svg", default=None)
+    commands["solve"].add_argument("--timing", action="store_true")
+    commands["verify"].add_argument("--json", required=True)
+    for name in ("solve", "verify"):
+        commands[name].add_argument("--tol", type=float, default=1e-9)
+    return parser
 
 
 # The rational Sturm chains that the integer ones replaced, kept as their

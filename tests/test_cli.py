@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import origami_quintic
-from origami_quintic import FoldConfig, FoldSolution, IncidenceResiduals, Line
+from conftest import reference_cli_parser
+from origami_quintic import FoldConfig, FoldSolution, IncidenceResiduals, Line, cli
 from origami_quintic.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -730,6 +731,109 @@ def test_abbreviated_help_flag_is_usage_error(capsys, tmp_path):
     assert "unrecognized arguments: --h 2" in capsys.readouterr().err
 
 
+# argparse's exit codes, which the flag table keeps: a value that starts with "-"
+# needs "=" unless it is a plain negative number, a bad value is refused before a
+# later help, help wins over tokens no flag takes, and no flag is abbreviated;
+# line is the one usage-error line, where it is pinned
+@pytest.mark.parametrize("argv, code, line", [
+    (["solve", "--coeffs", "-1,0,0,0,0,1"], EXIT_USAGE, "argument --coeffs: expected one argument"),
+    (["solve", "--coeffs=-1,0,0,0,0,1"], EXIT_OK, None),
+    (["solve", *HENDECAGON_ARGS, "--h", "-1"], EXIT_USAGE,
+     "h must be from 2^-128 to 2^102, got -1.0"),
+    (["solve", *HENDECAGON_ARGS, "--timing=1"], EXIT_USAGE, None),
+    (["solve", *HENDECAGON_ARGS, "--h", "x", "--help"], EXIT_USAGE, None),
+    (["solve", "--bogus", "--help"], EXIT_OK, None),
+    (["-h"], EXIT_OK, None),
+    (["x", "-h"], EXIT_USAGE, None),
+    ([], EXIT_USAGE, None),
+    (["solve", *HENDECAGON_ARGS, "--", "x"], EXIT_USAGE, None),
+    (["verify", "--json", "P", "--h", "2"], EXIT_USAGE, "unrecognized arguments: --h 2"),
+    (["solve", "--he", "1"], EXIT_USAGE, None),
+    (["solve", "--co", "1,1,-4,-3,3,1"], EXIT_USAGE, None),
+    (["verify", "--js", "report.json"], EXIT_USAGE, None),
+    (["solve", *HENDECAGON_ARGS, "--branch", "both", "--help"], EXIT_USAGE, None),
+    (["solve", *HENDECAGON_ARGS, "--h", "1e400"], EXIT_USAGE,
+     "h must be from 2^-128 to 2^102, got inf"),
+    (["config", "--h", "1"], EXIT_USAGE, None),
+    (["verify"], EXIT_USAGE, None),
+])
+def test_argument_list_exit_code(capsys, argv, code, line):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_USAGE:  # every ValueError is one line
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
+        assert line is None or err == f"usage error: {line}\n"
+    else:
+        assert err == ""
+        assert out.startswith("usage:" if {"-h", "--help"} & set(argv) else "{")
+
+
+def test_help_lists_each_commands_flags(capsys):
+    assert main(["-h"]) == EXIT_OK
+    every = capsys.readouterr().out
+    assert main(["verify", "--help"]) == EXIT_OK
+    verify = capsys.readouterr().out
+    assert verify == "usage: origami-quintic verify --json JSON [--tol TOL]\n"
+    assert every.splitlines()[-1] == verify.strip()
+    assert every.splitlines()[0] == (
+        "usage: origami-quintic solve --coeffs COEFFS [--h H_OVERRIDE] [--branch BRANCH] "
+        "[--json JSON] [--svg SVG] [--timing] [--tol TOL]")
+
+
+# well-formed flag values: a value that starts with "-" is written with "=" unless
+# it is a plain negative number or has a space
+FLAG_VALUES = {
+    "--coeffs": ["1,1,-4,-3,3,1", "2/2, 1, -4, -3, 3, 1", "-1,0,0,0,0,1", "-1, 0, 0, 0, 0, 1"],
+    "--h": ["1", "0.5", "-1", "-.5", "-2.5", "-1e-3", "1e400", "nan", " 2 ", "-inf"],
+    "--branch": ["plus", "minus"],
+    "--json": ["report.json", "-", "", "dir/out.json"],
+    "--svg": ["folds.svg", "-"],
+    "--timing": [None],
+    "--tol": ["0", "1e-9", "0.5", "3", "-0.0"],
+}
+COMMAND_FLAGS = {"solve": ("--coeffs", "--h", "--branch", "--json", "--svg", "--timing", "--tol"),
+                 "config": ("--coeffs", "--h", "--branch", "--json"),
+                 "compare": ("--coeffs", "--h", "--branch", "--json"),
+                 "verify": ("--json", "--tol")}
+PLAIN_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+@st.composite
+def well_formed_argument_lists(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(flags), max_size=8)) + [flags[0]]  # the required one
+    argv = []
+    for flag in draw(st.permutations(chosen)):
+        value = draw(st.sampled_from(FLAG_VALUES[flag]))
+        if value is None:
+            argv.append(flag)
+        elif draw(st.booleans()) or (value.startswith("-") and " " not in value
+                                     and not PLAIN_NEGATIVE.match(value)):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return [command, *argv]
+
+
+def test_handlers_receive_what_argparse_gave(monkeypatch):
+    received = []
+    for name, (_, table) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (lambda args: received.append(args) or 0, table))
+    reference = reference_cli_parser()
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=well_formed_argument_lists())
+    def check(argv):
+        received.clear()
+        assert main(argv) == EXIT_OK
+        (args,) = received
+        want = vars(reference.parse_args(argv))
+        assert repr(sorted(vars(args).items())) == repr(sorted(want.items()))  # nan is nan
+
+    check()
+
+
 # argument lists for every subcommand, with values the solver must refuse cleanly
 COMMAND_TOKENS = ["solve", "config", "compare", "verify"]
 FLAG_TOKENS = ["--coeffs", "--h", "--branch", "--json", "--svg", "--timing", "--tol", "--root-tol",
@@ -761,13 +865,12 @@ def test_any_argument_list_exits_cleanly(tmp_path, monkeypatch, capsys):
     @given(argv=argument_lists())
     def check(argv):
         capsys.readouterr()
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's help, and only on an exact help flag
-            assert exc.code == 0 and {"-h", "--help"} & set(argv)
-            return
+        code = main(argv)
+        out, err = capsys.readouterr()
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_USAGE, EXIT_DATA)
-        assert "Traceback" not in capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == EXIT_OK and out.startswith("usage:"):  # help, only on an exact help flag
+            assert {"-h", "--help"} & set(argv)
 
     check()
 
@@ -801,7 +904,8 @@ def test_cli_import_needs_no_numpy():
 
 
 # modules that verify and compare on decimal input never need
-LAZY_MODULES = ("dataclasses", "inspect", "fractions", "decimal", "origami_quintic.render")
+LAZY_MODULES = ("dataclasses", "inspect", "fractions", "decimal", "origami_quintic.render",
+                "argparse", "gettext", "locale")
 
 
 @pytest.mark.parametrize("command, loaded", [

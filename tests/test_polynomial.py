@@ -775,12 +775,12 @@ class TestRefinement:
             assert abs(Fraction(t) - want) <= abs(Fraction(before) - want)
 
     # points as refinement takes them, a float or midway between it and a
-    # neighbour: either sign, subnormal, and near 2^1000
+    # neighbour: either sign, subnormal, and near 2^1000, below 2^1024, which overflows
     @settings(max_examples=400, deadline=None)
     @given(
         poly=st.lists(st.integers(-9, 9) | st.integers(-2**80, 2**80), min_size=6, max_size=6),
         x=st.one_of(wide_floats, st.floats(-1e-307, 1e-307),
-                    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(990, 1024))),
+                    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(990, 1023))),
     )
     def test_sign_between_is_the_sign_of_the_fraction_value(self, poly, x):
         for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
