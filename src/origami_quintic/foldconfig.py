@@ -314,4 +314,4 @@ def _config_at(q: Quintic, h: float, branch: str, e: int, b: float, c: float,
         raise DegenerateP(
             f"P lies on line l (p = k = {k:.6g}) at h = {h:.6g}; retry with a different h"
         )
-    return FoldConfig(h=h, b=b, c=c, k=k, p=p, q=q_point, branch=branch, D=d, exponent=e)
+    return tuple.__new__(FoldConfig, (h, b, c, k, p, q_point, branch, d, e))

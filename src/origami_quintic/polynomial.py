@@ -6,10 +6,12 @@ exactly to integers) and on the gcds g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...,
 keeping of each level with a repeated root only its head s_j = g_(j-1) / g_j.
 The quotients a_j = s_j / s_(j+1) are the square-free factors of
 p = a1 a2^2 a3^3 ... (Yun, SYMSAC 1976): a_j holds the roots of multiplicity
-exactly j.  Each a_j's own chain isolates its real roots by interval bisection;
-each root is refined by Illinois regula falsi to adjacent floats, and exact
-integer signs at dyadic points pick one.  A root's multiplicity is the index j
-of the factor it is found on.
+exactly j.  Each a_j's real roots are counted on the integer leads of its own
+chain before any float work: a linear a_j's root is one correctly rounded
+division, and only two or more roots are isolated by interval bisection; each
+root is refined by Illinois regula falsi to adjacent floats, and exact integer
+signs at dyadic points pick one.  A root's multiplicity is the index j of the
+factor it is found on.
 """
 
 from __future__ import annotations
@@ -84,17 +86,20 @@ def cauchy_bound(q: Quintic) -> float:
 def real_roots(q: Quintic) -> list[tuple[float, int]]:
     """All real roots of a monic quintic, ascending, with multiplicities.
 
-    Each Yun factor a_j (see the module docstring) is isolated on its own Sturm
-    chain: its distinct roots by sign-variation counts on a bisected interval
-    [-B, B] (B the Cauchy bound), each refined to two adjacent floats and one of
-    them (``_refine_root``), the nearest float where p has a repeated root.  When
-    p is square-free, a1 is p, and the pair is where p's own float Horner changes
-    sign, which rounding noise can put away from the exact root.  Every root is
-    simple in a_j, and its multiplicity is j; a bracket left at the width floor
-    with several roots of a_j in it reports count * j.  The roots of all factors
-    come sorted.  The chains are exact integers until ``_normalized``; from there
-    every evaluation is straight-line Horner on six floats, rounding as the
-    generic loop does, and every exact sign is taken on the integers.
+    Each Yun factor a_j (see the module docstring) has its own Sturm chain, on whose
+    integer leads its real roots are counted first.  A constant a_j, or one with no
+    real root, is done there, and a linear one's root is -a_j[1] / a_j[0], correctly
+    rounded.  One root has (-B, B] (B the Cauchy bound) as its bracket, and only its
+    head is normalized; two or more are isolated by sign-variation counts on the
+    whole normalized chain over a bisected interval.  Each bracket is refined to two
+    adjacent floats and one of them (``_refine_root``), the nearest float where p
+    has a repeated root.  When p is square-free, a1 is p, and the pair is where p's
+    own float Horner changes sign, which rounding noise can put away from the exact
+    root.  Every root is simple in a_j, and its multiplicity is j; a bracket left at
+    the width floor with several roots of a_j in it reports count * j.  The roots of
+    all factors come sorted.  The chains are exact integers until ``_normalized``;
+    from there every evaluation is straight-line Horner on six floats, rounding as
+    the generic loop does, and every exact sign is taken on the integers.
 
     The sign variations at -B and B are those at -inf and inf, as no root lies
     beyond B: each chain's are read off its integer leads, and count every root.
@@ -110,17 +115,27 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
         levels.append(chain)
     roots, own = [], q if len(levels) == 1 else None  # p's own floats when p is square-free
     for j, exact in enumerate(levels, 1):
-        if j < len(levels):  # a_j = s_j / s_(j+1), the roots repeated exactly j times
-            a = _exact_quotient(exact[0], levels[j][0])
-            if len(a) == 1:
-                continue
+        # a_j = s_j / s_(j+1), the roots repeated exactly j times; the last level's head is a_j
+        a = _exact_quotient(exact[0], levels[j][0]) if j < len(levels) else exact[0]
+        if len(a) < 3:  # constant, or linear: its root is one correctly rounded division
+            if len(a) == 2:  # (+ 0.0 makes a root at zero 0.0 whatever the lead's sign)
+                roots.append((-a[1] / a[0] + 0.0, j))
+            continue
+        if j < len(levels):
             exact = _sturm_chain(a)[0]
-        chain = [_normalized(g) for g in exact]
         # V(-B) and V(B), those at -inf and inf: the leads' signs, at -inf flipped on odd degrees
-        up = [g[0] > 0 for g in exact]
-        vlo, vhi = [sum([s != t for s, t in zip(v, v[1:])])
-                    for v in ([u == len(g) % 2 for u, g in zip(up, exact)], up)]
-        head = [0] * (6 - len(exact[0])) + exact[0]
+        vlo = vhi = 0
+        up, down = a[0] > 0, (a[0] > 0) == len(a) % 2
+        for g in exact[1:]:
+            u, v = g[0] > 0, (g[0] > 0) == len(g) % 2
+            vlo, vhi, up, down = vlo + (v != down), vhi + (u != up), u, v
+        if vlo == vhi:  # no real root
+            continue
+        head = [0] * (6 - len(a)) + a
+        if vlo - vhi == 1:  # (-B, B] is the one root's bracket: only the head is normalized
+            roots.append((_refine_root(_normalized(a), head, -bound, bound, own), j))
+            continue
+        chain = [_normalized(g) for g in exact]
         roots += [(_refine_root(chain[0], head, blo, bhi, own), count * j)
                   for blo, bhi, count in _isolate(chain, -bound, bound, vlo, vhi)]
     return sorted(roots)
@@ -215,8 +230,11 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
             return [_exact_quotient(exact, gcd)], gcd
         if len(rem) == 1:  # the last element, kept as its sign
             return [*chain, [1 if rem[0] > 0 else -1]], [1]
-        d = len(chain[-2]) - len(chain[-1])
-        scale, lc, h = lc * h**d, abs(chain[-1][0]), abs(chain[-1][0]) ** d // h ** (d - 1)
+        d, lead = len(chain[-2]) - len(chain[-1]), abs(chain[-1][0])
+        if d == 1:  # the usual step: lc h^1, and h = lead^1 / h^0
+            scale, lc, h = lc * h, lead, lead
+        else:
+            scale, lc, h = lc * h**d, lead, lead**d // h ** (d - 1)
         chain.append([c // scale for c in rem])
     return chain, [1]
 
@@ -344,11 +362,16 @@ def _refine_root(head: Sequence[float], exact: Sequence[int], lo: float, hi: flo
 def _sign_between(poly: Sequence[int], lo: float, hi: float) -> int:
     """The exact sign of the integer polynomial poly (six coefficients, leading zeros
     allowed) at (lo + hi) / 2 for finite floats lo and hi (at lo when equal): at that
-    dyadic n / 2^k, the sign of poly(n / 2^k) 2^5k, straight-line Horner on ints."""
-    (n, s), (m, t) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    if s < t:
-        n, s, m, t = m, t, n, s
-    n, k = n + m * (s // t), s.bit_length()
+    dyadic n / 2^k, the sign of poly(n / 2^k) 2^5k, straight-line Horner on ints.  At a
+    single float n / s, s = 2^(k-1), that is 2n / 2^k, with no second ratio to combine."""
+    n, s = lo.as_integer_ratio()
+    if lo == hi:
+        n, k = 2 * n, s.bit_length()
+    else:
+        m, t = hi.as_integer_ratio()
+        if s < t:
+            n, s, m, t = m, t, n, s
+        n, k = n + m * (s // t), s.bit_length()
     a, b, c, d, e, f = poly
     v = ((((a * n + (b << k)) * n + (c << 2 * k)) * n + (d << 3 * k)) * n + (e << 4 * k)) * n
     v += f << 5 * k

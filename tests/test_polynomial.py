@@ -13,6 +13,7 @@ from origami_quintic import (
     SturmOverflow,
     evaluate,
     normalize_monic,
+    polynomial,
     real_roots,
 )
 from origami_quintic.foldconfig import balance, balance_exponent
@@ -481,7 +482,7 @@ class TestSturmChain:
         # only its head, the square-free part p / g1 = (t - 1)(t + 1/2), is kept;
         # g1's ends on g2 = t - 1 and keeps only g1 / g2, the same; g2 is
         # square-free and keeps its whole chain. a1 = 1 is constant, and
-        # a2 = t + 1/2 and a3 = t - 1 are isolated on chains of their own
+        # a2 = t + 1/2 and a3 = t - 1 are linear, each root one division
         coeffs = dyadic_product([2, 2, 2, -1, -1], [], 1)
         chains = integer_sturm_chain(coeffs)
         assert [len(chain) for chain in chains] == [1, 1, 2]
@@ -504,6 +505,7 @@ class TestRealRootsOracle:
     @given(rest=st.lists(st.one_of(wide_floats, EDGE_FLOATS), min_size=5, max_size=5))
     @example([8254058480958692.0, 0.0, 0.0, 0.0, 0.0])  # the root -a4 lies an ulp inside -B
     @example([5e-324, 0.0, 0.0, 0.0, 0.0])  # t^4 (t + 5e-324): a1 = t + 5e-324, a4 = t
+    @example([0.0, 0.0, 1.0, 0.0, 0.0])  # t^2 (t^3 + 1): a2 = t, led by a negative, has root 0.0
     def test_wide_and_edge_coefficients(self, rest):
         q = Quintic(1.0, *rest)
         assert outcome(lambda: real_roots(q)) == outcome(lambda: reference_real_roots(q))
@@ -520,6 +522,47 @@ class TestRealRootsOracle:
         q = Quintic(*dyadic_product(linear[: 5 - 2 * len(pairs)], pairs, shift))
         assert outcome(lambda: real_roots(q)) == outcome(lambda: reference_real_roots(q))
 
+
+
+class TestCountFirst:
+    """Each Yun factor's roots are counted on its chain's integer leads before any float
+    work: a factor with no root is left there, one with one root normalizes only its
+    head and is not bisected, and a linear one is one division."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("_normalized", "_isolate", "_refine_root"):
+            def counted(*args, name=name, f=getattr(polynomial, name)):
+                calls[name] += 1
+                return f(*args)
+            monkeypatch.setattr(polynomial, name, counted)
+        return calls
+
+    def test_one_root_normalizes_only_the_head(self, calls):
+        q = Quintic(1.0, 0.0, 0.0, 0.0, 1.0, 1.0)  # t^5 + t + 1
+        assert real_roots(q) == reference_real_roots(q)
+        assert (calls["_normalized"], calls["_isolate"], calls["_refine_root"]) == (1, 0, 1)
+
+    def test_rootless_factor_is_left_at_its_count(self, calls):
+        # (t^2 + 1)^2 (t - 3): a1 = t - 3 is linear, and a2 = t^2 + 1 has no real root
+        q = Quintic(1.0, -3.0, 2.0, -6.0, 1.0, -3.0)
+        assert real_roots(q) == reference_real_roots(q) == [(3.0, 1)]
+        assert (calls["_normalized"], calls["_isolate"], calls["_refine_root"]) == (0, 0, 0)
+
+    def test_three_roots_normalize_the_whole_chain(self, calls):
+        # (t + 2)(t - 1/2)(t - 3)(t^2 + 1) is square-free: its one chain is p's
+        q = Quintic(*dyadic_product([-4, 1, 6], [(0, 2)], 1))
+        chain = _sturm_chain(_integer_coefficients(q))[0]
+        assert real_roots(q) == reference_real_roots(q)
+        assert (calls["_normalized"], calls["_isolate"], calls["_refine_root"]) == (len(chain), 1, 3)
+        assert len(chain) == 6
+
+    def test_linear_factors_are_one_division(self, calls):
+        # (t + 3/4)^4 (t - 2): a1 = t - 2, and a4 = t + 3/4 is the last level's head
+        q = normalize_monic([1, 1, -2.625, -5.0625, -3.05859375, -0.6328125])
+        assert real_roots(q) == reference_real_roots(q) == [(-0.75, 4), (2.0, 1)]
+        assert not calls
 
 def test_cauchy_bound_contains_roots():
     rng = np.random.default_rng(3)
@@ -788,6 +831,15 @@ class TestRefinement:
                 want = fraction_sign(poly, (Fraction(x) + Fraction(y)) / 2)
                 assert _sign_between(poly, x, y) == want
 
+
+    # the single-float branch at the exponent extremes: the smallest subnormal, whose
+    # ratio has the denominator 2^1074, the largest float, and 1.0
+    @pytest.mark.parametrize("x", [5e-324, -5e-324, 1.7976931348623157e308,
+                                   -1.7976931348623157e308, 1.0, -1.0])
+    @pytest.mark.parametrize("poly", [[0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, -1], [1, 0, 0, 0, 0, -1],
+                                      [3, -2**1100, 0, 0, 7, -1], [-5, 0, 2**80, 0, 0, 1]])
+    def test_sign_at_a_single_float(self, poly, x):
+        assert _sign_between(poly, x, x) == fraction_sign(poly, Fraction(x))
 
 # rounding boundaries, written out exactly: the midpoint between the largest
 # float and 2**1024, and half the smallest subnormal, with their neighbours
