@@ -226,14 +226,9 @@ def compute_bc(q: Quintic, h: float, branch: str = "plus") -> tuple[float, float
     if not d >= -floor or floor == math.inf:  # NaN fails too
         why = "< 0" if floor < math.inf else "is not finite"
         raise NegativeDiscriminant(f"D = {d:.6g} {why} at h = {h:.6g}")
-    return _bc_from(q, h, max(d, 0.0), branch)
-
-
-def _bc_from(q: Quintic, h: float, d: float, branch: str) -> tuple[float, float, float]:
-    """(b, c, d) at h on the branch from its discriminant d >= 0."""
-    lead, root = q.a0 - h**4 * q.a4, math.sqrt(d)
-    sign = 1.0 if branch == "plus" else -1.0
-    return (lead + sign * root) / (4.0 * h**5), (lead - 3.0 * sign * root) / (4.0 * h**4), d
+    d = max(d, 0.0)
+    root = math.sqrt(d) if branch == "plus" else -math.sqrt(d)
+    return (lead + root) / (4.0 * h**5), (lead - 3.0 * root) / (4.0 * h**4), d
 
 
 def compute_kpq(q: Quintic, h: float, b: float, c: float) -> tuple[float, float, float]:
@@ -273,15 +268,15 @@ def build_config(
     """Full inverse construction for a monic quintic, in its 2^e frame.
 
     Balances q by e = balance_exponent(q), picks h there (unless overridden:
-    h_override is the caller's h, 2^e times the frame's), solves (b, c) on
-    the branch, one of BRANCHES (else ValueError), then (k, p, q) in closed
-    form, and hands the configuration back in the frame, e its exponent.  P
-    on line l (p = k) is never perturbed silently: an h that build_config
-    chose itself moves on to the next h of the trial sequence with D >= 0,
-    and an overriding h raises DegenerateP.  An h_override outside [H_MIN,
-    H_MAX] in the frame is a ValueError naming it as the caller gave it,
-    raised before the constant term is looked at; every other error names
-    the frame's values.
+    h_override is the caller's h, 2^e times the frame's), solves (b, c) with
+    compute_bc on the branch, one of BRANCHES (else ValueError), then (k, p,
+    q) in closed form, and hands the configuration back in the frame, e its
+    exponent.  P on line l (p = k) is never perturbed silently: an h that
+    build_config chose itself moves on to the next h of the trial sequence
+    that compute_bc admits, and an overriding h raises DegenerateP.  An
+    h_override outside [H_MIN, H_MAX] in the frame is a ValueError naming it
+    as the caller gave it, raised before the constant term is looked at;
+    every other error names the frame's values.
     """
     _check_branch(branch)
     e = balance_exponent(q)
@@ -296,19 +291,20 @@ def build_config(
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")
     q = balance(q, e)
     if h_override is not None:
-        return _config_at(q, h, branch, e, *compute_bc(q, h, branch))
-    for h in H_TRIALS[H_TRIALS.index(choose_h(q)):]:  # from the first h with D >= 0
-        if (d := discriminant(q, h)) >= 0.0:
-            try:
-                return _config_at(q, h, branch, e, *_bc_from(q, h, d, branch))
-            except DegenerateP as exc:
-                degenerate = exc
+        return _config_at(q, h, branch, e)
+    for h in H_TRIALS[H_TRIALS.index(choose_h(q)):]:  # each h compute_bc admits, from choose_h's
+        try:
+            return _config_at(q, h, branch, e)
+        except NegativeDiscriminant:
+            continue
+        except DegenerateP as exc:
+            degenerate = exc
     raise degenerate
 
 
-def _config_at(q: Quintic, h: float, branch: str, e: int, b: float, c: float,
-               d: float) -> FoldConfig:
-    """q's configuration in its 2^e frame at h, (b, c) and D; DegenerateP when P lies on l."""
+def _config_at(q: Quintic, h: float, branch: str, e: int) -> FoldConfig:
+    """q's configuration at h in its 2^e frame; DegenerateP when P lies on l."""
+    b, c, d = compute_bc(q, h, branch)
     k, p, q_point = compute_kpq(q, h, b, c)
     if abs(p - k) <= 1e-12 * max(abs(k), abs(p)):  # 12 digits at every scale
         raise DegenerateP(

@@ -51,10 +51,13 @@ class Quintic(_QuinticFields):
 
 def normalize_monic(coeffs: Sequence[float]) -> Quintic:
     """Scale the six coefficients by the leading one; roots are unchanged.
-    A ValueError for a count other than six, a zero leading coefficient, or a
-    monic coefficient that is not finite (dividing by a tiny lead overflows)."""
+    A ValueError for a count other than six, a coefficient that is not finite,
+    a zero leading coefficient, or a monic one that overflows (a tiny lead)."""
     if len(coeffs) != 6:
         raise ValueError(f"expected 6 coefficients, got {len(coeffs)}")
+    for i, c in enumerate(coeffs):  # before dividing, which turns an infinite lead into 0s
+        if not math.isfinite(value := float(c)):
+            raise ValueError(f"coefficient {i} is {value!r}, not a finite number")
     lead = float(coeffs[0])
     if lead == 0.0:
         raise ValueError("leading coefficient is zero; not a quintic")

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -708,6 +709,14 @@ class TestVerifyRebuildsTheReport:
         code, err = _verify(tmp_path, capsys, data)
         assert code == EXIT_VERIFY
         assert err.startswith("verification failed: no rebuild: NegativeDiscriminant: ")
+
+    def test_infinite_raw_coefficient_is_no_rebuild(self, tmp_path, capsys):
+        # JSON reads Infinity, which the coefficient parser of solve refuses
+        data = _solved(tmp_path, HENDECAGON_ARGS)
+        data["quintic"]["raw"][0] = math.inf
+        assert _verify(tmp_path, capsys, data) == (
+            EXIT_VERIFY, "verification failed: no rebuild: ValueError: coefficient 0 is inf, "
+            "not a finite number\n")
 
 
 def test_deeply_nested_report_is_unreadable(capsys, tmp_path):

@@ -448,7 +448,8 @@ class TestBuildConfig:
 
     def test_degenerate_p_moves_to_the_next_h(self):
         # h = 1 puts P on l, as above; an h build_config chose itself moves on
-        # to the next h of choose_h's sequence with D >= 0, on the same branch
+        # to the next h of choose_h's sequence that compute_bc admits, on the
+        # same branch
         quintic = quintic_of(0.0, 1.0, 2.0, 2.0, 1.0, 1.0)
         assert choose_h(quintic) == 1.0
         cfg = build_config(quintic, branch="minus")
@@ -461,6 +462,23 @@ class TestBuildConfig:
         with pytest.raises(DegenerateP, match=r"^P lies on line l \(p = k = 1\) at "
                            r"h = 9\.09495e-13; retry with a different h$"):
             build_config(hendecagon)
+
+    def test_every_h_is_solved_by_compute_bc(self, hendecagon, monkeypatch):
+        # one (b, c) path: the walk and an overriding h both call compute_bc,
+        # once for each h they build at
+        hs = []
+        compute_bc = foldconfig.compute_bc
+        monkeypatch.setattr(foldconfig, "compute_bc",
+                            lambda q, h, branch: hs.append(h) or compute_bc(q, h, branch))
+        assert build_config(hendecagon).h == 1.0
+        assert hs == [1.0]
+        hs.clear()
+        # h = 1 puts P on l, then h = 1/2 builds
+        assert build_config(quintic_of(0.0, 1.0, 2.0, 2.0, 1.0, 1.0), branch="minus").h == 0.5
+        assert hs == [1.0, 0.5]
+        hs.clear()
+        cfg = build_config(SCALED_HENDECAGON, h_override=1.0)
+        assert hs == [cfg.h]
 
     @pytest.mark.parametrize("coeffs, h", [
         # the repeated-root cases of the seed-0 unit-batch benchmark corpus whose
@@ -481,6 +499,8 @@ class TestBuildConfig:
         cfg = build_config(quintic)
         assert drawn(cfg).h == h
         assert all(s.residuals.passes(1e-9) for s in solve_all(cfg, quintic))
+        # the h it moved on to rebuilds the same configuration, as verify relies on
+        assert build_config(quintic, h_override=drawn(cfg).h, branch=cfg.branch) == cfg
 
     def test_branch_coincidence_at_zero_discriminant(self, hendecagon):
         plus = build_config(hendecagon, branch="plus")

@@ -76,7 +76,15 @@ class TestNormalizeMonic:
 
     @pytest.mark.parametrize("coeffs, message", [
         ([1e-300, 1e300, 1, 1, 1, 1], "monic coefficient 1 is inf: 1e+300 / 1e-300 overflows"),
-        ([1, math.nan, 0, 0, 0, 1], "monic coefficient 1 is nan: nan / 1.0 overflows"),
+        ([-1e-300, 1, 1, 1, 1, 1e300], "monic coefficient 5 is -inf: 1e+300 / -1e-300 overflows"),
+        # refused before dividing: an infinite lead would make every other
+        # coefficient 0 (or -0), and a NaN or infinite one is no overflow
+        ([math.inf, 1, 1, 1, 1, 1], "coefficient 0 is inf, not a finite number"),
+        ([-math.inf, 1, 1, 1, 1, 1], "coefficient 0 is -inf, not a finite number"),
+        ([math.nan, 1, 1, 1, 1, 1], "coefficient 0 is nan, not a finite number"),
+        ([1, math.inf, 0, 0, 0, 1], "coefficient 1 is inf, not a finite number"),
+        ([1, math.nan, 0, 0, 0, 1], "coefficient 1 is nan, not a finite number"),
+        ([1, 1, 1, 1, 1, math.nan], "coefficient 5 is nan, not a finite number"),
     ])
     def test_monic_coefficient_not_finite_rejected(self, coeffs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
