@@ -191,9 +191,9 @@ def choose_h(q: Quintic) -> float:
     """First h in the trial sequence 1, 1/2, ..., 2^-40, 2, 4, ..., 2^20
     with a nonnegative discriminant.
 
-    A zero constant term means t = 0 is a root and no configuration is
-    built (the caller should deflate); otherwise D tends to the squared
-    constant term as h -> 0, so the search succeeds.
+    A zero constant term means t = 0 is a root and no configuration is built (the
+    caller should deflate).  D tends to a0^2 as h -> 0, but not always within the
+    trials: t^5 + t + 10^-k raises NoValidH for every k from 36 on (ROADMAP item 8).
     """
     if q.a0 == 0.0:
         raise ZeroConstantTerm("constant term is zero; t = 0 is a root")

@@ -28,7 +28,7 @@ from .geometry import (
     reflect_xy,
     triple_gap,
 )
-from .polynomial import Quintic, coefficient_gap, evaluate, real_roots, worst_item
+from .polynomial import Quintic, coefficient_gap, real_roots, worst_item
 
 # Diagnostics attached to a solution instead of rejecting it outright.
 CHI_EQUALS_N = "chi_equals_n"
@@ -56,7 +56,8 @@ class IncidenceResiduals(NamedTuple):
         return worst_item(zip(self._fields, self))
 
     def passes(self, tol: float) -> bool:
-        return all(v <= tol for v in self)
+        a, b, c, d, e, f = self  # a NaN fails
+        return a <= tol and b <= tol and c <= tol and d <= tol and e <= tol and f <= tol
 
 
 class FoldSolution(NamedTuple):
@@ -88,12 +89,13 @@ def verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:
 
 
 def _config_values(cfg: FoldConfig, quintic: Quintic) -> tuple:
-    """What _reconstruct needs that is fixed for the configuration, in its
-    frame: |n|, n's canonical triple, the low-confidence threshold, the
-    quintic itself and 2^exponent, the caller's unit of length."""
+    """What _reconstruct needs that is fixed for the configuration, in its frame: |n|,
+    n's canonical triple, the low-confidence threshold, the monic quintic's lower five
+    coefficients (Horner from t + a4 rounds as ``evaluate`` does at a finite t, whose
+    first step 0.0 * t + 1.0 is 1.0) and 2^exponent, the caller's unit of length."""
     nn = math.hypot(1.0, cfg.b)
     return (nn, canonical_abc(1.0, cfg.b, cfg.c, nn), 1e-9 * (1.0 + abs(cfg.p) + abs(cfg.q)),
-            quintic, 2.0**cfg.exponent)
+            *quintic[1:], 2.0**cfg.exponent)
 
 
 def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1) -> FoldSolution:
@@ -106,7 +108,7 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
     and chi's is n's (1, b) reflected, as long as n's to a few ulps, so at
     least about 1 and never zero."""
     h, b, c, k, p, q, _, _, _ = cfg
-    nn, n_canonical, still, quintic, unit = fixed
+    nn, n_canonical, still, a4, a3, a2, a1, a0, unit = fixed
     xa, xb, xc = fold_xi(t, h)
     ca, cb, cc = reflect_abc(1.0, b, c, xa, xb, xc)
     qx, qy = reflect_xy(0.0, h, xa, xb, xc)
@@ -133,7 +135,7 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
     new = tuple.__new__
     residuals = new(IncidenceResiduals, (
         abs(qy + h), abs(px - k), abs(abs(xi_chi) / (xn * cn) - abs(xi_n) / (xn * nn)),
-        abs(evaluate(quintic, t)), equidistant, on_chi))
+        abs(((((t + a4) * t + a3) * t + a2) * t + a1) * t + a0), equidistant, on_chi))
     diagnostics = ()
     # a triple gap of 1e-9 leaves the unit normals' cross product at most 2e-9
     if abs(ca * b - cb) <= 1e-8 * cn * nn and triple_gap(canonical_abc(ca, cb, cc, cn),

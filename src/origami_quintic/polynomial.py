@@ -55,18 +55,19 @@ def normalize_monic(coeffs: Sequence[float]) -> Quintic:
     a zero leading coefficient, or a monic one that overflows (a tiny lead)."""
     if len(coeffs) != 6:
         raise ValueError(f"expected 6 coefficients, got {len(coeffs)}")
-    for i, c in enumerate(coeffs):  # before dividing, which turns an infinite lead into 0s
-        if not math.isfinite(value := float(c)):
+    values = [float(c) for c in coeffs]
+    for i, value in enumerate(values):  # before dividing, which turns an infinite lead into 0s
+        if not math.isfinite(value):
             raise ValueError(f"coefficient {i} is {value!r}, not a finite number")
-    lead = float(coeffs[0])
+    lead = values[0]
     if lead == 0.0:
         raise ValueError("leading coefficient is zero; not a quintic")
-    monic = [float(c) / lead for c in coeffs[1:]]
-    for i, value in enumerate(monic, 1):
+    monic = [c / lead for c in values]  # lead / lead is 1.0
+    for i, value in enumerate(monic):
         if not math.isfinite(value):
             raise ValueError(f"monic coefficient {i} is {value!r}: "
-                             f"{float(coeffs[i])!r} / {lead!r} overflows")
-    return tuple.__new__(Quintic, (1.0, *monic))
+                             f"{values[i]!r} / {lead!r} overflows")
+    return tuple.__new__(Quintic, monic)
 
 
 def evaluate(coeffs: Sequence[float], t: float) -> float:
@@ -101,13 +102,14 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
     root.  Every root is simple in a_j, and its multiplicity is j; a bracket left at
     the width floor with several roots of a_j in it reports count * j.  The roots of
     all factors come sorted.  The chains are exact integers until ``_normalized``;
-    from there every evaluation is straight-line Horner on six floats, rounding as
-    the generic loop does, and every exact sign is taken on the integers.
+    from there every evaluation is straight-line Horner, rounding as the generic loop
+    does, and every exact sign is taken on the integers.  Refinement starts from the
+    head's floats at the bracket's ends: at -B and B taken once per factor, else probes'.
 
     The sign variations at -B and B are those at -inf and inf, as no root lies
     beyond B: each chain's are read off its integer leads, and count every root.
     """
-    bound = cauchy_bound(q)
+    bound = float(cauchy_bound(q))  # isolation adds Python bools; NumPy's would not add
     if bound == math.inf:  # no float lies above the largest |a_i|
         raise SturmOverflow(f"Sturm chain sign at x = {-bound!r} is NaN")
     # the levels of p = g0, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...: heads s_j = g_(j-1) / g_j,
@@ -134,13 +136,14 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
             vlo, vhi, up, down = vlo + (v != down), vhi + (u != up), u, v
         if vlo == vhi:  # no real root
             continue
-        head = [0] * (6 - len(a)) + a
+        head, top = [0] * (6 - len(a)) + a, _normalized(a)
+        ends = -bound, bound, evaluate(top, -bound), evaluate(top, bound)
         if vlo - vhi == 1:  # (-B, B] is the one root's bracket: only the head is normalized
-            roots.append((_refine_root(_normalized(a), head, -bound, bound, own), j))
+            roots.append((_refine_root(top, head, *ends, own), j))
             continue
-        chain = [_normalized(g) for g in exact]
-        roots += [(_refine_root(chain[0], head, blo, bhi, own), count * j)
-                  for blo, bhi, count in _isolate(chain, -bound, bound, vlo, vhi)]
+        chain = [top, *[_normalized(g) for g in exact[1:]]]
+        roots += [(_refine_root(top, head, blo, bhi, flo, fhi, own), count * j)
+                  for blo, bhi, flo, fhi, count in _isolate(chain, *ends, vlo, vhi)]
     return sorted(roots)
 
 
@@ -174,7 +177,7 @@ def _exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int]:
 def _integer_coefficients(coeffs: Sequence[float]) -> list[int]:
     """The coefficients, dyadic n / 2^k, shifted to integers: a positive multiple."""
     ratios = [c.as_integer_ratio() for c in coeffs]
-    top = max(d for _, d in ratios).bit_length()
+    top = max([d for _, d in ratios]).bit_length()
     return [n << (top - d.bit_length()) for n, d in ratios]
 
 
@@ -238,7 +241,7 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
             scale, lc, h = lc * h, lead, lead
         else:
             scale, lc, h = lc * h**d, lead, lead**d // h ** (d - 1)
-        chain.append([c // scale for c in rem])
+        chain.append([c // scale for c in rem] if scale != 1 else rem)
     return chain, [1]
 
 
@@ -252,68 +255,61 @@ def _normalized(poly: Sequence[int]) -> tuple[float, ...]:
     return (0.0,) * (6 - len(poly)) + tuple([c / peak for c in poly])
 
 
-def _variations_after(prev: float, rest: Sequence[Sequence[float]], last: float, x: float) -> int:
-    """The sign variations at a finite x (``_isolate`` refuses others) of a chain whose head
-    is prev there, middle rest and last the constant last.  Horner on coefficients of
-    magnitude at most 1 may reach ±inf there but forms no 0.0 * inf or inf - inf: no NaN."""
-    count = 0
-    for a, b, c, d, e, f in rest:
-        v = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
-        if v == 0.0:
-            continue
-        if prev != 0.0 and (v > 0.0) != (prev > 0.0):
-            count += 1
-        prev = v
-    return count + (prev != 0.0 and (last > 0.0) != (prev > 0.0))
-
-
-def _isolate(
-    chain: Sequence[Sequence[float]], lo: float, hi: float, vlo: int, vhi: int
-) -> list[tuple[float, float, int]]:
-    """Brackets of the distinct roots in (lo, hi], left to right, with the
-    count of roots in each (above 1 only at the width floor), by bisection
-    on the variation counts; a loop, since the depth grows with the scale."""
-    a, b, c, d, e, f = chain[0]
-    rest, last = chain[1:-1], chain[-1][5]
-    brackets = []
-    pending = [(lo, hi, vlo, vhi)]
+def _isolate(chain: Sequence[Sequence[float]], lo: float, hi: float, flo: float, fhi: float,
+             vlo: int, vhi: int) -> list[tuple[float, float, float, float, int]]:
+    """Brackets (lo, hi, flo, fhi, count) of the distinct roots in (lo, hi], left to right,
+    with the head's floats at the ends (as given, or a probe's, as nudged) and the count of
+    roots (above 1 only at the width floor), by bisection on the variation counts, in a loop.
+    A probe's count is one straight-line pass: element k has degree at most 5 - k, so its
+    Horner starts at its coefficient k, which changes at most the sign of a zero; elements
+    of zeros pad the chain to six, and a zero value takes the next sign, so zeros count no
+    variation.  At a finite probe (others are refused) Horner on coefficients of magnitude
+    at most 1 may reach ±inf but forms no 0.0 * inf or inf - inf: no NaN."""
+    (a, b, c, d, e, f), (_, a1, b1, c1, d1, e1), (_, _, a2, b2, c2, d2), (*_, a3, b3, c3), (
+        *_, a4, b4) = [*chain[:-1], *[(0.0,) * 6] * (6 - len(chain))]
+    last = chain[-1][5] > 0.0
+    brackets, pending = [], [(lo, hi, flo, fhi, vlo, vhi)]
     while pending:
-        lo, hi, vlo, vhi = pending.pop()
+        lo, hi, flo, fhi, vlo, vhi = pending.pop()
         count = vlo - vhi
         if count <= 0:
             continue
         if count == 1 or hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):  # the width floor
-            brackets.append((lo, hi, count))
+            brackets.append((lo, hi, flo, fhi, count))
             continue
         x = 0.5 * (lo + hi)
         # never probe exactly at a root of p (would make variation counts ambiguous)
-        tries = 0
-        head = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
+        tries, head = 0, ((((a * x + b) * x + c) * x + d) * x + e) * x + f
         while head == 0.0 and tries < 4:
             x += (hi - lo) * 1e-7
             tries += 1
             head = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
         if not math.isfinite(x):  # the midpoint or a nudge overflowed: B is above about 9e307
             raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
-        vm = _variations_after(head, rest, last, x)
-        pending += ((x, hi, vm, vhi), (lo, x, vlo, vm))
+        v1 = (((a1 * x + b1) * x + c1) * x + d1) * x + e1
+        v2, v3, v4 = ((a2 * x + b2) * x + c2) * x + d2, (a3 * x + b3) * x + c3, a4 * x + b4
+        s4 = v4 > 0.0 if v4 else last
+        s3 = v3 > 0.0 if v3 else s4
+        s2 = v2 > 0.0 if v2 else s3
+        s1 = v1 > 0.0 if v1 else s2
+        s0 = head > 0.0 if head else s1
+        vm = (s0 != s1) + (s1 != s2) + (s2 != s3) + (s3 != s4) + (s4 != last)
+        pending += ((x, hi, head, fhi, vm, vhi), (lo, x, flo, head, vlo, vm))
     return brackets
 
 
-def _refine_root(head: Sequence[float], exact: Sequence[int], lo: float, hi: float,
-                 own: Sequence[float] | None = None) -> float:
+def _refine_root(head: Sequence[float], exact: Sequence[int], lo: float, hi: float, flo: float,
+                 fhi: float, own: Sequence[float] | None = None) -> float:
     """A float at the root of the square-free head in the bracket (lo, hi]: head its
-    floats that isolation counted on, exact its integers, and own p's own floats when p
-    is square-free.  Oriented by head's signs at the ends, or by exact ones where those
+    floats that isolation counted on, flo and fhi their values at lo and hi (isolation's
+    probes', or at -B and B those real_roots takes), exact its integers, and own p's own
+    floats when p is square-free.  Oriented by flo and fhi, or by exact signs where those
     show no change, Illinois regula falsi (Dowell & Jarratt, BIT 1971) on own, else head,
     closes the bracket to adjacent floats, kept 1/16 of it from each of isolation's ends,
     which can be probes on a neighbouring root, until that end moves.  On head's rounded
     floats exact signs then walk out, the step doubling, and bisect to the pair that holds
     the root; on own the pair is where p's float Horner changes sign, which rounding noise
     can put away from it.  The exact sign midway picks the nearer float of the pair."""
-    a, b, c, d, e, f = head
-    flo = ((((a * lo + b) * lo + c) * lo + d) * lo + e) * lo + f
-    fhi = ((((a * hi + b) * hi + c) * hi + d) * hi + e) * hi + f
     if flo == 0.0:  # the bracket is (lo, hi]: that zero is the left neighbour's root
         flo = -fhi
     if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
@@ -399,10 +395,12 @@ def worst_item(items: Iterable[tuple[str, float]]) -> tuple[str, float]:
 
 
 def coefficient_gap(got: Sequence[float], want: Sequence[float]) -> float:
-    """Worst per-coefficient error |got - want| / max(1, |want|); NaN if any is NaN."""
+    """Worst per-coefficient error |got - want| / max(1, |want|); NaN if any is NaN, which
+    max would drop: their sum is NaN then, and only then, as none is negative."""
     if len(got) != len(want):
         raise ValueError("coefficient sequences differ in length")
-    return worst_item(("", abs(g - w) / max(1.0, abs(w))) for g, w in zip(got, want))[1]
+    gaps = [abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want)]
+    return max(gaps) if (total := sum(gaps)) == total else total
 
 
 _DECIMAL_CHARS = frozenset("0123456789+-.eE")

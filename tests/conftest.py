@@ -611,9 +611,10 @@ def reference_refine_root(head, exact, lo, hi, own):
     signs at its ends (else by exact ones), on own's floats when given (else on
     head's) down to adjacent floats: the secant's place kept in [1/16, 15/16] of
     the bracket until that end has moved, a point that rounds onto an end moved
-    one float in (halfway when r is 0, 1 or NaN), and a float zero ending it; then, on the exact head
-    (Fractions), the sign midway picks the nearer float, after a doubling walk
-    and a bisection to the pair that holds the root when own is None."""
+    one float in (halfway when the unclamped r is 0, 1 or NaN), and a float zero
+    ending it; then, on the exact head (Fractions), the sign midway picks the
+    nearer float, after a doubling walk and a bisection to the pair that holds
+    the root when own is None."""
     flo, fhi = evaluate(head, lo), evaluate(head, hi)
     if flo == 0.0:
         flo = -fhi
@@ -634,11 +635,13 @@ def reference_refine_root(head, exact, lo, hi, own):
     side = 0
     while True:
         r = flo / (flo - fhi)
-        if not moved_lo and r < 0.0625:
-            r = 0.0625
-        if not moved_hi and r > 0.9375:
-            r = 0.9375
-        x = lo + (hi - lo) * r
+        # the secant's place, clamped; the fallback below reads the unclamped r
+        place = r
+        if not moved_lo and place < 0.0625:
+            place = 0.0625
+        if not moved_hi and place > 0.9375:
+            place = 0.9375
+        x = lo + (hi - lo) * place
         if not lo < x < hi:
             if 0.5 < r < 1.0:
                 x = math.nextafter(hi, lo)

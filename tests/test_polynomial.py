@@ -47,6 +47,7 @@ from conftest import (
     reference_parse_coefficient,
     reference_real_roots,
 )
+from correctness_sets import count_wrong, extreme_set
 
 DEPRESSED_HENDECAGON = tuple(
     float(x) for x in (1, 0, Fraction(-22, 5), Fraction(-11, 25), Fraction(462, 125), Fraction(979, 3125))
@@ -386,9 +387,10 @@ def brackets_hold_roots(q, roots):
     chain = [_normalized(poly) for poly in _sturm_chain(sturm_levels(q)[0][0][0])[0]]
     bound = cauchy_bound(q)
     vlo, vhi = (_reference_variations(chain, x) for x in (-bound, bound))
-    brackets = _isolate(chain, -bound, bound, vlo, vhi)
+    brackets = _isolate(chain, -bound, bound, evaluate(chain[0], -bound),
+                        evaluate(chain[0], bound), vlo, vhi)
     return len(brackets) == len(roots) and all(
-        count == 1 and blo < root <= bhi for (blo, bhi, count), root in zip(brackets, roots))
+        count == 1 and blo < root <= bhi for (blo, bhi, _, _, count), root in zip(brackets, roots))
 
 
 def _times(f, g):
@@ -514,6 +516,9 @@ class TestRealRootsOracle:
     @example([8254058480958692.0, 0.0, 0.0, 0.0, 0.0])  # the root -a4 lies an ulp inside -B
     @example([5e-324, 0.0, 0.0, 0.0, 0.0])  # t^4 (t + 5e-324): a1 = t + 5e-324, a4 = t
     @example([0.0, 0.0, 1.0, 0.0, 0.0])  # t^2 (t^3 + 1): a2 = t, led by a negative, has root 0.0
+    # Illinois lands on a point that rounds onto hi with r = 1 clamped to 15/16: the fallback
+    # reads the unclamped r and goes halfway, to -1e-323, the nearer float to the root -7.9e-324
+    @example([0.0, 0.0, 0.0, -0.625, -5e-324])
     def test_wide_and_edge_coefficients(self, rest):
         q = Quintic(1.0, *rest)
         assert outcome(lambda: real_roots(q)) == outcome(lambda: reference_real_roots(q))
@@ -571,6 +576,64 @@ class TestCountFirst:
         q = normalize_monic([1, 1, -2.625, -5.0625, -3.05859375, -0.6328125])
         assert real_roots(q) == reference_real_roots(q) == [(-0.75, 4), (2.0, 1)]
         assert not calls
+
+def _isolated_brackets(q):
+    """The (chain, brackets) of every ``_isolate`` call that real_roots(q) makes."""
+    seen = []
+
+    def spy(chain, *args, isolate=polynomial._isolate):
+        seen.append((chain, isolate(chain, *args)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomial, "_isolate", spy)
+        outcome(lambda: real_roots(q))
+    return seen
+
+
+class TestBracketEnds:
+    """Each bracket carries the head's floats at its ends, where refinement starts
+    without evaluating them again: at -B and B the values real_roots takes, at a
+    probe the probe's, and at a probe nudged off a root the nudged point's."""
+
+    @staticmethod
+    def assert_ends_carried(q):
+        for chain, brackets in _isolated_brackets(q):
+            for lo, hi, flo, fhi, _ in brackets:
+                assert repr((flo, fhi)) == repr((evaluate(chain[0], lo), evaluate(chain[0], hi)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rest=st.lists(st.one_of(wide_floats, EDGE_FLOATS), min_size=5, max_size=5))
+    def test_wide_and_edge_coefficients(self, rest):
+        self.assert_ends_carried(Quintic(1.0, *rest))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        linear=st.lists(st.integers(-24, 24), min_size=5, max_size=5),
+        pairs=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=2),
+        shift=st.integers(0, 6),
+    )
+    def test_dyadic_repeated_roots(self, linear, pairs, shift):
+        self.assert_ends_carried(Quintic(*dyadic_product(linear[: 5 - 2 * len(pairs)], pairs,
+                                                         shift)))
+
+    def test_nudged_probe_carries_the_nudged_value(self):
+        # t (t^2 - 1)(t^2 - 4) on (-6, 6]: the first probe, 0.0, is a root, so it is
+        # nudged to 1.2e-6, where the head is not zero
+        q = Quintic(1.0, 0.0, -5.0, 0.0, 4.0, 0.0)
+        [(chain, brackets)] = _isolated_brackets(q)
+        ends = {x: fx for lo, hi, flo, fhi, _ in brackets for x, fx in ((lo, flo), (hi, fhi))}
+        assert [x for x in ends if 0.0 < x < 1e-5] == [1.2e-6]
+        assert ends[1.2e-6] == evaluate(chain[0], 1.2e-6) != 0.0
+        assert real_roots(q) == [(-2.0, 1), (-1.0, 1), (0.0, 1), (1.0, 1), (2.0, 1)]
+
+
+def test_extreme_set_wrong_lists_stay_at_or_below_the_baseline():
+    # the first 500 draws of ROADMAP's extreme set, counted against exact Sturm
+    # counts; the baselines only go down (all 20,000 draws: 4,799 wrong, 828 refused)
+    counts = count_wrong(extreme_set(500))
+    assert counts.wrong <= 131 and counts.refused <= 22
+
 
 def test_cauchy_bound_contains_roots():
     rng = np.random.default_rng(3)
@@ -787,14 +850,17 @@ def test_roots_come_strictly_ascending(rest):
 def test_zero_at_the_lower_end_belongs_to_the_left_bracket():
     # (t + 2)(t + 1)(t - 1) on (-2, 0]: -2 is outside the bracket, -1 inside
     poly = _normalized([1, 2, -1, -2])
-    assert _refine_root(poly, [0, 0, 1, 2, -1, -2], -2.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert _refine_root(poly, [0, 0, 1, 2, -1, -2], -2.0, 0.0, evaluate(poly, -2.0),
+                        evaluate(poly, 0.0)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_root_at_the_upper_end_is_returned_exactly():
     # t^5 - 1 on (0.5, 1.0]: the head's floats are 0.0 at 1.0, so they do not
     # orient the bracket, and the exact signs show no change before the root at hi
     q = Quintic(1.0, 0.0, 0.0, 0.0, 0.0, -1.0)
-    assert _refine_root(_normalized(q), [1, 0, 0, 0, 0, -1], 0.5, 1.0, q) == 1.0
+    head = _normalized(q)
+    assert _refine_root(head, [1, 0, 0, 0, 0, -1], 0.5, 1.0, evaluate(head, 0.5),
+                        evaluate(head, 1.0), q) == 1.0
 
 
 class TestRefinement:
@@ -921,5 +987,6 @@ def test_coefficient_gap():
     assert coefficient_gap((2.0, 4.0, 0.5), (2.0, 4.5, 0.0)) == 0.5
     with pytest.raises(ValueError):
         coefficient_gap((1.0,), (1.0, 2.0))
-    with pytest.raises(ValueError):  # no coefficients, no worst error
-        coefficient_gap((), ())
+    for empty in ((), []):  # no coefficients, no worst error
+        with pytest.raises(ValueError):
+            coefficient_gap(empty, empty)
