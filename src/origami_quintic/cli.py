@@ -72,12 +72,13 @@ def _dump(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
-                  timing: bool) -> tuple[dict, FoldConfig | None, list[FoldSolution]]:
+def _solve_report(raw: list[float], h: float | None, branch: str, tol: float, timing: bool
+                  ) -> tuple[dict, FoldConfig | None, list[FoldSolution], tuple[str, float]]:
     """The report of solving raw at h (None: chosen) on branch, with timing_ms
-    when timing is set, and the configuration (None when the constant term is
-    zero) and solutions it writes; tol is read only by the warnings.  solve
-    writes the report, verify rebuilds it."""
+    when timing is set; the configuration (None when the constant term is zero)
+    and solutions it writes; and their worst residual ("<field> at t = <t>",
+    value), a NaN first, ("", 0.0) with none, on which solve and verify exit 3
+    unless it is <= --tol.  tol is read only by the warnings."""
     monic = polynomial.normalize_monic(raw)
     report = _head(raw, monic)
     start = time.perf_counter()
@@ -87,7 +88,7 @@ def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
         report.update(config=None, solutions=[], warnings=[
             "constant term is zero: t = 0 is an exact root; the remaining factor is the "
             f"quartic {list(monic[:5])}, outside the two-fold construction"])
-        return report, None, []
+        return report, None, [], ("", 0.0)
     config, warnings = _config_dict(cfg), []
     solutions = foldsolve.solve_all(cfg, monic)
     for sol in solutions:
@@ -101,21 +102,20 @@ def _solve_report(raw: list[float], h: float | None, branch: str, tol: float,
                   warnings=warnings)
     if timing:
         report["timing_ms"] = elapsed
-    return report, cfg, solutions
+    return report, cfg, solutions, worst_item([("", 0.0)] + [(f"{field} at t = {sol.t!r}", value)
+        for sol in solutions for field, value in [sol.residuals.worst_field]])
 
 
 def cmd_solve(args) -> int:
-    report, cfg, solutions = _solve_report(parse_coeffs(args.coeffs), args.h_override,
-                                           args.branch, args.tol, args.timing)
+    report, cfg, solutions, (_, worst) = _solve_report(
+        parse_coeffs(args.coeffs), args.h_override, args.branch, args.tol, args.timing)
     _dump(report, args.json)
     if args.svg and solutions:
         from . import render  # only --svg draws, so only --svg loads render
 
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render.render_gallery(cfg, solutions))
-    if any(not s.residuals.passes(args.tol) for s in solutions):
-        return EXIT_VERIFY
-    return EXIT_OK
+    return EXIT_OK if worst <= args.tol else EXIT_VERIFY
 
 
 def cmd_config(args) -> int:
@@ -217,7 +217,7 @@ def cmd_verify(args) -> int:
         print(f"unreadable report: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
-        rebuilt, _, solutions = _solve_report(raw, h, branch, tol, timing=False)
+        rebuilt, _, _, (name, worst) = _solve_report(raw, h, branch, tol, timing=False)
     except (OrigamiQuinticError, ValueError, OverflowError) as exc:
         print(f"verification failed: no rebuild: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -230,9 +230,6 @@ def cmd_verify(args) -> int:
         print(f"{'unreadable report' if code == EXIT_DATA else 'verification failed'}: {message}",
               file=sys.stderr)
         return code
-    name, worst = worst_item([("", 0.0)] + [(f"{field} at t = {sol.t!r}", value)
-                                            for sol in solutions
-                                            for field, value in [sol.residuals.worst_field]])
     if not worst <= tol:
         print(f"verification failed: worst residual {worst:.3e} ({name}) > tol {tol:.3e}",
               file=sys.stderr)

@@ -380,18 +380,10 @@ def _sign_between(poly: Sequence[int], lo: float, hi: float) -> int:
 def worst_item(items: Iterable[tuple[str, float]]) -> tuple[str, float]:
     """The first (name, value) pair whose value is NaN, else the first largest.
 
-    ``max`` drops a NaN unless it comes first, and a gate ``worst <= tol``
-    must fail on a NaN defect, not pass it.  One pass; ValueError when empty.
+    A NaN ranks above every number: a gate ``worst <= tol`` must fail on a NaN
+    defect, and ``max`` alone drops one unless it comes first.  ValueError when empty.
     """
-    worst = None
-    for item in items:
-        if item[1] != item[1]:
-            return item
-        if worst is None or item[1] > worst[1]:
-            worst = item
-    if worst is None:
-        raise ValueError("worst_item() arg is an empty sequence")
-    return worst
+    return max(items, key=lambda item: (item[1] != item[1], item[1]))
 
 
 def coefficient_gap(got: Sequence[float], want: Sequence[float]) -> float:

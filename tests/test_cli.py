@@ -505,7 +505,11 @@ class TestVerify:
     def test_custom_tol(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         main(["solve", *HENDECAGON_ARGS, "--json", str(path)])
+        capsys.readouterr()
         assert main(["verify", "--json", str(path), "--tol", "1e-30"]) == EXIT_VERIFY
+        assert capsys.readouterr().err == (
+            "verification failed: worst residual 3.442e-15 (quintic_value at "
+            "t = 1.6825070656623624) > tol 1.000e-30\n")
 
     @pytest.mark.parametrize(
         "tamper, named",
@@ -619,6 +623,18 @@ def _verify(tmp_path, capsys, data):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return code, err
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-30", "1e-9"])
+@pytest.mark.parametrize("coeffs", ["1,1,-4,-3,3,1", "1,0,-110,-55,2310,979", CLUSTERED_COEFFS,
+                                    "1,1,-4,-3,3,0"],
+                         ids=["hendecagon", "readme", "clustered", "zero_constant"])
+def test_solve_and_verify_share_the_residual_verdict(capsys, tmp_path, coeffs, tol):
+    # both exit on the worst residual of the same rebuild, so at any --tol they agree
+    path = tmp_path / "report.json"
+    code = main(["solve", "--coeffs", coeffs, "--tol", tol, "--json", str(path)])
+    assert code in (EXIT_OK, EXIT_VERIFY)
+    assert main(["verify", "--json", str(path), "--tol", tol]) == code
 
 
 class TestVerifyRebuildsTheReport:

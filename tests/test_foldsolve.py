@@ -43,6 +43,7 @@ from conftest import (
     residual_g,
     residual_grid,
 )
+from correctness_sets import count_outcomes, several_scale_set, tiny_constant_family
 
 
 def tuple_config(b, c, k, p, q, h):
@@ -510,6 +511,14 @@ def test_roots_are_the_frames_times_2_to_the_e(coeffs, e):
     for sol in sols:
         assert sol.residuals.passes(1e-9)
         assert verify(cfg, sol.t) == sol.residuals
+
+
+def test_correctness_set_passes_stay_at_or_above_the_baseline():
+    # the first 500 draws of ROADMAP's several-scale set (472 pass, 28 ConfigMismatch)
+    # and the whole tiny-constant family (19 pass, 16 ConfigMismatch, 265 NoValidH);
+    # the baselines only go up
+    assert count_outcomes(several_scale_set(500))["pass"] >= 472
+    assert count_outcomes(tiny_constant_family())["pass"] >= 19
 
 
 # Four of this quintic's five real roots lie below 1e-13 in its 2^39 frame,

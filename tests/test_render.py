@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from origami_quintic import (
+    Line,
     build_config,
     render_gallery,
     solve_all,
 )
 from origami_quintic.polynomial import Quintic
-from origami_quintic.render import marked_points
+from origami_quintic.render import _clip, marked_points
 
 
 @pytest.fixture
@@ -100,3 +101,9 @@ def test_panel_count_matches_solver_output():
         ET.fromstring(doc)
         produced += 1
     assert produced >= 40
+
+
+def test_axis_parallel_line_outside_the_window_is_not_drawn():
+    # x = 10 and y = -5 miss the unit square on the axis each runs along
+    assert _clip(Line(1.0, 0.0, 10.0), (0.0, 1.0, 0.0, 1.0)) is None
+    assert _clip(Line(0.0, 1.0, -5.0), (0.0, 1.0, 0.0, 1.0)) is None
