@@ -2,7 +2,8 @@
 
 Coefficients are stored densely in descending degree order (a5 .. a0).
 The root finder runs integer Sturm chains on p (the float coefficients scaled
-exactly to integers) and on the gcds g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...,
+exactly to integers; its chain in one straight-line pass when each remainder
+drops one degree) and on the gcds g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...,
 keeping of each level with a repeated root only its head s_j = g_(j-1) / g_j.
 The quotients a_j = s_j / s_(j+1) are the square-free factors of
 p = a1 a2^2 a3^3 ... (Yun, SYMSAC 1976): a_j holds the roots of multiplicity
@@ -221,28 +222,57 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     so each element is a positive multiple of the rational Sturm remainder,
     down to a constant ±1.  A zero remainder, a repeated root, is detected
     exactly; the chain then stops on g, and of it ``real_roots`` reads only
-    f / g, whose Yun factors it isolates on chains of their own.
+    f / g, whose Yun factors it isolates on chains of their own.  ``_quintic_chain``
+    builds a quintic's chain whose remainders each drop one degree, the loop the rest.
     """
     degree = len(exact) - 1
     chain = [list(exact), [c * (degree - i) for i, c in enumerate(exact[:-1])]]
+    if degree == 5 and (built := _quintic_chain(*chain)):
+        return built
     lc = h = 1
     while len(chain[-1]) > 1:
         rem = _sturm_remainder(chain[-2], chain[-1])
         while rem and not rem[0]:
             del rem[0]
-        if not rem:  # g is chain[-1] over its content, which is positive: signs are kept
-            content = math.gcd(*chain[-1])
-            gcd = [c // content for c in chain[-1]]
-            return [_exact_quotient(exact, gcd)], gcd
+        if not rem:
+            return _head_and_gcd(chain[0], chain[-1])
         if len(rem) == 1:  # the last element, kept as its sign
             return [*chain, [1 if rem[0] > 0 else -1]], [1]
         d, lead = len(chain[-2]) - len(chain[-1]), abs(chain[-1][0])
-        if d == 1:  # the usual step: lc h^1, and h = lead^1 / h^0
-            scale, lc, h = lc * h, lead, lead
-        else:
-            scale, lc, h = lc * h**d, lead, lead**d // h ** (d - 1)
+        scale, lc, h = lc * h**d, lead, lead**d // h ** (d - 1)
         chain.append([c // scale for c in rem] if scale != 1 else rem)
     return chain, [1]
+
+
+def _quintic_chain(f: list[int], p: list[int]) -> tuple[list[list[int]], list[int]] | None:
+    """``_sturm_chain`` of a quintic f, f' = p, in straight-line integers: each remainder,
+    T den[k+1] - L^2 num[k+2] + L num[0] den[k+2] with L = den[0], T = L num[1] - num[0] den[1],
+    over the lead before L, squared (as with |L|); None, for the loop, if a lead alone is 0."""
+    (a, b, c, d, e, g), (p0, p1, p2, p3, p4) = f, p
+    t, m, p00 = p0 * b - a * p1, p0 * a, p0 * p0
+    q0, q1, q2, q3 = (t * p1 - p00 * c + m * p2, t * p2 - p00 * d + m * p3,
+                      t * p3 - p00 * e + m * p4, t * p4 - p00 * g)
+    if not q0:
+        return None if q1 or q2 or q3 else _head_and_gcd(f, p)
+    t, m, q00 = q0 * p1 - p0 * q1, q0 * p0, q0 * q0
+    r0, r1, r2 = ((t * q1 - q00 * p2 + m * q2) // p00, (t * q2 - q00 * p3 + m * q3) // p00,
+                  (t * q3 - q00 * p4) // p00)
+    if not r0:
+        return None if r1 or r2 else _head_and_gcd(f, [q0, q1, q2, q3])
+    t, m, r00 = r0 * q1 - q0 * r1, r0 * q0, r0 * r0
+    s0, s1 = (t * r1 - r00 * q2 + m * r2) // q00, (t * r2 - r00 * q3) // q00
+    if not s0:
+        return None if s1 else _head_and_gcd(f, [r0, r1, r2])
+    if not (v := (s0 * r1 - r0 * s1) * s1 - s0 * s0 * r2):
+        return _head_and_gcd(f, [s0, s1])
+    return [f, p, [q0, q1, q2, q3], [r0, r1, r2], [s0, s1], [1 if v > 0 else -1]], [1]
+
+
+def _head_and_gcd(f: list[int], g: list[int]) -> tuple[list[list[int]], list[int]]:
+    """[f / g] and g over its content, positive, for a chain of f that stops on g."""
+    content = math.gcd(*g)
+    gcd = [c // content for c in g]
+    return [_exact_quotient(f, gcd)], gcd
 
 
 def _normalized(poly: Sequence[int]) -> tuple[float, ...]:

@@ -539,6 +539,15 @@ def fraction_sign(poly, x) -> int:
     return (value > 0) - (value < 0)
 
 
+def is_nearest_float(poly, root) -> bool:
+    """Whether the Fraction polynomial poly changes sign or vanishes between the
+    midpoints of the float root and its two neighbours: root is the float
+    nearest a root of poly."""
+    here = Fraction(root)
+    below, above = (Fraction(math.nextafter(root, to)) for to in (-math.inf, math.inf))
+    return fraction_sign(poly, (here + below) / 2) * fraction_sign(poly, (here + above) / 2) <= 0
+
+
 def reference_real_roots(q: Quintic) -> list[tuple[float, int]]:
     """Each Yun factor a_j, the exact quotient of the Fraction chain heads s_j and
     s_(j+1), isolated on its own Fraction chain: the sign variations at the bounds

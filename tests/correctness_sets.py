@@ -9,7 +9,9 @@ r < 0.2, and s * ldexp(1 + rng.random(), rng.randint(-1074, 1023)) otherwise.
 A root list is wrong when ``real_roots`` raises, when its length is not the
 exact number of distinct real roots, or when its multiplicities do not sum to
 the exact number of real roots; both numbers are read off the leads of
-``conftest.exact_sturm_chains`` at -inf and inf.
+``conftest.exact_sturm_chains`` at -inf and inf.  Every root of every list that
+``real_roots`` returns is also checked to be nearest: the exact sign of the
+square-free part changes, or vanishes, between the midpoints to its neighbours.
 
 The dyadic grid: every product of five factors t - n / 2^s, with n in -6..6
 and one shared s in 0..6, in the order s = 0..6, then
@@ -53,7 +55,7 @@ from origami_quintic import (
 from origami_quintic.errors import SturmOverflow
 from origami_quintic.polynomial import worst_item
 
-from conftest import exact_sturm_chains
+from conftest import exact_sturm_chains, is_nearest_float
 
 EXTREME_DRAWS = 20_000
 GRID_SIZE = 43_316
@@ -127,12 +129,12 @@ def _variations_at_infinity(chain, side: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def exact_root_counts(q: Quintic) -> tuple[int, int]:
-    """(distinct real roots, real roots counted with multiplicity) of q, exactly: the
-    chain of g_(j-1) / g_j counts the distinct roots of g_(j-1) = gcd(g_(j-2), g_(j-2)'),
-    which are the roots of multiplicity j or more."""
+def exact_root_counts(chains) -> tuple[int, int]:
+    """(distinct real roots, real roots counted with multiplicity) of a quintic, exactly,
+    from its ``exact_sturm_chains``: the chain of g_(j-1) / g_j counts the distinct roots
+    of g_(j-1) = gcd(g_(j-2), g_(j-2)'), which are the roots of multiplicity j or more."""
     counts = [_variations_at_infinity(chain, -1) - _variations_at_infinity(chain, 1)
-              for chain in exact_sturm_chains(q)]
+              for chain in chains]
     return counts[0], sum(counts)
 
 
@@ -140,11 +142,14 @@ class Counts(NamedTuple):
     draws: int
     wrong: int
     refused: int  # of the wrong lists, SturmOverflow refusals
+    not_nearest_lists: int  # returned lists with a root that is not nearest
+    not_nearest_roots: int  # those roots
 
 
 def count_wrong(quintics: list[Quintic]) -> Counts:
-    """The wrong lists among real_roots' answers on the quintics, and the refusals."""
-    wrong = refused = 0
+    """The wrong lists among real_roots' answers on the quintics, the refusals, and the
+    returned roots that are not nearest, by exact signs of the square-free part p / g1."""
+    wrong = refused = far_lists = far_roots = 0
     for q in quintics:
         try:
             roots = real_roots(q)
@@ -154,9 +159,12 @@ def count_wrong(quintics: list[Quintic]) -> Counts:
         except Exception:  # any other raise is a wrong list too
             wrong += 1
             continue
-        distinct, total = exact_root_counts(q)
+        chains = exact_sturm_chains(q)
+        distinct, total = exact_root_counts(chains)
         wrong += len(roots) != distinct or sum(m for _, m in roots) != total
-    return Counts(len(quintics), wrong, refused)
+        far = sum(not is_nearest_float(chains[0][0], t) for t, _ in roots)
+        far_lists, far_roots = far_lists + bool(far), far_roots + far
+    return Counts(len(quintics), wrong, refused, far_lists, far_roots)
 
 
 class GridCounts(NamedTuple):
