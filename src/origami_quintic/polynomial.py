@@ -151,21 +151,6 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (coefficients descending)
 
-def _sturm_remainder(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """-prem(num, den) for deg num > deg den: |lc(den)|^(deg num - deg den + 1)
-    num mod den, negated, with no division.  A pass cancels the leading term t
-    of the running remainder r as |l| r - t x^j d, d being den led by |l|; the
-    last two passes, a one-degree step, are one straight-line expression."""
-    lead, *tail = den
-    if lead < 0:
-        lead, tail = -lead, [-c for c in tail]
-    tail += [0] * (len(num) - len(den))
-    for _ in range(len(num) - len(den) - 1):
-        num = [lead * c - num[0] * d for c, d in zip(num[1:], tail)]
-    t0, t1 = num[0], lead * num[1] - num[0] * tail[0]
-    return [t1 * z - lead * (lead * x - t0 * y) for x, y, z in zip(num[2:], tail[1:], tail)]
-
-
 def _exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int]:
     """num / den for a primitive den dividing num: integer and exact (Gauss)."""
     quot, tail = [], [*den[1:], *[0] * (len(num) - len(den))]
@@ -215,15 +200,16 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
 
     The chain is the subresultant pseudo-remainder sequence of f and f' on |lc|
     (Brown & Traub, J. ACM 1971), with no content taken out: each element is
-    ``_sturm_remainder`` of the two before it over lc h^d, for the step's degree
-    drop d, |lc| of the step before's divisor lc, and h = lc^d / h^(d-1), both 1
-    at first.  Up to sign the elements are subresultants and h their leads,
-    integer determinants, so each division is exact; each factor is positive,
-    so each element is a positive multiple of the rational Sturm remainder,
-    down to a constant ±1.  A zero remainder, a repeated root, is detected
-    exactly; the chain then stops on g, and of it ``real_roots`` reads only
-    f / g, whose Yun factors it isolates on chains of their own.  ``_quintic_chain``
-    builds a quintic's chain whose remainders each drop one degree, the loop the rest.
+    -prem = -(|l|^(d+1) num mod den) of the two before it (l = lc(den), d the degree
+    drop), formed inline by d + 1 cancellations of the running lead, over lc h^d, with
+    lc = |l| of the step before and h = lc^d / h^(d-1), both 1 at first.  Up to sign the
+    elements are subresultants and h their leads, integer determinants, so each division
+    is exact; each factor is positive, so each element is a positive multiple of the
+    rational Sturm remainder, down to a constant ±1.  A zero remainder, a repeated root,
+    is detected exactly; the chain then stops on g, and of it ``real_roots`` reads only
+    f / g, whose Yun factors it isolates on chains of their own.  ``_quintic_chain`` builds
+    a quintic's chain whose remainders each drop one degree; the loop builds the rest: gcd
+    levels, Yun factors and quintics where a remainder's lead vanishes.
     """
     degree = len(exact) - 1
     chain = [list(exact), [c * (degree - i) for i, c in enumerate(exact[:-1])]]
@@ -231,16 +217,20 @@ def _sturm_chain(exact: Sequence[int]) -> tuple[list[list[int]], list[int]]:
         return built
     lc = h = 1
     while len(chain[-1]) > 1:
-        rem = _sturm_remainder(chain[-2], chain[-1])
+        rem, (lead, *tail), d = chain[-2], chain[-1], len(chain[-2]) - len(chain[-1])
+        if lead < 0:
+            lead, tail = -lead, [-c for c in tail]
+        tail += [0] * d
+        for _ in range(d + 1):  # prem: rem's lead cancelled as |lead| rem - rem[0] x^k den
+            rem = [lead * c - rem[0] * t for c, t in zip(rem[1:], tail)]
         while rem and not rem[0]:
             del rem[0]
         if not rem:
             return _head_and_gcd(chain[0], chain[-1])
-        if len(rem) == 1:  # the last element, kept as its sign
-            return [*chain, [1 if rem[0] > 0 else -1]], [1]
-        d, lead = len(chain[-2]) - len(chain[-1]), abs(chain[-1][0])
+        if len(rem) == 1:  # the last element, -prem, kept as its sign
+            return [*chain, [1 if rem[0] < 0 else -1]], [1]
         scale, lc, h = lc * h**d, lead, lead**d // h ** (d - 1)
-        chain.append([c // scale for c in rem] if scale != 1 else rem)
+        chain.append([-c // scale for c in rem])
     return chain, [1]
 
 

@@ -27,7 +27,8 @@ s = rng.choice((-1, 1)) drawn first in each coefficient.  Its 300-sample is
 ``random.Random(1).sample`` of 300 of them.  The tiny-constant family is
 [1, 0, 0, 0, 1, float(f"1e-{k}")], t^5 + t + 10^-k, for k = 1..300.  These
 three are counted by the outcome of normalize_monic, build_config, solve_all
-and IncidenceResiduals.passes(1e-9).
+and IncidenceResiduals.passes(1e-9), and every root t of a solve that returns
+is checked to be nearest, as above.
 
     PYTHONPATH=src python tests/correctness_sets.py [COUNT]
 
@@ -190,6 +191,30 @@ def count_grid(cases: list[tuple[Quintic, tuple[float, ...]]]) -> GridCounts:
     return GridCounts(len(cases), wrong, inexact_lists, inexact_roots)
 
 
+class NearestCounts(NamedTuple):
+    solved: int  # solves that returned
+    roots: int  # their roots
+    not_nearest_lists: int  # returned lists with a root that is not nearest
+    not_nearest_roots: int  # those roots
+
+
+def count_nearest(quintics: list[list[float]]) -> NearestCounts:
+    """The roots t of every solve that returns, and those that are not nearest, by exact
+    signs of the monic quintic's square-free part p / g1."""
+    solved = roots = far_lists = far_roots = 0
+    for raw in quintics:
+        try:
+            q = normalize_monic(raw)
+            solutions = solve_all(build_config(q), q)
+        except OrigamiQuinticError:
+            continue
+        head = exact_sturm_chains(q)[0][0]
+        far = sum(not is_nearest_float(head, sol.t) for sol in solutions)
+        solved, roots = solved + 1, roots + len(solutions)
+        far_lists, far_roots = far_lists + bool(far), far_roots + far
+    return NearestCounts(solved, roots, far_lists, far_roots)
+
+
 def count_outcomes(quintics: list[list[float]]) -> Counter:
     """Each solve's outcome: "pass", the class name of the library error it
     raised, or "above tol: <field>", naming its worst residual's field."""
@@ -217,3 +242,4 @@ if __name__ == "__main__":
                            ("300-sample", several_scale_sample()[:count]),
                            ("tiny-constant family", tiny_constant_family()[:count])]:
         print(f"{name}:", dict(sorted(count_outcomes(quintics).items())))
+        print(f"{name}, nearest:", count_nearest(quintics))
