@@ -7,12 +7,12 @@ drops one degree) and on the gcds g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...,
 keeping of each level with a repeated root only its head s_j = g_(j-1) / g_j.
 The quotients a_j = s_j / s_(j+1) are the square-free factors of
 p = a1 a2^2 a3^3 ... (Yun, SYMSAC 1976): a_j holds the roots of multiplicity
-exactly j.  Each a_j's real roots are counted on the integer leads of its own
-chain before any float work: a linear a_j's root is one correctly rounded
-division, and only two or more roots are isolated by interval bisection; each
-root is refined by Illinois regula falsi to adjacent floats, and exact integer
-signs at dyadic points pick one.  A root's multiplicity is the index j of the
-factor it is found on.
+exactly j.  A linear a_j's root is one correctly rounded division; any other
+a_j's real roots are counted on the integer leads of its own chain before any
+float work, and only two or more are parted by interval bisection; each root is
+refined by Illinois regula falsi to adjacent floats, and exact integer signs at
+dyadic points pick one.  A root's multiplicity is the index j of the factor it
+is found on.
 """
 
 from __future__ import annotations
@@ -83,36 +83,26 @@ def evaluate(coeffs: Sequence[float], t: float) -> float:
 def cauchy_bound(q: Quintic) -> float:
     """A float above the magnitude of every root (monic input): 1 + max |a_i|, or the next
     float above max |a_i| where that sum rounds back onto it (from 2^53 on); infinite at
-    the largest float, where ``real_roots`` raises ``SturmOverflow``."""
-    peak = max(map(abs, q[1:]))
+    the largest float, where ``real_roots`` raises ``SturmOverflow``.  A Python float also
+    for NumPy scalars, whose bools isolation's variation counts could not add."""
+    peak = float(max(map(abs, q[1:])))
     return max(1.0 + peak, math.nextafter(peak, math.inf))
 
 
 def real_roots(q: Quintic) -> list[tuple[float, int]]:
     """All real roots of a monic quintic, ascending, with multiplicities.
 
-    Each Yun factor a_j (see the module docstring) has its own Sturm chain, on whose
-    integer leads its real roots are counted first.  A constant a_j, or one with no
-    real root, is done there, and a linear one's root is -a_j[1] / a_j[0], correctly
-    rounded.  One root has (-B, B] (B the Cauchy bound) as its bracket, and only its
-    head is normalized; two or more are isolated by sign-variation counts on the
-    whole normalized chain over a bisected interval.  Each bracket is refined to two
-    adjacent floats and one of them (``_refine_root``), the nearest float where p
-    has a repeated root.  When p is square-free, a1 is p, and the pair is where p's
-    own float Horner changes sign, which rounding noise can put away from the exact
-    root.  Every root is simple in a_j, and its multiplicity is j; a bracket left at
-    the width floor with several roots of a_j in it reports count * j.  The roots of
-    all factors come sorted.  The chains are exact integers until ``_normalized``;
-    from there every evaluation is straight-line Horner, rounding as the generic loop
-    does, and every exact sign is taken on the integers.  Refinement starts from the
-    head's floats at the bracket's ends: at -B and B taken once per factor, else probes'.
-
-    The sign variations at -B and B are those at -inf and inf, as no root lies
-    beyond B: each chain's are read off its integer leads, and count every root.
+    Each Yun factor a_j (see the module docstring) holds the roots of multiplicity j,
+    each simple in it.  A constant a_j has none, and a linear one's root is
+    -a_j[1] / a_j[0], correctly rounded; ``_isolate`` finds any other's on its own Sturm
+    chain within the Cauchy bound, refined on p's own floats when p is square-free (a1
+    is then p).  A root left at the width floor with count roots of a_j reports
+    count * j.  The roots of all factors come sorted.
     """
-    bound = float(cauchy_bound(q))  # isolation adds Python bools; NumPy's would not add
+    bound = cauchy_bound(q)
     if bound == math.inf:  # no float lies above the largest |a_i|
-        raise SturmOverflow(f"Sturm chain sign at x = {-bound!r} is NaN")
+        raise SturmOverflow(f"the Cauchy bound is beyond the float range: the largest "
+                            f"|a_i| is {max(map(abs, q[1:]))!r}")
     # the levels of p = g0, g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...: heads s_j = g_(j-1) / g_j,
     # whose roots are p's repeated j times or more, and the last, square-free, level's chain
     levels, f = [], _integer_coefficients(q)
@@ -127,24 +117,8 @@ def real_roots(q: Quintic) -> list[tuple[float, int]]:
             if len(a) == 2:  # (+ 0.0 makes a root at zero 0.0 whatever the lead's sign)
                 roots.append((-a[1] / a[0] + 0.0, j))
             continue
-        if j < len(levels):
-            exact = _sturm_chain(a)[0]
-        # V(-B) and V(B), those at -inf and inf: the leads' signs, at -inf flipped on odd degrees
-        vlo = vhi = 0
-        up, down = a[0] > 0, (a[0] > 0) == len(a) % 2
-        for g in exact[1:]:
-            u, v = g[0] > 0, (g[0] > 0) == len(g) % 2
-            vlo, vhi, up, down = vlo + (v != down), vhi + (u != up), u, v
-        if vlo == vhi:  # no real root
-            continue
-        head, top = [0] * (6 - len(a)) + a, _normalized(a)
-        ends = -bound, bound, evaluate(top, -bound), evaluate(top, bound)
-        if vlo - vhi == 1:  # (-B, B] is the one root's bracket: only the head is normalized
-            roots.append((_refine_root(top, head, *ends, own), j))
-            continue
-        chain = [top, *[_normalized(g) for g in exact[1:]]]
-        roots += [(_refine_root(top, head, blo, bhi, flo, fhi, own), count * j)
-                  for blo, bhi, flo, fhi, count in _isolate(chain, *ends, vlo, vhi)]
+        roots += [(root, count * j) for root, count in
+                  _isolate(_sturm_chain(a)[0] if j < len(levels) else exact, bound, own)]
     return sorted(roots)
 
 
@@ -275,54 +249,74 @@ def _normalized(poly: Sequence[int]) -> tuple[float, ...]:
     return (0.0,) * (6 - len(poly)) + tuple([c / peak for c in poly])
 
 
-def _isolate(chain: Sequence[Sequence[float]], lo: float, hi: float, flo: float, fhi: float,
-             vlo: int, vhi: int) -> list[tuple[float, float, float, float, int]]:
-    """Brackets (lo, hi, flo, fhi, count) of the distinct roots in (lo, hi], left to right,
-    with the head's floats at the ends (as given, or a probe's, as nudged) and the count of
-    roots (above 1 only at the width floor), by bisection on the variation counts, in a loop.
-    A probe's count is one straight-line pass: element k has degree at most 5 - k, so its
-    Horner starts at its coefficient k, which changes at most the sign of a zero; elements
-    of zeros pad the chain to six, and a zero value takes the next sign, so zeros count no
-    variation.  At a finite probe (others are refused) Horner on coefficients of magnitude
-    at most 1 may reach ±inf but forms no 0.0 * inf or inf - inf: no NaN."""
-    (a, b, c, d, e, f), (_, a1, b1, c1, d1, e1), (_, _, a2, b2, c2, d2), (*_, a3, b3, c3), (
-        *_, a4, b4) = [*chain[:-1], *[(0.0,) * 6] * (6 - len(chain))]
-    last = chain[-1][5] > 0.0
-    brackets, pending = [], [(lo, hi, flo, fhi, vlo, vhi)]
+def _isolate(exact: Sequence[Sequence[int]], bound: float,
+             own: Sequence[float] | None) -> list[tuple[float, int]]:
+    """The roots in (-B, B], B = bound, of the square-free head of the integer Sturm chain
+    exact, left to right, each with its count of roots (above 1 only at the width floor).
+    No root lies beyond B, so the sign variations at -B and B are those at -inf and inf,
+    read off the integer leads: they count every root, and with none there is no float
+    work.  Else the head alone is normalized and evaluated at -B and B, and (-B, B] is
+    bisected on the variation counts, in a loop.  A bracket closes at one root or at the
+    width floor, and ``_refine_root`` takes it from the head's floats at its ends (at -B
+    and B, or a probe's, as nudged), on own when given: one root is the loop's first pop,
+    and the chain below the head is normalized only at the first probe.  A probe's count
+    is one straight-line pass: element k has degree at most 5 - k, so its Horner starts
+    at its coefficient k, which changes at most the sign of a zero; elements of zeros pad
+    the chain to six, and a zero value takes the next sign, so zeros count no variation.
+    At a finite probe (others are refused) Horner on coefficients of magnitude at most 1
+    may reach ±inf but forms no 0.0 * inf or inf - inf: no NaN."""
+    # V(-B) and V(B), those at -inf and inf: the leads' signs, at -inf flipped on odd degrees
+    vlo = vhi = 0
+    up, down = exact[0][0] > 0, (exact[0][0] > 0) == len(exact[0]) % 2
+    for g in exact[1:]:
+        u, v = g[0] > 0, (g[0] > 0) == len(g) % 2
+        vlo, vhi, up, down = vlo + (v != down), vhi + (u != up), u, v
+    if vlo == vhi:  # no real root
+        return []
+    head, top = [0] * (6 - len(exact[0])) + exact[0], _normalized(exact[0])
+    a, b, c, d, e, f = top
+    roots, last = [], None
+    pending = [(-bound, bound, evaluate(top, -bound), evaluate(top, bound), vlo, vhi)]
     while pending:
         lo, hi, flo, fhi, vlo, vhi = pending.pop()
         count = vlo - vhi
         if count <= 0:
             continue
         if count == 1 or hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):  # the width floor
-            brackets.append((lo, hi, flo, fhi, count))
+            roots.append((_refine_root(top, head, lo, hi, flo, fhi, own), count))
             continue
+        if last is None:  # the first probe: the chain below the head to floats
+            lower = [_normalized(g) for g in exact[1:]]
+            (_, a1, b1, c1, d1, e1), (_, _, a2, b2, c2, d2), (*_, a3, b3, c3), (*_, a4, b4) = [
+                *lower[:-1], *[(0.0,) * 6] * (5 - len(lower))]
+            last = lower[-1][5] > 0.0
         x = 0.5 * (lo + hi)
         # never probe exactly at a root of p (would make variation counts ambiguous)
-        tries, head = 0, ((((a * x + b) * x + c) * x + d) * x + e) * x + f
-        while head == 0.0 and tries < 4:
+        tries, fx = 0, ((((a * x + b) * x + c) * x + d) * x + e) * x + f
+        while fx == 0.0 and tries < 4:
             x += (hi - lo) * 1e-7
             tries += 1
-            head = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
-        if not math.isfinite(x):  # the midpoint or a nudge overflowed: B is above about 9e307
-            raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
+            fx = ((((a * x + b) * x + c) * x + d) * x + e) * x + f
+        if not math.isfinite(x):  # B is above about 9e307
+            raise SturmOverflow(f"bisecting ({lo!r}, {hi!r}] overflows: its midpoint, or a "
+                                f"nudge off a root, is x = {x!r}")
         v1 = (((a1 * x + b1) * x + c1) * x + d1) * x + e1
         v2, v3, v4 = ((a2 * x + b2) * x + c2) * x + d2, (a3 * x + b3) * x + c3, a4 * x + b4
         s4 = v4 > 0.0 if v4 else last
         s3 = v3 > 0.0 if v3 else s4
         s2 = v2 > 0.0 if v2 else s3
         s1 = v1 > 0.0 if v1 else s2
-        s0 = head > 0.0 if head else s1
+        s0 = fx > 0.0 if fx else s1
         vm = (s0 != s1) + (s1 != s2) + (s2 != s3) + (s3 != s4) + (s4 != last)
-        pending += ((x, hi, head, fhi, vm, vhi), (lo, x, flo, head, vlo, vm))
-    return brackets
+        pending += ((x, hi, fx, fhi, vm, vhi), (lo, x, flo, fx, vlo, vm))
+    return roots
 
 
 def _refine_root(head: Sequence[float], exact: Sequence[int], lo: float, hi: float, flo: float,
                  fhi: float, own: Sequence[float] | None = None) -> float:
     """A float at the root of the square-free head in the bracket (lo, hi]: head its
     floats that isolation counted on, flo and fhi their values at lo and hi (isolation's
-    probes', or at -B and B those real_roots takes), exact its integers, and own p's own
+    probes', or at -B and B those ``_isolate`` takes), exact its integers, and own p's own
     floats when p is square-free.  Oriented by flo and fhi, or by exact signs where those
     show no change, Illinois regula falsi (Dowell & Jarratt, BIT 1971) on own, else head,
     closes the bracket to adjacent floats, kept 1/16 of it from each of isolation's ends,

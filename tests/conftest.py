@@ -554,7 +554,8 @@ def reference_real_roots(q: Quintic) -> list[tuple[float, int]]:
     -B and B counted on its exact signs there, the interior ones on its floats."""
     bound = cauchy_bound(q)
     if bound == math.inf:  # no Fraction is infinite
-        raise SturmOverflow(f"Sturm chain sign at x = {-bound!r} is NaN")
+        raise SturmOverflow(f"the Cauchy bound is beyond the float range: the largest "
+                            f"|a_i| is {max(map(abs, q[1:]))!r}")
     heads = [chain[0] for chain in exact_sturm_chains(q)]
     # refined on p's own floats when p is square-free
     own = None if len(heads) > 1 else list(q)
@@ -586,7 +587,7 @@ def _reference_variations(chain, x):
         if v == 0.0:
             continue
         if v != v:
-            raise SturmOverflow(f"Sturm chain sign at x = {x!r} is NaN")
+            raise SturmOverflow(f"a Sturm chain value at x = {x!r} is NaN")
         if prev != 0.0 and (v > 0.0) != (prev > 0.0):
             count += 1
         prev = v
@@ -610,6 +611,9 @@ def _reference_isolate(chain, lo, hi, vlo, vhi):
         while evaluate(chain[0], mid) == 0.0 and tries < 4:
             mid += (hi - lo) * 1e-7
             tries += 1
+        if not math.isfinite(mid):
+            raise SturmOverflow(f"bisecting ({lo!r}, {hi!r}] overflows: its midpoint, or a "
+                                f"nudge off a root, is x = {mid!r}")
         vm = _reference_variations(chain, mid)
         pending += ((mid, hi, vm, vhi), (lo, mid, vlo, vm))
     return brackets

@@ -39,7 +39,6 @@ from conftest import (
     _frac_chain,
     _frac_div_exact,
     _frac_to_floats,
-    _reference_variations,
     exact_sturm_chains,
     fraction_sign,
     fraction_sturm_chain,
@@ -382,16 +381,28 @@ def dyadic_product(linear, pairs, shift):
     return tuple(float(c) for c in poly)
 
 
+def refined_brackets(fn):
+    """What fn returns, and the (head, lo, hi, flo, fhi) of each ``_refine_root`` call
+    it makes, in order: the brackets isolation closes, with the head's floats at them."""
+    seen = []
+
+    def spy(head, exact, lo, hi, flo, fhi, own=None, refine=polynomial._refine_root):
+        seen.append((head, lo, hi, flo, fhi))
+        return refine(head, exact, lo, hi, flo, fhi, own)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomial, "_refine_root", spy)
+        return fn(), seen
+
+
 def brackets_hold_roots(q, roots):
     """Whether real_roots' isolation on the chain of p's square-free part s_1
     gives one bracket (lo, hi] per given exact root, holding it, in order."""
-    chain = [_normalized(poly) for poly in _sturm_chain(sturm_levels(q)[0][0][0])[0]]
-    bound = cauchy_bound(q)
-    vlo, vhi = (_reference_variations(chain, x) for x in (-bound, bound))
-    brackets = _isolate(chain, -bound, bound, evaluate(chain[0], -bound),
-                        evaluate(chain[0], bound), vlo, vhi)
-    return len(brackets) == len(roots) and all(
-        count == 1 and blo < root <= bhi for (blo, bhi, _, _, count), root in zip(brackets, roots))
+    exact = _sturm_chain(sturm_levels(q)[0][0][0])[0]
+    found, brackets = refined_brackets(lambda: _isolate(exact, cauchy_bound(q), None))
+    return len(found) == len(roots) and all(
+        count == 1 and lo < root <= hi
+        for (_, lo, hi, _, _), (_, count), root in zip(brackets, found, roots))
 
 
 def _times(f, g):
@@ -577,8 +588,8 @@ class TestRealRootsOracle:
 
 class TestCountFirst:
     """Each Yun factor's roots are counted on its chain's integer leads before any float
-    work: a factor with no root is left there, one with one root normalizes only its
-    head and is not bisected, and a linear one is one division."""
+    work: ``_isolate`` leaves a factor with no root there, closes one root's bracket at
+    its first pop, with only the head normalized, and a linear factor is one division."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -593,13 +604,13 @@ class TestCountFirst:
     def test_one_root_normalizes_only_the_head(self, calls):
         q = Quintic(1.0, 0.0, 0.0, 0.0, 1.0, 1.0)  # t^5 + t + 1
         assert real_roots(q) == reference_real_roots(q)
-        assert (calls["_normalized"], calls["_isolate"], calls["_refine_root"]) == (1, 0, 1)
+        assert (calls["_normalized"], calls["_isolate"], calls["_refine_root"]) == (1, 1, 1)
 
     def test_rootless_factor_is_left_at_its_count(self, calls):
         # (t^2 + 1)^2 (t - 3): a1 = t - 3 is linear, and a2 = t^2 + 1 has no real root
         q = Quintic(1.0, -3.0, 2.0, -6.0, 1.0, -3.0)
         assert real_roots(q) == reference_real_roots(q) == [(3.0, 1)]
-        assert (calls["_normalized"], calls["_isolate"], calls["_refine_root"]) == (0, 0, 0)
+        assert (calls["_normalized"], calls["_isolate"], calls["_refine_root"]) == (0, 1, 0)
 
     def test_three_roots_normalize_the_whole_chain(self, calls):
         # (t + 2)(t - 1/2)(t - 3)(t^2 + 1) is square-free: its one chain is p's
@@ -615,30 +626,16 @@ class TestCountFirst:
         assert real_roots(q) == reference_real_roots(q) == [(-0.75, 4), (2.0, 1)]
         assert not calls
 
-def _isolated_brackets(q):
-    """The (chain, brackets) of every ``_isolate`` call that real_roots(q) makes."""
-    seen = []
-
-    def spy(chain, *args, isolate=polynomial._isolate):
-        seen.append((chain, isolate(chain, *args)))
-        return seen[-1][1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(polynomial, "_isolate", spy)
-        outcome(lambda: real_roots(q))
-    return seen
-
-
 class TestBracketEnds:
     """Each bracket carries the head's floats at its ends, where refinement starts
-    without evaluating them again: at -B and B the values real_roots takes, at a
-    probe the probe's, and at a probe nudged off a root the nudged point's."""
+    without evaluating them again: at -B and B the values ``_isolate`` takes, at a
+    probe the probe's, and at a probe nudged off a root the nudged point's; each is read
+    off the ``_refine_root`` call that closes the bracket."""
 
     @staticmethod
     def assert_ends_carried(q):
-        for chain, brackets in _isolated_brackets(q):
-            for lo, hi, flo, fhi, _ in brackets:
-                assert repr((flo, fhi)) == repr((evaluate(chain[0], lo), evaluate(chain[0], hi)))
+        for head, lo, hi, flo, fhi in refined_brackets(lambda: outcome(lambda: real_roots(q)))[1]:
+            assert repr((flo, fhi)) == repr((evaluate(head, lo), evaluate(head, hi)))
 
     @settings(max_examples=300, deadline=None)
     @given(rest=st.lists(st.one_of(wide_floats, EDGE_FLOATS), min_size=5, max_size=5))
@@ -659,11 +656,11 @@ class TestBracketEnds:
         # t (t^2 - 1)(t^2 - 4) on (-6, 6]: the first probe, 0.0, is a root, so it is
         # nudged to 1.2e-6, where the head is not zero
         q = Quintic(1.0, 0.0, -5.0, 0.0, 4.0, 0.0)
-        [(chain, brackets)] = _isolated_brackets(q)
-        ends = {x: fx for lo, hi, flo, fhi, _ in brackets for x, fx in ((lo, flo), (hi, fhi))}
+        roots, brackets = refined_brackets(lambda: real_roots(q))
+        ends = {x: fx for _, lo, hi, flo, fhi in brackets for x, fx in ((lo, flo), (hi, fhi))}
         assert [x for x in ends if 0.0 < x < 1e-5] == [1.2e-6]
-        assert ends[1.2e-6] == evaluate(chain[0], 1.2e-6) != 0.0
-        assert real_roots(q) == [(-2.0, 1), (-1.0, 1), (0.0, 1), (1.0, 1), (2.0, 1)]
+        assert ends[1.2e-6] == evaluate(brackets[0][0], 1.2e-6) != 0.0
+        assert roots == [(-2.0, 1), (-1.0, 1), (0.0, 1), (1.0, 1), (2.0, 1)]
 
 
 def test_extreme_set_wrong_lists_stay_at_or_below_the_baseline():
@@ -717,11 +714,12 @@ def test_deep_isolation_is_not_recursive():
     assert real_roots(Quintic(1.0, -1e300, 0.0, 0.0, 0.0, 1.0))
 
 
-def test_nan_chain_sign_at_the_bound_is_named():
+def test_bound_beyond_the_float_range_is_named():
     # the next float above the largest coefficient is infinite
     q = Quintic(1.0, 1.7976931348623157e308, 0.0, 0.0, 0.0, 1.0)
     assert cauchy_bound(q) == math.inf
-    with pytest.raises(SturmOverflow, match="NaN"):
+    with pytest.raises(SturmOverflow, match=r"^the Cauchy bound is beyond the float range: "
+                                            r"the largest \|a_i\| is 1\.7976931348623157e\+308$"):
         real_roots(q)
 
 
@@ -729,7 +727,9 @@ def test_overflowing_probe_is_refused():
     # t (t^4 + 1e308 t^3 + 1), square-free: the first probe, 0.0, is a root of the
     # head, and the nudge off it, (hi - lo) * 1e-7 with hi - lo = 2B, overflows
     q = Quintic(1.0, 1e308, 0.0, 0.0, 1.0, 0.0)
-    with pytest.raises(SturmOverflow, match=r"^Sturm chain sign at x = inf is NaN$"):
+    with pytest.raises(SturmOverflow, match=r"^bisecting \(-1\.0000000000000002e\+308, "
+                                            r"1\.0000000000000002e\+308\] overflows: its "
+                                            r"midpoint, or a nudge off a root, is x = inf$"):
         real_roots(q)
 
 
