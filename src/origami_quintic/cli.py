@@ -89,21 +89,21 @@ def _solve_report(raw: list[float], h: float | None, branch: str, tol: float, ti
             "constant term is zero: t = 0 is an exact root; the remaining factor is the "
             f"quartic {list(monic[:5])}, outside the two-fold construction"])
         return report, None, [], ("", 0.0)
-    config, warnings = _config_dict(cfg), []
+    config, warnings, worsts = _config_dict(cfg), [], [("", 0.0)]
     solutions = foldsolve.solve_all(cfg, monic)
     for sol in solutions:
         for diag in sol.diagnostics:
             warnings.append(f"diagnostic {diag} at t = {sol.t!r}")
-        if not sol.residuals.passes(tol):
-            name, worst = sol.residuals.worst_field
+        name, worst = sol.residuals.worst_field
+        if not worst <= tol:  # as passes(tol): a NaN fails
             warnings.append(f"residual {worst:.3e} ({name}) above tol {tol:.3e} at t = {sol.t!r}")
+        worsts.append((f"{name} at t = {sol.t!r}", worst))
     elapsed = (time.perf_counter() - start) * 1000.0
     report.update(config=config, solutions=[_solution_dict(s) for s in solutions],
                   warnings=warnings)
     if timing:
         report["timing_ms"] = elapsed
-    return report, cfg, solutions, worst_item([("", 0.0)] + [(f"{field} at t = {sol.t!r}", value)
-        for sol in solutions for field, value in [sol.residuals.worst_field]])
+    return report, cfg, solutions, worst_item(worsts)
 
 
 def cmd_solve(args) -> int:

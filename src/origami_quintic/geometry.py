@@ -85,14 +85,6 @@ def reflect_xy(x: float, y: float, a: float, b: float, c: float) -> XY:
     return x - 2.0 * d * a, y - 2.0 * d * b
 
 
-def foot_and_direction_abc(a: float, b: float, c: float) -> tuple[float, float, float, float]:
-    """The foot point (fx, fy) of a*x + b*y = c, its point nearest the origin,
-    and its unit direction (dx, dy), the normal turned a quarter left."""
-    n2 = a * a + b * b
-    inv = 1.0 / math.sqrt(n2)
-    return c * a / n2, c * b / n2, -b * inv, a * inv
-
-
 def reflect_abc(ta: float, tb: float, tc: float, ma: float, mb: float, mc: float) -> ABC:
     """(a, b, c) of the line ta*x + tb*y = tc reflected across ma*x + mb*y = mc.
 

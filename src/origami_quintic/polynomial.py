@@ -259,12 +259,12 @@ def _isolate(exact: Sequence[Sequence[int]], bound: float,
     bisected on the variation counts, in a loop.  A bracket closes at one root or at the
     width floor, and ``_refine_root`` takes it from the head's floats at its ends (at -B
     and B, or a probe's, as nudged), on own when given: one root is the loop's first pop,
-    and the chain below the head is normalized only at the first probe.  A probe's count
-    is one straight-line pass: element k has degree at most 5 - k, so its Horner starts
-    at its coefficient k, which changes at most the sign of a zero; elements of zeros pad
-    the chain to six, and a zero value takes the next sign, so zeros count no variation.
-    At a finite probe (others are refused) Horner on coefficients of magnitude at most 1
-    may reach ±inf but forms no 0.0 * inf or inf - inf: no NaN."""
+    and the chain between the head and its constant is normalized only at the first probe.
+    A probe's count is one straight-line pass: element k has degree at most 5 - k, so its
+    Horner starts at its coefficient k, which changes at most the sign of a zero; elements
+    of zeros pad the chain to six, and a zero value takes the next sign, so zeros count no
+    variation.  At a finite probe (others are refused) Horner on coefficients of magnitude
+    at most 1 may reach ±inf but forms no 0.0 * inf or inf - inf: no NaN."""
     # V(-B) and V(B), those at -inf and inf: the leads' signs, at -inf flipped on odd degrees
     vlo = vhi = 0
     up, down = exact[0][0] > 0, (exact[0][0] > 0) == len(exact[0]) % 2
@@ -285,11 +285,11 @@ def _isolate(exact: Sequence[Sequence[int]], bound: float,
         if count == 1 or hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):  # the width floor
             roots.append((_refine_root(top, head, lo, hi, flo, fhi, own), count))
             continue
-        if last is None:  # the first probe: the chain below the head to floats
-            lower = [_normalized(g) for g in exact[1:]]
+        if last is None:  # the first probe: the chain between the head and its constant to floats
+            lower = [_normalized(g) for g in exact[1:-1]]
             (_, a1, b1, c1, d1, e1), (_, _, a2, b2, c2, d2), (*_, a3, b3, c3), (*_, a4, b4) = [
-                *lower[:-1], *[(0.0,) * 6] * (5 - len(lower))]
-            last = lower[-1][5] > 0.0
+                *lower, *[(0.0,) * 6] * (4 - len(lower))]
+            last = exact[-1][0] > 0  # the constant's sign
         x = 0.5 * (lo + hi)
         # never probe exactly at a root of p (would make variation counts ambiguous)
         tries, fx = 0, ((((a * x + b) * x + c) * x + d) * x + e) * x + f

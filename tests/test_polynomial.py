@@ -613,11 +613,13 @@ class TestCountFirst:
         assert (calls["_normalized"], calls["_isolate"], calls["_refine_root"]) == (0, 1, 0)
 
     def test_three_roots_normalize_the_whole_chain(self, calls):
-        # (t + 2)(t - 1/2)(t - 3)(t^2 + 1) is square-free: its one chain is p's
+        # (t + 2)(t - 1/2)(t - 3)(t^2 + 1) is square-free: its one chain is p's, and every
+        # element but its last, a constant whose sign is its integer's, is normalized
         q = Quintic(*dyadic_product([-4, 1, 6], [(0, 2)], 1))
         chain = _sturm_chain(_integer_coefficients(q))[0]
         assert real_roots(q) == reference_real_roots(q)
-        assert (calls["_normalized"], calls["_isolate"], calls["_refine_root"]) == (len(chain), 1, 3)
+        assert (calls["_normalized"], calls["_isolate"], calls["_refine_root"]) == (
+            len(chain) - 1, 1, 3)
         assert len(chain) == 6
 
     def test_linear_factors_are_one_division(self, calls):

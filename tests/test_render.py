@@ -107,3 +107,11 @@ def test_axis_parallel_line_outside_the_window_is_not_drawn():
     # x = 10 and y = -5 miss the unit square on the axis each runs along
     assert _clip(Line(1.0, 0.0, 10.0), (0.0, 1.0, 0.0, 1.0)) is None
     assert _clip(Line(0.0, 1.0, -5.0), (0.0, 1.0, 0.0, 1.0)) is None
+
+
+def test_slanted_lines_are_clipped_from_their_foot_point():
+    # x + y = 1 runs corner to corner of the unit square, and x + y = 5 misses it;
+    # x - 2y = 0 crosses [-1, 1]^2 from its left side to its right
+    assert _clip(Line(1.0, 1.0, 1.0), (0.0, 1.0, 0.0, 1.0)) == ((1.0, 0.0), (0.0, 1.0))
+    assert _clip(Line(1.0, 1.0, 5.0), (0.0, 1.0, 0.0, 1.0)) is None
+    assert _clip(Line(1.0, -2.0, 0.0), (-1.0, 1.0, -1.0, 1.0)) == ((-1.0, -0.5), (1.0, 0.5))
