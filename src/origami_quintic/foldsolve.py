@@ -18,21 +18,16 @@ from typing import NamedTuple, Sequence
 
 from .errors import ConfigMismatch
 from .foldconfig import FoldConfig, balance, config_quintic
-from .geometry import (
-    PARALLEL_TOL,
-    Line,
-    Point,
-    canonical_abc,
-    fold_xi,
-    reflect_abc,
-    reflect_xy,
-    triple_gap,
-)
+from .geometry import Line, Point, fold_xi, reflect_abc, reflect_xy
 from .polynomial import Quintic, coefficient_gap, real_roots, worst_item
 
 # Diagnostics attached to a solution instead of rejecting it outright.
 CHI_EQUALS_N = "chi_equals_n"
 LOW_CONFIDENCE = "low_confidence"
+
+# Normals count as linearly dependent when the 2x2 determinant is below
+# this factor times the product of their magnitudes (scale invariant).
+PARALLEL_TOL = 1e-12
 
 
 class IncidenceResiduals(NamedTuple):
@@ -90,12 +85,11 @@ def verify(cfg: FoldConfig, t: float) -> IncidenceResiduals:
 
 def _config_values(cfg: FoldConfig, quintic: Quintic) -> tuple:
     """What _reconstruct needs that is fixed for the configuration, in its frame: |n|,
-    n's canonical triple, the low-confidence threshold, the monic quintic's lower five
-    coefficients (Horner from t + a4 rounds as ``evaluate`` does at a finite t, whose
-    first step 0.0 * t + 1.0 is 1.0) and 2^exponent, the caller's unit of length."""
-    nn = math.hypot(1.0, cfg.b)
-    return (nn, canonical_abc(1.0, cfg.b, cfg.c, nn), 1e-9 * (1.0 + abs(cfg.p) + abs(cfg.q)),
-            *quintic[1:], 2.0**cfg.exponent)
+    the low-confidence threshold, the monic quintic's lower five coefficients (Horner
+    from t + a4 rounds as ``evaluate`` does at a finite t, whose first step
+    0.0 * t + 1.0 is 1.0) and 2^exponent, the caller's unit of length."""
+    return (math.hypot(1.0, cfg.b), 1e-9 * (1.0 + abs(cfg.p) + abs(cfg.q)), *quintic[1:],
+            2.0**cfg.exponent)
 
 
 def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1) -> FoldSolution:
@@ -108,7 +102,7 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
     and chi's is n's (1, b) reflected, as long as n's to a few ulps, so at
     least about 1 and never zero."""
     h, b, c, k, p, q, _, _, _ = cfg
-    nn, n_canonical, still, a4, a3, a2, a1, a0, unit = fixed
+    nn, still, a4, a3, a2, a1, a0, unit = fixed
     xa, xb, xc = fold_xi(t, h)
     ca, cb, cc = reflect_abc(1.0, b, c, xa, xb, xc)
     qx, qy = reflect_xy(0.0, h, xa, xb, xc)
@@ -137,10 +131,14 @@ def _reconstruct(cfg: FoldConfig, t: float, fixed: tuple, multiplicity: int = 1)
         abs(qy + h), abs(px - k), abs(abs(xi_chi) / (xn * cn) - abs(xi_n) / (xn * nn)),
         abs(((((t + a4) * t + a3) * t + a2) * t + a1) * t + a0), equidistant, on_chi))
     diagnostics = ()
-    # a triple gap of 1e-9 leaves the unit normals' cross product at most 2e-9
-    if abs(ca * b - cb) <= 1e-8 * cn * nn and triple_gap(canonical_abc(ca, cb, cc, cn),
-                                                       n_canonical) <= 1e-9:
-        diagnostics = (CHI_EQUALS_N,)
+    # chi equals n when their unit triples are within 1e-9 of each other, with
+    # either sign; that leaves the unit normals' cross product at most 2e-9
+    if abs(ca * b - cb) <= 1e-8 * cn * nn:
+        u, v = 1.0 / cn, 1.0 / nn
+        ua, ub, uc, vb, vc = ca * u, cb * u, cc * u, b * v, c * v
+        if min(max(abs(ua - v), abs(ub - vb), abs(uc - vc)),
+               max(abs(ua + v), abs(ub + vb), abs(uc + vc))) <= 1e-9:
+            diagnostics = (CHI_EQUALS_N,)
     if math.hypot(px - p, py - q) <= still:
         diagnostics += (LOW_CONFIDENCE,)
     return new(FoldSolution, (t * unit, py * unit, new(Line, (xa, xb, xc * unit)),
@@ -177,8 +175,8 @@ def solve_all(cfg: FoldConfig, source: Quintic) -> list[FoldSolution]:
     Solutions come back sorted ascending in t; s is read off the image of P.
     A chi that coincides with n, or an image of P too close to P itself, is
     flagged through the diagnostics field rather than dropped.  What every
-    root shares, |n|, n's canonical triple, the low-confidence threshold,
-    the quintic's coefficients and 2^e, is computed once.
+    root shares, |n|, the low-confidence threshold, the quintic's
+    coefficients and 2^e, is computed once.
     """
     source = balance(source, cfg.exponent)
     fixed = _config_values(cfg, check_roundtrip(cfg, source))

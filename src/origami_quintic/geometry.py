@@ -1,8 +1,6 @@
 """Planar points, lines in normal form, reflections, and fold lines.
 
-Lines are stored as a*x + b*y = c with the raw coefficients retained;
-a canonical unit-normal form is used only for equality tests and
-reporting, never for arithmetic, to avoid drift.
+Lines are stored as a*x + b*y = c with the raw coefficients retained.
 
 Each construction has one name, on bare floats; Point and Line are tuples,
 so a caller unpacks a record into one: ``reflect_xy(*point, *mirror)``.
@@ -14,10 +12,6 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-# Normals count as linearly dependent when the 2x2 determinant is below
-# this factor times the product of their magnitudes (scale invariant).
-PARALLEL_TOL = 1e-12
 
 XY = tuple[float, float]
 ABC = tuple[float, float, float]
@@ -51,22 +45,6 @@ class Line(_LineFields):
     @property
     def norm(self) -> float:
         return math.hypot(self.a, self.b)
-
-
-def canonical_abc(a: float, b: float, c: float, norm: float) -> ABC:
-    """Unit-normal triple of a*x + b*y = c, |(a, b)| = norm: a > 0, or a = 0 < b."""
-    s = 1.0 / norm
-    a, b, c = a * s, b * s, c * s
-    if a < 0.0 or (a == 0.0 and b < 0.0):
-        return (-a, -b, -c)
-    return (a, b, c)
-
-
-def triple_gap(u: ABC, v: ABC) -> float:
-    """Max-abs gap between two canonical triples, insensitive to the sign tie at a ~ 0."""
-    direct = max(abs(u[0] - v[0]), abs(u[1] - v[1]), abs(u[2] - v[2]))
-    flipped = max(abs(u[0] + v[0]), abs(u[1] + v[1]), abs(u[2] + v[2]))
-    return min(direct, flipped)
 
 
 def fold_xi(t: float, h: float) -> Line:

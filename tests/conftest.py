@@ -24,15 +24,9 @@ from origami_quintic import (
 )
 from origami_quintic.errors import SingularSystem, SturmOverflow
 from origami_quintic.foldconfig import BRANCHES, balance
-from origami_quintic.foldsolve import check_roundtrip
+from origami_quintic.foldsolve import PARALLEL_TOL, check_roundtrip
 from origami_quintic.polynomial import cauchy_bound
-from origami_quintic.geometry import (
-    PARALLEL_TOL,
-    canonical_abc,
-    reflect_abc,
-    reflect_xy,
-    triple_gap,
-)
+from origami_quintic.geometry import reflect_abc, reflect_xy
 
 HENDECAGON = (1.0, 1.0, -4.0, -3.0, 3.0, 1.0)
 
@@ -228,11 +222,6 @@ class ZeroB(OrigamiQuinticError):
     """Parallel fold lines are impossible when line n is vertical (b = 0)."""
 
 
-def canonical_gap(l1: Line, l2: Line) -> float:
-    """Max-abs gap between canonical forms, insensitive to the sign tie at a ~ 0."""
-    return triple_gap(canonical_abc(*l1, l1.norm), canonical_abc(*l2, l2.norm))
-
-
 def line_through(p1: Point, p2: Point) -> Line:
     """Line through two distinct points."""
     dx, dy = p2.x - p1.x, p2.y - p1.y
@@ -242,7 +231,7 @@ def line_through(p1: Point, p2: Point) -> Line:
 
 
 def lines_equal(l1: Line, l2: Line, tol: float = 1e-9) -> bool:
-    return canonical_gap(l1, l2) <= tol
+    return reference_canonical_gap(l1, l2) <= tol
 
 
 def fold_chi(p: float, q: float, k: float, s: float) -> Line:
@@ -263,8 +252,8 @@ def intersect(l1: Line, l2: Line) -> Point | None:
     coincident pair has every point in common, not none).
     """
     if is_parallel(l1, l2):
-        scale = 1.0 + abs(canonical_abc(*l1, l1.norm)[2]) + abs(canonical_abc(*l2, l2.norm)[2])
-        if canonical_gap(l1, l2) <= PARALLEL_TOL * scale:
+        scale = 1.0 + abs(reference_canonical(l1)[2]) + abs(reference_canonical(l2)[2])
+        if reference_canonical_gap(l1, l2) <= PARALLEL_TOL * scale:
             raise CoincidentLines("lines are canonically equal")
         return None
     det = l1.a * l2.b - l2.a * l1.b

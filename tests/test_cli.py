@@ -143,6 +143,16 @@ class TestSolve:
                 f"residual {worst:.3e} ({name}) above tol 1.000e-300 at t = {sol['t']!r}"
             )
 
+    def test_chi_equals_n_diagnostic_round_trip(self, capsys, tmp_path):
+        # (t - 2)^2 (t + 1)^3: at t = 2 the fold chi is line n itself, which the
+        # report flags and still writes, and verify rebuilds it, flag included
+        path = tmp_path / "report.json"
+        assert main(["solve", "--coeffs", "1,-1,-5,1,8,4", "--json", str(path)]) == EXIT_OK
+        report = json.loads(path.read_text())
+        assert report["warnings"] == ["diagnostic chi_equals_n at t = 2.0"]
+        assert [(s["t"], s["multiplicity"]) for s in report["solutions"]] == [(-1.0, 3), (2.0, 2)]
+        assert main(["verify", "--json", str(path)]) == EXIT_OK
+
     def test_fraction_input(self, capsys):
         code, report = run_json(
             capsys, ["solve", "--coeffs", "2/2,1,-4,-3,3,1"]

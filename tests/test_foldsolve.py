@@ -25,19 +25,19 @@ from origami_quintic import (
 )
 from origami_quintic.foldconfig import balance
 from origami_quintic.foldsolve import _config_values, _reconstruct, check_roundtrip
-from origami_quintic.geometry import canonical_abc, reflect_abc, reflect_xy, triple_gap
+from origami_quintic.geometry import reflect_abc, reflect_xy
 from origami_quintic.polynomial import Quintic
 
 from conftest import (
     HENDECAGON,
     HENDECAGON_ROOTS,
     ZeroB,
-    canonical_gap,
     is_parallel_case,
     make_config,
     outcome,
     parallel_case_check,
     parallel_distance,
+    reference_canonical_gap,
     reference_solve_all,
     reference_verify,
     residual_g,
@@ -102,9 +102,9 @@ class TestChiFromXi:
     def test_mirror_fixing_n(self):
         # with n: x - 0.5 y = 2 the fold at t = 2 is the same line, so n maps to itself
         cfg = make_config(h=1.0, b=-0.5, c=2.0, k=-1.0, p=3.0, q=0.5)
-        assert canonical_gap(fold_xi(2.0, 1.0), cfg.line_n) <= 1e-15
+        assert reference_canonical_gap(fold_xi(2.0, 1.0), cfg.line_n) <= 1e-15
         chi = Line(*reflect_abc(*cfg.line_n, *fold_xi(2.0, 1.0)))
-        assert canonical_gap(chi, cfg.line_n) <= 1e-12
+        assert reference_canonical_gap(chi, cfg.line_n) <= 1e-12
 
     def test_parallel_direction_equidistance(self):
         rng = np.random.default_rng(31)
@@ -426,7 +426,7 @@ class TestKernelOracle:
             parallel += "parallel_case=True" in want
             flagged.update(d for d in (CHI_EQUALS_N, LOW_CONFIDENCE) if repr(d) in want)
         assert parallel >= 40
-        # the per-configuration threshold and canonical n are read by these two
+        # the per-configuration threshold and |n| are read by these two
         assert flagged == {CHI_EQUALS_N, LOW_CONFIDENCE}
 
     def test_verify_matches_reference(self):
@@ -559,25 +559,27 @@ _moderate = st.floats(-10.0, 10.0)
 
 
 # _reconstruct tests chi's normal against n's by their cross product before it
-# compares their canonical triples; the diagnostics must be those of the
-# triple gap alone: at xi perpendicular to n (t = b h, chi = n) and nearby, where
-# the gap crosses 1e-9, at xi parallel to n (t = -h / b), and at a t that is
-# not finite, where chi and the residuals are NaN
+# compares their unit triples; the diagnostics must be those of conftest's
+# canonical gap alone, which shares no code with the kernel: at xi perpendicular
+# to n (t = b h, chi = n with n's normal) and nearby, where the gap crosses 1e-9,
+# at xi parallel to n (t = -h / b), at xi on n (c = -h / b too, where chi is n
+# with its normal reversed, so only the opposite-sign gap is small), and at a t
+# that is not finite, where chi and the residuals are NaN
 @settings(max_examples=500, deadline=None)
 @given(b=_moderate, c=_moderate, k=_moderate, p=_moderate, q=_moderate, h=st.floats(0.01, 10.0),
        t=st.one_of(st.floats(-100.0, 100.0), st.sampled_from((math.inf, -math.inf, math.nan))),
-       kind=st.sampled_from(("free", "perpendicular", "parallel")),
+       kind=st.sampled_from(("free", "perpendicular", "parallel", "coincident")),
        offset=st.sampled_from((0.0, 1e-12, -1e-11, 3e-10, 1e-9, -2e-9, 5e-9, 1e-8)))
 def test_chi_equals_n_is_the_triple_gap_rule(b, c, k, p, q, h, t, kind, offset):
     if kind == "perpendicular":
         t = b * h + offset
-    elif kind == "parallel" and b:
+    elif kind != "free" and b:
         t = -h / b + offset
+        if kind == "coincident":
+            c = -h / b
     cfg = make_config(h=h, b=b, c=c, k=k, p=p, q=q)
     sol = _reconstruct(cfg, t, _config_values(cfg, Quintic(1.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
-    n_canonical = canonical_abc(1.0, b, c, math.hypot(1.0, b))
-    chi = canonical_abc(*sol.chi, math.hypot(sol.chi.a, sol.chi.b))
-    want = (CHI_EQUALS_N,) if triple_gap(chi, n_canonical) <= 1e-9 else ()
+    want = (CHI_EQUALS_N,) if reference_canonical_gap(sol.chi, cfg.line_n) <= 1e-9 else ()
     if math.hypot(sol.p_image.x - p, sol.p_image.y - q) <= 1e-9 * (1.0 + abs(p) + abs(q)):
         want += (LOW_CONFIDENCE,)
     assert sol.diagnostics == want

@@ -735,6 +735,19 @@ def test_overflowing_probe_is_refused():
         real_roots(q)
 
 
+@pytest.mark.parametrize("draw", [4599, 12654, 13466])
+def test_extreme_draws_near_the_float_range_are_refused_or_finite(draw):
+    # 0-based draws of the extreme set whose brackets reach past 7e307: each
+    # midpoint or nudge overflows and is refused; an isolation that drops the
+    # width floor returns (-inf, 2) or (inf, 2) on them, which no root may be
+    q = extreme_set(draw + 1)[draw]
+    try:
+        roots = real_roots(q)
+    except SturmOverflow:
+        return
+    assert all(math.isfinite(t) for t, _ in roots)
+
+
 def test_zero_float_count_at_the_bound_is_read_off_the_leads():
     # Horner overflows at the bound, where both ends count two float sign
     # variations; the chain's leads count the one real root, just beyond -a4
